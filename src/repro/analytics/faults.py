@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.profiler import Profiler
+    from repro.telemetry.sink import TraceIndex
 
 __all__ = [
     "FaultRecoverySummary",
@@ -78,21 +79,23 @@ class FaultRecoverySummary:
         }
 
 
-def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
+def fault_recovery_summary(prof: "Profiler | TraceIndex") -> FaultRecoverySummary:
     """Fold one session trace into a :class:`FaultRecoverySummary`.
 
     A fault-free trace yields the all-zero summary, so callers can apply
-    this unconditionally.
+    this unconditionally.  *prof* is read once, through ``prof.index()``;
+    a caller that already holds an index passes it to share the read.
     """
-    node_fails = prof.events("node_fail")
-    node_repairs = prof.events("node_repair")
-    pilot_faults = prof.events("pilot_fault")
-    resubmits = prof.events("pilot_resubmit")
-    task_faults = prof.events("task_fault")
-    node_kills = prof.events("unit_node_kill")
-    pilot_kills = prof.events("unit_pilot_kill")
-    requeues = prof.events("unit_requeue")
-    retries = prof.events("entk_task_retry")
+    trace = prof.index()
+    node_fails = trace.events("node_fail")
+    node_repairs = trace.events("node_repair")
+    pilot_faults = trace.events("pilot_fault")
+    resubmits = trace.events("pilot_resubmit")
+    task_faults = trace.events("task_fault")
+    node_kills = trace.events("unit_node_kill")
+    pilot_kills = trace.events("unit_pilot_kill")
+    requeues = trace.events("unit_requeue")
+    retries = trace.events("entk_task_retry")
 
     wasted = sum(ev.attrs.get("wasted", 0.0) for ev in node_kills)
     wasted += sum(ev.attrs.get("wasted", 0.0) for ev in pilot_kills)
@@ -106,9 +109,9 @@ def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
     # Resubmit downtime: from each pilot_resubmit to the next agent_start
     # of the same pilot (the replacement allocation coming up).  A pilot
     # that never came back is charged up to the trace's last event.
-    trace_end = max((ev.time for ev in prof), default=0.0)
+    trace_end = max((ev.time for ev in trace), default=0.0)
     agent_starts: dict[str, list[float]] = {}
-    for ev in prof.events("agent_start"):
+    for ev in trace.events("agent_start"):
         agent_starts.setdefault(ev.uid, []).append(ev.time)
     resubmit_downtime = 0.0
     for ev in resubmits:
@@ -143,6 +146,6 @@ def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
     )
 
 
-def fault_recovery_overhead(prof: "Profiler") -> float:
+def fault_recovery_overhead(prof: "Profiler | TraceIndex") -> float:
     """Shortcut: the scalar fault-recovery overhead of one trace."""
     return fault_recovery_summary(prof).overhead

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.profiler import merge_interval_length
-from repro.pilot.states import UnitState
+from repro.core.profiler import exec_intervals, merge_interval_length
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
@@ -41,18 +40,6 @@ def group_units(
     return groups
 
 
-def _exec_intervals(units: Iterable["ComputeUnit"]) -> list[tuple[float, float]]:
-    intervals = []
-    for u in units:
-        start = u.timestamps.get(UnitState.EXECUTING.value)
-        stop = u.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
-        if stop is None:
-            stop = u.timestamps.get(u.state.value)
-        if start is not None and stop is not None:
-            intervals.append((start, stop))
-    return intervals
-
-
 def phase_execution_time(units: Iterable["ComputeUnit"]) -> float:
     """Union length of the units' EXECUTING intervals (wall view).
 
@@ -60,12 +47,12 @@ def phase_execution_time(units: Iterable["ComputeUnit"]) -> float:
     waves on an undersized pilot accumulate, exactly what the paper's
     per-phase plots (simulation time, exchange time, analysis time) show.
     """
-    return merge_interval_length(_exec_intervals(units))
+    return merge_interval_length(exec_intervals(units))
 
 
 def phase_total_time(units: Iterable["ComputeUnit"]) -> float:
     """Sum of per-unit execution durations (total core-time view)."""
-    return sum(stop - start for start, stop in _exec_intervals(units))
+    return sum(stop - start for start, stop in exec_intervals(units))
 
 
 def speedup(t_base: float, t: float) -> float:
@@ -90,7 +77,7 @@ def utilization(
         raise ValueError("total_cores and span must be positive")
     busy = 0.0
     for u in units:
-        intervals = _exec_intervals([u])
+        intervals = exec_intervals([u])
         if intervals:
             start, stop = intervals[0]
             busy += (stop - start) * u.description.cores

@@ -11,21 +11,25 @@ The paper decomposes total time to completion into:
   scheduling, launching, staging, control-plane latency.
 
 :func:`breakdown_from_profile` computes all four from the session's event
-trace and the pattern's unit timestamps.
+trace and the pattern's unit timestamps.  It reads the trace once: every
+query goes to one :class:`~repro.telemetry.sink.TraceIndex`, which is
+dropped when the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.pilot.states import UnitState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.execution_pattern import ExecutionPattern
     from repro.pilot.profiler import Profiler
+    from repro.pilot.unit import ComputeUnit
+    from repro.telemetry.sink import TraceIndex
 
-__all__ = ["OverheadBreakdown", "breakdown_from_profile"]
+__all__ = ["OverheadBreakdown", "breakdown_from_profile", "exec_intervals"]
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,36 @@ def merge_interval_length(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _span_sum(prof: "Profiler", start_name: str, stop_name: str, uid: str | None) -> float:
+def exec_intervals(units: Iterable["ComputeUnit"]) -> list[tuple[float, float]]:
+    """Each unit's ``(start, stop)`` of execution, skipping units that
+    never executed.
+
+    Execution starts on entering EXECUTING and stops on entering
+    AGENT_STAGING_OUTPUT, or for a unit that failed mid-execution at
+    its final-state stamp.
+    """
+    intervals = []
+    for u in units:
+        start = u.timestamps.get(UnitState.EXECUTING.value)
+        stop = u.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
+        if stop is None:
+            stop = u.timestamps.get(u.state.value)
+        if start is not None and stop is not None:
+            intervals.append((start, stop))
+    return intervals
+
+
+def _span_sum(trace: "TraceIndex", start_name: str, stop_name: str, uid: str | None) -> float:
     """Sum of paired start/stop spans (same count assumed, in order)."""
-    starts = prof.events(start_name, uid)
-    stops = prof.events(stop_name, uid)
+    starts = trace.events(start_name, uid)
+    stops = trace.events(stop_name, uid)
     return sum(
         stop.time - start.time for start, stop in zip(starts, stops)
     )
 
 
 def breakdown_from_profile(
-    prof: "Profiler", pattern: "ExecutionPattern"
+    prof: "Profiler | TraceIndex", pattern: "ExecutionPattern"
 ) -> OverheadBreakdown:
     """Decompose one executed pattern's TTC.
 
@@ -95,22 +118,17 @@ def breakdown_from_profile(
     last task leaving it — with identical concurrent tasks (the paper's
     characterization workloads) this equals the per-task runtime, and in
     general it is what a user perceives as "my tasks running".
+
+    *prof* is read once, through ``prof.index()``.
     """
     units = [u for u in pattern.units]
     if not units:
         raise ValueError(f"pattern {pattern.uid} has no units (was it run?)")
 
-    ttc = prof.span("entk_pattern_start", "entk_pattern_stop", pattern.uid) or 0.0
+    trace = prof.index()
+    ttc = trace.span("entk_pattern_start", "entk_pattern_stop", pattern.uid) or 0.0
 
-    intervals: list[tuple[float, float]] = []
-    for u in units:
-        start = u.timestamps.get(UnitState.EXECUTING.value)
-        stop = u.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
-        if stop is None:
-            # Failed mid-execution: use the final-state stamp.
-            stop = u.timestamps.get(u.state.value)
-        if start is not None and stop is not None:
-            intervals.append((start, stop))
+    intervals = exec_intervals(units)
     execution_time = merge_interval_length(intervals)
     makespan = (
         max(stop for _, stop in intervals) - min(start for start, _ in intervals)
@@ -120,18 +138,18 @@ def breakdown_from_profile(
 
     # Core overhead: init + allocate + cancel client-side spans.
     core_overhead = (
-        _span_sum(prof, "entk_init_start", "entk_init_stop", None)
-        + _span_sum(prof, "entk_alloc_start", "entk_alloc_stop", None)
-        + _span_sum(prof, "entk_cancel_start", "entk_cancel_stop", None)
+        _span_sum(trace, "entk_init_start", "entk_init_stop", None)
+        + _span_sum(trace, "entk_alloc_start", "entk_alloc_stop", None)
+        + _span_sum(trace, "entk_cancel_start", "entk_cancel_stop", None)
     )
 
     # Pattern overhead: task creation (measured) plus submission charge.
     create = _span_sum(
-        prof, "entk_stage_create_start", "entk_stage_create_stop", pattern.uid
+        trace, "entk_stage_create_start", "entk_stage_create_stop", pattern.uid
     )
     charged = sum(
         ev.attrs.get("seconds", 0.0)
-        for ev in prof.events("entk_pattern_overhead", pattern.uid)
+        for ev in trace.events("entk_pattern_overhead", pattern.uid)
     )
     pattern_overhead = create + charged
 
@@ -141,7 +159,7 @@ def breakdown_from_profile(
     # Imported lazily: analytics sits above core in the layer diagram.
     from repro.analytics.faults import fault_recovery_overhead
 
-    fault_overhead = fault_recovery_overhead(prof)
+    fault_overhead = fault_recovery_overhead(trace)
 
     return OverheadBreakdown(
         ttc=ttc,

@@ -14,6 +14,11 @@ everything-resident list, while a
 spool file and keeps only a bounded ring in memory — the million-unit
 scale envelope.  ``ProfileEvent`` is defined next to the sinks and
 re-exported here under its historical import path.
+
+Every query (``events``, ``first``, ``last``, ``span``) reads the whole
+sink, which on a spool means parsing the file again.  An analysis that
+asks many questions calls :meth:`Profiler.index` once and queries the
+returned :class:`~repro.telemetry.sink.TraceIndex` instead.
 """
 
 from __future__ import annotations
@@ -21,12 +26,18 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterator
 
-from repro.telemetry.sink import EventSink, MemorySink, ProfileEvent
+from repro.telemetry.sink import (
+    EventSink,
+    MemorySink,
+    ProfileEvent,
+    TraceIndex,
+    TraceQueries,
+)
 
 __all__ = ["ProfileEvent", "Profiler"]
 
 
-class Profiler:
+class Profiler(TraceQueries):
     """Thread-safe, append-only event trace."""
 
     def __init__(
@@ -95,21 +106,16 @@ class Profiler:
             if (name is None or ev.name == name) and (uid is None or ev.uid == uid)
         ]
 
-    def first(self, name: str, uid: str | None = None) -> ProfileEvent | None:
-        matches = self.events(name, uid)
-        return matches[0] if matches else None
+    def index(self) -> TraceIndex:
+        """The whole trace read once (one ``EventSink.events()`` call) and
+        indexed by event name; answers the same queries as the profiler.
 
-    def last(self, name: str, uid: str | None = None) -> ProfileEvent | None:
-        matches = self.events(name, uid)
-        return matches[-1] if matches else None
-
-    def span(self, start_name: str, end_name: str, uid: str | None = None) -> float | None:
-        """Seconds from the first *start_name* to the last *end_name*."""
-        start = self.first(start_name, uid)
-        end = self.last(end_name, uid)
-        if start is None or end is None:
-            return None
-        return end.time - start.time
+        The index is a snapshot: events recorded afterwards are not in
+        it.  Nothing keeps it, so build one per analysis.
+        """
+        with self._lock:
+            snapshot = self._sink.events()
+        return TraceIndex(snapshot)
 
     # -- persistence ---------------------------------------------------------
 

@@ -8,20 +8,21 @@ harness's ``--trace-out``).  Subcommands:
 ``critical-path PATH``   the blocking-activity tiling of the TTC window
 
 Exit codes follow ``repro lint``: 0 success, 2 usage error (missing or
-malformed trace file).
+malformed trace file).  A trace whose last line was cut off mid-write
+still loads: the torn line is dropped with a note on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import warnings
 from pathlib import Path
-from typing import Any
 
 from repro.telemetry.analysis import critical_path
 from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.sink import ProfileEvent, read_events
 from repro.telemetry.span import SpanBuilder, component_of
 
 __all__ = ["add_trace_arguments", "run_trace"]
@@ -56,20 +57,15 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
                        help="pattern uid (default: innermost pattern span)")
 
 
-def _load(path_str: str) -> list[dict[str, Any]]:
+def _load(path_str: str) -> list[ProfileEvent]:
     path = Path(path_str)
     if not path.is_file():
         raise ValueError(f"no such trace file: {path}")
-    events = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSONL: {exc}") from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        events = read_events(path)
+    for warning in caught:
+        print(f"repro trace: warning: {warning.message}", file=sys.stderr)
     if not events:
         raise ValueError(f"empty trace file: {path}")
     return events

@@ -20,20 +20,42 @@ Revival is exact: JSON floats round-trip through ``repr`` so a trace
 digested from a spool is byte-identical to one digested live (the
 golden-hash determinism tests pin this).
 
+A spool whose last line was cut off mid-write (a crash while appending)
+still reads back: :func:`read_events` drops the torn tail and warns
+with the number of complete events recovered.
+
 ``ProfileEvent`` itself is defined here (and re-exported by
 :mod:`repro.pilot.profiler` under its historical import path) so this
 module does not import the pilot layer — the session imports telemetry.
+:class:`TraceIndex` sits next to it: one pass over a trace that answers
+the profiler's query API, so an analysis reads a spool once instead of
+once per query.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-__all__ = ["ProfileEvent", "EventSink", "MemorySink", "SpoolSink"]
+__all__ = [
+    "ProfileEvent",
+    "EventSink",
+    "MemorySink",
+    "SpoolSink",
+    "TraceIndex",
+    "TraceQueries",
+    "read_events",
+]
+
+#: Spool lines decoded per ``json.loads`` call; bounds the memory a read
+#: needs on top of the revived events.
+_BLOCK_LINES = 1024
 
 
 @dataclass(slots=True)
@@ -60,6 +82,140 @@ def revive(row: dict[str, Any]) -> ProfileEvent:
     name = row.pop("name")
     uid = row.pop("uid", "")
     return ProfileEvent(float(time), str(name), str(uid), row)
+
+
+def read_events(path: str | Path, since: int = 0) -> list[ProfileEvent]:
+    """Revive the events of an NDJSON trace file from line *since* on.
+
+    Lines are decoded a block at a time, one ``json.loads`` per block;
+    a block that does not decode to exactly one row per line is decoded
+    line by line instead.  A last line that does not decode is a torn
+    tail: it is dropped with one warning that says how many events were
+    recovered.  An undecodable line followed by more lines raises
+    ``ValueError``.
+    """
+    events: list[ProfileEvent] = []
+    bad: tuple[int, json.JSONDecodeError] | None = None
+    with Path(path).open(encoding="utf-8") as stream:
+        lines = islice(stream, since, None)
+        lineno = since
+        while block := list(islice(lines, _BLOCK_LINES)):
+            if bad is None:
+                try:
+                    rows = json.loads("[" + ",".join(block) + "]")
+                except json.JSONDecodeError:
+                    rows = None
+                if rows is not None and len(rows) == len(block):
+                    events.extend(map(revive, rows))
+                    lineno += len(block)
+                    continue
+            for line in block:
+                lineno += 1
+                if not line.strip():
+                    continue
+                if bad is not None:
+                    raise ValueError(
+                        f"{path}:{bad[0]}: bad JSONL: {bad[1]}"
+                    ) from bad[1]
+                try:
+                    events.append(revive(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    bad = (lineno, exc)
+    if bad is not None:
+        warnings.warn(
+            f"{path}:{bad[0]}: torn last line dropped; recovered "
+            f"{len(events)} complete events",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return events
+
+
+class TraceQueries:
+    """The profiler's derived queries, written over ``events(name, uid)``.
+
+    :class:`~repro.pilot.profiler.Profiler` and :class:`TraceIndex` both
+    inherit these, so the two differ only in how ``events`` finds its
+    matches: a full scan of the sink, or one name's postings.
+    """
+
+    __slots__ = ()
+
+    def events(self, name: str | None = None, uid: str | None = None) -> list[Any]:
+        raise NotImplementedError
+
+    def first(self, name: str, uid: str | None = None) -> Any | None:
+        matches = self.events(name, uid)
+        return matches[0] if matches else None
+
+    def last(self, name: str, uid: str | None = None) -> Any | None:
+        matches = self.events(name, uid)
+        return matches[-1] if matches else None
+
+    def span(self, start_name: str, end_name: str, uid: str | None = None) -> float | None:
+        """Seconds from the first *start_name* to the last *end_name*."""
+        start = self.first(start_name, uid)
+        end = self.last(end_name, uid)
+        if start is None or end is None:
+            return None
+        return end.time - start.time
+
+
+class TraceIndex(TraceQueries):
+    """One pass over a trace that answers the profiler's query API.
+
+    Keeps the events in recording order plus, per event name, the
+    positions of that name's events, so ``events(name, uid)``,
+    ``first``, ``last`` and ``span`` read one name's postings instead
+    of the whole trace.  Events are duck-typed on ``name``/``uid``/
+    ``time``.  :meth:`repro.pilot.profiler.Profiler.index` builds one
+    from a single ``EventSink.events()`` read; nothing caches it, so it
+    never outlives the call that built it.
+    """
+
+    __slots__ = ("_events", "_postings")
+
+    def __init__(self, events: Iterable[Any]) -> None:
+        # A list is taken over as is (callers hand in fresh lists).
+        self._events: list[Any] = (
+            events if isinstance(events, list) else list(events)
+        )
+        # Positions in typed arrays: a list would add one int object
+        # per event on top of its slot.
+        postings: dict[str, array] = {}
+        for position, ev in enumerate(self._events):
+            bucket = postings.get(ev.name)
+            if bucket is None:
+                postings[ev.name] = bucket = array("l")
+            bucket.append(position)
+        self._postings = postings
+
+    def index(self) -> "TraceIndex":
+        """Already an index; lets analyses index a profiler or an index."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._events)
+
+    def events(self, name: str | None = None, uid: str | None = None) -> list[Any]:
+        """Events filtered by name and/or uid, in recording order."""
+        if name is None:
+            found = self._events
+        else:
+            found = [self._events[i] for i in self._postings.get(name, ())]
+        if uid is None:
+            return list(found) if name is None else found
+        return [ev for ev in found if ev.uid == uid]
+
+    def select(self, *names: str) -> list[Any]:
+        """Events with any of *names*, merged in recording order."""
+        positions = [i for name in names for i in self._postings.get(name, ())]
+        if len(names) > 1:
+            positions.sort()
+        return [self._events[i] for i in positions]
 
 
 class EventSink:
@@ -117,8 +273,9 @@ class SpoolSink(EventSink):
     append.  ``ring`` bounds how many recent events stay in memory for
     cheap :meth:`tail` access; the full history lives only in the file.
     Reading (``events``/``__iter__``) flushes the stream and revives the
-    file's rows, so reads are O(file) — fine for end-of-run export and
-    analytics, which is the only read pattern the runtime has.
+    file's rows with :func:`read_events`, so reads are O(file) — fine
+    for end-of-run export and analytics, which is the only read pattern
+    the runtime has.
     """
 
     __slots__ = ("path", "_ring", "_stream", "_count", "_opened")
@@ -146,12 +303,7 @@ class SpoolSink(EventSink):
         self.flush()
         if not self._opened:
             return []
-        out: list[ProfileEvent] = []
-        with self.path.open() as stream:
-            for index, line in enumerate(stream):
-                if index >= since and line.strip():
-                    out.append(revive(json.loads(line)))
-        return out
+        return read_events(self.path, since)
 
     def tail(self) -> list[ProfileEvent]:
         """The most recent events still resident (at most the ring size)."""

@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
+from repro.telemetry.sink import TraceIndex
 from repro.utils.ids import generate_id
 
 __all__ = ["Span", "SpanTree", "SpanBuilder", "Tracer", "component_of"]
@@ -267,6 +268,9 @@ class SpanBuilder:
             raise ValueError("no events to build a span tree from")
         events = sorted(self._events, key=lambda ev: ev.time)  # stable
         t_trace_end = events[-1].time
+        # Each derivation pass reads only the event names it handles, in
+        # time order, from one index that build() drops when it returns.
+        trace = TraceIndex(events)
 
         spans: dict[str, Span] = {}
 
@@ -274,19 +278,19 @@ class SpanBuilder:
             spans[span.uid] = span
             return span
 
-        root = add(self._session_span(events, t_trace_end))
+        root = add(self._session_span(trace, events[0].time, t_trace_end))
 
         for name in ("entk_init", "entk_alloc", "entk_cancel"):
             for i, (uid, t0, t1, attrs) in enumerate(
-                self._paired(events, f"{name}_start", f"{name}_stop")
+                self._paired(trace, f"{name}_start", f"{name}_stop")
             ):
                 add(Span(f"{name}:{i}", name, t0, t1,
                          parent=root.uid, ref=uid, attrs=dict(attrs)))
 
-        self._pattern_spans(events, spans, root, t_trace_end)
-        self._pilot_spans(events, spans, root, t_trace_end)
-        self._unit_spans(events, spans, root, t_trace_end)
-        self._explicit_spans(events, spans, root, t_trace_end)
+        self._pattern_spans(trace, spans, root, t_trace_end)
+        self._pilot_spans(trace, spans, root, t_trace_end)
+        self._unit_spans(trace, spans, root, t_trace_end)
+        self._explicit_spans(trace, spans, root, t_trace_end)
 
         self._link(spans, root)
         return SpanTree(root=root, spans=spans)
@@ -295,12 +299,12 @@ class SpanBuilder:
 
     @staticmethod
     def _paired(
-        events: list[_Event], start_name: str, stop_name: str
+        trace: TraceIndex, start_name: str, stop_name: str
     ) -> list[tuple[str, float, float, Mapping[str, Any]]]:
         """Match *start*/*stop* events per uid, in order of occurrence."""
         open_by_uid: dict[str, list[tuple[float, Mapping[str, Any]]]] = {}
         pairs: list[tuple[str, float, float, Mapping[str, Any]]] = []
-        for ev in events:
+        for ev in trace.select(start_name, stop_name):
             if ev.name == start_name:
                 open_by_uid.setdefault(ev.uid, []).append((ev.time, ev.attrs))
             elif ev.name == stop_name and open_by_uid.get(ev.uid):
@@ -309,25 +313,27 @@ class SpanBuilder:
         pairs.sort(key=lambda pair: pair[1])  # stable: by start time
         return pairs
 
-    def _session_span(self, events: list[_Event], t_trace_end: float) -> Span:
-        starts = [ev for ev in events if ev.name == "session_start"]
-        closes = [ev for ev in events if ev.name == "session_close"]
+    def _session_span(
+        self, trace: TraceIndex, t_first: float, t_trace_end: float
+    ) -> Span:
+        starts = trace.events("session_start")
+        closes = trace.events("session_close")
         uid = starts[0].uid if starts else "session"
-        t0 = starts[0].time if starts else events[0].time
+        t0 = starts[0].time if starts else t_first
         t1 = closes[-1].time if closes else t_trace_end
         return Span(f"session:{uid}", "session", t0, max(t1, t_trace_end),
                     parent=None, ref=uid)
 
     def _pattern_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, trace: TraceIndex, spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
-        patterns = self._paired(events, "entk_pattern_start",
+        patterns = self._paired(trace, "entk_pattern_start",
                                 "entk_pattern_stop")
         # Unstopped patterns (crashed run) still deserve a span.
         stopped = [uid for uid, _, _, _ in patterns]
-        for ev in events:
-            if ev.name == "entk_pattern_start" and ev.uid not in stopped:
+        for ev in trace.events("entk_pattern_start"):
+            if ev.uid not in stopped:
                 patterns.append((ev.uid, ev.time, t_trace_end, ev.attrs))
         for uid, t0, t1, attrs in patterns:
             spans[f"pattern:{uid}"] = Span(
@@ -350,7 +356,7 @@ class SpanBuilder:
                 span.parent = enclosing[0].uid
 
         for uid, t0, t1, attrs in self._paired(
-            events, "entk_stage_create_start", "entk_stage_create_stop"
+            trace, "entk_stage_create_start", "entk_stage_create_stop"
         ):
             i = sum(1 for s in spans.values()
                     if s.name == "entk_stage_create" and s.ref == uid)
@@ -362,9 +368,7 @@ class SpanBuilder:
         # The charged pattern overhead delays delivery of a batch starting
         # at the moment it is recorded; book it as a [t, t+seconds] span.
         charge_counts: dict[str, int] = {}
-        for ev in events:
-            if ev.name != "entk_pattern_overhead":
-                continue
+        for ev in trace.events("entk_pattern_overhead"):
             seconds = float(ev.attrs.get("seconds", 0.0))
             i = charge_counts.get(ev.uid, 0)
             charge_counts[ev.uid] = i + 1
@@ -376,14 +380,15 @@ class SpanBuilder:
                               attrs=dict(ev.attrs))
 
     def _pilot_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, trace: TraceIndex, spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         submits: dict[str, float] = {}
         ends: dict[str, float] = {}
         startup_open: dict[str, float] = {}
         startup_count: dict[str, int] = {}
-        for ev in events:
+        for ev in trace.select("pilot_submit", "pilot_resubmit", "agent_start",
+                               "agent_stop", "agent_abort", "pilot_cancel"):
             if ev.name == "pilot_submit":
                 submits.setdefault(ev.uid, ev.time)
                 startup_open[ev.uid] = ev.time
@@ -405,14 +410,14 @@ class SpanBuilder:
             )
 
     def _unit_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, trace: TraceIndex, spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         # Per unit: creation time + pattern attribution from unit_new,
         # then the timestamped state sequence.
         created: dict[str, tuple[float, str]] = {}
         states: dict[str, list[tuple[float, str]]] = {}
-        for ev in events:
+        for ev in trace.select("unit_new", "unit_state"):
             if ev.name == "unit_new":
                 created.setdefault(
                     ev.uid, (ev.time, str(ev.attrs.get("pattern", "")))
@@ -439,11 +444,11 @@ class SpanBuilder:
                                   ref=uid)
 
     def _explicit_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, trace: TraceIndex, spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         opened: dict[str, Span] = {}
-        for ev in events:
+        for ev in trace.select("span_open", "span_close"):
             if ev.name == "span_open":
                 attrs = {
                     key: value
