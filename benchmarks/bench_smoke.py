@@ -20,6 +20,11 @@ the pilot state model, the batch queue and the pattern layer.
 to an NDJSON spool file in DIR (kept as a CI artifact) and gates that the
 spooled run's virtual outcome is identical.
 
+``pattern_eop_bulk_faults`` runs the EoP case on two nodes under node
+faults and a retry policy with the batched lifecycle
+(``bulk_lifecycle=True``), and gates that its virtual outcome equals the
+same faulted run moved in batches of one.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py -o BENCH_micro.json
@@ -147,7 +152,10 @@ def bench_sched_pressure() -> tuple[dict, float]:
     return {"units": n, "cores": cores}, ttc
 
 
-def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
+def bench_pattern_eop(
+    spool_dir: str | None = None, size: int = 16, cores: int = 16,
+    **handle_kwargs,
+) -> tuple[dict, float]:
     from repro.core.kernel_plugin import Kernel
     from repro.core.patterns import EnsembleOfPipelines
     from repro.core.profiler import breakdown_from_profile
@@ -164,11 +172,10 @@ def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
             kernel.arguments = ["--duration=20"]
             return kernel
 
-    size, cores = 16, 16
     pattern = EoP(ensemble_size=size, pipeline_size=2)
     handle = ResourceHandle(
         "xsede.comet", cores=cores, walltime=600, mode="sim", seed=0,
-        spool_dir=spool_dir,
+        spool_dir=spool_dir, **handle_kwargs,
     )
     handle.allocate()
     try:
@@ -177,6 +184,19 @@ def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
         handle.deallocate()
     breakdown = breakdown_from_profile(handle.profile, pattern)
     return {"ensemble_size": size, "cores": cores}, breakdown.ttc
+
+
+def bench_pattern_eop_faults(bulk: bool) -> tuple[dict, float]:
+    """The EoP case on two nodes that fail and get repaired, with retries."""
+    from repro.pilot.retry import RetryPolicy
+
+    config, ttc = bench_pattern_eop(
+        size=48, cores=48, bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
+        retry_policy=RetryPolicy(max_attempts=8),
+    )
+    config.update(bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
+                  max_attempts=8)
+    return config, ttc
 
 
 CASES = [
@@ -264,6 +284,33 @@ def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
     return record
 
 
+def run_bulk_faults_case() -> dict:
+    """``pattern_eop_bulk_faults``: the faulted EoP case, batched.
+
+    Batching is a trace-granularity policy, not a second lifecycle: the
+    virtual outcome must equal the per-unit run of the same case.
+    """
+    reset_id_counters()
+    _, per_unit_ttc = bench_pattern_eop_faults(bulk=False)
+    reset_id_counters()
+    t0 = time.perf_counter()
+    config, sim_ttc = bench_pattern_eop_faults(bulk=True)
+    wall = time.perf_counter() - t0
+    if sim_ttc != per_unit_ttc:
+        raise AssertionError(
+            f"pattern_eop_bulk_faults: sim_ttc_s {sim_ttc!r} != per-unit run "
+            f"{per_unit_ttc!r} (batching must not change outcomes)"
+        )
+    print(f"{'pattern_eop_bulk_faults':<28} wall {wall:8.3f} s   "
+          f"sim ttc {sim_ttc:12.3f} s")
+    return {
+        "bench": "pattern_eop_bulk_faults",
+        "config": config,
+        "wall_s": round(wall, 4),
+        "sim_ttc_s": sim_ttc,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", default=None,
@@ -278,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records = run_cases(repeats=args.repeats)
+    records.append(run_bulk_faults_case())
     if args.spool:
         eop = next(r for r in records if r["bench"] == "pattern_eop")
         records.append(run_spooled_case(args.spool, eop["sim_ttc_s"]))

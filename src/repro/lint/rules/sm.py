@@ -7,8 +7,8 @@ durations off exactly these transitions.  These rules cross-check every
 
 * SM001 — reference to an enum member that does not exist;
 * SM002 — a transition provably illegal under the edge table, inferred from
-  straight-line consecutive ``advance()`` calls on one receiver or from an
-  enclosing ``if x.state is State.Y`` guard;
+  straight-line consecutive ``advance()``/``advance_many()`` calls on one
+  receiver or from an enclosing ``if x.state is State.Y`` guard;
 * SM003 — state assigned directly (``x._state = ...``), bypassing the
   validating ``advance()`` path;
 * SM004 — a table state that no scanned call site ever produces (dead state
@@ -61,20 +61,28 @@ def _state_ref(node: ast.expr) -> tuple[str, str] | None:
 
 
 def _advance_call(node: ast.expr) -> tuple[str, str, str, ast.Call] | None:
-    """``recv.advance(UnitState.DONE)`` -> (recv_src, machine, member, call)."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "advance"
-        and len(node.args) == 1
-    ):
+    """``recv.advance(UnitState.DONE)`` -> (recv_src, machine, member, call).
+
+    List transitions match too: ``store.advance_many(units,
+    UnitState.DONE)`` takes the state as its last positional argument and
+    the moved entities as its first, which is the receiver; a one-element
+    list literal ``[unit]`` stands for ``unit`` itself.
+    """
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return None
-    ref = _state_ref(node.args[0])
+    if node.func.attr == "advance" and len(node.args) == 1:
+        target = node.func.value
+    elif node.func.attr == "advance_many" and len(node.args) >= 2:
+        target = node.args[0]
+        if isinstance(target, ast.List) and len(target.elts) == 1:
+            target = target.elts[0]
+    else:
+        return None
+    ref = _state_ref(node.args[-1])
     if ref is None:
         return None
     machine, member = ref
-    recv = ast.unparse(node.func.value)
-    return recv, machine, member, node
+    return ast.unparse(target), machine, member, node
 
 
 def _mentions_name(stmt: ast.stmt, recv: str) -> bool:

@@ -4,7 +4,9 @@ Runs (notionally) inside the pilot's allocation.  It receives compute units
 from the unit manager, stages their inputs, queues them for cores, launches
 them through an executor and stages outputs — continuation-passing all the
 way, so the identical control flow serves threaded local execution and the
-single-threaded discrete-event simulation.
+single-threaded discrete-event simulation.  Every stage takes a list of
+units; the session's :class:`~repro.pilot.unit_store.UnitStore` decides the
+batches a list moves in (batches of one unless ``bulk_lifecycle`` is set).
 
 Queue policies (the paper's agent inherits RADICAL-Pilot's):
 
@@ -84,20 +86,22 @@ class Agent:
         #: such units can fail *terminally* during it (emitting events), so
         #: the event-silent short-circuit would change traces.
         self._waiting_excluded: set[str] = set()
-        self._executing: dict[str, "ComputeUnit"] = {}
-        self._cancelled: set[str] = set()
+        #: In-flight units and their launch times, keyed by unit row.
+        self._executing: dict[int, "ComputeUnit"] = {}
+        self._launch_times: dict[int, float] = {}
+        #: Rows of units cancelled while in flight.
+        self._cancelled: set[int] = set()
         self._started = False
         self._unit_final_cb: Callable[["ComputeUnit"], Any] | None = None
         self._unit_killed_cb: (
             Callable[["ComputeUnit", BaseException], Any] | None
         ) = None
         self._fault_process: NodeFaultProcess | None = None
-        self._launch_times: dict[str, float] = {}
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
-        #: Batched lifecycle (``Session(bulk_lifecycle=True)``): accept,
-        #: launch and complete homogeneous batches with per-batch events.
-        self._bulk = bool(getattr(session, "bulk_lifecycle", False))
+        #: Every transition goes through the store, which also decides the
+        #: batches a lifecycle list moves in (see ``UnitStore.batches``).
+        self._store = session.unit_store
 
         if session.is_simulated:
             self.stager = SimStager(session.sim_context, tracer=self._tracer)
@@ -168,9 +172,10 @@ class Agent:
         self._disarm_node_faults()
         with self._lock:
             waiting = self._waiting_clear()
-        for unit in waiting:
-            unit.advance(UnitState.CANCELED)
-            self._notify_final(unit)
+        for batch in self._store.batches(waiting):
+            self._store.advance_many(batch, UnitState.CANCELED)
+            for unit in batch:
+                self._notify_final(unit)
         self.executor.shutdown()
         self.session.prof.event("agent_stop", self.pilot.uid)
 
@@ -217,8 +222,7 @@ class Agent:
             if self._unit_killed_cb is not None:
                 self._unit_killed_cb(unit, exc)
             else:
-                unit.advance(UnitState.FAILED)
-                self._notify_final(unit)
+                self._fail([unit], exc)
         self.executor.shutdown()
         self.session.prof.event("agent_abort", self.pilot.uid)
 
@@ -240,15 +244,14 @@ class Agent:
     def submit_units(self, units: list["ComputeUnit"]) -> None:
         """Accept units from the unit manager (any time after creation)."""
         with self._tracer.span("agent.submit", self.pilot.uid, n=len(units)):
-            if self._bulk:
-                self._accept_units_bulk(units)
-            else:
-                self._accept_units(units)
+            for batch in self._store.batches(units):
+                self._accept(batch)
 
-    def _accept_units(self, units: list["ComputeUnit"]) -> None:
+    def _accept(self, units: list["ComputeUnit"]) -> None:
+        fit: list["ComputeUnit"] = []
         for unit in units:
             if unit.description.cores > self.slots.total_cores:
-                unit.advance(UnitState.FAILED)
+                self._store.advance_many([unit], UnitState.FAILED)
                 unit.exception = SchedulingError(
                     f"unit {unit.uid} wants {unit.description.cores} cores; "
                     f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
@@ -257,55 +260,32 @@ class Agent:
                 continue
             unit.pilot_uid = self.pilot.uid
             self.stager.register_unit(unit)
-            unit.advance(UnitState.AGENT_STAGING_INPUT)
-            try:
-                self.stager.stage_in(unit, lambda u=unit: self._on_staged_in(u))
-            except Exception as exc:  # staging failure fails the unit, not the agent
-                unit.exception = exc
-                unit.advance(UnitState.FAILED)
-                self._notify_final(unit)
-
-    def _accept_units_bulk(self, units: list["ComputeUnit"]) -> None:
-        """Batched acceptance: one state transition and one staging event
-        per batch.  Notional sandboxes are only registered for units that
-        actually stage data, so a million no-staging units do not allocate
-        a million ``Path`` objects."""
-        store = self.session.unit_store
-        fit: list["ComputeUnit"] = []
-        for unit in units:
-            if unit.description.cores > self.slots.total_cores:
-                unit.advance(UnitState.FAILED)
-                unit.exception = SchedulingError(
-                    f"unit {unit.uid} wants {unit.description.cores} cores; "
-                    f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
-                )
-                self._notify_final(unit)
-                continue
-            unit.pilot_uid = self.pilot.uid
-            if (
-                unit.description.input_staging
-                or unit.description.output_staging
-            ):
-                self.stager.register_unit(unit)
             fit.append(unit)
         if not fit:
             return
-        store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
-        self.stager.stage_in_bulk(fit, self._on_staged_in_bulk)
+        self._store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
+        try:
+            self.stager.stage_in_bulk(fit, self._on_staged_in)
+        except Exception as exc:  # staging failure fails the units, not the agent
+            self._fail(fit, exc)
 
-    def _on_staged_in_bulk(self, units: list["ComputeUnit"]) -> None:
-        if self._cancelled:
-            cancelled = [u for u in units if u.uid in self._cancelled]
-            if cancelled:
-                units = [u for u in units if u.uid not in self._cancelled]
-                self.session.unit_store.advance_many(
-                    cancelled, UnitState.CANCELED
-                )
-                for unit in cancelled:
-                    self._notify_final(unit)
+    def _without_cancelled(self, units: list["ComputeUnit"]) -> list["ComputeUnit"]:
+        """Finish the cancelled units of *units*; return the others."""
+        if not self._cancelled:
+            return units
+        cancelled = [u for u in units if u._i in self._cancelled]
+        if not cancelled:
+            return units
+        self._store.advance_many(cancelled, UnitState.CANCELED)
+        for unit in cancelled:
+            self._notify_final(unit)
+        return [u for u in units if u._i not in self._cancelled]
+
+    def _on_staged_in(self, units: list["ComputeUnit"]) -> None:
+        units = self._without_cancelled(units)
         if not units:
             return
-        self.session.unit_store.advance_many(units, UnitState.AGENT_SCHEDULING)
+        self._store.advance_many(units, UnitState.AGENT_SCHEDULING)
         with self._lock:
             for unit in units:
                 self._waiting_add(unit)
@@ -314,7 +294,7 @@ class Agent:
     def cancel_unit(self, unit: "ComputeUnit") -> None:
         """Cancel a unit; waiting units are dequeued, running ones flagged."""
         with self._lock:
-            self._cancelled.add(unit.uid)
+            self._cancelled.add(unit._i)
             if unit.uid in self._waiting_uids:
                 self._waiting.remove(unit)
                 self._waiting_forget(unit)
@@ -322,20 +302,10 @@ class Agent:
             else:
                 to_cancel = False
         if to_cancel:
-            unit.advance(UnitState.CANCELED)
+            self._store.advance_many([unit], UnitState.CANCELED)
             self._notify_final(unit)
 
     # -- internals -----------------------------------------------------------------
-
-    def _on_staged_in(self, unit: "ComputeUnit") -> None:
-        if unit.uid in self._cancelled:
-            unit.advance(UnitState.CANCELED)
-            self._notify_final(unit)
-            return
-        unit.advance(UnitState.AGENT_SCHEDULING)
-        with self._lock:
-            self._waiting_add(unit)
-        self._reschedule()
 
     def _avoid_for(self, unit: "ComputeUnit") -> frozenset[int]:
         """Nodes of *this* pilot the unit's exclusion list rules out."""
@@ -403,7 +373,7 @@ class Agent:
                     self._waiting.popleft()
                     self._waiting_forget(head)
                     head.slots = slots
-                    self._executing[head.uid] = head
+                    self._executing[head._i] = head
                     launched.append(head)
             else:  # backfill
                 remaining: deque["ComputeUnit"] = deque()
@@ -424,7 +394,7 @@ class Agent:
                         continue
                     self._waiting_forget(unit)
                     unit.slots = slots
-                    self._executing[unit.uid] = unit
+                    self._executing[unit._i] = unit
                     launched.append(unit)
                     if (
                         can_skip
@@ -440,35 +410,21 @@ class Agent:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast
             # instead of queueing it forever.
-            unit.exception = NodeFailure(
+            self._fail([unit], NodeFailure(
                 f"unit {unit.uid} cannot be placed on pilot {self.pilot.uid}: "
                 f"excluded nodes leave fewer than "
                 f"{unit.description.cores} eligible cores"
+            ))
+        now = self.session.now()
+        for batch in self._store.batches(launched):
+            for unit in batch:
+                unit.attempts += 1
+                self._launch_times[unit._i] = now
+            self._store.emit(
+                "slots", batch,
+                slots=sum(len(u.slots) for u in batch), pilot=self.pilot.uid,
             )
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
-        if not launched:
-            return
-        if self._bulk:
-            store = self.session.unit_store
-            for unit in launched:
-                store.set_attempts(unit._i, store.attempts(unit._i) + 1)
-            # One placement event per pass; per-unit wasted-time
-            # bookkeeping (_launch_times) is skipped — bulk mode
-            # excludes the fault machinery that consumes it.
-            self.session.prof.event(
-                "units_slots", launched[0].uid,
-                n=len(launched), pilot=self.pilot.uid,
-            )
-            self.executor.launch_units(launched, self._on_units_done)
-            return
-        for unit in launched:
-            unit.attempts += 1
-            self._launch_times[unit.uid] = self.session.now()
-            self.session.prof.event(
-                "unit_slots", unit.uid, slots=len(unit.slots), pilot=self.pilot.uid
-            )
-            self.executor.launch(unit, self._on_unit_done)
+            self.executor.launch_units(batch, self._on_executed)
 
     # -- failure domains ------------------------------------------------------------
 
@@ -516,11 +472,11 @@ class Agent:
         """Tear down one in-flight unit whose node (or whole pilot) died."""
         self.executor.kill(unit)
         with self._lock:
-            self._executing.pop(unit.uid, None)
+            self._executing.pop(unit._i, None)
             if unit.slots:
                 self.slots.dealloc(unit.slots)
                 unit.slots = []
-        launched_at = self._launch_times.pop(unit.uid, None)
+        launched_at = self._launch_times.pop(unit._i, None)
         wasted = (
             self.session.now() - launched_at if launched_at is not None else 0.0
         )
@@ -547,73 +503,42 @@ class Agent:
         if self._unit_killed_cb is not None:
             self._unit_killed_cb(unit, exc)
         else:
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
+            self._fail([unit], exc)
 
-    def _on_unit_done(
-        self,
-        unit: "ComputeUnit",
-        ok: bool,
-        result: Any,
-        exception: BaseException | None,
+    def _on_executed(
+        self, units: list["ComputeUnit"], exception: BaseException | None
     ) -> None:
-        with self._lock:
-            self._executing.pop(unit.uid, None)
-            self._launch_times.pop(unit.uid, None)
-            if unit.slots:
-                self.slots.dealloc(unit.slots)
-        if not ok:
-            unit.exception = exception
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
-            self._reschedule()
-            return
-        unit.result = result
-        unit.advance(UnitState.AGENT_STAGING_OUTPUT)
-        try:
-            self.stager.stage_out(unit, lambda u=unit: self._on_staged_out(u))
-        except Exception as exc:  # staging failure fails the unit, not the agent
-            unit.exception = exc
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
-        self._reschedule()
-
-    def _on_units_done(self, units: list["ComputeUnit"]) -> None:
-        """Bulk completion from the executor (always successful: bulk
-        mode excludes fault injection, and modelled runs cannot fail)."""
+        """The executor finished *units* (``exception`` is ``None``) or
+        failed them with ``exception``."""
         with self._lock:
             for unit in units:
-                self._executing.pop(unit.uid, None)
+                self._executing.pop(unit._i, None)
+                self._launch_times.pop(unit._i, None)
                 slots = unit.slots
                 if slots:
                     self.slots.dealloc(slots)
-        self.session.unit_store.advance_many(
-            units, UnitState.AGENT_STAGING_OUTPUT
-        )
-        self.stager.stage_out_bulk(units, self._on_staged_out_bulk)
+        if exception is not None:
+            self._fail(units, exception)
+        else:
+            self._store.advance_many(units, UnitState.AGENT_STAGING_OUTPUT)
+            try:
+                self.stager.stage_out_bulk(units, self._on_staged_out)
+            except Exception as exc:  # staging failure fails the units, not the agent
+                self._fail(units, exc)
         self._reschedule()
 
-    def _on_staged_out_bulk(self, units: list["ComputeUnit"]) -> None:
-        store = self.session.unit_store
-        if self._cancelled:
-            cancelled = [u for u in units if u.uid in self._cancelled]
-            if cancelled:
-                finished = [u for u in units if u.uid not in self._cancelled]
-                store.advance_many(finished, UnitState.DONE)
-                store.advance_many(cancelled, UnitState.CANCELED)
-                for unit in units:
-                    self._notify_final(unit)
-                return
-        store.advance_many(units, UnitState.DONE)
-        for unit in units:
+    def _on_staged_out(self, units: list["ComputeUnit"]) -> None:
+        finished = self._without_cancelled(units)
+        self._store.advance_many(finished, UnitState.DONE)
+        for unit in finished:
             self._notify_final(unit)
 
-    def _on_staged_out(self, unit: "ComputeUnit") -> None:
-        if unit.uid in self._cancelled:
-            unit.advance(UnitState.CANCELED)
-        else:
-            unit.advance(UnitState.DONE)
-        self._notify_final(unit)
+    def _fail(self, units: list["ComputeUnit"], exc: BaseException) -> None:
+        for unit in units:
+            unit.exception = exc
+        self._store.advance_many(units, UnitState.FAILED)
+        for unit in units:
+            self._notify_final(unit)
 
     def _notify_final(self, unit: "ComputeUnit") -> None:
         if self._unit_final_cb is not None:

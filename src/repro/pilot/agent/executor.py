@@ -1,23 +1,27 @@
 """Unit executors: really run payloads, or model them on the virtual clock.
 
-Both executors expose one method::
+Both executors expose one lifecycle method::
 
-    launch(unit, on_done)   # on_done(unit, ok: bool, result, exception)
+    launch_units(units, on_done)   # on_done(units, exception)
 
-and are responsible for advancing the unit into ``EXECUTING`` at the moment
-user code (really or notionally) starts.  The agent never needs to know
-which mode it is running in.
+and are responsible for advancing units into ``EXECUTING`` at the moment
+user code (really or notionally) starts.  ``on_done`` reports finished
+units with ``exception=None`` (results already stored on the units) or
+failed ones with their exception.  The agent never needs to know which
+mode it is running in.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.pilot.agent.launch_method import get_launch_method
 from repro.pilot.description import ComputeUnitDescription
+from repro.pilot.faults import TaskFault
 from repro.pilot.states import UnitState
 from repro.telemetry.span import Tracer
 from repro.utils.logger import get_logger
@@ -30,7 +34,7 @@ __all__ = ["TaskContext", "LocalExecutor", "SimExecutor"]
 
 log = get_logger("pilot.agent.executor")
 
-DoneCallback = Callable[["ComputeUnit", bool, Any, BaseException | None], None]
+DoneCallback = Callable[[list["ComputeUnit"], BaseException | None], None]
 
 
 @dataclass
@@ -95,12 +99,13 @@ class LocalExecutor:
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
 
-    def launch(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        get_launch_method(unit.description)  # validates cores/mpi coherence
-        self._pool.submit(self._run, unit, on_done)
+    def launch_units(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
+        for unit in units:
+            get_launch_method(unit.description)  # validates cores/mpi coherence
+            self._pool.submit(self._run, unit, on_done)
 
     def _run(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        unit.advance(UnitState.EXECUTING)
+        self.session.unit_store.advance_many([unit], UnitState.EXECUTING)
         cores = unit.description.cores
         if self._metrics is not None and unit.pilot_uid:
             self._metrics.adjust(f"agent.{unit.pilot_uid}.cores_busy", cores)
@@ -112,12 +117,13 @@ class LocalExecutor:
                     result = unit.description.payload(TaskContext.for_unit(unit))
         except BaseException as exc:  # noqa: BLE001 - task failure is data
             log.debug("unit %s payload failed: %r", unit.uid, exc)
-            on_done(unit, False, None, exc)
+            on_done([unit], exc)
             return
         finally:
             if self._metrics is not None and unit.pilot_uid:
                 self._metrics.adjust(f"agent.{unit.pilot_uid}.cores_busy", -cores)
-        on_done(unit, True, result, None)
+        unit.result = result
+        on_done([unit], None)
 
     def kill(self, unit: "ComputeUnit") -> None:
         """Real threads cannot be killed mid-payload; kills are sim-only."""
@@ -126,6 +132,31 @@ class LocalExecutor:
         if not self._shutdown:
             self._shutdown = True
             self._pool.shutdown(wait=False, cancel_futures=True)
+
+
+class _LaunchGroup:
+    """Units launched together with one (overhead, runtime) pair.
+
+    One DES event serves the whole group: first its launch, then its
+    finish.  ``units`` (row -> unit) holds the members still due to
+    finish with the group; ``faults`` (row -> offset) the members whose
+    task-fault draw fired, which leave the group at start for an event of
+    their own.  A kill removes its unit; a group left empty has its
+    pending event cancelled.
+    """
+
+    __slots__ = ("units", "faults", "runtime", "on_done", "ref", "span",
+                 "event", "started")
+
+    def __init__(self, runtime: float, on_done: DoneCallback) -> None:
+        self.units: dict[int, "ComputeUnit"] = {}
+        self.faults: dict[int, float] = {}
+        self.runtime = runtime
+        self.on_done = on_done
+        self.ref = ""
+        self.span = ""
+        self.event: Any = None
+        self.started = False
 
 
 class SimExecutor:
@@ -144,161 +175,142 @@ class SimExecutor:
         self.session = session
         self.context = session.sim_context
         self.evaluate_payloads = evaluate_payloads
-        #: Pending launch/finish event per in-flight unit, so a node or
-        #: pilot failure can kill the execution before it completes.
-        self._inflight: dict[str, Any] = {}
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
-        #: Units whose modelled execution has started (busy-core gauge
-        #: accounting: kills must only decrement after start()).
-        self._busy: set[str] = set()
-        #: Open ``exec.launch`` span per unit not yet started, so kills
-        #: close the span at kill time instead of trace end.
-        self._launch_spans: dict[str, str] = {}
-        #: Live bulk launch/exec groups (handle id -> handle dict whose
-        #: "event" key is the pending DES event), for shutdown cancellation.
-        self._groups: dict[int, dict[str, Any]] = {}
+        #: Launch group of every unit still due to finish with one, and the
+        #: pending fault event of every faulted executing unit (both keyed
+        #: by unit row), so a node or pilot failure can kill either.
+        self._group_of: dict[int, _LaunchGroup] = {}
+        self._faults: dict[int, Any] = {}
 
-    def _adjust_busy(self, unit: "ComputeUnit", delta: int) -> None:
-        if self._metrics is not None and unit.pilot_uid:
+    def _adjust_busy(self, units: list["ComputeUnit"], sign: int) -> None:
+        if self._metrics is not None and units[0].pilot_uid:
             self._metrics.adjust(
-                f"agent.{unit.pilot_uid}.cores_busy",
-                delta * unit.description.cores,
+                f"agent.{units[0].pilot_uid}.cores_busy",
+                sign * sum(u.description.cores for u in units),
             )
 
-    def launch(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        method = get_launch_method(unit.description)
+    def launch(self, unit: "ComputeUnit", on_done: Callable[..., None]) -> None:
+        """One unit, reported as ``on_done(unit, ok, result, exception)``."""
+        self._launch([unit], lambda units, exc: on_done(
+            units[0], exc is None, units[0].result, exc))
+
+    def launch_units(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
+        """Launch *units*: one launch and one finish DES event per
+        (overhead, runtime) group, plus one per drawn task fault."""
+        self._launch(units, on_done)
+
+    def _launch(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         platform = self.context.platform
-        overhead = method.launch_overhead(unit.description.cores, platform)
-        runtime = unit.description.modelled_runtime(platform) / platform.node.core_speed
-        sim = self.context.sim
-        fault_offset = self.session.fault_model.draw(runtime)
-        self._launch_spans[unit.uid] = self._tracer.begin(
-            "exec.launch", unit.uid
-        )
-
-        def start() -> None:
-            self._tracer.end(self._launch_spans.pop(unit.uid, ""))
-            unit.advance(UnitState.EXECUTING)
-            self._busy.add(unit.uid)
-            self._adjust_busy(unit, 1)
-            if fault_offset is not None:
-                self._inflight[unit.uid] = sim.schedule(
-                    fault_offset, fail, label=f"fault:{unit.uid}"
-                )
-            else:
-                self._inflight[unit.uid] = sim.schedule(
-                    runtime, finish, label=f"exec:{unit.uid}"
-                )
-
-        def fail() -> None:
-            from repro.pilot.faults import TaskFault
-
-            self._inflight.pop(unit.uid, None)
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
-            self.session.prof.event("task_fault", unit.uid,
-                                    at=fault_offset, runtime=runtime)
-            on_done(unit, False, None,
-                    TaskFault(f"injected fault in {unit.uid}"))
-
-        def finish() -> None:
-            self._inflight.pop(unit.uid, None)
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
-            result = None
-            if self.evaluate_payloads and unit.description.payload is not None:
-                try:
-                    result = unit.description.payload(TaskContext.for_unit(unit))
-                except BaseException as exc:  # noqa: BLE001
-                    on_done(unit, False, None, exc)
-                    return
-            on_done(unit, True, result, None)
-
-        self._inflight[unit.uid] = sim.schedule(
-            overhead, start, label=f"launch:{unit.uid}"
-        )
-
-    def launch_units(
-        self,
-        units: list["ComputeUnit"],
-        on_done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        """Bulk launch (``Session(bulk_lifecycle=True)``): one launch and
-        one finish DES event per homogeneous (overhead, runtime) group.
-
-        Fault injection is excluded by construction (the session rejects
-        the combination), so there is no per-unit fault draw and no
-        per-unit kill bookkeeping; groups are tracked only so
-        :meth:`shutdown` can cancel what is still pending.
-        """
-        platform = self.context.platform
-        sim = self.context.sim
-        store = self.session.unit_store
-        groups: dict[tuple[float, float], list["ComputeUnit"]] = {}
+        groups: dict[tuple[float, float], _LaunchGroup] = {}
         for unit in units:
             desc = unit.description
-            method = get_launch_method(desc)
-            overhead = method.launch_overhead(desc.cores, platform)
+            overhead = get_launch_method(desc).launch_overhead(desc.cores, platform)
             runtime = desc.modelled_runtime(platform) / platform.node.core_speed
-            groups.setdefault((overhead, runtime), []).append(unit)
-        for (overhead, runtime), group in groups.items():
-            cores = sum(u.description.cores for u in group)
-            first_uid = group[0].uid
-            span = self._tracer.begin("exec.launch", first_uid)
-            handle: dict[str, Any] = {}
-
-            def finish(group=group, cores=cores, handle=handle) -> None:
-                self._groups.pop(id(handle), None)
-                if self._metrics is not None and group[0].pilot_uid:
-                    self._metrics.adjust(
-                        f"agent.{group[0].pilot_uid}.cores_busy", -cores
-                    )
-                on_done(group)
-
-            # finish must be default-bound, not a free variable: start runs
-            # after this loop has moved on, when the enclosing `finish`
-            # name already points at the *last* group's callback.
-            def start(group=group, runtime=runtime, cores=cores,
-                      span=span, first_uid=first_uid,
-                      handle=handle, finish=finish) -> None:
-                self._tracer.end(span)
-                store.advance_many(group, UnitState.EXECUTING)
-                if self._metrics is not None and group[0].pilot_uid:
-                    self._metrics.adjust(
-                        f"agent.{group[0].pilot_uid}.cores_busy", cores
-                    )
-                handle["event"] = sim.schedule(
-                    runtime, finish, label=f"exec*{len(group)}:{first_uid}"
-                )
-
-            handle["event"] = sim.schedule(
-                overhead, start, label=f"launch*{len(group)}:{first_uid}"
+            group = groups.get((overhead, runtime))
+            if group is None:
+                group = groups[(overhead, runtime)] = _LaunchGroup(runtime, on_done)
+            group.units[unit._i] = unit
+            fault_offset = self.session.fault_model.draw(runtime)
+            if fault_offset is not None:
+                group.faults[unit._i] = fault_offset
+            self._group_of[unit._i] = group
+        for (overhead, _), group in groups.items():
+            group.ref = next(iter(group.units.values())).uid
+            group.span = self._tracer.begin("exec.launch", group.ref)
+            group.event = self.context.sim.schedule(
+                overhead, functools.partial(self._start, group),
+                label=f"launch*{len(group.units)}:{group.ref}",
             )
-            self._groups[id(handle)] = handle
+
+    def _start(self, group: _LaunchGroup) -> None:
+        self._tracer.end(group.span)
+        group.span = ""
+        group.started = True
+        members = list(group.units.values())
+        self.session.unit_store.advance_many(members, UnitState.EXECUTING)
+        self._adjust_busy(members, 1)
+        sim = self.context.sim
+        for i, offset in group.faults.items():
+            unit = group.units.pop(i)
+            del self._group_of[i]
+            self._faults[i] = sim.schedule(
+                offset, functools.partial(self._fail, unit, offset, group),
+                label=f"fault:{unit.uid}",
+            )
+        group.event = None
+        if group.units:
+            group.event = sim.schedule(
+                group.runtime, functools.partial(self._finish, group),
+                label=f"exec*{len(group.units)}:{group.ref}",
+            )
+
+    def _fail(self, unit: "ComputeUnit", offset: float, group: _LaunchGroup) -> None:
+        del self._faults[unit._i]
+        self._adjust_busy([unit], -1)
+        self.session.prof.event("task_fault", unit.uid,
+                                at=offset, runtime=group.runtime)
+        group.on_done([unit], TaskFault(f"injected fault in {unit.uid}"))
+
+    def _finish(self, group: _LaunchGroup) -> None:
+        group.event = None  # the event holds this callback: break the cycle
+        members = list(group.units.values())
+        for i in group.units:
+            del self._group_of[i]
+        group.units.clear()
+        self._adjust_busy(members, -1)
+        if not self.evaluate_payloads:
+            group.on_done(members, None)
+            return
+        finished = []
+        for unit in members:
+            if unit.description.payload is None:
+                finished.append(unit)
+                continue
+            try:
+                unit.result = unit.description.payload(TaskContext.for_unit(unit))
+            except BaseException as exc:  # noqa: BLE001
+                group.on_done([unit], exc)
+                continue
+            finished.append(unit)
+        if finished:
+            group.on_done(finished, None)
 
     def kill(self, unit: "ComputeUnit") -> None:
-        """Cancel the unit's pending execution event (node/pilot death).
+        """Take the unit out of its pending execution (node/pilot death).
 
         The unit's ``on_done`` is *not* invoked: the caller owns the
         failure handling (requeue or fail), exactly like a real node crash
-        produces no exit status.
+        produces no exit status.  The rest of its launch group carries
+        on; a group left empty has its DES event cancelled.
         """
-        event = self._inflight.pop(unit.uid, None)
+        sim = self.context.sim
+        event = self._faults.pop(unit._i, None)
         if event is not None:
-            self.context.sim.cancel(event)
-        self._tracer.end(self._launch_spans.pop(unit.uid, ""))
-        if unit.uid in self._busy:
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
+            sim.cancel(event)
+            self._adjust_busy([unit], -1)
+            return
+        group = self._group_of.pop(unit._i, None)
+        if group is None:
+            return
+        del group.units[unit._i]
+        group.faults.pop(unit._i, None)
+        if not group.units:
+            sim.cancel(group.event)
+            group.event = None
+            self._tracer.end(group.span)
+            group.span = ""
+        if group.started:
+            self._adjust_busy([unit], -1)
 
     def shutdown(self) -> None:  # symmetry with LocalExecutor
-        for event in self._inflight.values():
-            self.context.sim.cancel(event)
-        self._inflight.clear()
-        for handle in self._groups.values():
-            self.context.sim.cancel(handle["event"])
-        self._groups.clear()
-        for uid in sorted(self._launch_spans):
-            self._tracer.end(self._launch_spans[uid])
-        self._launch_spans.clear()
+        sim = self.context.sim
+        for event in self._faults.values():
+            sim.cancel(event)
+        self._faults.clear()
+        groups = {id(g): g for g in self._group_of.values()}.values()
+        for group in groups:
+            sim.cancel(group.event)
+        self._group_of.clear()
+        for _, span in sorted((g.ref, g.span) for g in groups if g.span):
+            self._tracer.end(span)

@@ -14,6 +14,7 @@ modelled transfer time against the platform's shared-filesystem model.
 
 from __future__ import annotations
 
+import functools
 import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -30,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["resolve_placeholders", "LocalStager", "SimStager"]
 
 log = get_logger("pilot.agent.staging")
+
+#: ``done(units)`` once a list of units has been staged.
+StagedCallback = Callable[[list["ComputeUnit"]], None]
 
 
 def resolve_placeholders(path: str, pilot_sandbox: Path, unit_sandboxes: dict[str, Path]) -> Path:
@@ -85,38 +89,53 @@ class LocalStager:
             else:
                 shutil.copy2(source, target)
 
+    def _stage(self, name: str, units: list["ComputeUnit"], inbound: bool,
+               done: StagedCallback) -> None:
+        for unit in units:
+            sandbox = self.unit_sandboxes[unit.uid]
+            if inbound:
+                directives = unit.description.input_staging
+                src_base, dst_base = self.pilot_sandbox, sandbox
+            else:
+                directives = unit.description.output_staging
+                src_base, dst_base = sandbox, self.pilot_sandbox
+            with self._tracer.span(name, unit.uid, n=len(directives)):
+                for directive in directives:
+                    self._apply(directive, src_base, dst_base)
+        done(units)
+
     def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        sandbox = self.unit_sandboxes[unit.uid]
-        with self._tracer.span("agent.stage_in", unit.uid,
-                               n=len(unit.description.input_staging)):
-            for directive in unit.description.input_staging:
-                self._apply(directive, self.pilot_sandbox, sandbox)
-        done()
+        self._stage("agent.stage_in", [unit], True, lambda _: done())
 
     def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        sandbox = self.unit_sandboxes[unit.uid]
-        with self._tracer.span("agent.stage_out", unit.uid,
-                               n=len(unit.description.output_staging)):
-            for directive in unit.description.output_staging:
-                self._apply(directive, sandbox, self.pilot_sandbox)
-        done()
+        self._stage("agent.stage_out", [unit], False, lambda _: done())
+
+    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+        self._stage("agent.stage_in", units, True, done)
+
+    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+        self._stage("agent.stage_out", units, False, done)
 
 
 class SimStager:
-    """Charge modelled transfer time on the virtual clock."""
+    """Charge modelled transfer time on the virtual clock.
+
+    Each call schedules one span and one DES event per *cost group* of
+    its units; for a batch of one that is one per unit, and the common
+    bulk case — no staging directives anywhere — is a single zero-cost
+    event for the whole batch.
+    """
 
     def __init__(self, context: "SimContext", tracer: Tracer | None = None) -> None:
         self.context = context
-        self.unit_sandboxes: dict[str, Path] = {}
         self._tracer = tracer or Tracer(None)
 
-    def register_unit(self, unit: "ComputeUnit") -> Path:
-        # Sandboxes are notional under simulation; remember a fake path so
-        # placeholder resolution still validates unit references.
-        sandbox = Path("/sim") / unit.uid
-        self.unit_sandboxes[unit.uid] = sandbox
-        unit.sandbox = str(sandbox)
-        return sandbox
+    def register_unit(self, unit: "ComputeUnit") -> None:
+        # Sandboxes are notional under simulation: only units that stage
+        # data get a (fake) path, so a million units that stage nothing
+        # do not hold a million paths.
+        if unit.description.input_staging or unit.description.output_staging:
+            unit.sandbox = f"/sim/{unit.uid}"
 
     def _cost(self, directives: list[StagingDirective]) -> float:
         fs = self.context.filesystem
@@ -127,79 +146,34 @@ class SimStager:
             total += fs.transfer_time(directive.nbytes)
         return total
 
-    def _timed(self, name: str, unit: "ComputeUnit", cost: float,
-               done: Callable[[], None]) -> None:
-        span = self._tracer.begin(name, unit.uid)
-
-        def finish() -> None:
-            self._tracer.end(span)
-            done()
-
-        self.context.sim.schedule(
-            cost, finish, label=f"{name.partition('.')[2]}:{unit.uid}"
-        )
-
-    def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._timed("agent.stage_in", unit,
-                    self._cost(unit.description.input_staging), done)
-
-    def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._timed("agent.stage_out", unit,
-                    self._cost(unit.description.output_staging), done)
-
-    # -- bulk lifecycle -----------------------------------------------------
-
-    def _timed_bulk(
-        self,
-        name: str,
-        units: list["ComputeUnit"],
-        costs: dict[float, list["ComputeUnit"]],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        """One span and one DES event per *cost group* instead of per unit.
-
-        The common case — no staging directives anywhere — is a single
-        zero-cost group, i.e. one event for the entire batch.
-        """
-        sim = self.context.sim
-        kind = name.partition(".")[2]
-        for cost, group in costs.items():
-            span = self._tracer.begin(name, group[0].uid)
-
-            def finish(group=group, span=span) -> None:
-                self._tracer.end(span)
-                done(group)
-
-            sim.schedule(
-                cost, finish, label=f"{kind}*{len(group)}:{group[0].uid}"
-            )
-
-    def _cost_groups(
-        self, units: list["ComputeUnit"], attr: str
-    ) -> dict[float, list["ComputeUnit"]]:
+    def _stage(self, name: str, units: list["ComputeUnit"], attr: str,
+               done: StagedCallback) -> None:
         groups: dict[float, list["ComputeUnit"]] = {}
         for unit in units:
             directives = getattr(unit.description, attr)
             cost = self._cost(directives) if directives else 0.0
             groups.setdefault(cost, []).append(unit)
-        return groups
+        kind = name.partition(".")[2]
+        for cost, group in groups.items():
+            span = self._tracer.begin(name, group[0].uid)
+            self.context.sim.schedule(
+                cost, functools.partial(self._staged, span, group, done),
+                label=f"{kind}*{len(group)}:{group[0].uid}",
+            )
 
-    def stage_in_bulk(
-        self,
-        units: list["ComputeUnit"],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        self._timed_bulk(
-            "agent.stage_in", units,
-            self._cost_groups(units, "input_staging"), done,
-        )
+    def _staged(self, span: str, units: list["ComputeUnit"],
+                done: StagedCallback) -> None:
+        self._tracer.end(span)
+        done(units)
 
-    def stage_out_bulk(
-        self,
-        units: list["ComputeUnit"],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        self._timed_bulk(
-            "agent.stage_out", units,
-            self._cost_groups(units, "output_staging"), done,
-        )
+    def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
+        self._stage("agent.stage_in", [unit], "input_staging", lambda _: done())
+
+    def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
+        self._stage("agent.stage_out", [unit], "output_staging", lambda _: done())
+
+    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+        self._stage("agent.stage_in", units, "input_staging", done)
+
+    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+        self._stage("agent.stage_out", units, "output_staging", done)

@@ -71,11 +71,19 @@ class Session:
         metrics registry keeps running aggregates instead of resident
         point lists.  Trace *content* is bit-identical either way.
     bulk_lifecycle:
-        Opt-in batched unit lifecycle: homogeneous batches move through
-        the state machine with one profiler append and one metrics
-        update per batch (``units_new``/``units_state`` events instead
-        of per-unit events).  Sim mode only; coarsens the trace, so it
-        is off for every published-figure run.
+        Trace granularity of the one unit lifecycle (sim mode only).
+        Every lifecycle stage takes a list of units; by default the unit
+        manager and agent move them in batches of one, which records the
+        per-unit ``unit_*`` events every published figure is built from.
+        When true, the :class:`~repro.pilot.unit_store.UnitStore`'s
+        emission policy moves each list as one batch, with one
+        ``units_new``/``units_state``/``units_slots`` event, one metrics
+        update and one DES event per batch.  Virtual time is the same
+        either way, fault injection included: launch groups take
+        per-unit fault draws and kills.  (``UnitStore.advance``,
+        ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out``
+        are single-unit adapters kept for the repository benchmark's
+        call counters; the lifecycle itself never calls them.)
     """
 
     def __init__(
@@ -99,12 +107,6 @@ class Session:
         if bulk_lifecycle and mode != "sim":
             raise ConfigurationError(
                 "bulk_lifecycle is a simulated-mode feature"
-            )
-        if bulk_lifecycle and (fault_rate or node_mtbf or pilot_mtbf):
-            # Fault recovery needs per-unit kill/requeue bookkeeping that
-            # batched transitions deliberately skip.
-            raise ConfigurationError(
-                "bulk_lifecycle is incompatible with fault injection"
             )
         if pilot_mtbf < 0:
             raise ConfigurationError("pilot mtbf must be non-negative")

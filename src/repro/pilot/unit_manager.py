@@ -74,73 +74,29 @@ class UnitManager:
             raise PilotError("unit manager has no pilots")
         if isinstance(descriptions, ComputeUnitDescription):
             descriptions = [descriptions]
-        if getattr(self.session, "bulk_lifecycle", False):
-            return self._submit_units_bulk(descriptions, callback, extra_delay)
-
+        store = self.session.unit_store
+        shared: list[Callable[[ComputeUnit, UnitState], Any]] = []
+        if callback is not None:
+            shared.append(callback)
+        shared.extend(self._callbacks)
         units: list[ComputeUnit] = []
         routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
-            for description in descriptions:
-                unit = ComputeUnit(description, self.session)
-                self.session.prof.event(
-                    "unit_new", unit.uid,
-                    pattern=description.tags.get("pattern", ""),
-                )
-                if callback is not None:
-                    unit.add_callback(callback)
-                for cb in self._callbacks:
-                    unit.add_callback(cb)
-                unit.advance(UnitState.UMGR_SCHEDULING)
-                pilot = self._pick_pilot(description)
-                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
-                units.append(unit)
+            for batch in store.batches(descriptions):
+                rows = store.add_bulk(batch)
+                new = [ComputeUnit._of(store, i) for i in rows]
+                store.set_group_callbacks(rows, shared)
+                store.emit("new", new, pattern=batch[0].tags.get("pattern", ""))
+                store.advance_many(new, UnitState.UMGR_SCHEDULING)
+                for unit in new:
+                    pilot = self._pick_pilot(unit.description)
+                    routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
+                units.extend(new)
             with self._lock:
                 self.units.extend(units)
 
-            for pilot, batch in routing.values():
-                self._forward(pilot, batch, extra_delay)
-        return units
-
-    def _submit_units_bulk(
-        self,
-        descriptions: list[ComputeUnitDescription],
-        callback: Callable[[ComputeUnit, UnitState], Any] | None,
-        extra_delay: float,
-    ) -> list[ComputeUnit]:
-        """Batched submission (``Session(bulk_lifecycle=True)``).
-
-        One columnar registration, one ``units_new`` event, one shared
-        callback list and one ``units_state`` transition cover the whole
-        batch; routing and forwarding are unchanged.  The trace is
-        deliberately coarser than the per-unit path's — this is the
-        million-unit envelope, not the published-figure path.
-        """
-        store = self.session.unit_store
-        with self.session.tracer.span(
-            "umgr.submit", self.uid, n=len(descriptions)
-        ):
-            rows = store.add_bulk(descriptions)
-            units = [ComputeUnit._of(store, i) for i in rows]
-            shared: list[Callable[[ComputeUnit, UnitState], Any]] = []
-            if callback is not None:
-                shared.append(callback)
-            shared.extend(self._callbacks)
-            store.set_group_callbacks(rows, shared)
-            if units:
-                self.session.prof.event(
-                    "units_new", units[0].uid, n=len(units),
-                    last=units[-1].uid,
-                    pattern=descriptions[0].tags.get("pattern", ""),
-                )
-            store.advance_many(units, UnitState.UMGR_SCHEDULING)
-            routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
-            for unit in units:
-                pilot = self._pick_pilot(unit.description)
-                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
-            with self._lock:
-                self.units.extend(units)
             for pilot, batch in routing.values():
                 self._forward(pilot, batch, extra_delay)
         return units
@@ -193,7 +149,7 @@ class UnitManager:
                 ),
             )
             return
-        unit.advance(UnitState.UMGR_SCHEDULING)
+        self.session.unit_store.advance_many([unit], UnitState.UMGR_SCHEDULING)
         delay = 0.0
         if self.session.is_simulated:
             rng = None
@@ -231,7 +187,7 @@ class UnitManager:
 
     def _fail_unit(self, unit: ComputeUnit, exc: BaseException) -> None:
         unit.exception = exc
-        unit.advance(UnitState.FAILED)
+        self.session.unit_store.advance_many([unit], UnitState.FAILED)
         with self._all_done:
             self._all_done.notify_all()
 
@@ -299,7 +255,7 @@ class UnitManager:
             if unit.state.is_final:
                 continue
             if unit.pilot_uid is None:
-                unit.advance(UnitState.CANCELED)
+                self.session.unit_store.advance_many([unit], UnitState.CANCELED)
                 continue
             pilot = next(p for p in self.pilots if p.uid == unit.pilot_uid)
             pilot.agent.cancel_unit(unit)

@@ -11,16 +11,25 @@ wait events) in side dicts that only pay for units that actually use
 them.  :class:`~repro.pilot.unit.ComputeUnit` is a two-word view over
 one row, so the public unit API is unchanged.
 
-Two write paths share the columns:
+One write path serves every session.  Each lifecycle call takes a list
+of units (``add_bulk``/``advance_many``), and the store alone decides
+how that list shows up in the trace — the *emission policy*:
 
-* the classic per-unit path (``add``/``advance``) emits exactly the
-  events and metric points the object implementation emitted, in the
-  same order — the golden-trace hashes pin this;
-* the bulk path (``add_bulk``/``advance_many``) moves homogeneous
-  batches with one profiler append and one metrics update per batch.
-  It is opt-in (``Session(bulk_lifecycle=True)``) because it
-  intentionally coarsens the trace: per-unit ``unit_state`` events
-  become per-batch ``units_state`` events.
+* :meth:`UnitStore.batches` splits a lifecycle list into the batches it
+  moves in: the whole list under ``Session(bulk_lifecycle=True)``,
+  batches of one otherwise;
+* :meth:`UnitStore.emit` names the event: a batch of one in a per-unit
+  session is a per-unit ``unit_new``/``unit_state``/``unit_slots`` event,
+  which replays the historical per-unit trace byte for byte (the golden
+  hashes pin this); any other batch is one ``units_*`` event carrying
+  ``n`` and ``last``, with one metrics update per batch.
+
+The singular ``add``/``advance`` are adapters over the same bodies for
+callers that hold one unit.  The runtime lifecycle never calls them, so
+the repository benchmark (``perfbench/worker.py``), which counts calls
+to ``advance`` and ``advance_many`` alike, counts each transition once;
+``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out`` are kept
+the same way.
 
 Unit uids are *lazy*: the store reserves serial blocks from the global
 id counter (:func:`repro.utils.ids.reserve_id_block`) and formats
@@ -52,6 +61,11 @@ _STATE_INDEX: dict[UnitState, int] = {s: i for i, s in enumerate(_STATES)}
 #: Gauge name per unit state, precomputed once — ``advance`` runs for every
 #: transition of every unit and must not rebuild these strings each time.
 _STATE_GAUGES = {state: f"units.{state.value}" for state in UnitState}
+
+#: Lifecycle event kind -> (per-unit name, batch name); see :meth:`UnitStore.emit`.
+_EVENT_NAMES = {
+    kind: (f"unit_{kind}", f"units_{kind}") for kind in ("new", "state", "slots")
+}
 
 _UID_WIDTH = 6
 _EMPTY_EXCLUSIONS: frozenset[tuple[str, int]] = frozenset()
@@ -111,6 +125,9 @@ class UnitStore:
     def __init__(self, session: Any) -> None:
         self._session = session
         self._metrics = getattr(session, "metrics", None)
+        #: The emission policy: move lifecycle lists as whole batches
+        #: (``units_*`` events) instead of batches of one.
+        self.bulk = bool(getattr(session, "bulk_lifecycle", False))
         # One coarse lock replaces the historical per-unit locks: the
         # only concurrent writers are local-mode executor threads, and
         # they contend for the profiler's single lock anyway.
@@ -172,13 +189,8 @@ class UnitStore:
         return i
 
     def add(self, description: "ComputeUnitDescription") -> int:
-        """Register one unit (the classic per-unit path); returns its row."""
-        description.validate()
-        serial = reserve_id_block("unit", 1)
-        i = self._append_row(description, serial, self._session.now())
-        if self._metrics is not None:
-            self._metrics.adjust("units.NEW", 1)
-        return i
+        """Register one unit; returns its row."""
+        return self.add_bulk([description])[0]
 
     def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"]) -> range:
         """Register a batch: one id-block reservation, one metrics update."""
@@ -195,6 +207,28 @@ class UnitStore:
         if self._metrics is not None:
             self._metrics.adjust("units.NEW", len(descriptions))
         return range(first, first + len(descriptions))
+
+    # -- emission policy ----------------------------------------------------
+
+    def batches(self, items: list) -> list[list]:
+        """Split one lifecycle list into the batches it moves in."""
+        if self.bulk:
+            return [items] if items else []
+        return [[item] for item in items]
+
+    def emit(self, kind: str, units: list["ComputeUnit"], **fields: Any) -> None:
+        """Record one lifecycle event of *kind* (``new``, ``state``,
+        ``slots``) for *units*: a per-unit event for a batch of one in a
+        per-unit session, else one batch event with ``n`` and ``last``."""
+        per_unit, batch = _EVENT_NAMES[kind]
+        first = self.uid(units[0]._i)
+        if len(units) == 1 and not self.bulk:
+            self._session.prof.event(per_unit, first, **fields)
+        else:
+            self._session.prof.event(
+                batch, first, **fields,
+                n=len(units), last=self.uid(units[-1]._i),
+            )
 
     # -- dense fields -------------------------------------------------------
 
@@ -284,11 +318,18 @@ class UnitStore:
     # -- callbacks ----------------------------------------------------------
 
     def set_group_callbacks(self, rows: range, callbacks: list[Callable]) -> None:
-        """Attach one shared callback list to every unit in *rows*."""
+        """Attach one shared callback list to every unit in *rows*.
+
+        Consecutive calls with the same list object share one entry, so a
+        submission moved as batches of one still stores its list once.
+        """
         if not callbacks:
             return
-        group = len(self._shared_cbs)
-        self._shared_cbs.append(callbacks)
+        if self._shared_cbs and self._shared_cbs[-1] is callbacks:
+            group = len(self._shared_cbs) - 1
+        else:
+            group = len(self._shared_cbs)
+            self._shared_cbs.append(callbacks)
         for i in rows:
             self._cb_group[i] = group
 
@@ -320,67 +361,46 @@ class UnitStore:
     # -- lifecycle ----------------------------------------------------------
 
     def advance(self, unit: "ComputeUnit", target: UnitState) -> None:
-        """Classic single-unit transition; emission order is pinned by the
-        golden traces: stamp → ``unit_state`` event → gauge adjustments →
-        callbacks → final-event set."""
-        i = unit._i
-        session = self._session
-        with self._lock:
-            previous = _STATES[self._state[i]]
-            validate_unit_edge(f"ComputeUnit {self.uid(i)}", previous, target)
-            self._state[i] = _STATE_INDEX[target]
-            self._ts[target.value][i] = session.now()
-            callbacks = self.callbacks(i)
-        session.prof.event("unit_state", self.uid(i), state=target.value)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.adjust(_STATE_GAUGES[previous], -1)
-            metrics.adjust(_STATE_GAUGES[target], 1)
-        for cb in callbacks:
-            cb(unit, target)
-        if target.is_final:
-            with self._lock:
-                event = self._final_events.get(i)
-            if event is not None:
-                event.set()
+        """One unit's transition (an adapter for callers holding one unit)."""
+        self._advance([unit], target)
 
     def advance_many(self, units: list["ComputeUnit"], target: UnitState) -> None:
-        """Bulk transition: one ``units_state`` event and one gauge
-        update pair per homogeneous (same current state) group instead
-        of per unit.  Callbacks still fire per unit — pattern drivers
-        track per-unit progress through them."""
+        """Move *units* to *target* (the lifecycle's one transition call)."""
+        self._advance(units, target)
+
+    def _advance(self, units: list["ComputeUnit"], target: UnitState) -> None:
+        """Transition body, per homogeneous (same current state) group:
+        validate and stamp → one :meth:`emit` → one gauge update pair →
+        callbacks per unit → final-event set.  For a batch of one this is
+        the historical per-unit order the golden traces pin."""
         if not units:
             return
         session = self._session
-        groups: dict[UnitState, list["ComputeUnit"]] = {}
-        for unit in units:
-            groups.setdefault(_STATES[self._state[unit._i]], []).append(unit)
         metrics = self._metrics
-        for previous, group in groups.items():
-            validate_unit_edge(
-                f"ComputeUnit {self.uid(group[0]._i)}", previous, target
-            )
-            code = _STATE_INDEX[target]
-            column = self._ts[target.value]
-            now = session.now()
+        code = _STATE_INDEX[target]
+        column = self._ts[target.value]
+        groups: dict[int, list["ComputeUnit"]] = {}
+        with self._lock:
+            for unit in units:
+                groups.setdefault(self._state[unit._i], []).append(unit)
+        for previous_code, group in groups.items():
+            previous = _STATES[previous_code]
             with self._lock:
+                validate_unit_edge(
+                    f"ComputeUnit {self.uid(group[0]._i)}", previous, target
+                )
+                now = session.now()
                 for unit in group:
                     self._state[unit._i] = code
                     column[unit._i] = now
-            session.prof.event(
-                "units_state", self.uid(group[0]._i),
-                state=target.value, n=len(group),
-                last=self.uid(group[-1]._i),
-            )
+            self.emit("state", group, state=target.value)
             if metrics is not None:
                 metrics.adjust(_STATE_GAUGES[previous], -len(group))
                 metrics.adjust(_STATE_GAUGES[target], len(group))
             for unit in group:
-                callbacks = self.callbacks(unit._i)
-                for cb in callbacks:
+                for cb in self.callbacks(unit._i):
                     cb(unit, target)
-            if target.is_final:
-                for unit in group:
+                if target.is_final:
                     event = self._final_events.get(unit._i)
                     if event is not None:
                         event.set()

@@ -245,6 +245,45 @@ class TestGoldenTraceHashes:
         ]
 
 
+class TestGoldenTraceHashesBatched:
+    """Pinned digests of batched (``bulk_lifecycle=True``) runs with faults.
+
+    Batching is a trace-granularity policy over the one unit lifecycle,
+    so a batched trace is as deterministic as a per-unit one — node kills,
+    requeues and task faults included.  Each case is pinned resident and
+    spooled; the per-unit goldens above are unaffected by these.
+    """
+
+    GOLDEN = {
+        "eop_bulk_node_faults_seed7":
+            "1d8b074ebdd75f03d2019269d0356914acd6218a0f585dd554c94daf9cdcbc5d",
+        "bag_bulk_task_faults_seed11":
+            "6c153c75d11f3fca186f4fb2580d6957fef5e485ebebe729e1820b79a0e4a482",
+    }
+
+    CASES = {
+        "eop_bulk_node_faults_seed7": (
+            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
+            dict(seed=7, **FAULT_KWARGS), "unit_node_kill",
+        ),
+        "bag_bulk_task_faults_seed11": (
+            lambda: FaultedBag(size=64), dict(seed=11, fault_rate=0.2),
+            "task_fault",
+        ),
+    }
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batched_trace_matches_golden(self, case, spooled, tmp_path):
+        make, kwargs, fault_event = self.CASES[case]
+        if spooled:
+            kwargs = dict(kwargs, spool_dir=tmp_path)
+        events = trace(make, bulk_lifecycle=True, **kwargs)
+        names = {ev.name for ev in events}
+        assert fault_event in names and "units_state" in names
+        assert TestGoldenTraceHashes._digest(events) == self.GOLDEN[case]
+
+
 class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
     """The same pinned digests with the trace streamed to a spool file.
 

@@ -313,6 +313,42 @@ def test_sm002_allows_legal_chain_and_requeue_edge():
     ) == []
 
 
+def test_sm002_flags_illegal_advance_many_edge():
+    # List transitions carry the state as their last positional argument.
+    findings = lint_source(
+        textwrap.dedent(
+            """
+            from repro.pilot.states import UnitState
+            def go(store, units):
+                store.advance_many(units, UnitState.DONE)
+                store.advance_many(units, UnitState.EXECUTING)
+            """
+        )
+    )
+    assert [f.rule_id for f in findings] == ["SM002"]
+    assert "DONE -> EXECUTING" in findings[0].message
+
+
+def test_sm002_batch_of_one_tracks_the_unit_itself():
+    # `advance_many([unit], ...)` and `unit.advance(...)` move one entity.
+    assert _ids(
+        """
+        from repro.pilot.states import UnitState
+        def go(store, unit):
+            store.advance_many([unit], UnitState.AGENT_STAGING_OUTPUT)
+            unit.advance(UnitState.NEW)
+        """
+    ) == ["SM002"]
+    assert _ids(
+        """
+        from repro.pilot.states import UnitState
+        def go(store, unit):
+            store.advance_many([unit], UnitState.AGENT_STAGING_OUTPUT)
+            unit.advance(UnitState.DONE)
+        """
+    ) == []
+
+
 def test_sm002_helper_call_between_advances_clears_knowledge():
     # `handoff(pilot)` may transition the pilot elsewhere; no false positive.
     assert _ids(

@@ -7,8 +7,13 @@ from repro.core.patterns import BagOfTasks
 from repro.core.resource_handle import ResourceHandle
 from repro.eventsim import RandomStreams
 from repro.exceptions import ConfigurationError, PatternError
+from repro.pilot.agent.executor import SimExecutor
+from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.faults import FaultModel, TaskFault
+from repro.pilot.session import Session
 from repro.pilot.states import UnitState
+from repro.pilot.unit import ComputeUnit
+from repro.utils.ids import reset_id_counters
 
 
 class SleepBag(BagOfTasks):
@@ -115,3 +120,96 @@ class TestFaultInjection:
             handle_b.profile.events("task_fault")
         )
         assert len(a.units) == len(b.units)
+
+
+class TestLaunchGroupKills:
+    """A launch group shares one DES event; kills take single members out."""
+
+    PILOT = "pilot.0000"
+
+    @staticmethod
+    def _launch(n=3):
+        reset_id_counters()
+        session = Session(mode="sim", platform="xsede.comet")
+        store = session.unit_store
+        rows = store.add_bulk([
+            ComputeUnitDescription(executable="sleep", modelled_duration=50.0)
+            for _ in range(n)
+        ])
+        units = [ComputeUnit._of(store, i) for i in rows]
+        for state in (UnitState.UMGR_SCHEDULING,
+                      UnitState.AGENT_STAGING_INPUT,
+                      UnitState.AGENT_SCHEDULING):
+            store.advance_many(units, state)
+        for unit in units:
+            unit.pilot_uid = TestLaunchGroupKills.PILOT
+        executor = SimExecutor(session)
+        done = []
+        executor.launch_units(
+            units,
+            lambda finished, exc: done.append(
+                (session.now(), [u.uid for u in finished], exc)
+            ),
+        )
+        return session, executor, units, done
+
+    def _busy(self, session):
+        return session.metrics.series(f"agent.{self.PILOT}.cores_busy").last
+
+    def test_killed_member_leaves_group_before_start(self):
+        session, _, _, reference = self._launch()
+        session.run_events()
+        group_time = reference[0][0]
+
+        session, executor, units, done = self._launch()
+        executor.kill(units[1])
+        session.run_events()
+        assert done == [(group_time, [units[0].uid, units[2].uid], None)]
+        assert units[1].state is UnitState.AGENT_SCHEDULING
+        assert "EXECUTING" not in units[1].timestamps
+        assert units[0].state is units[2].state is UnitState.EXECUTING
+        assert self._busy(session) == 0
+
+    def test_killed_member_leaves_group_while_executing(self):
+        session, _, _, reference = self._launch()
+        session.run_events()
+        group_time = reference[0][0]
+
+        session, executor, units, done = self._launch()
+        sim = session.sim
+        while units[0].state is not UnitState.EXECUTING:
+            sim.step()
+        assert self._busy(session) == 3
+        executor.kill(units[1])
+        assert self._busy(session) == 2
+        session.run_events()
+        assert done == [(group_time, [units[0].uid, units[2].uid], None)]
+        assert self._busy(session) == 0
+
+    def test_killing_every_member_cancels_the_group_event(self):
+        session, executor, units, done = self._launch()
+        sim = session.sim
+        assert sim.pending == 1
+        for unit in units:
+            executor.kill(unit)
+        assert sim.pending == 0
+        session.run_events()
+        assert done == []
+        assert session.now() == 0.0
+        assert all(u.state is UnitState.AGENT_SCHEDULING for u in units)
+        opened = [ev for ev in session.prof.events("span_open")
+                  if ev.attrs["span"] == "exec.launch"]
+        assert len(opened) == 1
+        assert session.prof.events("span_close", opened[0].uid)
+
+    def test_killing_every_member_while_executing_cancels_the_finish(self):
+        session, executor, units, done = self._launch()
+        sim = session.sim
+        while units[0].state is not UnitState.EXECUTING:
+            sim.step()
+        for unit in units:
+            executor.kill(unit)
+        assert sim.pending == 0
+        session.run_events()
+        assert done == []
+        assert self._busy(session) == 0

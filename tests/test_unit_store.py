@@ -354,11 +354,3 @@ class TestBulkLifecycle:
     def test_bulk_rejects_local_mode(self):
         with pytest.raises(ConfigurationError):
             Session(mode="local", bulk_lifecycle=True)
-
-    def test_bulk_rejects_fault_injection(self):
-        with pytest.raises(ConfigurationError):
-            Session(mode="sim", platform="xsede.comet",
-                    bulk_lifecycle=True, node_mtbf=120.0)
-        with pytest.raises(ConfigurationError):
-            Session(mode="sim", platform="xsede.comet",
-                    bulk_lifecycle=True, fault_rate=0.1)
