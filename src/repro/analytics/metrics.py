@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.profiler import exec_intervals, merge_interval_length
+from repro.core.profiler import exec_intervals
+from repro.telemetry.analysis import interval_length
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
@@ -47,7 +48,7 @@ def phase_execution_time(units: Iterable["ComputeUnit"]) -> float:
     waves on an undersized pilot accumulate, exactly what the paper's
     per-phase plots (simulation time, exchange time, analysis time) show.
     """
-    return merge_interval_length(exec_intervals(units))
+    return interval_length(exec_intervals(units))
 
 
 def phase_total_time(units: Iterable["ComputeUnit"]) -> float:

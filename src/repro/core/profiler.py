@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.pilot.states import UnitState
+from repro.telemetry.analysis import interval_length
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.execution_pattern import ExecutionPattern
@@ -67,18 +68,6 @@ class OverheadBreakdown:
             "fault_overhead": self.fault_overhead,
             "ntasks": self.ntasks,
         }
-
-
-def merge_interval_length(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of ``(start, stop)`` intervals."""
-    total = 0.0
-    end = -float("inf")
-    for start, stop in sorted(intervals):
-        if stop <= end:
-            continue
-        total += stop - max(start, end)
-        end = stop
-    return total
 
 
 def exec_intervals(units: Iterable["ComputeUnit"]) -> list[tuple[float, float]]:
@@ -129,7 +118,7 @@ def breakdown_from_profile(
     ttc = trace.span("entk_pattern_start", "entk_pattern_stop", pattern.uid) or 0.0
 
     intervals = exec_intervals(units)
-    execution_time = merge_interval_length(intervals)
+    execution_time = interval_length(intervals)
     makespan = (
         max(stop for _, stop in intervals) - min(start for start, _ in intervals)
         if intervals

@@ -421,7 +421,7 @@ class Agent:
                 unit.attempts += 1
                 self._launch_times[unit._i] = now
             self._store.emit(
-                "slots", batch,
+                "slots", [unit._i for unit in batch],
                 slots=sum(len(u.slots) for u in batch), pilot=self.pilot.uid,
             )
             self.executor.launch_units(batch, self._on_executed)

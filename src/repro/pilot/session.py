@@ -67,9 +67,11 @@ class Session:
     spool_dir:
         When given, the profiler streams events to an NDJSON spool file
         ``<spool_dir>/<session_uid>.trace.jsonl`` instead of keeping the
-        whole trace resident (see :mod:`repro.telemetry.sink`), and the
-        metrics registry keeps running aggregates instead of resident
-        point lists.  Trace *content* is bit-identical either way.
+        whole trace resident (see :mod:`repro.telemetry.sink`).  Trace
+        *content* is bit-identical either way.  Metric points live only
+        in the trace in both cases: ``session.metrics`` keeps running
+        aggregates, and ``MetricsRegistry.from_events(session.prof)``
+        reads the points.
     bulk_lifecycle:
         Trace granularity of the one unit lifecycle (sim mode only).
         Every lifecycle stage takes a list of units; by default the unit
@@ -77,13 +79,13 @@ class Session:
         per-unit ``unit_*`` events every published figure is built from.
         When true, the :class:`~repro.pilot.unit_store.UnitStore`'s
         emission policy moves each list as one batch, with one
-        ``units_new``/``units_state``/``units_slots`` event, one metrics
-        update and one DES event per batch.  Virtual time is the same
-        either way, fault injection included: launch groups take
-        per-unit fault draws and kills.  (``UnitStore.advance``,
-        ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out``
-        are single-unit adapters kept for the repository benchmark's
-        call counters; the lifecycle itself never calls them.)
+        ``units_new``/``units_state``/``units_slots`` event and one DES
+        event per batch.  Virtual time is the same either way, fault
+        injection included: launch groups take per-unit fault draws and
+        kills.  (``UnitStore.advance``, ``SimExecutor.launch`` and
+        ``SimStager.stage_in``/``stage_out`` are single-unit adapters
+        kept for the repository benchmark's call counters; the lifecycle
+        itself never calls them.)
     """
 
     def __init__(
@@ -162,13 +164,7 @@ class Session:
         # time and stay bit-deterministic under a seed.  Imported as
         # submodules: repro.telemetry must not import the pilot layer.
         self.tracer = Tracer(self.prof)
-        # A spooling session is a bounded-memory session: keep metric
-        # series as running aggregates, not resident point lists (the
-        # points still ride in the trace as `metric` events).
-        self.metrics = MetricsRegistry(
-            self._clock.now, emit=self.prof.event,
-            resident_points=spool_dir is None,
-        )
+        self.metrics = MetricsRegistry(self._clock.now, emit=self.prof.event)
         self.unit_store = UnitStore(self)
         self.prof.event("session_start", self.uid, mode=mode, platform=platform)
         self.store.insert("sessions", self.uid, {"mode": mode, "platform": platform})

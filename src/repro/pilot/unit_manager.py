@@ -88,7 +88,6 @@ class UnitManager:
                 rows = store.add_bulk(batch)
                 new = [ComputeUnit._of(store, i) for i in rows]
                 store.set_group_callbacks(rows, shared)
-                store.emit("new", new, pattern=batch[0].tags.get("pattern", ""))
                 store.advance_many(new, UnitState.UMGR_SCHEDULING)
                 for unit in new:
                     pilot = self._pick_pilot(unit.description)

@@ -22,7 +22,13 @@ how that list shows up in the trace — the *emission policy*:
   session is a per-unit ``unit_new``/``unit_state``/``unit_slots`` event,
   which replays the historical per-unit trace byte for byte (the golden
   hashes pin this); any other batch is one ``units_*`` event carrying
-  ``n`` and ``last``, with one metrics update per batch.
+  ``n`` and ``last``.
+
+Each row is in the trace once per transition: :meth:`UnitStore.add_bulk`
+emits the ``new`` event, and every state event names the state it left
+(``prev``) as well as the one it entered (``state``).  The
+``units.<STATE>`` gauges are not recorded; ``MetricsRegistry.from_events``
+derives them from these events.
 
 The singular ``add``/``advance`` are adapters over the same bodies for
 callers that hold one unit.  The runtime lifecycle never calls them, so
@@ -43,7 +49,7 @@ from __future__ import annotations
 import threading
 from array import array
 from math import isnan, nan
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.pilot.states import UnitState, validate_unit_edge
 from repro.utils.ids import reserve_id_block
@@ -57,10 +63,6 @@ __all__ = ["UnitStore", "UnitTimestamps"]
 #: Stable state <-> small-int codec (enum definition order).
 _STATES: list[UnitState] = list(UnitState)
 _STATE_INDEX: dict[UnitState, int] = {s: i for i, s in enumerate(_STATES)}
-
-#: Gauge name per unit state, precomputed once — ``advance`` runs for every
-#: transition of every unit and must not rebuild these strings each time.
-_STATE_GAUGES = {state: f"units.{state.value}" for state in UnitState}
 
 #: Lifecycle event kind -> (per-unit name, batch name); see :meth:`UnitStore.emit`.
 _EVENT_NAMES = {
@@ -124,7 +126,6 @@ class UnitStore:
 
     def __init__(self, session: Any) -> None:
         self._session = session
-        self._metrics = getattr(session, "metrics", None)
         #: The emission policy: move lifecycle lists as whole batches
         #: (``units_*`` events) instead of batches of one.
         self.bulk = bool(getattr(session, "bulk_lifecycle", False))
@@ -193,7 +194,8 @@ class UnitStore:
         return self.add_bulk([description])[0]
 
     def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"]) -> range:
-        """Register a batch: one id-block reservation, one metrics update."""
+        """Register a batch: one id-block reservation, then :meth:`emit`
+        of ``new`` with the first description's ``pattern`` tag."""
         descriptions = list(descriptions)
         for description in descriptions:
             description.validate()
@@ -204,9 +206,9 @@ class UnitStore:
         first = len(self._serial)
         for offset, description in enumerate(descriptions):
             self._append_row(description, serial + offset, now)
-        if self._metrics is not None:
-            self._metrics.adjust("units.NEW", len(descriptions))
-        return range(first, first + len(descriptions))
+        rows = range(first, first + len(descriptions))
+        self.emit("new", rows, pattern=descriptions[0].tags.get("pattern", ""))
+        return rows
 
     # -- emission policy ----------------------------------------------------
 
@@ -216,18 +218,19 @@ class UnitStore:
             return [items] if items else []
         return [[item] for item in items]
 
-    def emit(self, kind: str, units: list["ComputeUnit"], **fields: Any) -> None:
+    def emit(self, kind: str, rows: Sequence[int], **fields: Any) -> None:
         """Record one lifecycle event of *kind* (``new``, ``state``,
-        ``slots``) for *units*: a per-unit event for a batch of one in a
-        per-unit session, else one batch event with ``n`` and ``last``."""
+        ``slots``) for the units in *rows*: a per-unit event for a batch
+        of one in a per-unit session, else one batch event with ``n``
+        and ``last``."""
         per_unit, batch = _EVENT_NAMES[kind]
-        first = self.uid(units[0]._i)
-        if len(units) == 1 and not self.bulk:
+        first = self.uid(rows[0])
+        if len(rows) == 1 and not self.bulk:
             self._session.prof.event(per_unit, first, **fields)
         else:
             self._session.prof.event(
                 batch, first, **fields,
-                n=len(units), last=self.uid(units[-1]._i),
+                n=len(rows), last=self.uid(rows[-1]),
             )
 
     # -- dense fields -------------------------------------------------------
@@ -370,13 +373,12 @@ class UnitStore:
 
     def _advance(self, units: list["ComputeUnit"], target: UnitState) -> None:
         """Transition body, per homogeneous (same current state) group:
-        validate and stamp → one :meth:`emit` → one gauge update pair →
-        callbacks per unit → final-event set.  For a batch of one this is
-        the historical per-unit order the golden traces pin."""
+        validate and stamp → one :meth:`emit` → callbacks per unit →
+        final-event set.  For a batch of one this is the historical
+        per-unit order the golden traces pin."""
         if not units:
             return
         session = self._session
-        metrics = self._metrics
         code = _STATE_INDEX[target]
         column = self._ts[target.value]
         groups: dict[int, list["ComputeUnit"]] = {}
@@ -385,18 +387,16 @@ class UnitStore:
                 groups.setdefault(self._state[unit._i], []).append(unit)
         for previous_code, group in groups.items():
             previous = _STATES[previous_code]
+            rows = [unit._i for unit in group]
             with self._lock:
                 validate_unit_edge(
-                    f"ComputeUnit {self.uid(group[0]._i)}", previous, target
+                    f"ComputeUnit {self.uid(rows[0])}", previous, target
                 )
                 now = session.now()
-                for unit in group:
-                    self._state[unit._i] = code
-                    column[unit._i] = now
-            self.emit("state", group, state=target.value)
-            if metrics is not None:
-                metrics.adjust(_STATE_GAUGES[previous], -len(group))
-                metrics.adjust(_STATE_GAUGES[target], len(group))
+                for i in rows:
+                    self._state[i] = code
+                    column[i] = now
+            self.emit("state", rows, state=target.value, prev=previous.value)
             for unit in group:
                 for cb in self.callbacks(unit._i):
                     cb(unit, target)

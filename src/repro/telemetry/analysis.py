@@ -22,7 +22,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.telemetry.span import Span, SpanTree, component_of
 
@@ -33,24 +33,39 @@ __all__ = [
     "PathSegment",
     "CriticalPath",
     "critical_path",
+    "interval_length",
+    "interval_union",
     "reconcile_with_breakdown",
 ]
 
 _Interval = tuple[float, float]
 
 
-def _union(intervals: list[_Interval]) -> list[_Interval]:
-    """Merge overlapping/touching intervals; drops empty ones."""
-    merged: list[_Interval] = []
+def _pieces(intervals: Iterable[_Interval]) -> Iterator[_Interval]:
+    """What each interval, in sorted order, adds to the union of the
+    ones before it; empty and reversed intervals add nothing."""
+    end = -float("inf")
     for start, stop in sorted(intervals):
-        if stop <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            if stop > merged[-1][1]:
-                merged[-1] = (merged[-1][0], stop)
-        else:
-            merged.append((start, stop))
+        start = max(start, end)
+        if stop > start:
+            yield start, stop
+            end = stop
+
+
+def interval_union(intervals: Iterable[_Interval]) -> list[_Interval]:
+    """Merge overlapping/touching intervals, sorted; drops empty ones."""
+    merged: list[_Interval] = []
+    for start, stop in _pieces(intervals):
+        if merged and start == merged[-1][1]:  # touches the last one
+            start = merged.pop()[0]
+        merged.append((start, stop))
     return merged
+
+
+def interval_length(intervals: Iterable[_Interval]) -> float:
+    """Total length of the union of *intervals*, summed piece by piece
+    in sorted order (the Fig. 3 execution time's rounding)."""
+    return sum(stop - start for start, stop in _pieces(intervals))
 
 
 def _subtract(base: list[_Interval], cut: list[_Interval]) -> list[_Interval]:
@@ -80,10 +95,6 @@ def _clip(spans: list[Span], window: _Interval) -> list[_Interval]:
         for span in spans
         if span.t_end > t0 and span.t_start < t1
     ]
-
-
-def _length(intervals: list[_Interval]) -> float:
-    return sum(stop - start for start, stop in intervals)
 
 
 @dataclass(frozen=True)
@@ -162,15 +173,15 @@ def critical_path(
     for span in tree.leaves():
         by_component[component_of(span)].append(span)
 
-    execution = _union(_clip(by_component["execution"], window))
+    execution = interval_union(_clip(by_component["execution"], window))
     pattern = _subtract(
-        _union(_clip(by_component["pattern"], window)), execution
+        interval_union(_clip(by_component["pattern"], window)), execution
     )
     core = _subtract(
-        _subtract(_union(_clip(by_component["core"], window)), execution),
+        _subtract(interval_union(_clip(by_component["core"], window)), execution),
         pattern,
     )
-    claimed = _union(execution + pattern + core)
+    claimed = interval_union(execution + pattern + core)
     runtime = _subtract([window], claimed)
 
     tiles: list[tuple[float, float, str, list[Span]]] = []

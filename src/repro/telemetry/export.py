@@ -8,7 +8,9 @@ load it in Perfetto (https://ui.perfetto.dev) or ``about://tracing``:
   toolkit spans, pattern spans), each pilot, each unit — with the
   reconstructed spans as ``"X"`` complete events (``cat`` = the Fig. 3
   component, so Perfetto can color/aggregate by component);
-* ``metric`` events become ``"C"`` counter tracks;
+* the metric series of :meth:`MetricsRegistry.from_events` (recorded
+  ``metric`` events plus the derived ``units.<STATE>`` gauges) become
+  ``"C"`` counter tracks;
 * fault markers (task/node/pilot failures) become ``"i"`` instants.
 
 Timestamps are emitted in microseconds of sim (or wall) time.  The
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.span import Span, SpanTree, SpanBuilder, _normalize, component_of
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
@@ -93,13 +96,14 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
             "args": args,
         })
 
-    counters = [ev for ev in normalized if ev.name == "metric"]
-    counters.sort(key=lambda ev: (ev.time, ev.uid))
-    for ev in counters:
+    registry = MetricsRegistry.from_events(normalized)
+    counters = [(t, name, v) for name in registry.names()
+                for t, v in registry.series(name).points]
+    counters.sort(key=lambda point: point[:2])  # stable: series order
+    for time, name, value in counters:
         trace_events.append({
-            "ph": "C", "pid": _PID, "tid": 0, "name": ev.uid,
-            "cat": "metric", "ts": _us(ev.time),
-            "args": {"value": float(ev.attrs.get("value", 0.0))},
+            "ph": "C", "pid": _PID, "tid": 0, "name": name,
+            "cat": "metric", "ts": _us(time), "args": {"value": value},
         })
 
     instants = [ev for ev in normalized if ev.name in _INSTANT_NAMES]

@@ -7,19 +7,21 @@ simulation, so metric timelines are bit-identical across same-seed
 runs.
 
 When constructed with an ``emit`` callable (the session wires in
-``Profiler.event``), every recorded point is *also* appended to the
-flat trace as a ``metric`` event (``uid`` = metric name, ``value`` =
-point value).  That makes metrics part of the JSONL dump, the Chrome
-export (as counter tracks) and the determinism comparison for free,
-and lets the ``repro trace`` CLI rebuild series from a trace file with
-:meth:`MetricsRegistry.from_events`.
+``Profiler.event``), every recorded point is appended to the flat
+trace as a ``metric`` event (``uid`` = metric name, ``value`` = point
+value).  The trace is the only place points live: a live registry
+keeps O(1) running aggregates per series (count, min, max, sum, last),
+and every point read goes through :meth:`MetricsRegistry.from_events`,
+which rebuilds resident series from a trace or a spool file.
 
-Every series always maintains O(1) running aggregates (count, min,
-max, sum, last).  Whether it *also* keeps the full (time, value) point
-list is the registry's ``resident_points`` switch: a spooling
-million-unit session turns it off so metrics stay bounded — the
-points still ride inside the trace, and ``from_events`` can rebuild a
-fully resident registry from the spool afterwards.
+``from_events`` also derives the ``units.<STATE>`` gauges (units
+currently in each lifecycle state) from the lifecycle events instead
+of reading recorded points: ``+n`` to ``units.NEW`` per
+``unit_new``/``units_new`` event, and ``-n`` to ``units.<prev>``,
+``+n`` to ``units.<state>`` per ``unit_state``/``units_state`` event
+(``n`` is 1 for per-unit events), folded in time order.  It does so
+only when every state event carries ``prev``, so a trace written
+before state events carried ``prev`` reads exactly as it was recorded.
 
 No pilot-layer imports here (the session imports us).
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["MetricSeries", "MetricsRegistry"]
@@ -35,8 +38,9 @@ __all__ = ["MetricSeries", "MetricsRegistry"]
 
 @dataclass(slots=True)
 class MetricSeries:
-    """One named time series: running aggregates plus, when resident,
-    the (time, value) points in record order."""
+    """One named time series: running aggregates plus, when resident
+    (rebuilt by :meth:`MetricsRegistry.from_events`), the (time, value)
+    points in record order."""
 
     name: str
     kind: str  # "counter" | "gauge" | "sample"
@@ -50,13 +54,10 @@ class MetricSeries:
     _last: float = 0.0
 
     def _push(self, time: float, value: float) -> None:
-        if self.count == 0:
-            self.vmin = self.vmax = value
+        if self.count:
+            self.vmin, self.vmax = min(self.vmin, value), max(self.vmax, value)
         else:
-            if value < self.vmin:
-                self.vmin = value
-            if value > self.vmax:
-                self.vmax = value
+            self.vmin = self.vmax = value
         self.count += 1
         self.total += value
         self._last = value
@@ -90,7 +91,7 @@ class MetricSeries:
         """min/max/mean/count over recorded values (empty series → zeros).
 
         Computed from the running aggregates, so it works identically
-        on resident and bounded series.
+        on live and rebuilt series.
         """
         if not self.count:
             return {"count": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
@@ -104,9 +105,9 @@ class MetricSeries:
     def _require_points(self) -> None:
         if not self.resident and self.count:
             raise RuntimeError(
-                f"metric series {self.name!r} was recorded without resident "
-                "points (bounded/spooling session); rebuild a resident "
-                "registry from the trace with MetricsRegistry.from_events"
+                f"metric series {self.name!r} keeps running aggregates "
+                "only; read its points from the trace with "
+                "MetricsRegistry.from_events"
             )
 
 
@@ -116,20 +117,15 @@ class MetricsRegistry:
     ``clock`` is a zero-argument callable returning the current time
     (``Session`` passes its clock's ``now``); ``emit``, when given, is
     called as ``emit("metric", name, value=...)`` for every point so the
-    series ride inside the profiler trace.  ``resident_points=False``
-    bounds memory: series keep running aggregates only (see
-    :class:`MetricSeries`).
+    series ride inside the profiler trace.  Recorded series keep running
+    aggregates only (see :class:`MetricSeries`).
     """
 
     def __init__(
-        self,
-        clock: Callable[[], float],
-        emit: Callable[..., Any] | None = None,
-        resident_points: bool = True,
+        self, clock: Callable[[], float], emit: Callable[..., Any] | None = None
     ) -> None:
         self._clock = clock
         self._emit = emit
-        self._resident = resident_points
         self._series: dict[str, MetricSeries] = {}
         # Local-mode units advance from executor worker threads; the
         # read-modify-write in count()/adjust() needs the same guard
@@ -140,13 +136,9 @@ class MetricsRegistry:
         with self._lock:
             series = self._series.get(name)
             if series is None:
-                series = MetricSeries(
-                    name=name, kind=kind, resident=self._resident
-                )
+                series = MetricSeries(name, kind, resident=False)
                 self._series[name] = series
-            if delta and series.count:
-                value += series.last
-            value = float(value)
+            value = float(value) + series.last if delta else float(value)
             series._push(self._clock(), value)
         if self._emit is not None:
             self._emit("metric", name, value=value, kind=kind)
@@ -183,14 +175,19 @@ class MetricsRegistry:
 
     @classmethod
     def from_events(cls, events: Iterable[Any]) -> "MetricsRegistry":
-        """Rebuild a registry from ``metric`` events in a trace.
+        """Rebuild a registry with resident points from a trace.
 
         Accepts live profile events or dicts parsed from a JSONL dump
-        (including spool files).  The returned registry's clock is
-        frozen (recording into it stamps time 0.0); it is meant for
-        querying only.
+        (including spool files).  Recorded ``metric`` events become
+        series in trace order; the ``units.<STATE>`` gauges are derived
+        from lifecycle events (see the module docstring).  The returned
+        registry's clock is frozen (recording into it stamps time 0.0);
+        it is meant for querying only.
         """
         registry = cls(lambda: 0.0)
+        recorded = registry._series
+        moves: list[tuple[float, str, int]] = []  # (time, gauge, delta)
+        derivable = True
         for event in events:
             if isinstance(event, Mapping):
                 name, uid = str(event["name"]), str(event.get("uid", ""))
@@ -200,12 +197,27 @@ class MetricsRegistry:
                 name, uid = event.name, event.uid
                 attrs = event.attrs
                 time = event.time
-            if name != "metric":
-                continue
-            kind = str(attrs.get("kind", "gauge"))
-            series = registry._series.get(uid)
+            if name == "metric":
+                series = recorded.get(uid)
+                if series is None:
+                    kind = str(attrs.get("kind", "gauge"))
+                    series = recorded[uid] = MetricSeries(name=uid, kind=kind)
+                series._push(time, float(attrs.get("value", 0.0)))
+            elif name == "unit_new" or name == "units_new":
+                moves.append((time, "units.NEW", int(attrs.get("n", 1))))
+            elif name == "unit_state" or name == "units_state":
+                n = int(attrs.get("n", 1))
+                derivable = derivable and "prev" in attrs
+                moves.append((time, f"units.{attrs.get('prev')}", -n))
+                moves.append((time, f"units.{attrs.get('state')}", n))
+        if not derivable:
+            return registry
+        gauges: dict[str, MetricSeries] = {}
+        moves.sort(key=itemgetter(0))  # stable: ties keep trace order
+        for time, name, delta in moves:
+            series = gauges.get(name)
             if series is None:
-                series = MetricSeries(name=uid, kind=kind)
-                registry._series[uid] = series
-            series._push(time, float(attrs.get("value", 0.0)))
+                series = gauges[name] = MetricSeries(name=name, kind="gauge")
+            series._push(time, series.last + delta)
+        recorded.update(gauges)
         return registry

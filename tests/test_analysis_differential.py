@@ -3,7 +3,9 @@
 ``breakdown_from_profile``, ``fault_recovery_summary`` and
 ``SpanBuilder.build`` now answer every question from one
 :class:`~repro.telemetry.sink.TraceIndex` instead of one full pass over
-the trace per question.  Their results must not change in any bit: the
+the trace per question, and the breakdown's execution time is the
+length of ``repro.telemetry.analysis.interval_union`` instead of a
+helper of its own.  Their results must not change in any bit: the
 Fig. 3 breakdown feeds every figure, and the span tree feeds the
 critical path and the Chrome export whose hashes the determinism tests
 pin.  The implementations they replaced are kept here, verbatim in
@@ -25,11 +27,7 @@ from repro.core.patterns import (
     EnsembleOfPipelines,
     SimulationAnalysisLoop,
 )
-from repro.core.profiler import (
-    OverheadBreakdown,
-    breakdown_from_profile,
-    merge_interval_length,
-)
+from repro.core.profiler import OverheadBreakdown, breakdown_from_profile
 from repro.core.resource_handle import ResourceHandle
 from repro.pilot.retry import RetryPolicy
 from repro.pilot.states import UnitState
@@ -40,6 +38,17 @@ from tests.test_determinism import _sleep
 
 
 # -- reference implementation (one profiler query per figure) ----------------
+
+
+def _ref_merge_interval_length(intervals):
+    total = 0.0
+    end = -float("inf")
+    for start, stop in sorted(intervals):
+        if stop <= end:
+            continue
+        total += stop - max(start, end)
+        end = stop
+    return total
 
 
 def _ref_span_sum(prof, start_name, stop_name, uid):
@@ -115,7 +124,7 @@ def _ref_breakdown_from_profile(prof, pattern) -> OverheadBreakdown:
             stop = u.timestamps.get(u.state.value)
         if start is not None and stop is not None:
             intervals.append((start, stop))
-    execution_time = merge_interval_length(intervals)
+    execution_time = _ref_merge_interval_length(intervals)
     makespan = (
         max(stop for _, stop in intervals) - min(start for start, _ in intervals)
         if intervals

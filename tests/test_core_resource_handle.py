@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.core.kernel_plugin import Kernel
 from repro.core.patterns import BagOfTasks
-from repro.core.profiler import breakdown_from_profile, merge_interval_length
+from repro.core.profiler import breakdown_from_profile
 from repro.core.resource_handle import ResourceHandle, SingleClusterEnvironment
 from repro.exceptions import ResourceHandleError
+from repro.telemetry.analysis import interval_length
 
 
 class Bag(BagOfTasks):
@@ -110,16 +111,16 @@ class TestBreakdown:
 
 class TestMergeIntervals:
     def test_disjoint(self):
-        assert merge_interval_length([(0, 1), (2, 3)]) == pytest.approx(2.0)
+        assert interval_length([(0, 1), (2, 3)]) == pytest.approx(2.0)
 
     def test_overlapping(self):
-        assert merge_interval_length([(0, 2), (1, 3)]) == pytest.approx(3.0)
+        assert interval_length([(0, 2), (1, 3)]) == pytest.approx(3.0)
 
     def test_nested(self):
-        assert merge_interval_length([(0, 10), (2, 5)]) == pytest.approx(10.0)
+        assert interval_length([(0, 10), (2, 5)]) == pytest.approx(10.0)
 
     def test_empty(self):
-        assert merge_interval_length([]) == 0.0
+        assert interval_length([]) == 0.0
 
     @given(
         intervals=st.lists(
@@ -133,7 +134,7 @@ class TestMergeIntervals:
     def test_property_union_bounds(self, intervals):
         """Union length is between max single length and the sum of lengths,
         and never exceeds the overall span."""
-        union = merge_interval_length(intervals)
+        union = interval_length(intervals)
         lengths = [b - a for a, b in intervals]
         assert union <= sum(lengths) + 1e-9
         if intervals:

@@ -188,20 +188,27 @@ class TestTracer:
 
 class TestMetrics:
     def test_counter_gauge_sample(self):
-        clock = iter(float(i) for i in range(100))
-        registry = MetricsRegistry(lambda: next(clock))
-        registry.count("submitted")
-        registry.count("submitted", 2)
-        registry.gauge("depth", 5)
-        registry.adjust("depth", -2)
-        registry.sample("wait", 7.5)
+        clock = {"t": 0.0}
+        prof = Profiler(lambda: clock["t"])
+        live = MetricsRegistry(lambda: clock["t"], emit=prof.event)
+        for record in (
+            lambda: live.count("submitted"),
+            lambda: live.count("submitted", 2),
+            lambda: live.gauge("depth", 5),
+            lambda: live.adjust("depth", -2),
+            lambda: live.sample("wait", 7.5),
+        ):
+            record()
+            clock["t"] += 1.0
+        registry = MetricsRegistry.from_events(list(prof))
 
-        assert registry.names() == ["depth", "submitted", "wait"]
-        assert registry.series("submitted").last == 3.0
-        assert registry.series("depth").last == 3.0
+        for reg in (live, registry):
+            assert reg.names() == ["depth", "submitted", "wait"]
+            assert reg.series("submitted").last == 3.0
+            assert reg.series("depth").last == 3.0
+            assert reg.series("wait").stats()["mean"] == 7.5
+            assert "nope" not in reg
         assert registry.series("depth").value_at(2.0) == 5.0
-        assert registry.series("wait").stats()["mean"] == 7.5
-        assert "nope" not in registry
         assert registry.series("nope").points == []
 
     def test_emit_and_rebuild_roundtrip(self):

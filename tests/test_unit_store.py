@@ -5,8 +5,8 @@ Three layers under test:
 * :class:`repro.pilot.unit_store.UnitStore` — the struct-of-arrays
   backing store behind the :class:`ComputeUnit` view;
 * :mod:`repro.telemetry.sink` — the spillable event sinks the profiler
-  writes through, and the bounded (aggregate-only) metrics mode that
-  rides with spooling;
+  writes through, and metrics that keep running aggregates live while
+  their points live only in the trace;
 * ``Session(bulk_lifecycle=True)`` — batched submission and state
   transitions, which must leave virtual time untouched relative to the
   classic per-unit path.
@@ -21,6 +21,7 @@ from repro.core.patterns import EnsembleOfPipelines
 from repro.core.resource_handle import ResourceHandle
 from repro.exceptions import ConfigurationError, StateTransitionError
 from repro.pilot.description import ComputeUnitDescription
+from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
@@ -112,10 +113,12 @@ class TestUnitStore:
 
     def test_advance_updates_state_gauges(self, session):
         unit = ComputeUnit(_desc(), session)
-        assert session.metrics.series("units.NEW").last == 1
+        gauges = MetricsRegistry.from_events(session.prof)
+        assert gauges.series("units.NEW").last == 1
         unit.advance(UnitState.UMGR_SCHEDULING)
-        assert session.metrics.series("units.NEW").last == 0
-        assert session.metrics.series("units.UMGR_SCHEDULING").last == 1
+        gauges = MetricsRegistry.from_events(session.prof)
+        assert gauges.series("units.NEW").last == 0
+        assert gauges.series("units.UMGR_SCHEDULING").last == 1
 
     def test_slots_are_independent_snapshots(self, session):
         unit = ComputeUnit(_desc(), session)
@@ -155,8 +158,10 @@ class TestUnitStore:
         assert batch[0].attrs["n"] == 5
         assert batch[0].attrs["last"] == "unit.000004"
         assert batch[0].attrs["state"] == "UMGR_SCHEDULING"
+        assert batch[0].attrs["prev"] == "NEW"
         assert all(u.state is UnitState.UMGR_SCHEDULING for u in units)
-        assert session.metrics.series("units.UMGR_SCHEDULING").last == 5
+        gauges = MetricsRegistry.from_events(session.prof)
+        assert gauges.series("units.UMGR_SCHEDULING").last == 5
 
     def test_advance_many_groups_by_current_state(self, session):
         store = session.unit_store
@@ -245,27 +250,32 @@ class TestSinks:
 
 
 class TestBoundedMetrics:
-    def _registry(self, resident):
+    """A live registry keeps running aggregates; its points are read
+    back from the trace with ``MetricsRegistry.from_events``."""
+
+    def _registries(self):
         clock = {"t": 0.0}
-        reg = MetricsRegistry(lambda: clock["t"], resident_points=resident)
+        prof = Profiler(lambda: clock["t"])
+        live = MetricsRegistry(lambda: clock["t"], emit=prof.event)
         for value in (3.0, 1.0, 4.0, 1.0, 5.0):
             clock["t"] += 1.0
-            reg.sample("latency", value)
-        reg.adjust("gauge", 2)
-        reg.adjust("gauge", -1)
-        return reg
+            live.sample("latency", value)
+        live.adjust("gauge", 2)
+        live.adjust("gauge", -1)
+        return live, MetricsRegistry.from_events(prof)
 
     def test_stats_identical_with_and_without_points(self):
-        resident = self._registry(True)
-        bounded = self._registry(False)
+        bounded, resident = self._registries()
         assert (resident.series("latency").stats()
                 == bounded.series("latency").stats())
         assert bounded.series("latency").last == 5.0
         assert bounded.series("gauge").last == 1
         assert len(bounded.series("latency")) == 5
+        assert resident.series("latency").values() == [3.0, 1.0, 4.0, 1.0, 5.0]
+        assert resident.series("gauge").values() == [2.0, 1.0]
 
     def test_bounded_series_refuses_point_reads(self):
-        bounded = self._registry(False)
+        bounded, _ = self._registries()
         with pytest.raises(RuntimeError, match="latency"):
             bounded.series("latency").values()
         with pytest.raises(RuntimeError, match="latency"):
