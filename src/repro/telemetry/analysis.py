@@ -46,7 +46,8 @@ def _pieces(intervals: Iterable[_Interval]) -> Iterator[_Interval]:
     ones before it; empty and reversed intervals add nothing."""
     end = -float("inf")
     for start, stop in sorted(intervals):
-        start = max(start, end)
+        if start < end:
+            start = end
         if stop > start:
             yield start, stop
             end = stop
@@ -65,7 +66,10 @@ def interval_union(intervals: Iterable[_Interval]) -> list[_Interval]:
 def interval_length(intervals: Iterable[_Interval]) -> float:
     """Total length of the union of *intervals*, summed piece by piece
     in sorted order (the Fig. 3 execution time's rounding)."""
-    return sum(stop - start for start, stop in _pieces(intervals))
+    total = 0.0
+    for start, stop in _pieces(intervals):
+        total += stop - start
+    return total
 
 
 def _subtract(base: list[_Interval], cut: list[_Interval]) -> list[_Interval]:

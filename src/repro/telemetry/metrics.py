@@ -54,10 +54,13 @@ class MetricSeries:
     _last: float = 0.0
 
     def _push(self, time: float, value: float) -> None:
-        if self.count:
-            self.vmin, self.vmax = min(self.vmin, value), max(self.vmax, value)
-        else:
+        if self.count == 0:
             self.vmin = self.vmax = value
+        else:
+            if value < self.vmin:
+                self.vmin = value
+            if value > self.vmax:
+                self.vmax = value
         self.count += 1
         self.total += value
         self._last = value
@@ -122,7 +125,9 @@ class MetricsRegistry:
     """
 
     def __init__(
-        self, clock: Callable[[], float], emit: Callable[..., Any] | None = None
+        self,
+        clock: Callable[[], float],
+        emit: Callable[..., Any] | None = None,
     ) -> None:
         self._clock = clock
         self._emit = emit
@@ -136,9 +141,11 @@ class MetricsRegistry:
         with self._lock:
             series = self._series.get(name)
             if series is None:
-                series = MetricSeries(name, kind, resident=False)
+                series = MetricSeries(name=name, kind=kind, resident=False)
                 self._series[name] = series
-            value = float(value) + series.last if delta else float(value)
+            if delta and series.count:
+                value += series.last
+            value = float(value)
             series._push(self._clock(), value)
         if self._emit is not None:
             self._emit("metric", name, value=value, kind=kind)

@@ -122,6 +122,13 @@ class TestMergeIntervals:
     def test_empty(self):
         assert interval_length([]) == 0.0
 
+    def test_sums_pieces_left_to_right(self):
+        """Plain sequential addition, never compensated summation: each
+        +1.0 is lost against 2**53, as in the Fig. 3 execution time's
+        historical loop (compensated summation would give 2**53 + 2)."""
+        pieces = [(-(2.0**53), 0.0), (1.0, 2.0), (3.0, 4.0)]
+        assert interval_length(pieces) == 2.0**53
+
     @given(
         intervals=st.lists(
             st.tuples(
