@@ -20,6 +20,10 @@ the pilot state model, the batch queue and the pattern layer.
 to an NDJSON spool file in DIR (kept as a CI artifact) and gates that the
 spooled run's virtual outcome is identical.
 
+``sched_pressure_faults`` reruns the contended mixed-width case under
+node faults with a retry policy that excludes failed nodes, so the
+scheduler's exclusion-list path is gated too.
+
 ``pattern_eop_bulk_faults`` runs the EoP case on two nodes under node
 faults and a retry policy with the batched lifecycle
 (``bulk_lifecycle=True``), and gates that its virtual outcome equals the
@@ -108,12 +112,13 @@ def bench_batch_scheduler_placement() -> tuple[dict, float]:
     return {"jobs": n}, sim.now
 
 
-def bench_sched_pressure() -> tuple[dict, float]:
+def bench_sched_pressure(**fault_kwargs) -> tuple[dict, float]:
     """Scheduler-heavy churn: thousands of mixed-width units on 4096 cores.
 
     Exercises the indexed slot schedulers and the batched wake-up path at
     a scale where the old O(cores) scans dominated (this case took ~250 s
-    before the indexed rewrite, ~3.5 s after).
+    before the indexed rewrite, ~3.5 s after).  *fault_kwargs* go to the
+    session (node faults, retry policy).
     """
     from repro.pilot import (
         ComputePilotDescription,
@@ -124,7 +129,7 @@ def bench_sched_pressure() -> tuple[dict, float]:
     )
 
     n, cores = 3000, 4096
-    session = Session(mode="sim", platform="xsede.stampede")
+    session = Session(mode="sim", platform="xsede.stampede", **fault_kwargs)
     pmgr = PilotManager(session)
     pilot = pmgr.submit_pilots(
         ComputePilotDescription(
@@ -150,6 +155,20 @@ def bench_sched_pressure() -> tuple[dict, float]:
     session.close()
     assert sum(u.state.value == "DONE" for u in units) == n
     return {"units": n, "cores": cores}, ttc
+
+
+def bench_sched_pressure_faults() -> tuple[dict, float]:
+    """The ``sched_pressure`` case under node faults, with retries that
+    exclude the failed node: requeued units wait with exclusion lists."""
+    from repro.pilot.retry import RetryPolicy
+
+    faults = dict(node_mtbf=1000.0, node_repair_time=60.0)
+    config, ttc = bench_sched_pressure(
+        retry_policy=RetryPolicy(max_attempts=20, exclude_failed_nodes=True),
+        **faults,
+    )
+    config.update(faults, max_attempts=20, exclude_failed_nodes=True)
+    return config, ttc
 
 
 def bench_pattern_eop(
@@ -204,6 +223,7 @@ CASES = [
     ("pilot_unit_churn", bench_pilot_unit_churn),
     ("batch_scheduler_placement", bench_batch_scheduler_placement),
     ("sched_pressure", bench_sched_pressure),
+    ("sched_pressure_faults", bench_sched_pressure_faults),
     ("pattern_eop", bench_pattern_eop),
 ]
 

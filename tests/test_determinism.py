@@ -62,6 +62,16 @@ class FaultedBag(BagOfTasks):
         return _sleep(100)
 
 
+class WideBag(BagOfTasks):
+    """Tasks of widths 1-16 cores (MPI when wider than one core)."""
+
+    def task(self, instance):
+        kernel = _sleep(20 + (instance * 7) % 31)
+        kernel.cores = 1 + (instance * 5) % 16
+        kernel.uses_mpi = kernel.cores > 1
+        return kernel
+
+
 def trace(pattern_factory, seed=0, cores=32, **handle_kwargs):
     """Run one pattern from a clean id-counter state; return its trace.
 
@@ -87,6 +97,22 @@ FAULT_KWARGS = dict(
     retry_policy=RetryPolicy(
         max_attempts=8, backoff_base=2.0, backoff_factor=2.0,
         backoff_cap=60.0, jitter=0.5, exclude_failed_nodes=False,
+    ),
+)
+
+
+#: Mixed widths on a 96-core pilot (a sixth of the bag's demand) under
+#: node faults, with retries that exclude the nodes that killed them: the
+#: backfill pass probes many widths and requeued units wait with
+#: exclusion lists.
+EXCLUSION_KWARGS = dict(
+    cores=96,
+    slot_strategy="contiguous",
+    node_mtbf=150.0,
+    node_repair_time=120.0,
+    retry_policy=RetryPolicy(
+        max_attempts=8, backoff_base=2.0, backoff_cap=30.0,
+        exclude_failed_nodes=True,
     ),
 )
 
@@ -201,6 +227,8 @@ class TestGoldenTraceHashes:
             "1e3eca2779e8ebf2201ea95b8b7f7fb6cf1066b99e850f0caf730d500c7a8b2f",
         "bag_task_node_faults_seed11":
             "59576605cc611f1fafef1b386fa985fc273163456bf33ded972e856ba4c9efd8",
+        "wide_bag_exclusion_seed1":
+            "1f8f2de786a26fa4e019027356cd09533b738faa3c64f11e23d60ab9e8b49415",
     }
 
     @staticmethod
@@ -244,13 +272,23 @@ class TestGoldenTraceHashes:
             "bag_task_node_faults_seed11"
         ]
 
+    @staticmethod
+    def _assert_exclusion_path(events):
+        names = [ev.name for ev in events]
+        assert "unit_node_kill" in names and "unit_requeue" in names
+
+    def test_wide_bag_exclusion_seed1(self):
+        events = trace(lambda: WideBag(size=64), seed=1, **EXCLUSION_KWARGS)
+        self._assert_exclusion_path(events)
+        assert self._digest(events) == self.GOLDEN["wide_bag_exclusion_seed1"]
+
 
 class TestGoldenTraceHashesBatched:
     """Pinned digests of batched (``bulk_lifecycle=True``) runs with faults.
 
     Batching is a trace-granularity policy over the one unit lifecycle,
-    so a batched trace is as deterministic as a per-unit one — node kills,
-    requeues and task faults included.  Each case is pinned resident and
+    so a batched trace is as deterministic as a per-unit one — node and
+    pilot kills, requeues and task faults included.  Each case is pinned resident and
     spooled; the per-unit goldens above are unaffected by these.
     """
 
@@ -259,6 +297,8 @@ class TestGoldenTraceHashesBatched:
             "1d8b074ebdd75f03d2019269d0356914acd6218a0f585dd554c94daf9cdcbc5d",
         "bag_bulk_task_faults_seed11":
             "6c153c75d11f3fca186f4fb2580d6957fef5e485ebebe729e1820b79a0e4a482",
+        "bag_bulk_pilot_faults_seed0":
+            "2a258e01fca36c030e253839a79711e5950e87f95c7210fb025e2ebcffb83cdd",
     }
 
     CASES = {
@@ -269,6 +309,12 @@ class TestGoldenTraceHashesBatched:
         "bag_bulk_task_faults_seed11": (
             lambda: FaultedBag(size=64), dict(seed=11, fault_rate=0.2),
             "task_fault",
+        ),
+        "bag_bulk_pilot_faults_seed0": (
+            lambda: FaultedBag(size=64),
+            dict(seed=0, pilot_mtbf=150.0, max_pilot_resubmits=10,
+                 **FAULT_KWARGS),
+            "unit_pilot_kill",
         ),
     }
 
@@ -348,3 +394,11 @@ class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
         assert self._digest(events) == self.GOLDEN[
             "bag_task_node_faults_seed11"
         ]
+
+    def test_wide_bag_exclusion_seed1(self, tmp_path):
+        events = trace(
+            lambda: WideBag(size=64), seed=1, spool_dir=tmp_path,
+            **EXCLUSION_KWARGS,
+        )
+        self._assert_exclusion_path(events)
+        assert self._digest(events) == self.GOLDEN["wide_bag_exclusion_seed1"]
