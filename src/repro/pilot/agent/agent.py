@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Agent"]
 
+#: A wait-queue entry: the unit, its core count and the nodes of this
+#: pilot it avoids.
+_Waiting = tuple["ComputeUnit", int, frozenset[int]]
+
 log = get_logger("pilot.agent")
 
 
@@ -73,19 +77,23 @@ class Agent:
             slot_strategy, pilot.cores, self._cores_per_node
         )
         self._lock = threading.RLock()
-        self._waiting: deque["ComputeUnit"] = deque()
-        #: Uids of waiting units (O(1) membership for cancel_unit).
-        self._waiting_uids: set[str] = set()
+        #: The wait queue.  Each entry carries the unit's width and the
+        #: nodes of this pilot it avoids, fixed for its stint in the queue,
+        #: so a pass reads nothing from the unit store for units it skips.
+        self._waiting: deque[_Waiting] = deque()
+        #: Entries by unit row (O(1) membership for cancel_unit).
+        self._waiting_rows: dict[int, _Waiting] = {}
         #: Core-count multiset of waiting units; ``_min_waiting`` caches its
         #: minimum so a wake-up that cannot place anything returns in O(1)
         #: (see ``_schedule_waiting``'s short-circuit).
         self._waiting_sizes: dict[int, int] = {}
         self._min_waiting: int | None = None
-        #: Uids of waiting units carrying a node-exclusion list for this
-        #: pilot.  While non-empty every wake-up must run the full scan:
-        #: such units can fail *terminally* during it (emitting events), so
-        #: the event-silent short-circuit would change traces.
-        self._waiting_excluded: set[str] = set()
+        #: Rows of waiting units that avoid nodes of this pilot and have
+        #: not yet had their one unplaceable check.  While non-empty every
+        #: wake-up must run the full scan: the check can fail such a unit
+        #: *terminally* (emitting events), so the event-silent
+        #: short-circuits would change traces.
+        self._waiting_excluded: set[int] = set()
         #: In-flight units and their launch times, keyed by unit row.
         self._executing: dict[int, "ComputeUnit"] = {}
         self._launch_times: dict[int, float] = {}
@@ -129,24 +137,26 @@ class Agent:
 
     def _waiting_add(self, unit: "ComputeUnit") -> None:
         """Track *unit* entering the wait queue (caller holds the lock)."""
-        self._waiting.append(unit)
-        self._waiting_uids.add(unit.uid)
         size = unit.description.cores
+        avoid = unit.avoided_nodes(self.pilot.uid)
+        entry = (unit, size, avoid)
+        self._waiting.append(entry)
+        self._waiting_rows[unit._i] = entry
         self._waiting_sizes[size] = self._waiting_sizes.get(size, 0) + 1
         if self._min_waiting is None or size < self._min_waiting:
             self._min_waiting = size
-        if unit.excluded_nodes:
-            self._waiting_excluded.add(unit.uid)
+        if avoid:
+            self._waiting_excluded.add(unit._i)
 
-    def _waiting_forget(self, unit: "ComputeUnit") -> None:
-        """Untrack *unit* leaving the wait queue (caller holds the lock).
+    def _waiting_forget(self, entry: "_Waiting") -> None:
+        """Untrack *entry* leaving the wait queue (caller holds the lock).
 
-        The caller removes the unit from the deque itself (pop or
-        ``remove``); this maintains the uid set and the size multiset.
+        The caller removes the entry from the deque itself (pop or
+        ``remove``); this maintains the row map and the size multiset.
         """
-        self._waiting_uids.discard(unit.uid)
-        self._waiting_excluded.discard(unit.uid)
-        size = unit.description.cores
+        unit, size, _ = entry
+        del self._waiting_rows[unit._i]
+        self._waiting_excluded.discard(unit._i)
         count = self._waiting_sizes.get(size, 0) - 1
         if count > 0:
             self._waiting_sizes[size] = count
@@ -159,9 +169,9 @@ class Agent:
 
     def _waiting_clear(self) -> list["ComputeUnit"]:
         """Drop the whole wait queue (caller holds the lock)."""
-        waiting = list(self._waiting)
+        waiting = [unit for unit, _, _ in self._waiting]
         self._waiting.clear()
-        self._waiting_uids.clear()
+        self._waiting_rows.clear()
         self._waiting_sizes.clear()
         self._waiting_excluded.clear()
         self._min_waiting = None
@@ -295,25 +305,15 @@ class Agent:
         """Cancel a unit; waiting units are dequeued, running ones flagged."""
         with self._lock:
             self._cancelled.add(unit._i)
-            if unit.uid in self._waiting_uids:
-                self._waiting.remove(unit)
-                self._waiting_forget(unit)
-                to_cancel = True
-            else:
-                to_cancel = False
-        if to_cancel:
+            entry = self._waiting_rows.get(unit._i)
+            if entry is not None:
+                self._waiting.remove(entry)
+                self._waiting_forget(entry)
+        if entry is not None:
             self._store.advance_many([unit], UnitState.CANCELED)
             self._notify_final(unit)
 
     # -- internals -----------------------------------------------------------------
-
-    def _avoid_for(self, unit: "ComputeUnit") -> frozenset[int]:
-        """Nodes of *this* pilot the unit's exclusion list rules out."""
-        if not unit.excluded_nodes:
-            return frozenset()
-        return frozenset(
-            node for puid, node in unit.excluded_nodes if puid == self.pilot.uid
-        )
 
     def _reschedule(self) -> None:
         """Start every waiting unit the policy and free slots allow."""
@@ -330,82 +330,90 @@ class Agent:
     def _schedule_waiting(self) -> None:
         """One scheduling pass over the wait queue.
 
+        A pass skips only work that is *event-silent*: failed allocation
+        probes emit nothing and leave the queue order untouched.  Within
+        one pass the pool only shrinks, and avoiding nodes only removes
+        choices (for both slot strategies), so once ``alloc(w)`` with no
+        avoided nodes has failed, every request at least ``w`` wide fails
+        for the rest of the pass, whatever it avoids.  The pass therefore
+        keeps a threshold ``fail_at`` — ``free_cores + 1`` at the start and
+        after each launch, lowered to ``w`` by such a failed probe — and
+        requeues every unit at least that wide without probing.
+
         Wake-ups are *coalesced*: a pass whose free-core count cannot
         satisfy the smallest waiting request returns in O(1), so a wave
         of same-timestamp deallocations accumulates capacity silently
-        until one pass can actually place units — behaviorally identical
-        to scanning on every wake-up (failed allocation attempts emit no
-        events and leave the queue order untouched), but without the
-        O(waiting × cores) rescans.  The same bound stops a scan early
-        once launches drop the free count below every waiting request.
-        Both short-circuits are disabled while any waiting unit carries a
-        node-exclusion list: those units can fail terminally *during* the
-        scan, which is observable in the trace.
+        until one pass can actually place units.  The same bound ends a
+        scan once ``fail_at`` drops to the smallest waiting request.
+        Both short-circuits wait while any queued unit that avoids nodes
+        of this pilot has not had its unplaceable check: such a unit can
+        fail terminally *during* the scan, which is observable in the
+        trace.  The check depends only on the unit's exclusions and the
+        pilot's node sizes, so its answer never changes while the unit
+        waits: it runs on the unit's first scanning pass only.
         """
         launched: list["ComputeUnit"] = []
         unplaceable: list["ComputeUnit"] = []
         with self._lock:
             if not self._started or not self._waiting:
                 return
-            can_skip = not self._waiting_excluded
+            unchecked = self._waiting_excluded
+            slots = self.slots
             if (
-                can_skip
+                not unchecked
                 and self._min_waiting is not None
-                and self.slots.free_cores < self._min_waiting
+                and slots.free_cores < self._min_waiting
             ):
                 return
             if self.policy == "fifo":
                 while self._waiting:
-                    head = self._waiting[0]
-                    avoid = self._avoid_for(head)
-                    if (
-                        avoid
-                        and self.slots.eligible_cores(avoid)
-                        < head.description.cores
-                    ):
-                        self._waiting.popleft()
-                        self._waiting_forget(head)
-                        unplaceable.append(head)
-                        continue
-                    slots = self.slots.alloc(head.description.cores, avoid)
-                    if slots is None:
+                    entry = self._waiting[0]
+                    head, cores, avoid = entry
+                    if head._i in unchecked:
+                        if slots.eligible_cores(avoid) < cores:
+                            self._waiting.popleft()
+                            self._waiting_forget(entry)
+                            unplaceable.append(head)
+                            continue
+                        unchecked.discard(head._i)
+                    placed = slots.alloc(cores, avoid)
+                    if placed is None:
                         break
                     self._waiting.popleft()
-                    self._waiting_forget(head)
-                    head.slots = slots
+                    self._waiting_forget(entry)
+                    head.slots = placed
                     self._executing[head._i] = head
                     launched.append(head)
             else:  # backfill
-                remaining: deque["ComputeUnit"] = deque()
+                requeued: list[_Waiting] = []
+                fail_at = slots.free_cores + 1
                 while self._waiting:
-                    unit = self._waiting.popleft()
-                    avoid = self._avoid_for(unit)
-                    if (
-                        avoid
-                        and self.slots.eligible_cores(avoid)
-                        < unit.description.cores
-                    ):
-                        self._waiting_forget(unit)
-                        unplaceable.append(unit)
+                    if not unchecked and fail_at <= self._min_waiting:
+                        # Every request left is at least fail_at wide.
+                        break
+                    entry = self._waiting.popleft()
+                    unit, cores, avoid = entry
+                    if unchecked and unit._i in unchecked:
+                        if slots.eligible_cores(avoid) < cores:
+                            self._waiting_forget(entry)
+                            unplaceable.append(unit)
+                            continue
+                        unchecked.discard(unit._i)
+                    if cores >= fail_at:
+                        requeued.append(entry)
                         continue
-                    slots = self.slots.alloc(unit.description.cores, avoid)
-                    if slots is None:
-                        remaining.append(unit)
+                    placed = slots.alloc(cores, avoid)
+                    if placed is None:
+                        if not avoid:
+                            fail_at = cores
+                        requeued.append(entry)
                         continue
-                    self._waiting_forget(unit)
-                    unit.slots = slots
+                    self._waiting_forget(entry)
+                    unit.slots = placed
                     self._executing[unit._i] = unit
                     launched.append(unit)
-                    if (
-                        can_skip
-                        and self._min_waiting is not None
-                        and self.slots.free_cores < self._min_waiting
-                    ):
-                        # No remaining request fits; the rest of the scan
-                        # would only pop-and-requeue in place.
-                        break
-                remaining.extend(self._waiting)
-                self._waiting = remaining
+                    fail_at = min(fail_at, slots.free_cores + 1)
+                self._waiting.extendleft(reversed(requeued))
         for unit in unplaceable:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast

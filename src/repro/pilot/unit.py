@@ -147,6 +147,13 @@ class ComputeUnit:
     def exclude_node(self, pilot_uid: str, node: int) -> None:
         self._store.exclude_node(self._i, pilot_uid, node)
 
+    def avoided_nodes(self, pilot_uid: str) -> frozenset[int]:
+        """Nodes of pilot *pilot_uid* this unit must not be placed on."""
+        excluded = self._store.excluded_nodes(self._i)
+        if not excluded:
+            return frozenset()
+        return frozenset(node for puid, node in excluded if puid == pilot_uid)
+
     # -- introspection -----------------------------------------------------------
 
     @property

@@ -171,9 +171,7 @@ class UnitManager:
             pilot = self.pilots[(self._rr_next + offset) % n]
             if pilot.state.is_final or pilot.cores < unit.description.cores:
                 continue
-            avoid = frozenset(
-                node for puid, node in unit.excluded_nodes if puid == pilot.uid
-            )
+            avoid = unit.avoided_nodes(pilot.uid)
             if (
                 avoid
                 and pilot.agent.slots.eligible_cores(avoid)

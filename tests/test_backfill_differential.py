@@ -1,0 +1,265 @@
+"""Differential test: the agent's scheduling pass vs. the probe-every-unit scan.
+
+The backfill pass skips every allocation probe it can prove will fail
+(a request at least as wide as one that already failed with no avoided
+nodes, or wider than the free pool), and runs each waiting unit's
+unplaceable check only on the unit's first scanning pass.  Skipped
+probes are event-silent, so the pass must be *decision identical* to the
+scan it replaced: same units launched in the same order on the same
+slots, same units failed as unplaceable, same queue order left behind.
+The pre-change pass is kept here as the executable specification;
+hypothesis drives both through random sequences of arrivals (widths,
+exclusion lists, some unplaceable), scheduling passes, holds and
+releases that fragment the pool, and node failures and repairs.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.pilot.agent.agent import Agent
+from repro.pilot.agent.slots import make_slot_scheduler
+from repro.pilot.description import ComputeUnitDescription
+from repro.pilot.session import Session
+from repro.pilot.unit import ComputeUnit
+
+PILOT = "pilot.diff"
+
+
+# -- reference passes (pre-change: probe every unit, check every pass) --------
+
+
+class _Reference:
+    """The wait queue and the scheduling pass as they were before the
+    failure threshold: every queued unit is probed, and every unit that
+    carries an exclusion list disables the O(1) short-circuits."""
+
+    def __init__(self, slots, policy):
+        self.slots = slots
+        self.policy = policy
+        #: ``(key, cores, avoid, has_exclusions)`` in queue order.
+        self.waiting: deque = deque()
+
+    def _min_waiting(self):
+        return min(cores for _, cores, _, _ in self.waiting)
+
+    def schedule(self):
+        """One pass; returns ``(launched, unplaceable)``."""
+        launched, unplaceable = [], []
+        if not self.waiting:
+            return launched, unplaceable
+        slots = self.slots
+        can_skip = not any(excluded for *_, excluded in self.waiting)
+        if can_skip and slots.free_cores < self._min_waiting():
+            return launched, unplaceable
+        if self.policy == "fifo":
+            while self.waiting:
+                key, cores, avoid, _ = self.waiting[0]
+                if avoid and slots.eligible_cores(avoid) < cores:
+                    self.waiting.popleft()
+                    unplaceable.append(key)
+                    continue
+                placed = slots.alloc(cores, avoid)
+                if placed is None:
+                    break
+                self.waiting.popleft()
+                launched.append((key, placed))
+            return launched, unplaceable
+        remaining: deque = deque()
+        while self.waiting:
+            item = self.waiting.popleft()
+            key, cores, avoid, _ = item
+            if avoid and slots.eligible_cores(avoid) < cores:
+                unplaceable.append(key)
+                continue
+            placed = slots.alloc(cores, avoid)
+            if placed is None:
+                remaining.append(item)
+                continue
+            launched.append((key, placed))
+            if (
+                can_skip
+                and (self.waiting or remaining)
+                and slots.free_cores
+                < min(c for _, c, _, _ in [*remaining, *self.waiting])
+            ):
+                break
+        remaining.extend(self.waiting)
+        self.waiting = remaining
+        return launched, unplaceable
+
+
+# -- the agent under test, cut loose from executor and failure hooks ----------
+
+
+def _counting(slots):
+    """Count every ``alloc`` call on *slots*."""
+    calls = [0]
+    real = slots.alloc
+
+    def alloc(ncores, avoid_nodes=frozenset()):
+        calls[0] += 1
+        return real(ncores, avoid_nodes)
+
+    slots.alloc = alloc
+    return calls
+
+
+def _make_agent(session, kind, total_cores, cores_per_node, policy):
+    agent = Agent(
+        session, SimpleNamespace(uid=PILOT, cores=total_cores),
+        policy=policy, slot_strategy=kind,
+    )
+    agent.slots = make_slot_scheduler(kind, total_cores, cores_per_node)
+    agent._started = True
+    record = SimpleNamespace(launched=[], unplaceable=[])
+    agent.executor = SimpleNamespace(
+        launch_units=lambda batch, _cb: record.launched.extend(batch),
+        shutdown=lambda: None,
+    )
+    agent._fail = lambda units, _exc: record.unplaceable.extend(units)
+    return agent, record
+
+
+# -- random operation sequences ----------------------------------------------
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["arrive", "arrive", "arrive", "pass", "pass", "hold",
+             "release", "fail", "repair"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=255),
+    ),
+    max_size=70,
+)
+
+
+def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
+    session = Session(mode="sim", platform="xsede.comet")
+    try:
+        agent, record = _make_agent(
+            session, kind, total_cores, cores_per_node, policy
+        )
+        ref = _Reference(
+            make_slot_scheduler(kind, total_cores, cores_per_node), policy
+        )
+        new_calls = _counting(agent.slots)
+        ref_calls = _counting(ref.slots)
+        nnodes = agent.slots.nnodes
+        units: list[ComputeUnit] = []
+        held: list[list[int]] = []  # placements live in both schedulers
+
+        def one_pass():
+            launched_before = len(record.launched)
+            failed_before = len(record.unplaceable)
+            agent._schedule_waiting()
+            want_launched, want_unplaceable = ref.schedule()
+            got_launched = [
+                (units.index(u), list(u.slots))
+                for u in record.launched[launched_before:]
+            ]
+            assert got_launched == want_launched
+            got_unplaceable = [
+                units.index(u) for u in record.unplaceable[failed_before:]
+            ]
+            assert got_unplaceable == want_unplaceable
+            assert [units.index(u) for u, _, _ in agent._waiting] == [
+                key for key, *_ in ref.waiting
+            ]
+            assert new_calls[0] <= ref_calls[0]
+            held.extend(placed for _, placed in got_launched)
+
+        for op, a, b in ops:
+            if op == "arrive":
+                cores = 1 + a % total_cores
+                unit = ComputeUnit(
+                    ComputeUnitDescription(
+                        executable="t", cores=cores, mpi=cores > 1
+                    ),
+                    session,
+                )
+                # b's low bits pick excluded nodes on this pilot (some
+                # sets leave too few eligible cores); bit 7 adds one on
+                # another pilot, which excludes nothing here.
+                avoid = frozenset(
+                    node for node in range(min(nnodes, 6)) if b >> node & 1
+                )
+                for node in avoid:
+                    unit.exclude_node(PILOT, node)
+                if b & 128:
+                    unit.exclude_node("pilot.other", 0)
+                units.append(unit)
+                with agent._lock:
+                    agent._waiting_add(unit)
+                ref.waiting.append(
+                    (len(units) - 1, cores, avoid, bool(avoid or b & 128))
+                )
+            elif op == "pass":
+                one_pass()
+            elif op == "hold":
+                cores = 1 + a % total_cores
+                placed = agent.slots.alloc(cores)
+                assert ref.slots.alloc(cores) == placed
+                if placed is not None:
+                    held.append(placed)
+            elif op == "release" and held:
+                placed = held.pop(a % len(held))
+                agent.slots.dealloc(list(placed))
+                ref.slots.dealloc(list(placed))
+            elif op == "fail":
+                agent.slots.fail_node(a % nnodes)
+                ref.slots.fail_node(a % nnodes)
+            elif op == "repair":
+                agent.slots.repair_node(a % nnodes)
+                ref.slots.repair_node(a % nnodes)
+            assert agent.slots.free_cores == ref.slots.free_cores
+        one_pass()
+
+        sizes: dict[int, int] = {}
+        for _, cores, _, _ in ref.waiting:
+            sizes[cores] = sizes.get(cores, 0) + 1
+        assert agent._waiting_sizes == sizes
+        assert agent._min_waiting == (min(sizes) if sizes else None)
+        assert set(agent._waiting_rows) == {u._i for u, _, _ in agent._waiting}
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("policy", ["backfill", "fifo"])
+@pytest.mark.parametrize("kind", ["contiguous", "scattered"])
+class TestDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        total_cores=st.integers(min_value=1, max_value=48),
+        cores_per_node=st.one_of(
+            st.none(), st.integers(min_value=1, max_value=17)
+        ),
+        ops=_OPS,
+    )
+    def test_random_states_schedule_identically(
+        self, kind, policy, total_cores, cores_per_node, ops
+    ):
+        _run_and_compare(kind, policy, total_cores, cores_per_node, ops)
+
+    def test_fragmented_pool_with_exclusions(self, kind, policy):
+        """A checkerboard of 2-core holes, a wide unit that fails its
+        probe, narrower units behind it, and an unplaceable unit."""
+        ops = [("hold", 1, 0)] * 8  # eight 2-core blocks on 16 cores
+        ops += [("release", 0, 0), ("release", 2, 0), ("release", 4, 0)]
+        ops += [
+            ("arrive", 3, 0),     # 4 cores: only fits when unfragmented
+            ("arrive", 1, 0),     # 2 cores
+            ("arrive", 7, 3),     # 8 cores avoiding nodes 0 and 1
+            ("arrive", 0, 1),     # 1 core avoiding node 0
+            ("arrive", 1, 128),   # 2 cores, excluded on another pilot
+            ("pass", 0, 0),
+            ("release", 0, 0),
+            ("pass", 0, 0),
+        ]
+        _run_and_compare(kind, policy, 16, 4, ops)
