@@ -336,9 +336,10 @@ class Agent:
         choices (for both slot strategies), so once ``alloc(w)`` with no
         avoided nodes has failed, every request at least ``w`` wide fails
         for the rest of the pass, whatever it avoids.  The pass therefore
-        keeps a threshold ``fail_at`` — ``free_cores + 1`` at the start and
-        after each launch, lowered to ``w`` by such a failed probe — and
-        requeues every unit at least that wide without probing.
+        keeps a threshold ``fail_at``: it starts at ``free_cores + 1``,
+        drops to ``free_cores + 1`` after each launch and to ``w`` after
+        such a failed probe, and every unit at least that wide is requeued
+        without probing.
 
         Wake-ups are *coalesced*: a pass whose free-core count cannot
         satisfy the smallest waiting request returns in O(1), so a wave
