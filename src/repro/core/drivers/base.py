@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import abc
-import copy
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import PatternError
+from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.states import UnitState
 from repro.utils.logger import get_logger
 
@@ -55,6 +55,8 @@ class PatternDriver(abc.ABC):
         self._flush_scheduled = False
         #: retry bookkeeping: lineage root uid -> attempts used.
         self._retries: dict[str, int] = {}
+        #: kernel signature -> snapshot of its bound description (see _bind).
+        self._bound: dict[tuple, tuple] = {}
 
     # -- subclass contract -----------------------------------------------------------
 
@@ -153,10 +155,7 @@ class PatternDriver(abc.ABC):
                     self._resolve(entry, request.placeholders)
                     for entry in kernel.copy_input_data
                 ]
-                description = kernel.bind(self.handle.resource, self.handle.platform)
-                description.tags.update(request.tags)
-                description.tags.setdefault("pattern", self.pattern.uid)
-                descriptions.append(description)
+                descriptions.append(self._bind(kernel, request.tags))
             prof.event("entk_stage_create_stop", self.pattern.uid, n=len(requests))
 
             # Under simulation, EnTK's client-side cost (task creation +
@@ -174,6 +173,32 @@ class PatternDriver(abc.ABC):
             with self._lock:
                 self.units.extend(units)
         return units
+
+    def _bind(self, kernel: "Kernel", tags: dict[str, Any]) -> ComputeUnitDescription:
+        """Bind *kernel*, once per distinct :meth:`Kernel.signature`.
+
+        The first kernel of a signature is bound and its unit takes that
+        description; the cache keeps only the description's immutable
+        :meth:`~ComputeUnitDescription.snapshot`.  Every later kernel of
+        the signature gets a copy of the snapshot that shares nothing
+        mutable, so a miss costs what ``bind`` costs.  The resource is
+        fixed for the driver's lifetime, so it is not part of the key.
+        """
+        key = kernel.signature()
+        try:
+            snapshot = self._bound.get(key)
+        except TypeError:  # an unhashable value in the key: no caching
+            key = snapshot = None
+        if snapshot is not None:
+            merged = {**kernel.tags, **tags}
+            merged.setdefault("pattern", self.pattern.uid)
+            return ComputeUnitDescription.from_snapshot(snapshot, merged)
+        description = kernel.bind(self.handle.resource, self.handle.platform)
+        description.tags.update(tags)
+        description.tags.setdefault("pattern", self.pattern.uid)
+        if key is not None:
+            self._bound[key] = description.snapshot()
+        return description
 
     def queue_submission(self, request: SubmitRequest, on_submitted=None) -> None:
         """Submit *request*, coalescing same-instant requests into one batch.
@@ -271,16 +296,10 @@ class PatternDriver(abc.ABC):
             if not policy.should_retry(used + 1):
                 return False
             self._retries[root] = used + 1
-        import dataclasses
-
-        description = dataclasses.replace(
-            unit.description,
-            arguments=list(unit.description.arguments),
-            environment=dict(unit.description.environment),
-            input_staging=list(unit.description.input_staging),
-            output_staging=list(unit.description.output_staging),
-            tags={**unit.description.tags, "__retry_root": root,
-                  "__retry_attempt": used + 1},
+        description = ComputeUnitDescription.from_snapshot(
+            unit.description.snapshot(),
+            {**unit.description.tags, "__retry_root": root,
+             "__retry_attempt": used + 1},
         )
         delay = 0.0
         if self.session.is_simulated:

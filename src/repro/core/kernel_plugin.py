@@ -110,14 +110,6 @@ class Kernel:
             for src, dst in map(self._parse_directive, self.copy_output_data)
         ]
 
-        plugin = self._plugin
-
-        def payload(ctx: Any) -> Any:
-            return plugin.execute(ctx)
-
-        def duration_model(cores: int, plat: Any) -> float:
-            return plugin.duration(cores, plat, args) / config.speed_factor
-
         description = ComputeUnitDescription(
             executable=config.executable or self.name,
             arguments=list(self.arguments),
@@ -125,14 +117,34 @@ class Kernel:
             cores=self.cores,
             mpi=self.uses_mpi or self.cores > 1,
             name=self.name,
-            payload=payload,
-            duration_model=duration_model,
+            payload=self._plugin.execute,
+            duration_model=_DurationModel(self._plugin, args, config),
             input_staging=input_staging,
             output_staging=output_staging,
             tags=dict(self.tags),
         )
         description.validate()
         return description
+
+    def signature(self) -> tuple:
+        """Everything :meth:`bind` reads, as one key.
+
+        Kernels with equal signatures bind to equal descriptions on a
+        given resource, so a pattern driver binds each distinct signature
+        once and copies the result for the others (see
+        :meth:`repro.core.drivers.base.PatternDriver.submit`).  Staging
+        lists are read as they are, so call this after placeholder
+        resolution.  A subclass whose ``bind`` reads more attributes must
+        add them here.  The key is unhashable when a value is (e.g. a
+        list-valued tag); callers then bind without a cache.
+        """
+        return (
+            type(self), self.name, type(self._plugin), tuple(self.arguments),
+            self.cores, self.uses_mpi, tuple(self.link_input_data),
+            tuple(self.copy_input_data), tuple(self.copy_output_data),
+            tuple(self.environment.items()), self.data_size,
+            tuple(self.tags.items()),
+        )
 
     def _iter_args(self):
         for arg in self.arguments:
@@ -146,6 +158,23 @@ class Kernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name} cores={self.cores} args={self.arguments}>"
+
+
+class _DurationModel:
+    """A bound kernel's cost model: the plugin's modelled runtime for the
+    kernel's arguments, scaled by the resource's speed factor."""
+
+    __slots__ = ("plugin", "args", "config")
+
+    def __init__(self, plugin: "KernelPlugin", args: dict[str, str],
+                 config: MachineConfig) -> None:
+        self.plugin = plugin
+        self.args = args
+        self.config = config
+
+    def __call__(self, cores: int, platform: Any) -> float:
+        seconds = self.plugin.duration(cores, platform, self.args)
+        return seconds / self.config.speed_factor
 
 
 class KernelPlugin:

@@ -98,6 +98,40 @@ class ComputeUnitDescription:
         if self.modelled_duration < 0:
             raise BadParameter("modelled_duration must be non-negative")
 
+    def snapshot(self) -> tuple:
+        """Every field but ``tags``, in field order, with containers frozen.
+
+        A snapshot holds only immutable data: tuples, the frozen
+        :class:`StagingDirective` objects, the payload and duration-model
+        callables and scalars.  :meth:`from_snapshot` turns it back into
+        a description.
+        """
+        return (
+            self.executable, tuple(self.arguments),
+            tuple(self.environment.items()), self.cores, self.mpi, self.name,
+            self.payload, self.modelled_duration, self.duration_model,
+            tuple(self.input_staging), tuple(self.output_staging),
+        )
+
+    @classmethod
+    def from_snapshot(
+        cls, snapshot: tuple, tags: dict[str, Any]
+    ) -> "ComputeUnitDescription":
+        """A description of *snapshot* with *tags*, owning its containers.
+
+        The new description shares nothing mutable with any other one:
+        its arguments, environment and staging lists are fresh, and it
+        takes *tags* itself.
+        """
+        (executable, arguments, environment, cores, mpi, name, payload,
+         modelled_duration, duration_model, input_staging,
+         output_staging) = snapshot
+        return cls(
+            executable, list(arguments), dict(environment), cores, mpi, name,
+            payload, modelled_duration, duration_model, list(input_staging),
+            list(output_staging), tags,
+        )
+
     def modelled_runtime(self, platform: Any) -> float:
         """Modelled execution seconds on *platform* (sim mode only)."""
         if self.duration_model is not None:

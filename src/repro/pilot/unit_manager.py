@@ -37,7 +37,6 @@ class UnitManager:
         self._rr_next = 0
         self._lock = threading.RLock()
         self._all_done = threading.Condition(self._lock)
-        self._callbacks: list[Callable[[ComputeUnit, UnitState], Any]] = []
 
     # -- pilots ---------------------------------------------------------------
 
@@ -51,10 +50,6 @@ class UnitManager:
 
     # -- units -----------------------------------------------------------------
 
-    def register_callback(self, callback: Callable[[ComputeUnit, UnitState], Any]) -> None:
-        """``callback(unit, state)`` on every unit state transition."""
-        self._callbacks.append(callback)
-
     def submit_units(
         self,
         descriptions: list[ComputeUnitDescription] | ComputeUnitDescription,
@@ -63,9 +58,13 @@ class UnitManager:
     ) -> list[ComputeUnit]:
         """Create units, schedule them onto pilots, forward to agents.
 
-        *callback* is attached to every created unit *before* it can make
-        any progress, so callers (e.g. pattern drivers) cannot miss a
-        transition even for tasks that finish instantly.
+        *callback* is a completion hook: ``callback(unit, state)`` runs
+        once per unit, on its transition into a final state (DONE,
+        FAILED or CANCELED).  It is attached to every created unit
+        *before* the unit can make any progress, so callers (e.g. pattern
+        drivers) cannot miss a completion even for tasks that finish
+        instantly.  To see every transition of one unit, use
+        :meth:`ComputeUnit.add_callback`.
 
         Forwarding is *bulk*: all units bound to one pilot travel in one
         message, paying one network delay (RADICAL-Pilot bulk submission).
@@ -75,10 +74,7 @@ class UnitManager:
         if isinstance(descriptions, ComputeUnitDescription):
             descriptions = [descriptions]
         store = self.session.unit_store
-        shared: list[Callable[[ComputeUnit, UnitState], Any]] = []
-        if callback is not None:
-            shared.append(callback)
-        shared.extend(self._callbacks)
+        shared = [callback] if callback is not None else []
         units: list[ComputeUnit] = []
         routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
         with self.session.tracer.span(

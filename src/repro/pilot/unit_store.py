@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from itertools import repeat
 from math import isnan, nan
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -171,24 +172,6 @@ class UnitStore:
 
     # -- registration -------------------------------------------------------
 
-    def _append_row(self, description: "ComputeUnitDescription",
-                    serial: int, now: float) -> int:
-        i = len(self._serial)
-        self._serial.append(serial)
-        self._state.append(_STATE_INDEX[UnitState.NEW])
-        self._cores.append(description.cores)
-        self._attempts.append(0)
-        self._pilot.append(-1)
-        self._cb_group.append(-1)
-        self._slots_off.append(0)
-        self._slots_len.append(0)
-        for state in _STATES:
-            self._ts[state.value].append(
-                now if state is UnitState.NEW else nan
-            )
-        self._descriptions.append(description)
-        return i
-
     def add(self, description: "ComputeUnitDescription") -> int:
         """Register one unit; returns its row."""
         return self.add_bulk([description])[0]
@@ -199,14 +182,24 @@ class UnitStore:
         descriptions = list(descriptions)
         for description in descriptions:
             description.validate()
-        if not descriptions:
-            return range(len(self._serial), len(self._serial))
-        serial = reserve_id_block("unit", len(descriptions))
-        now = self._session.now()
+        n = len(descriptions)
         first = len(self._serial)
-        for offset, description in enumerate(descriptions):
-            self._append_row(description, serial + offset, now)
-        rows = range(first, first + len(descriptions))
+        if not n:
+            return range(first, first)
+        serial = reserve_id_block("unit", n)
+        now = self._session.now()
+        # Column by column: one extend per column for the whole batch.
+        self._serial.extend(range(serial, serial + n))
+        self._state.extend(repeat(_STATE_INDEX[UnitState.NEW], n))
+        self._cores.extend([d.cores for d in descriptions])
+        for column in (self._attempts, self._slots_off, self._slots_len):
+            column.extend(repeat(0, n))
+        for column in (self._pilot, self._cb_group):
+            column.extend(repeat(-1, n))
+        for value, column in self._ts.items():
+            column.extend(repeat(now if value == UnitState.NEW.value else nan, n))
+        self._descriptions.extend(descriptions)
+        rows = range(first, first + n)
         self.emit("new", rows, pattern=descriptions[0].tags.get("pattern", ""))
         return rows
 
@@ -323,8 +316,10 @@ class UnitStore:
     def set_group_callbacks(self, rows: range, callbacks: list[Callable]) -> None:
         """Attach one shared callback list to every unit in *rows*.
 
-        Consecutive calls with the same list object share one entry, so a
-        submission moved as batches of one still stores its list once.
+        The list is called on transitions into final states only (see
+        :meth:`_advance`).  Consecutive calls with the same list object
+        share one entry, so a submission moved as batches of one still
+        stores its list once.
         """
         if not callbacks:
             return
@@ -348,6 +343,9 @@ class UnitStore:
                     del self._extra_cbs[i]
 
     def callbacks(self, i: int) -> list[Callable]:
+        """What a *final* transition of row *i* calls, in order: the
+        shared group list, then the unit's own callbacks.  A non-final
+        transition calls the unit's own callbacks only."""
         group = self._cb_group[i]
         shared = self._shared_cbs[group] if group >= 0 else ()
         extras = self._extra_cbs.get(i)
@@ -375,10 +373,17 @@ class UnitStore:
         """Transition body, per homogeneous (same current state) group:
         validate and stamp → one :meth:`emit` → callbacks per unit →
         final-event set.  For a batch of one this is the historical
-        per-unit order the golden traces pin."""
+        per-unit order the golden traces pin.
+
+        Shared group callbacks are completion hooks: they fire only on a
+        transition into a final state, where each unit calls its shared
+        list, then its own callbacks, then sets its final event.  A
+        unit's own callbacks (:meth:`add_callback`) fire on every
+        transition."""
         if not units:
             return
         session = self._session
+        final = target.is_final
         code = _STATE_INDEX[target]
         column = self._ts[target.value]
         groups: dict[int, list["ComputeUnit"]] = {}
@@ -397,10 +402,16 @@ class UnitStore:
                     self._state[i] = code
                     column[i] = now
             self.emit("state", rows, state=target.value, prev=previous.value)
-            for unit in group:
-                for cb in self.callbacks(unit._i):
-                    cb(unit, target)
-                if target.is_final:
+            if final:
+                for unit in group:
+                    for cb in self.callbacks(unit._i):
+                        cb(unit, target)
                     event = self._final_events.get(unit._i)
                     if event is not None:
                         event.set()
+            elif self._extra_cbs:
+                for unit in group:
+                    extras = self._extra_cbs.get(unit._i)
+                    if extras is not None:
+                        for cb in list(extras):
+                            cb(unit, target)

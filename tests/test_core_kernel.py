@@ -142,3 +142,250 @@ class TestKernelBinding:
         kernel.tags = {"stage": 3}
         description = kernel.bind("local.localhost", get_platform("local.localhost"))
         assert description.tags["stage"] == 3
+
+
+# -- the driver's bind cache -------------------------------------------------
+
+
+class _Cached(KernelPlugin):
+    name = "test.cached"
+
+    def execute(self, ctx):
+        return None
+
+    def duration(self, cores, platform, args):
+        return float(args.get("seconds", "1"))
+
+
+class _CachedTwin(_Cached):
+    name = "test.cached_twin"
+
+
+class _Doubled(_Cached):
+    def duration(self, cores, platform, args):
+        return 2 * super().duration(cores, platform, args)
+
+
+class _LabelledKernel(Kernel):
+    def bind(self, resource, platform):
+        description = super().bind(resource, platform)
+        description.executable = "labelled"
+        return description
+
+
+def _cached_kernel(cls=Kernel, name="test.cached", **fields):
+    kernel = cls(name=name)
+    kernel.arguments = ["--seconds=1"]
+    kernel.link_input_data = ["a.txt"]
+    kernel.copy_input_data = ["a.txt"]
+    kernel.copy_output_data = ["a.txt"]
+    kernel.environment = {"X": "1"}
+    kernel.tags = {"t": 1}
+    for attr, value in fields.items():
+        setattr(kernel, attr, value)
+    return kernel
+
+
+def _view(description, platform):
+    """Every field of *description*, with callables compared by behaviour."""
+    return (
+        description.executable, description.arguments,
+        description.environment, description.cores, description.mpi,
+        description.name, description.payload.__func__,
+        description.modelled_duration, description.modelled_runtime(platform),
+        description.input_staging, description.output_staging,
+        description.tags,
+    )
+
+
+def _plain(driver, kernel, tags=()):
+    """What ``submit`` gave a unit before the cache: one bind per kernel."""
+    description = kernel.bind(driver.handle.resource, driver.handle.platform)
+    description.tags.update(tags)
+    description.tags.setdefault("pattern", driver.pattern.uid)
+    return description
+
+
+@pytest.fixture
+def driver(sim_handle_factory, monkeypatch):
+    """A driver on a simulated handle, with the test plugins registered."""
+    from repro.core import kernel_registry
+    from repro.core.drivers.eop import EnsembleOfPipelinesDriver
+    from repro.core.patterns import EnsembleOfPipelines
+
+    for plugin in (_Cached, _CachedTwin):
+        monkeypatch.setitem(kernel_registry._REGISTRY, plugin.name, plugin)
+    handle = sim_handle_factory()
+    return EnsembleOfPipelinesDriver(EnsembleOfPipelines(ensemble_size=1), handle)
+
+
+@pytest.fixture
+def bind_calls(monkeypatch):
+    calls = []
+    bind = Kernel.bind
+
+    def counting(self, resource, platform):
+        calls.append(self)
+        return bind(self, resource, platform)
+
+    monkeypatch.setattr(Kernel, "bind", counting)
+    return calls
+
+
+#: One changed field per entry: ``_cached_kernel(**entry)``.
+_VARIANTS = {
+    "type": {"cls": _LabelledKernel},
+    "name": {"name": "test.cached_twin"},
+    "plugin": {"_plugin": _Doubled()},
+    "arguments": {"arguments": ["--seconds=2"]},
+    "cores": {"cores": 2},
+    "uses_mpi": {"uses_mpi": True},
+    "link_input_data": {"link_input_data": ["b.txt"]},
+    "copy_input_data": {"copy_input_data": ["b.txt"]},
+    "copy_output_data": {"copy_output_data": ["b.txt"]},
+    "environment": {"environment": {"X": "2"}},
+    "data_size": {"data_size": 2048},
+    "tags": {"tags": {"t": 2}},
+}
+
+
+class TestBindCache:
+    @pytest.mark.parametrize("field", sorted(_VARIANTS))
+    def test_kernels_differing_in_one_field_bind_apart(self, driver, field):
+        platform = driver.handle.platform
+        base = driver._bind(_cached_kernel(), {})
+        variant = _cached_kernel(**_VARIANTS[field])
+        description = driver._bind(variant, {})
+        assert _view(description, platform) != _view(base, platform)
+        assert _view(description, platform) == _view(
+            _plain(driver, variant), platform
+        )
+
+    def test_equal_kernels_bind_once(self, driver, bind_calls):
+        from repro.core.drivers.base import SubmitRequest
+
+        units = driver.submit([
+            SubmitRequest(_cached_kernel(), tags={"instance": i})
+            for i in range(5)
+        ])
+        assert len(bind_calls) == 1
+        platform = driver.handle.platform
+        plain = _view(_plain(driver, _cached_kernel()), platform)
+        for i, unit in enumerate(units):
+            view = _view(unit.description, platform)
+            assert view[:-1] == plain[:-1]
+            assert unit.description.tags == {
+                "t": 1, "instance": i, "pattern": driver.pattern.uid,
+            }
+        assert len({id(u.description) for u in units}) == 5
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_descriptions_share_nothing_mutable(self, driver, victim):
+        platform = driver.handle.platform
+        descriptions = [driver._bind(_cached_kernel(), {}) for _ in range(3)]
+        pristine = _view(descriptions[2], platform)
+        mutated = descriptions[victim]
+        mutated.tags["t"] = 99
+        mutated.arguments.append("--seconds=5")
+        mutated.environment["X"] = "9"
+        mutated.input_staging.clear()
+        mutated.output_staging.clear()
+        later = driver._bind(_cached_kernel(), {})
+        for description in (*descriptions[:victim], *descriptions[victim + 1:],
+                            later):
+            assert _view(description, platform) == pristine
+
+    def test_unhashable_tag_falls_back_to_plain_bind(self, driver, bind_calls):
+        kernels = [_cached_kernel() for _ in range(2)]
+        for kernel in kernels:
+            kernel.tags = {"ids": [1, 2]}
+        descriptions = [driver._bind(kernel, {}) for kernel in kernels]
+        assert len(bind_calls) == 2
+        assert driver._bound == {}
+        assert all(d.tags["ids"] == [1, 2] for d in descriptions)
+
+
+# -- differential: cached binds equal per-kernel binds over whole runs -------
+
+
+def _sleep_kernel(seconds, cores=1):
+    kernel = Kernel(name="misc.sleep")
+    kernel.arguments = [f"--duration={seconds}"]
+    kernel.cores = cores
+    kernel.uses_mpi = cores > 1
+    return kernel
+
+
+def _eop():
+    from repro.core.patterns import EnsembleOfPipelines
+
+    class Pipelines(EnsembleOfPipelines):
+        def stage_1(self, instance):
+            return _sleep_kernel(30)
+
+        def stage_2(self, instance):
+            return _sleep_kernel(10 + instance % 3)
+
+    return Pipelines(ensemble_size=12, pipeline_size=2)
+
+
+def _sal():
+    from repro.core.patterns import SimulationAnalysisLoop
+
+    class CharCount(SimulationAnalysisLoop):
+        def simulation_stage(self, iteration, instance):
+            kernel = Kernel(name="misc.mkfile")
+            kernel.arguments = ["--size=100", "--filename=output.txt"]
+            return kernel
+
+        def analysis_stage(self, iteration, instance):
+            kernel = Kernel(name="misc.ccount")
+            kernel.arguments = ["--inputfile=input.txt",
+                                "--outputfile=ccount.txt"]
+            kernel.link_input_data = [
+                f"$SIMULATION_{iteration}_{instance}/output.txt > input.txt"
+            ]
+            return kernel
+
+    return CharCount(iterations=2, simulation_instances=6,
+                     analysis_instances=6)
+
+
+def _bag():
+    from repro.core.patterns import BagOfTasks
+
+    class Bag(BagOfTasks):
+        def task(self, instance):
+            return _sleep_kernel(20 + 5 * (instance % 2), 1 + instance % 4)
+
+    return Bag(size=24)
+
+
+@pytest.mark.parametrize("make_pattern", [_eop, _sal, _bag])
+def test_cached_binds_match_plain_binds_over_a_run(
+    monkeypatch, sim_handle_factory, bind_calls, make_pattern
+):
+    from repro.core.drivers.base import PatternDriver
+
+    plain_of, signatures = {}, set()
+    bind = PatternDriver._bind
+
+    def checked(self, kernel, tags):
+        signatures.add(kernel.signature())
+        plain = _plain(self, kernel, tags)
+        description = bind(self, kernel, tags)
+        plain_of[id(description)] = plain
+        return description
+
+    monkeypatch.setattr(PatternDriver, "_bind", checked)
+    handle = sim_handle_factory()
+    pattern = make_pattern()
+    handle.run(pattern)
+    platform = handle.platform
+    assert pattern.units
+    for unit in pattern.units:
+        plain = plain_of[id(unit.description)]
+        assert _view(unit.description, platform) == _view(plain, platform)
+    # One cached bind per distinct signature, beside the plain ones.
+    assert len(bind_calls) == len(plain_of) + len(signatures)
+    assert len(signatures) < len(pattern.units)

@@ -25,6 +25,7 @@ from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
+from repro.pilot.unit_store import UnitStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sink import MemorySink, ProfileEvent, SpoolSink, revive
 from repro.utils.ids import reset_id_counters
@@ -128,20 +129,34 @@ class TestUnitStore:
         assert unit.slots == [1, 2]
 
     def test_callbacks_shared_plus_extra_order(self, session):
+        # Shared group callbacks are completion hooks; a unit's own
+        # callbacks see every transition.  On a final transition each
+        # unit calls shared, then extra, then sets its final event.
         store = session.unit_store
         rows = store.add_bulk([_desc(), _desc()])
+        events = [store.final_event(i, create=True) for i in rows]
         calls = []
-        store.set_group_callbacks(
-            rows, [lambda u, s: calls.append(("shared", u.uid, s))]
-        )
+
+        def record(tag):
+            return lambda u, s: calls.append(
+                (tag, u.uid, s, events[u._i].is_set())
+            )
+
+        store.set_group_callbacks(rows, [record("shared")])
         units = [ComputeUnit._of(store, i) for i in rows]
-        units[0].add_callback(lambda u, s: calls.append(("extra", u.uid, s)))
+        units[0].add_callback(record("extra"))
         store.advance_many(units, UnitState.UMGR_SCHEDULING)
         assert calls == [
-            ("shared", "unit.000000", UnitState.UMGR_SCHEDULING),
-            ("extra", "unit.000000", UnitState.UMGR_SCHEDULING),
-            ("shared", "unit.000001", UnitState.UMGR_SCHEDULING),
+            ("extra", "unit.000000", UnitState.UMGR_SCHEDULING, False),
         ]
+        calls.clear()
+        store.advance_many(units, UnitState.CANCELED)
+        assert calls == [
+            ("shared", "unit.000000", UnitState.CANCELED, False),
+            ("extra", "unit.000000", UnitState.CANCELED, False),
+            ("shared", "unit.000001", UnitState.CANCELED, False),
+        ]
+        assert all(event.is_set() for event in events)
 
     def test_advance_many_emits_one_batch_event_per_group(self, session):
         store = session.unit_store
@@ -316,6 +331,36 @@ def _run(n=48, **handle_kwargs):
 
 
 class TestBulkLifecycle:
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_add_callback_sees_every_state_of_a_run(self, monkeypatch, bulk):
+        seen: dict[str, list[UnitState]] = {}
+        shared: list[tuple[str, UnitState]] = []
+        attach = UnitStore.set_group_callbacks
+
+        def attach_and_watch(store, rows, callbacks):
+            # Wrap the driver's completion hook, and give every unit its
+            # own callback before the unit first moves.
+            attach(store, rows, [
+                lambda u, s, cb=cb: (shared.append((u.uid, s)), cb(u, s))
+                for cb in callbacks
+            ])
+            for i in rows:
+                store.add_callback(
+                    i, lambda u, s: seen.setdefault(u.uid, []).append(s)
+                )
+
+        monkeypatch.setattr(UnitStore, "set_group_callbacks", attach_and_watch)
+        _, pattern, _ = _run(n=8, bulk_lifecycle=bulk)
+        assert len(seen) == len(pattern.units) == 16
+        assert all(states == [
+            UnitState.UMGR_SCHEDULING, UnitState.AGENT_STAGING_INPUT,
+            UnitState.AGENT_SCHEDULING, UnitState.EXECUTING,
+            UnitState.AGENT_STAGING_OUTPUT, UnitState.DONE,
+        ] for states in seen.values())
+        assert sorted(shared) == sorted(
+            (uid, UnitState.DONE) for uid in seen
+        )
+
     def test_bulk_run_matches_classic_virtual_time(self):
         _, classic_pattern, classic_ttc = _run()
         handle, pattern, ttc = _run(bulk_lifecycle=True)
