@@ -30,7 +30,6 @@ from repro.pilot.agent.slots import make_slot_scheduler
 from repro.pilot.agent.staging import LocalStager, SimStager
 from repro.pilot.faults import NodeFailure, PilotFailure
 from repro.pilot.states import UnitState
-from repro.telemetry.span import Tracer
 from repro.utils.logger import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,18 +100,14 @@ class Agent:
         self._cancelled: set[int] = set()
         self._started = False
         self._unit_final_cb: Callable[["ComputeUnit"], Any] | None = None
-        self._unit_killed_cb: (
-            Callable[["ComputeUnit", BaseException], Any] | None
-        ) = None
+        self._unit_killed_cb: Callable[..., Any] | None = None
         self._fault_process: NodeFaultProcess | None = None
-        self._tracer = getattr(session, "tracer", None) or Tracer(None)
-        self._metrics = getattr(session, "metrics", None)
         #: Every transition goes through the store, which also decides the
         #: batches a lifecycle list moves in (see ``UnitStore.batches``).
         self._store = session.unit_store
 
         if session.is_simulated:
-            self.stager = SimStager(session.sim_context, tracer=self._tracer)
+            self.stager = SimStager(session.sim_context)
             self.executor: Any = SimExecutor(
                 session, evaluate_payloads=evaluate_payloads
             )
@@ -120,7 +115,7 @@ class Agent:
             pilot_sandbox: "Path" = session.sandbox / pilot.uid  # type: ignore[operator]
             pilot_sandbox.mkdir(parents=True, exist_ok=True)
             self.pilot_sandbox = pilot_sandbox
-            self.stager = LocalStager(pilot_sandbox, tracer=self._tracer)
+            self.stager = LocalStager(pilot_sandbox)
             self.executor = LocalExecutor(session, pilot.cores)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -131,7 +126,7 @@ class Agent:
             self._started = True
         self.session.prof.event("agent_start", self.pilot.uid)
         self._arm_node_faults()
-        self._reschedule()
+        self._schedule_waiting()
 
     # -- waiting-queue bookkeeping -------------------------------------------------
 
@@ -183,7 +178,9 @@ class Agent:
         with self._lock:
             waiting = self._waiting_clear()
         for batch in self._store.batches(waiting):
-            self._store.advance_many(batch, UnitState.CANCELED)
+            self._store.advance_many(
+                batch, UnitState.CANCELED, pilot=self.pilot.uid
+            )
             for unit in batch:
                 self._notify_final(unit)
         self.executor.shutdown()
@@ -229,10 +226,7 @@ class Agent:
                 f"unit {unit.uid} stranded by pilot {self.pilot.uid} dying"
             )
             unit.exception = exc
-            if self._unit_killed_cb is not None:
-                self._unit_killed_cb(unit, exc)
-            else:
-                self._fail([unit], exc)
+            self._hand_back(unit, exc)
         self.executor.shutdown()
         self.session.prof.event("agent_abort", self.pilot.uid)
 
@@ -240,12 +234,13 @@ class Agent:
         """Register the unit manager's completion hook."""
         self._unit_final_cb = callback
 
-    def on_unit_killed(
-        self, callback: Callable[["ComputeUnit", BaseException], Any]
-    ) -> None:
+    def on_unit_killed(self, callback: Callable[..., Any]) -> None:
         """Register the unit manager's node/pilot-kill hook.
 
-        Without one, killed units fail terminally in place (no retries).
+        Called as ``callback(unit, exc, **fields)``: *fields* must ride on
+        the unit's next state event (what it released on this pilot, see
+        :meth:`_release`).  Without a hook, killed units fail terminally
+        in place (no retries).
         """
         self._unit_killed_cb = callback
 
@@ -253,9 +248,8 @@ class Agent:
 
     def submit_units(self, units: list["ComputeUnit"]) -> None:
         """Accept units from the unit manager (any time after creation)."""
-        with self._tracer.span("agent.submit", self.pilot.uid, n=len(units)):
-            for batch in self._store.batches(units):
-                self._accept(batch)
+        for batch in self._store.batches(units):
+            self._accept(batch)
 
     def _accept(self, units: list["ComputeUnit"]) -> None:
         fit: list["ComputeUnit"] = []
@@ -295,11 +289,13 @@ class Agent:
         units = self._without_cancelled(units)
         if not units:
             return
-        self._store.advance_many(units, UnitState.AGENT_SCHEDULING)
+        self._store.advance_many(
+            units, UnitState.AGENT_SCHEDULING, pilot=self.pilot.uid
+        )
         with self._lock:
             for unit in units:
                 self._waiting_add(unit)
-        self._reschedule()
+        self._schedule_waiting()
 
     def cancel_unit(self, unit: "ComputeUnit") -> None:
         """Cancel a unit; waiting units are dequeued, running ones flagged."""
@@ -310,25 +306,44 @@ class Agent:
                 self._waiting.remove(entry)
                 self._waiting_forget(entry)
         if entry is not None:
-            self._store.advance_many([unit], UnitState.CANCELED)
+            self._store.advance_many(
+                [unit], UnitState.CANCELED, pilot=self.pilot.uid
+            )
             self._notify_final(unit)
 
     # -- internals -----------------------------------------------------------------
 
-    def _reschedule(self) -> None:
-        """Start every waiting unit the policy and free slots allow."""
-        with self._tracer.span("agent.schedule", self.pilot.uid):
-            self._schedule_waiting()
-        if self._metrics is not None and self._started:
-            self._metrics.gauge(
-                f"agent.{self.pilot.uid}.queue_depth", len(self._waiting)
-            )
-            self._metrics.gauge(
-                f"agent.{self.pilot.uid}.cores_held", self.slots.used_cores
-            )
+    def _release(self, units: list["ComputeUnit"]) -> dict[str, Any]:
+        """The fields of the state event that takes placed *units* out of
+        this agent's hands: the pilot and the cores they held.
+
+        The agent records no gauge: ``MetricsRegistry.from_events``
+        derives the ``agent.<pilot>.*`` gauges from these fields.  A
+        state event with ``pilot`` and no ``cores`` moves units into or
+        out of the wait queue; one with ``cores`` releases slots (and
+        busy cores, when it leaves ``EXECUTING``).
+        """
+        return {
+            "pilot": self.pilot.uid,
+            "cores": sum(unit.description.cores for unit in units),
+        }
+
+    def _hand_back(
+        self, unit: "ComputeUnit", exc: BaseException, **release: Any
+    ) -> None:
+        """A node or pilot death took *unit* from this agent: the unit
+        manager's kill hook decides its fate, else it fails in place.
+        *release* is :meth:`_release` of a placed unit (a waiting one
+        released nothing but its place in the queue)."""
+        fields = release or {"pilot": self.pilot.uid}
+        if self._unit_killed_cb is not None:
+            self._unit_killed_cb(unit, exc, **fields)
+        else:
+            self._fail([unit], exc, **fields)
 
     def _schedule_waiting(self) -> None:
-        """One scheduling pass over the wait queue.
+        """One scheduling pass over the wait queue: start every waiting
+        unit the policy and free slots allow.
 
         A pass skips only work that is *event-silent*: failed allocation
         probes emit nothing and leave the queue order untouched.  Within
@@ -470,16 +485,17 @@ class Agent:
         for unit in victims:
             self._kill_unit(unit, node=node)
         # Multi-node victims may have freed slots on healthy nodes.
-        self._reschedule()
+        self._schedule_waiting()
 
     def _on_node_repair(self, node: int) -> None:
         self.session.prof.event("node_repair", self.pilot.uid, node=node)
         self.slots.repair_node(node)
-        self._reschedule()
+        self._schedule_waiting()
 
     def _kill_unit(self, unit: "ComputeUnit", node: int | None) -> None:
         """Tear down one in-flight unit whose node (or whole pilot) died."""
         self.executor.kill(unit)
+        release = self._release([unit])
         with self._lock:
             self._executing.pop(unit._i, None)
             if unit.slots:
@@ -509,16 +525,14 @@ class Agent:
             if policy is not None and policy.exclude_failed_nodes:
                 unit.exclude_node(self.pilot.uid, node)
         unit.exception = exc
-        if self._unit_killed_cb is not None:
-            self._unit_killed_cb(unit, exc)
-        else:
-            self._fail([unit], exc)
+        self._hand_back(unit, exc, **release)
 
     def _on_executed(
         self, units: list["ComputeUnit"], exception: BaseException | None
     ) -> None:
         """The executor finished *units* (``exception`` is ``None``) or
         failed them with ``exception``."""
+        release = self._release(units)
         with self._lock:
             for unit in units:
                 self._executing.pop(unit._i, None)
@@ -527,14 +541,16 @@ class Agent:
                 if slots:
                     self.slots.dealloc(slots)
         if exception is not None:
-            self._fail(units, exception)
+            self._fail(units, exception, **release)
         else:
-            self._store.advance_many(units, UnitState.AGENT_STAGING_OUTPUT)
+            self._store.advance_many(
+                units, UnitState.AGENT_STAGING_OUTPUT, **release
+            )
             try:
                 self.stager.stage_out_bulk(units, self._on_staged_out)
             except Exception as exc:  # staging failure fails the units, not the agent
                 self._fail(units, exc)
-        self._reschedule()
+        self._schedule_waiting()
 
     def _on_staged_out(self, units: list["ComputeUnit"]) -> None:
         finished = self._without_cancelled(units)
@@ -542,10 +558,16 @@ class Agent:
         for unit in finished:
             self._notify_final(unit)
 
-    def _fail(self, units: list["ComputeUnit"], exc: BaseException) -> None:
+    def _fail(
+        self, units: list["ComputeUnit"], exc: BaseException, **release: Any
+    ) -> None:
+        """Fail *units* in place; *release* is :meth:`_release` of placed
+        units (a unit failed anywhere else released no cores)."""
         for unit in units:
             unit.exception = exc
-        self._store.advance_many(units, UnitState.FAILED)
+        self._store.advance_many(
+            units, UnitState.FAILED, **(release or {"pilot": self.pilot.uid})
+        )
         for unit in units:
             self._notify_final(unit)
 

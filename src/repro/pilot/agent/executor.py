@@ -9,6 +9,11 @@ user code (really or notionally) starts.  ``on_done`` reports finished
 units with ``exception=None`` (results already stored on the units) or
 failed ones with their exception.  The agent never needs to know which
 mode it is running in.
+
+The ``EXECUTING`` state event carries the ``pilot`` and the ``cores``
+that start, from which ``MetricsRegistry.from_events`` derives the
+``agent.<pilot>.cores_busy`` gauge: the executors record no gauge, and
+the only span they open is the local ``exec.payload``.
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ class LocalExecutor:
         )
         self._shutdown = False
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
-        self._metrics = getattr(session, "metrics", None)
 
     def launch_units(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         for unit in units:
@@ -105,10 +109,10 @@ class LocalExecutor:
             self._pool.submit(self._run, unit, on_done)
 
     def _run(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        self.session.unit_store.advance_many([unit], UnitState.EXECUTING)
-        cores = unit.description.cores
-        if self._metrics is not None and unit.pilot_uid:
-            self._metrics.adjust(f"agent.{unit.pilot_uid}.cores_busy", cores)
+        self.session.unit_store.advance_many(
+            [unit], UnitState.EXECUTING,
+            pilot=unit.pilot_uid, cores=unit.description.cores,
+        )
         try:
             result = None
             if unit.description.payload is not None:
@@ -119,9 +123,6 @@ class LocalExecutor:
             log.debug("unit %s payload failed: %r", unit.uid, exc)
             on_done([unit], exc)
             return
-        finally:
-            if self._metrics is not None and unit.pilot_uid:
-                self._metrics.adjust(f"agent.{unit.pilot_uid}.cores_busy", -cores)
         unit.result = result
         on_done([unit], None)
 
@@ -145,8 +146,8 @@ class _LaunchGroup:
     pending event cancelled.
     """
 
-    __slots__ = ("units", "faults", "runtime", "on_done", "ref", "span",
-                 "event", "started")
+    __slots__ = ("units", "faults", "runtime", "on_done", "ref", "event",
+                 "started")
 
     def __init__(self, runtime: float, on_done: DoneCallback) -> None:
         self.units: dict[int, "ComputeUnit"] = {}
@@ -154,7 +155,6 @@ class _LaunchGroup:
         self.runtime = runtime
         self.on_done = on_done
         self.ref = ""
-        self.span = ""
         self.event: Any = None
         self.started = False
 
@@ -175,20 +175,11 @@ class SimExecutor:
         self.session = session
         self.context = session.sim_context
         self.evaluate_payloads = evaluate_payloads
-        self._tracer = getattr(session, "tracer", None) or Tracer(None)
-        self._metrics = getattr(session, "metrics", None)
         #: Launch group of every unit still due to finish with one, and the
         #: pending fault event of every faulted executing unit (both keyed
         #: by unit row), so a node or pilot failure can kill either.
         self._group_of: dict[int, _LaunchGroup] = {}
         self._faults: dict[int, Any] = {}
-
-    def _adjust_busy(self, units: list["ComputeUnit"], sign: int) -> None:
-        if self._metrics is not None and units[0].pilot_uid:
-            self._metrics.adjust(
-                f"agent.{units[0].pilot_uid}.cores_busy",
-                sign * sum(u.description.cores for u in units),
-            )
 
     def launch(self, unit: "ComputeUnit", on_done: Callable[..., None]) -> None:
         """One unit, reported as ``on_done(unit, ok, result, exception)``."""
@@ -217,19 +208,18 @@ class SimExecutor:
             self._group_of[unit._i] = group
         for (overhead, _), group in groups.items():
             group.ref = next(iter(group.units.values())).uid
-            group.span = self._tracer.begin("exec.launch", group.ref)
             group.event = self.context.sim.schedule(
                 overhead, functools.partial(self._start, group),
                 label=f"launch*{len(group.units)}:{group.ref}",
             )
 
     def _start(self, group: _LaunchGroup) -> None:
-        self._tracer.end(group.span)
-        group.span = ""
         group.started = True
         members = list(group.units.values())
-        self.session.unit_store.advance_many(members, UnitState.EXECUTING)
-        self._adjust_busy(members, 1)
+        self.session.unit_store.advance_many(
+            members, UnitState.EXECUTING, pilot=members[0].pilot_uid,
+            cores=sum(u.description.cores for u in members),
+        )
         sim = self.context.sim
         for i, offset in group.faults.items():
             unit = group.units.pop(i)
@@ -247,7 +237,6 @@ class SimExecutor:
 
     def _fail(self, unit: "ComputeUnit", offset: float, group: _LaunchGroup) -> None:
         del self._faults[unit._i]
-        self._adjust_busy([unit], -1)
         self.session.prof.event("task_fault", unit.uid,
                                 at=offset, runtime=group.runtime)
         group.on_done([unit], TaskFault(f"injected fault in {unit.uid}"))
@@ -258,7 +247,6 @@ class SimExecutor:
         for i in group.units:
             del self._group_of[i]
         group.units.clear()
-        self._adjust_busy(members, -1)
         if not self.evaluate_payloads:
             group.on_done(members, None)
             return
@@ -288,7 +276,6 @@ class SimExecutor:
         event = self._faults.pop(unit._i, None)
         if event is not None:
             sim.cancel(event)
-            self._adjust_busy([unit], -1)
             return
         group = self._group_of.pop(unit._i, None)
         if group is None:
@@ -298,19 +285,12 @@ class SimExecutor:
         if not group.units:
             sim.cancel(group.event)
             group.event = None
-            self._tracer.end(group.span)
-            group.span = ""
-        if group.started:
-            self._adjust_busy([unit], -1)
 
     def shutdown(self) -> None:  # symmetry with LocalExecutor
         sim = self.context.sim
         for event in self._faults.values():
             sim.cancel(event)
         self._faults.clear()
-        groups = {id(g): g for g in self._group_of.values()}.values()
-        for group in groups:
+        for group in {id(g): g for g in self._group_of.values()}.values():
             sim.cancel(group.event)
         self._group_of.clear()
-        for _, span in sorted((g.ref, g.span) for g in groups if g.span):
-            self._tracer.end(span)

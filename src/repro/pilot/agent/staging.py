@@ -10,6 +10,10 @@ may use placeholders:
 
 The local stager really links/copies files; the simulated stager charges
 modelled transfer time against the platform's shared-filesystem model.
+Neither opens spans: a staging phase is the interval of the unit's
+``AGENT_STAGING_INPUT``/``AGENT_STAGING_OUTPUT`` state, and
+:class:`~repro.telemetry.span.SpanBuilder` derives the ``agent.stage_in``
+and ``agent.stage_out`` spans from the state events.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.exceptions import StagingError
 from repro.pilot.description import StagingDirective
-from repro.telemetry.span import Tracer
 from repro.utils.logger import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,10 +57,9 @@ def resolve_placeholders(path: str, pilot_sandbox: Path, unit_sandboxes: dict[st
 class LocalStager:
     """Real file operations between real sandboxes."""
 
-    def __init__(self, pilot_sandbox: Path, tracer: Tracer | None = None) -> None:
+    def __init__(self, pilot_sandbox: Path) -> None:
         self.pilot_sandbox = pilot_sandbox
         self.unit_sandboxes: dict[str, Path] = {}
-        self._tracer = tracer or Tracer(None)
 
     def register_unit(self, unit: "ComputeUnit") -> Path:
         """Create (and remember) the unit's sandbox directory."""
@@ -89,7 +91,7 @@ class LocalStager:
             else:
                 shutil.copy2(source, target)
 
-    def _stage(self, name: str, units: list["ComputeUnit"], inbound: bool,
+    def _stage(self, units: list["ComputeUnit"], inbound: bool,
                done: StagedCallback) -> None:
         for unit in units:
             sandbox = self.unit_sandboxes[unit.uid]
@@ -99,36 +101,34 @@ class LocalStager:
             else:
                 directives = unit.description.output_staging
                 src_base, dst_base = sandbox, self.pilot_sandbox
-            with self._tracer.span(name, unit.uid, n=len(directives)):
-                for directive in directives:
-                    self._apply(directive, src_base, dst_base)
+            for directive in directives:
+                self._apply(directive, src_base, dst_base)
         done(units)
 
     def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage("agent.stage_in", [unit], True, lambda _: done())
+        self._stage([unit], True, lambda _: done())
 
     def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage("agent.stage_out", [unit], False, lambda _: done())
+        self._stage([unit], False, lambda _: done())
 
     def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage("agent.stage_in", units, True, done)
+        self._stage(units, True, done)
 
     def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage("agent.stage_out", units, False, done)
+        self._stage(units, False, done)
 
 
 class SimStager:
     """Charge modelled transfer time on the virtual clock.
 
-    Each call schedules one span and one DES event per *cost group* of
-    its units; for a batch of one that is one per unit, and the common
-    bulk case — no staging directives anywhere — is a single zero-cost
-    event for the whole batch.
+    Each call schedules one DES event per *cost group* of its units; for
+    a batch of one that is one per unit, and the common bulk case — no
+    staging directives anywhere — is a single zero-cost event for the
+    whole batch.
     """
 
-    def __init__(self, context: "SimContext", tracer: Tracer | None = None) -> None:
+    def __init__(self, context: "SimContext") -> None:
         self.context = context
-        self._tracer = tracer or Tracer(None)
 
     def register_unit(self, unit: "ComputeUnit") -> None:
         # Sandboxes are notional under simulation: only units that stage
@@ -146,34 +146,27 @@ class SimStager:
             total += fs.transfer_time(directive.nbytes)
         return total
 
-    def _stage(self, name: str, units: list["ComputeUnit"], attr: str,
+    def _stage(self, kind: str, units: list["ComputeUnit"], attr: str,
                done: StagedCallback) -> None:
         groups: dict[float, list["ComputeUnit"]] = {}
         for unit in units:
             directives = getattr(unit.description, attr)
             cost = self._cost(directives) if directives else 0.0
             groups.setdefault(cost, []).append(unit)
-        kind = name.partition(".")[2]
         for cost, group in groups.items():
-            span = self._tracer.begin(name, group[0].uid)
             self.context.sim.schedule(
-                cost, functools.partial(self._staged, span, group, done),
+                cost, functools.partial(done, group),
                 label=f"{kind}*{len(group)}:{group[0].uid}",
             )
 
-    def _staged(self, span: str, units: list["ComputeUnit"],
-                done: StagedCallback) -> None:
-        self._tracer.end(span)
-        done(units)
-
     def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage("agent.stage_in", [unit], "input_staging", lambda _: done())
+        self._stage("stage_in", [unit], "input_staging", lambda _: done())
 
     def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage("agent.stage_out", [unit], "output_staging", lambda _: done())
+        self._stage("stage_out", [unit], "output_staging", lambda _: done())
 
     def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage("agent.stage_in", units, "input_staging", done)
+        self._stage("stage_in", units, "input_staging", done)
 
     def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage("agent.stage_out", units, "output_staging", done)
+        self._stage("stage_out", units, "output_staging", done)

@@ -123,16 +123,19 @@ class UnitManager:
 
     # -- fault recovery ----------------------------------------------------------
 
-    def _on_unit_killed(self, unit: ComputeUnit, exc: BaseException) -> None:
+    def _on_unit_killed(
+        self, unit: ComputeUnit, exc: BaseException, **fields: Any
+    ) -> None:
         """A node or pilot death took the unit down mid-flight.
 
         The session retry policy decides between another attempt (back
         through UMGR_SCHEDULING, with exponential backoff charged as extra
-        forwarding delay) and surfacing a terminal FAILED.
+        forwarding delay) and surfacing a terminal FAILED.  *fields* (what
+        the unit released on its pilot) ride on that state event.
         """
         policy = self.session.retry_policy
         if policy is None or not policy.should_retry(unit.attempts):
-            self._fail_unit(unit, exc)
+            self._fail_unit(unit, exc, **fields)
             return
         pilot = self._pick_retry_pilot(unit)
         if pilot is None:
@@ -142,9 +145,12 @@ class UnitManager:
                     f"unit {unit.uid} has no pilot left with enough "
                     f"non-excluded cores"
                 ),
+                **fields,
             )
             return
-        self.session.unit_store.advance_many([unit], UnitState.UMGR_SCHEDULING)
+        self.session.unit_store.advance_many(
+            [unit], UnitState.UMGR_SCHEDULING, **fields
+        )
         delay = 0.0
         if self.session.is_simulated:
             rng = None
@@ -178,9 +184,11 @@ class UnitManager:
             return pilot
         return None
 
-    def _fail_unit(self, unit: ComputeUnit, exc: BaseException) -> None:
+    def _fail_unit(
+        self, unit: ComputeUnit, exc: BaseException, **fields: Any
+    ) -> None:
         unit.exception = exc
-        self.session.unit_store.advance_many([unit], UnitState.FAILED)
+        self.session.unit_store.advance_many([unit], UnitState.FAILED, **fields)
         with self._all_done:
             self._all_done.notify_all()
 

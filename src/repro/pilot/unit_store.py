@@ -365,11 +365,20 @@ class UnitStore:
         """One unit's transition (an adapter for callers holding one unit)."""
         self._advance([unit], target)
 
-    def advance_many(self, units: list["ComputeUnit"], target: UnitState) -> None:
-        """Move *units* to *target* (the lifecycle's one transition call)."""
-        self._advance(units, target)
+    def advance_many(
+        self, units: list["ComputeUnit"], target: UnitState, **fields: Any
+    ) -> None:
+        """Move *units* to *target* (the lifecycle's one transition call).
 
-    def _advance(self, units: list["ComputeUnit"], target: UnitState) -> None:
+        *fields* ride on the state event; the agent layer passes the
+        ``pilot`` and ``cores`` its gauges are derived from (see
+        ``MetricsRegistry.from_events``)."""
+        self._advance(units, target, fields)
+
+    def _advance(
+        self, units: list["ComputeUnit"], target: UnitState,
+        fields: dict[str, Any] | None = None,
+    ) -> None:
         """Transition body, per homogeneous (same current state) group:
         validate and stamp → one :meth:`emit` → callbacks per unit →
         final-event set.  For a batch of one this is the historical
@@ -401,7 +410,8 @@ class UnitStore:
                 for i in rows:
                     self._state[i] = code
                     column[i] = now
-            self.emit("state", rows, state=target.value, prev=previous.value)
+            self.emit("state", rows, state=target.value, prev=previous.value,
+                      **(fields or {}))
             if final:
                 for unit in group:
                     for cb in self.callbacks(unit._i):

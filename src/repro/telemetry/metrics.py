@@ -14,14 +14,28 @@ keeps O(1) running aggregates per series (count, min, max, sum, last),
 and every point read goes through :meth:`MetricsRegistry.from_events`,
 which rebuilds resident series from a trace or a spool file.
 
-``from_events`` also derives the ``units.<STATE>`` gauges (units
-currently in each lifecycle state) from the lifecycle events instead
-of reading recorded points: ``+n`` to ``units.NEW`` per
-``unit_new``/``units_new`` event, and ``-n`` to ``units.<prev>``,
-``+n`` to ``units.<state>`` per ``unit_state``/``units_state`` event
-(``n`` is 1 for per-unit events), folded in time order.  It does so
-only when every state event carries ``prev``, so a trace written
-before state events carried ``prev`` reads exactly as it was recorded.
+``from_events`` also derives gauges from the lifecycle events instead
+of reading recorded points, folded in time order (``n`` is 1 for
+per-unit events; no batch event is ever decoded per uid):
+
+* ``units.<STATE>`` (units currently in each lifecycle state): ``+n``
+  to ``units.NEW`` per ``unit_new``/``units_new`` event, and ``-n`` to
+  ``units.<prev>``, ``+n`` to ``units.<state>`` per
+  ``unit_state``/``units_state`` event.  Only when every state event
+  carries ``prev``, so a trace written before state events carried
+  ``prev`` reads exactly as it was recorded.
+* ``agent.<pilot>.queue_depth``, ``cores_held`` and ``cores_busy``
+  from the events that carry ``pilot``: a ``unit_slots``/``units_slots``
+  event moves ``n`` units out of the queue and holds ``slots`` cores; a
+  state event entering ``AGENT_SCHEDULING`` queues ``n`` units, one
+  entering ``EXECUTING`` makes its ``cores`` busy, one leaving
+  ``EXECUTING`` releases its ``cores`` (busy and held), and any other
+  one leaving ``AGENT_SCHEDULING`` releases its ``cores`` if it
+  carries them (a unit killed while launching), else leaves the queue.
+
+A gauge is derived only when the trace has no recorded points of that
+name, so a trace from before the agent stopped recording its gauges
+reads as recorded.
 
 No pilot-layer imports here (the session imports us).
 """
@@ -186,14 +200,16 @@ class MetricsRegistry:
 
         Accepts live profile events or dicts parsed from a JSONL dump
         (including spool files).  Recorded ``metric`` events become
-        series in trace order; the ``units.<STATE>`` gauges are derived
-        from lifecycle events (see the module docstring).  The returned
+        series in trace order; the ``units.<STATE>`` and
+        ``agent.<pilot>.*`` gauges are derived from lifecycle events
+        (see the module docstring).  The returned
         registry's clock is frozen (recording into it stamps time 0.0);
         it is meant for querying only.
         """
         registry = cls(lambda: 0.0)
         recorded = registry._series
         moves: list[tuple[float, str, int]] = []  # (time, gauge, delta)
+        agent_moves: list[tuple[float, str, int]] = []
         derivable = True
         for event in events:
             if isinstance(event, Mapping):
@@ -214,17 +230,57 @@ class MetricsRegistry:
                 moves.append((time, "units.NEW", int(attrs.get("n", 1))))
             elif name == "unit_state" or name == "units_state":
                 n = int(attrs.get("n", 1))
-                derivable = derivable and "prev" in attrs
-                moves.append((time, f"units.{attrs.get('prev')}", -n))
-                moves.append((time, f"units.{attrs.get('state')}", n))
-        if not derivable:
-            return registry
-        gauges: dict[str, MetricSeries] = {}
-        moves.sort(key=itemgetter(0))  # stable: ties keep trace order
-        for time, name, delta in moves:
-            series = gauges.get(name)
-            if series is None:
-                series = gauges[name] = MetricSeries(name=name, kind="gauge")
-            series._push(time, series.last + delta)
-        recorded.update(gauges)
+                prev, state = attrs.get("prev"), attrs.get("state")
+                derivable = derivable and prev is not None
+                moves.append((time, f"units.{prev}", -n))
+                moves.append((time, f"units.{state}", n))
+                pilot = attrs.get("pilot")
+                if pilot is not None:
+                    _agent_moves(agent_moves, time, f"agent.{pilot}.", n,
+                                 prev, state, attrs.get("cores"))
+            elif name == "unit_slots" or name == "units_slots":
+                gauge = f"agent.{attrs.get('pilot')}."
+                agent_moves.append(
+                    (time, gauge + "queue_depth", -int(attrs.get("n", 1)))
+                )
+                agent_moves.append(
+                    (time, gauge + "cores_held", int(attrs.get("slots", 0)))
+                )
+        derived = _fold(agent_moves)
+        if derivable:
+            derived.update(_fold(moves))
+        for name, series in derived.items():
+            recorded.setdefault(name, series)
         return registry
+
+
+def _agent_moves(
+    moves: list[tuple[float, str, int]], time: float, gauge: str, n: int,
+    prev: Any, state: Any, cores: Any,
+) -> None:
+    """Append the agent-gauge moves of one state event that carries
+    ``pilot`` (*gauge* is the ``agent.<pilot>.`` prefix)."""
+    if state == "AGENT_SCHEDULING":
+        moves.append((time, gauge + "queue_depth", n))
+    elif state == "EXECUTING":
+        moves.append((time, gauge + "cores_busy", int(cores)))
+    elif prev == "EXECUTING":
+        moves.append((time, gauge + "cores_busy", -int(cores)))
+        moves.append((time, gauge + "cores_held", -int(cores)))
+    elif prev == "AGENT_SCHEDULING":
+        if cores is None:
+            moves.append((time, gauge + "queue_depth", -n))
+        else:
+            moves.append((time, gauge + "cores_held", -int(cores)))
+
+
+def _fold(moves: list[tuple[float, str, int]]) -> dict[str, MetricSeries]:
+    """Fold (time, gauge, delta) moves into gauge series, in time order."""
+    gauges: dict[str, MetricSeries] = {}
+    moves.sort(key=itemgetter(0))  # stable: ties keep trace order
+    for time, name, delta in moves:
+        series = gauges.get(name)
+        if series is None:
+            series = gauges[name] = MetricSeries(name=name, kind="gauge")
+        series._push(time, series.last + delta)
+    return gauges

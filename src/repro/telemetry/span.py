@@ -8,10 +8,20 @@ parent span and free-form attributes.  Two sources produce spans:
   flat profiler trace: the paired ``entk_*`` client events, the pilot
   lifecycle events, and each unit's ``unit_state`` sequence (every
   interval between consecutive state entries becomes one
-  ``unit:<STATE>`` phase span);
+  ``unit:<STATE>`` phase span).  The agent's phases are derived from
+  the same sequence: ``agent.stage_in`` and ``agent.stage_out`` span
+  the ``AGENT_STAGING_INPUT`` and ``AGENT_STAGING_OUTPUT`` states, and
+  ``exec.launch`` spans from the unit's ``unit_slots`` event to its next
+  state (``EXECUTING``, unless the unit is killed while launching);
 * **explicit** — :class:`Tracer` emits ``span_open``/``span_close``
   event pairs from instrumented code (``with tracer.span(...)``), with
-  causal parenthood tracked on a per-thread stack.
+  causal parenthood tracked on a per-thread stack.  Only work that no
+  lifecycle event brackets is traced this way: ``driver.submit``,
+  ``umgr.submit``, ``pmgr.submit`` and the local ``exec.payload``.
+
+A trace written while the agent still recorded its phase spans (any
+explicit span named like a derived phase) is read as recorded: no phase
+span is derived from it.
 
 The builder accepts events in any order (it sorts by timestamp, stably)
 and from either live :class:`~repro.pilot.profiler.ProfileEvent` objects
@@ -41,6 +51,14 @@ _CORE_SPAN_NAMES = frozenset({"entk_init", "entk_alloc", "entk_cancel"})
 _PATTERN_SPAN_NAMES = frozenset({"entk_stage_create", "entk_pattern_overhead"})
 #: The one span name booked as application execution.
 _EXEC_SPAN_NAME = "unit:EXECUTING"
+#: Agent phase spans derived from unit state intervals: the state a
+#: staging phase spans, by span name.
+_STAGING_PHASES = {
+    "AGENT_STAGING_INPUT": "agent.stage_in",
+    "AGENT_STAGING_OUTPUT": "agent.stage_out",
+}
+_LAUNCH_SPAN_NAME = "exec.launch"
+_PHASE_SPAN_NAMES = frozenset({*_STAGING_PHASES.values(), _LAUNCH_SPAN_NAME})
 
 
 @dataclass(slots=True)
@@ -416,16 +434,17 @@ class SpanBuilder:
         # Per unit: creation time + pattern attribution from unit_new,
         # then the timestamped state sequence.
         created: dict[str, tuple[float, str]] = {}
-        states: dict[str, list[tuple[float, str]]] = {}
-        for ev in trace.select("unit_new", "unit_state"):
-            if ev.name == "unit_new":
-                created.setdefault(
-                    ev.uid, (ev.time, str(ev.attrs.get("pattern", "")))
-                )
-            elif ev.name == "unit_state":
-                states.setdefault(ev.uid, []).append(
-                    (ev.time, str(ev.attrs.get("state", "")))
-                )
+        for ev in trace.events("unit_new"):
+            created.setdefault(
+                ev.uid, (ev.time, str(ev.attrs.get("pattern", "")))
+            )
+        phases = not any(
+            ev.attrs.get("span") in _PHASE_SPAN_NAMES
+            for ev in trace.events("span_open")
+        )
+        states, launches = self._lifecycles(
+            trace, "unit_state", "unit_slots", t_trace_end
+        )
         for uid in sorted(set(created) | set(states)):
             t_created, pattern_uid = created.get(uid, (None, ""))
             seq = states.get(uid, [])
@@ -442,6 +461,74 @@ class SpanBuilder:
                 spans[key] = Span(key, f"unit:{state}", t_phase,
                                   seq[i + 1][0], parent=container.uid,
                                   ref=uid)
+            if phases:
+                self._phase_spans(spans, container.uid, uid, seq,
+                                  launches.get(uid, ()), t_trace_end)
+        if not phases:
+            return
+        # A batch event names only its first unit, so a batch's phases are
+        # keyed by that uid and hang off the root.  A launch is derived
+        # only when that uid's next state is EXECUTING: a pass whose units
+        # start in several launch groups, or whose first unit is killed
+        # while launching, names no other group's start.
+        states, launches = self._lifecycles(
+            trace, "units_state", "units_slots", t_trace_end, batch=True
+        )
+        for uid in sorted(states):
+            self._phase_spans(spans, root.uid, uid, states[uid],
+                              launches.get(uid, ()), t_trace_end)
+
+    @staticmethod
+    def _lifecycles(
+        trace: TraceIndex, state_name: str, slots_name: str,
+        t_trace_end: float, batch: bool = False,
+    ) -> tuple[dict[str, list[tuple[float, str]]],
+               dict[str, list[tuple[float, float]]]]:
+        """Per uid: the (time, state) sequence of its *state_name* events,
+        and its launch intervals, each from a *slots_name* event to the
+        uid's next state event (or the end of the trace; for *batch*
+        events, only to an ``EXECUTING`` one)."""
+        states: dict[str, list[tuple[float, str]]] = {}
+        launching: dict[str, float] = {}
+        launches: dict[str, list[tuple[float, float]]] = {}
+        for ev in trace.select(state_name, slots_name):
+            if ev.name == slots_name:
+                launching[ev.uid] = ev.time
+                continue
+            states.setdefault(ev.uid, []).append(
+                (ev.time, str(ev.attrs.get("state", "")))
+            )
+            t_launch = launching.pop(ev.uid, None)
+            if t_launch is not None and (
+                not batch or ev.attrs.get("state") == "EXECUTING"
+            ):
+                launches.setdefault(ev.uid, []).append((t_launch, ev.time))
+        for uid, t_launch in launching.items():
+            launches.setdefault(uid, []).append((t_launch, t_trace_end))
+        return states, launches
+
+    @staticmethod
+    def _phase_spans(
+        spans: dict[str, Span], parent: str, uid: str,
+        seq: list[tuple[float, str]], launches: Iterable[tuple[float, float]],
+        t_trace_end: float,
+    ) -> None:
+        """The agent's phase spans of *uid*, derived from its state
+        sequence and launch intervals; a phase still open when the trace
+        ends lasts until then."""
+        intervals = [
+            (_STAGING_PHASES[state], t_phase,
+             seq[i + 1][0] if i + 1 < len(seq) else t_trace_end)
+            for i, (t_phase, state) in enumerate(seq)
+            if state in _STAGING_PHASES
+        ]
+        intervals.extend((_LAUNCH_SPAN_NAME, t0, t1) for t0, t1 in launches)
+        counts: dict[str, int] = {}
+        for name, t0, t1 in intervals:
+            i = counts.get(name, 0)
+            counts[name] = i + 1
+            key = f"{name}:{uid}:{i}"
+            spans[key] = Span(key, name, t0, t1, parent=parent, ref=uid)
 
     def _explicit_spans(
         self, trace: TraceIndex, spans: dict[str, Span], root: Span,

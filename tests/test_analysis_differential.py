@@ -11,7 +11,9 @@ critical path and the Chrome export whose hashes the determinism tests
 pin.  The implementations they replaced are kept here, verbatim in
 behavior, as the executable specification, and both are run on real
 traces: EoP, SAL and bag-of-tasks patterns, fault-free and with node,
-pilot and task faults, with resident and spooled traces.
+pilot and task faults, with resident and spooled traces.  The reference
+builder also derives the agent's phase spans (stage-in, launch,
+stage-out) from the state intervals, as a full scan per unit.
 """
 
 from __future__ import annotations
@@ -156,6 +158,11 @@ def _ref_breakdown_from_profile(prof, pattern) -> OverheadBreakdown:
     )
 
 
+_REF_STAGING = {"AGENT_STAGING_INPUT": "agent.stage_in",
+                "AGENT_STAGING_OUTPUT": "agent.stage_out"}
+_REF_PHASES = {*_REF_STAGING.values(), "exec.launch"}
+
+
 class _ReferenceSpanBuilder(SpanBuilder):
     """The span builder with its full-trace scan per derivation pass."""
 
@@ -279,6 +286,10 @@ class _ReferenceSpanBuilder(SpanBuilder):
             )
 
     def _ref_unit_spans(self, events, spans, root, t_trace_end):
+        phases = not any(
+            ev.name == "span_open" and ev.attrs.get("span") in _REF_PHASES
+            for ev in events
+        )
         created: dict[str, tuple[float, str]] = {}
         states: dict[str, list[tuple[float, str]]] = {}
         for ev in events:
@@ -306,6 +317,44 @@ class _ReferenceSpanBuilder(SpanBuilder):
                 spans[key] = Span(key, f"unit:{state}", t_phase,
                                   seq[i + 1][0], parent=container.uid,
                                   ref=uid)
+            if phases:
+                self._ref_phase_spans(events, spans, uid, container.uid,
+                                      "unit_state", "unit_slots", t_trace_end)
+        if phases:
+            leaders = sorted({ev.uid for ev in events
+                              if ev.name == "units_state"})
+            for uid in leaders:
+                self._ref_phase_spans(events, spans, uid, root.uid,
+                                      "units_state", "units_slots",
+                                      t_trace_end)
+
+    @staticmethod
+    def _ref_phase_spans(events, spans, uid, parent, state_name, slots_name,
+                         t_trace_end):
+        mine = [ev for ev in events
+                if ev.uid == uid and ev.name in (state_name, slots_name)]
+
+        def next_state(i):
+            return next((ev for ev in mine[i + 1:] if ev.name == state_name),
+                        None)
+
+        staging, launches = [], []
+        for i, ev in enumerate(mine):
+            after = next_state(i)
+            t_end = after.time if after is not None else t_trace_end
+            if ev.name == state_name:
+                name = _REF_STAGING.get(ev.attrs.get("state"))
+                if name is not None:
+                    staging.append((name, ev.time, t_end))
+            elif (after is None or state_name == "unit_state"
+                  or after.attrs.get("state") == "EXECUTING"):
+                launches.append(("exec.launch", ev.time, t_end))
+        counts: dict[str, int] = {}
+        for name, t0, t1 in staging + launches:
+            i = counts.get(name, 0)
+            counts[name] = i + 1
+            key = f"{name}:{uid}:{i}"
+            spans[key] = Span(key, name, t0, t1, parent=parent, ref=uid)
 
     def _ref_explicit_spans(self, events, spans, root, t_trace_end):
         opened: dict[str, Span] = {}

@@ -159,8 +159,15 @@ class TestMetricsOnRealRuns:
         assert "units.NEW" in names
         assert "units.DONE" in names
         assert registry.series("units.DONE").last == 32.0
-        assert any(name.endswith(".queue_depth") for name in names)
-        assert any(name.endswith(".cores_busy") for name in names)
+        pilots = {ev.uid for ev in profile if ev.name == "agent_start"}
+        assert len(pilots) == 1
+        (pilot,) = pilots
+        for gauge in ("queue_depth", "cores_held", "cores_busy"):
+            series = registry.series(f"agent.{pilot}.{gauge}")
+            assert series.count and series.last == 0.0, gauge
+        assert registry.series(f"agent.{pilot}.cores_busy").vmax == 16.0
+        assert not any(ev.name == "metric" and ev.uid.startswith("agent.")
+                       for ev in profile)
         assert "pilot.queue_wait" in names
 
     def test_units_done_counts_up_to_ensemble_size(self, eop_run):

@@ -59,10 +59,10 @@ class _RecordedGauges:
                 self._metrics(store).adjust("units.NEW", len(rows))
             return rows
 
-        def wrapped_advance(store, units, target):
+        def wrapped_advance(store, units, target, *fields):
             self._before.append({u._i: store.state(u._i) for u in units})
             try:
-                advance(store, units, target)
+                advance(store, units, target, *fields)
             finally:
                 self._before.pop()
 
