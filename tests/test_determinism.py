@@ -216,19 +216,25 @@ class TestGoldenTraceHashes:
     that claims to be behavior-preserving.  If a PR changes them on
     purpose (a genuine semantic change to scheduling or tracing), it
     must say so and re-pin.
+
+    Last re-pinned when the agent stopped recording its gauges and
+    phase spans: the exports now carry the derived ones, with new span
+    uids and without the zero-length ``agent.schedule``/``agent.submit``
+    spans.  ``tests/test_agent_telemetry.py`` checks that each pinned
+    run implies what it recorded before.
     """
 
     GOLDEN = {
         "eop_plain_seed7":
-            "c0cd596b7bd02e5d72b02a74070e837c2c8914feb19349a662bdff450120688f",
+            "5cc77249bae99624bdc882ebe998017bfd627de764a3738e31a77d345d4717ba",
         "eop_faults_seed7":
-            "430cdc69a93faae35b57bf9994dfe47009d14b5f8e1f118528758712203e776a",
+            "ec0f3f35208e24fd47a14027e26ea506f9930d97f030385b7496a5850b7835f4",
         "ee_faults_seed3":
-            "1e3eca2779e8ebf2201ea95b8b7f7fb6cf1066b99e850f0caf730d500c7a8b2f",
+            "f6cfad48542326501cd7b5495bcc75e228f507c4ec92b9b1bb2f45bfdefc0bfa",
         "bag_task_node_faults_seed11":
-            "59576605cc611f1fafef1b386fa985fc273163456bf33ded972e856ba4c9efd8",
+            "0d4df2b668f3feeef28773e0ab31455a3cd4c0370a759bc0677ce39fe833817d",
         "wide_bag_exclusion_seed1":
-            "1f8f2de786a26fa4e019027356cd09533b738faa3c64f11e23d60ab9e8b49415",
+            "7e026f2865e982ec74e979d0078b91df6b17053e8999a1df7986abe1cda5f5d0",
     }
 
     @staticmethod
@@ -294,11 +300,11 @@ class TestGoldenTraceHashesBatched:
 
     GOLDEN = {
         "eop_bulk_node_faults_seed7":
-            "1d8b074ebdd75f03d2019269d0356914acd6218a0f585dd554c94daf9cdcbc5d",
+            "51150228d650bc91ffc446a1b744d78edc3f55e159251dc833b028b673aad820",
         "bag_bulk_task_faults_seed11":
-            "6c153c75d11f3fca186f4fb2580d6957fef5e485ebebe729e1820b79a0e4a482",
+            "7756d9b979fe759718ed4ee854ebe5b39aeb5ff095ea85f6312d62e5ccb5efcf",
         "bag_bulk_pilot_faults_seed0":
-            "2a258e01fca36c030e253839a79711e5950e87f95c7210fb025e2ebcffb83cdd",
+            "079e4f70e35e0924bb8924a2b38aba9b514ac01c53c17345a4e61052ca48d79f",
     }
 
     CASES = {
