@@ -32,6 +32,7 @@ from repro.telemetry.sink import (
     ProfileEvent,
     TraceIndex,
     TraceQueries,
+    encode_row,
 )
 
 __all__ = ["ProfileEvent", "Profiler"]
@@ -124,7 +125,6 @@ class Profiler(TraceQueries):
         event count.  The format matches what RADICAL-Analytics-style
         post-processing expects: ``{"time", "name", "uid", **attrs}`` —
         and is byte-identical to a :class:`SpoolSink`'s spool file."""
-        import json
         from pathlib import Path
 
         path = Path(path)
@@ -132,7 +132,7 @@ class Profiler(TraceQueries):
             snapshot = self._sink.events()
         with path.open("w") as stream:
             for ev in snapshot:
-                stream.write(json.dumps(ev.row(), default=str) + "\n")
+                stream.write(encode_row(ev.row()) + "\n")
         return len(snapshot)
 
     def close(self) -> None:

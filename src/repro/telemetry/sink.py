@@ -50,12 +50,18 @@ __all__ = [
     "SpoolSink",
     "TraceIndex",
     "TraceQueries",
+    "encode_row",
     "read_events",
 ]
 
 #: Spool lines decoded per ``json.loads`` call; bounds the memory a read
 #: needs on top of the revived events.
 _BLOCK_LINES = 1024
+
+#: One trace row as JSON: the bytes of ``json.dumps(row, default=str)``
+#: from one shared encoder, where ``json.dumps`` builds an encoder per
+#: call.  Spool files and ``Profiler.write_jsonl`` both write with it.
+encode_row = json.JSONEncoder(default=str).encode
 
 
 @dataclass(slots=True)
@@ -295,7 +301,7 @@ class SpoolSink(EventSink):
             # append mode so the history survives.
             self._stream = self.path.open("a" if self._opened else "w")
             self._opened = True
-        self._stream.write(json.dumps(ev.row(), default=str) + "\n")
+        self._stream.write(encode_row(ev.row()) + "\n")
         self._ring.append(ev)
         self._count += 1
 

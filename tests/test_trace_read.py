@@ -46,6 +46,13 @@ def _lines(path):
     return path.read_text().splitlines(keepends=True)
 
 
+def _unencodable():
+    """A value JSON cannot encode, written through ``default=str``."""
+    from pathlib import PurePosixPath
+
+    return PurePosixPath("/sim/unit.000001")
+
+
 class TestReadEvents:
     def test_multi_block_spool_reads_back_exactly(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -115,6 +122,14 @@ class TestReadEvents:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=":4: bad JSONL"):
             read_events(path)
+
+    def test_encoder_writes_json_dumps_bytes(self):
+        rows = [ev.row() for ev in _events(40)] + [
+            {"time": 1e-7, "name": "x", "uid": "", "path": _unencodable(),
+             "ratio": float("nan"), "text": "\u00e9\n\"", "n": None},
+        ]
+        for row in rows:
+            assert sink_module.encode_row(row) == json.dumps(row, default=str)
 
     def test_spool_sink_reads_through_the_reader(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -227,6 +242,27 @@ class _FaultedBag(BagOfTasks):
 
     def task(self, instance):
         return _sleep(100)
+
+
+def test_spool_file_is_write_jsonl_of_the_same_profiler(tmp_path):
+    """Both writers encode each row with ``sink.encode_row``."""
+    reset_id_counters()
+    handle = ResourceHandle(
+        "xsede.comet", cores=32, walltime=600, mode="sim", seed=11,
+        fault_rate=0.2, node_mtbf=120.0, node_repair_time=120.0,
+        retry_policy=_FaultedBag.retry_policy, spool_dir=tmp_path / "spool",
+    )
+    handle.allocate()
+    try:
+        handle.run(_FaultedBag(size=48))
+    finally:
+        handle.deallocate()
+    assert {"task_fault", "unit_node_kill"} <= {
+        ev.name for ev in handle.profile
+    }
+    dump = tmp_path / "dump.jsonl"
+    assert handle.profile.write_jsonl(dump) == len(handle.profile)
+    assert dump.read_bytes() == handle.session.spool_path.read_bytes()
 
 
 class TestOneReadPerAnalysis:
