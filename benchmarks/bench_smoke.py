@@ -18,7 +18,9 @@ the pilot state model, the batch queue and the pattern layer.
 
 ``--spool DIR`` additionally reruns the EoP case with the trace streamed
 to an NDJSON spool file in DIR (kept as a CI artifact) and gates that the
-spooled run's virtual outcome is identical.
+spooled run's virtual outcome is identical, and that its per-unit spool
+holds at most ``MAX_EVENTS_PER_UNIT`` events per unit (a unit's lifecycle
+is in the trace once; gauges and phase spans are derived on read).
 
 ``sched_pressure_faults`` reruns the contended mixed-width case under
 node faults with a retry policy that excludes failed nodes, so the
@@ -45,6 +47,9 @@ import tracemalloc
 from pathlib import Path
 
 from repro.utils.ids import reset_id_counters
+
+#: Trace events per unit the spooled per-unit EoP case may write.
+MAX_EVENTS_PER_UNIT = 10
 
 
 def bench_des_event_throughput() -> tuple[dict, float]:
@@ -292,15 +297,26 @@ def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
             f"pattern_eop_spooled: sim_ttc_s {sim_ttc!r} != resident run "
             f"{expected_ttc!r} (spooling must not change outcomes)"
         )
+    from repro.telemetry.sink import read_events, unit_count
+
     spools = sorted(Path(spool_dir).glob("*.trace.jsonl"))
+    events = read_events(spools[-1])
+    per_unit = len(events) / unit_count(events)
+    if per_unit > MAX_EVENTS_PER_UNIT:
+        raise AssertionError(
+            f"pattern_eop_spooled: {per_unit:.2f} trace events per unit > "
+            f"{MAX_EVENTS_PER_UNIT} (a unit fact is recorded more than once)"
+        )
     record = {
         "bench": "pattern_eop_spooled",
         "config": config,
         "wall_s": round(wall, 4),
         "sim_ttc_s": sim_ttc,
+        "events_per_unit": round(per_unit, 2),
     }
     print(f"{'pattern_eop_spooled':<28} wall {wall:8.3f} s   "
-          f"sim ttc {sim_ttc:12.3f} s   spool {spools[-1].name}")
+          f"sim ttc {sim_ttc:12.3f} s   spool {spools[-1].name}   "
+          f"{per_unit:.2f} events/unit")
     return record
 
 

@@ -3,7 +3,9 @@
 Operates on the files written by ``Profiler.write_jsonl`` (and the
 harness's ``--trace-out``).  Subcommands:
 
-``summarize PATH``       event/span/metric overview of one trace
+``summarize PATH``       event/span/metric overview of one trace: events
+                         per unit, spans by name, each metric series
+                         marked ``recorded`` or ``derived``
 ``export PATH -o OUT``   render Chrome trace-event JSON for Perfetto
 ``critical-path PATH``   the blocking-activity tiling of the TTC window
 
@@ -22,7 +24,7 @@ from pathlib import Path
 from repro.telemetry.analysis import critical_path
 from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.sink import ProfileEvent, read_events
+from repro.telemetry.sink import ProfileEvent, read_events, unit_count
 from repro.telemetry.span import SpanBuilder, component_of
 
 __all__ = ["add_trace_arguments", "run_trace"]
@@ -75,8 +77,11 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     events = _load(args.trace)
     tree = SpanBuilder().add_events(events).build()
 
+    units = unit_count(events)
     print(f"trace    : {args.trace}")
     print(f"events   : {len(events)}")
+    if units:
+        print(f"units    : {units} ({len(events) / units:.2f} events/unit)")
     print(f"spans    : {len(tree)}")
     print(f"window   : [{tree.root.t_start:.3f}, {tree.root.t_end:.3f}] s "
           f"({tree.root.duration:.3f} s)")
@@ -95,6 +100,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     registry = MetricsRegistry.from_events(events)
     names = registry.names()
     if names:
+        print("\nmetric series (source):")
+        for name in names:
+            source = "derived" if registry.series(name).derived else "recorded"
+            print(f"  {name:<32} {source}")
         print("\nmetrics (points, min, max, mean of recorded values):")
         for name in names:
             stats = registry.series(name).stats()

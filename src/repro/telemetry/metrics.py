@@ -61,6 +61,9 @@ class MetricSeries:
     points: list[tuple[float, float]] = field(default_factory=list)
     #: Whether :attr:`points` is populated; aggregates are always kept.
     resident: bool = True
+    #: Whether :meth:`MetricsRegistry.from_events` derived the series
+    #: from lifecycle events instead of reading recorded points.
+    derived: bool = False
     count: int = 0
     vmin: float = 0.0
     vmax: float = 0.0
@@ -281,6 +284,7 @@ def _fold(moves: list[tuple[float, str, int]]) -> dict[str, MetricSeries]:
     for time, name, delta in moves:
         series = gauges.get(name)
         if series is None:
-            series = gauges[name] = MetricSeries(name=name, kind="gauge")
+            series = gauges[name] = MetricSeries(name=name, kind="gauge",
+                                                 derived=True)
         series._push(time, series.last + delta)
     return gauges

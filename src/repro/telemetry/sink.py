@@ -52,6 +52,7 @@ __all__ = [
     "TraceQueries",
     "encode_row",
     "read_events",
+    "unit_count",
 ]
 
 #: Spool lines decoded per ``json.loads`` call; bounds the memory a read
@@ -135,6 +136,18 @@ def read_events(path: str | Path, since: int = 0) -> list[ProfileEvent]:
             stacklevel=2,
         )
     return events
+
+
+def unit_count(events: Iterable[Any]) -> int:
+    """Units a trace registers: one per ``unit_new`` event plus ``n`` per
+    ``units_new`` batch event (events duck-typed on ``name``/``attrs``)."""
+    count = 0
+    for ev in events:
+        if ev.name == "unit_new":
+            count += 1
+        elif ev.name == "units_new":
+            count += int(ev.attrs.get("n", 1))
+    return count
 
 
 class TraceQueries:

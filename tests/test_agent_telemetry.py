@@ -18,8 +18,15 @@ the phase spans from the state intervals.
   recordings gives: the same span tree, with each recorded phase span
   matched by a derived one on (name, ref, start, end); the same
   critical path, breakdown and fault summary; and each metric's value
-  at every event time.  The one intended difference is the stale
-  ``queue_depth`` after a cancel (see ``TestStaleQueueDepth``).
+  at every event time, against the gauges sampled wherever the agent's
+  queue or slots change.  The recorded gauges were sampled only by
+  scheduling passes of a started agent, so they differ from the derived
+  ones in exactly two places, both intended: after a cancel, until the
+  next pass (``TestStaleQueueDepth``), and while an agent is not
+  started, e.g. while its pilot is down after a pilot fault.  A batched
+  trace names only a batch's first unit, so it derives no launch span
+  for a launch group that unit does not lead
+  (``test_launch_groups_of_one_pass``).
 * **Trace format.**  A trace from before this change (recorded gauges,
   explicit phase spans, no ``pilot``/``cores`` on state events) reads as
   recorded: the same series, span tree and Chrome bytes as before, in
@@ -453,7 +460,7 @@ def test_golden_runs_imply_what_they_recorded(case, monkeypatch):
     assert bool(stale) == ("pilot_mtbf" in kwargs)
 
 
-# -- the one intended difference ------------------------------------------------
+# -- the stale recorded gauges --------------------------------------------------
 
 
 class TestStaleQueueDepth:

@@ -227,6 +227,25 @@ class TestTraceCliOnRealDump:
         assert main(["trace", "critical-path", str(dump)]) == 0
         assert "execution" in capsys.readouterr().out
 
+    def test_summarize_counts_events_per_unit_and_marks_sources(
+        self, dump, eop_run, capsys
+    ):
+        from repro.__main__ import main
+
+        _, profile = eop_run
+        events = list(profile)
+        units = sum(ev.name == "unit_new" for ev in events)
+        assert main(["trace", "summarize", str(dump)]) == 0
+        out = capsys.readouterr().out
+        assert (f"units    : {units} ({len(events) / units:.2f} events/unit)"
+                in out.splitlines())
+        sources = out[out.index("metric series (source):"):
+                      out.index("\nmetrics (")].splitlines()[1:]
+        sources = dict(line.split() for line in sources if line)
+        assert sources.pop("pilot.queue_wait") == "recorded"
+        assert any(name.endswith(".cores_busy") for name in sources)
+        assert set(sources.values()) == {"derived"}
+
     def test_export_matches_direct_api(self, dump, tmp_path, eop_run, capsys):
         from repro.__main__ import main
 
