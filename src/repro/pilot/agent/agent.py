@@ -226,7 +226,7 @@ class Agent:
                 f"unit {unit.uid} stranded by pilot {self.pilot.uid} dying"
             )
             unit.exception = exc
-            self._hand_back(unit, exc)
+            self._hand_back(unit, exc, pilot=self.pilot.uid)
         self.executor.shutdown()
         self.session.prof.event("agent_abort", self.pilot.uid)
 
@@ -329,13 +329,11 @@ class Agent:
         }
 
     def _hand_back(
-        self, unit: "ComputeUnit", exc: BaseException, **release: Any
+        self, unit: "ComputeUnit", exc: BaseException, **fields: Any
     ) -> None:
         """A node or pilot death took *unit* from this agent: the unit
         manager's kill hook decides its fate, else it fails in place.
-        *release* is :meth:`_release` of a placed unit (a waiting one
-        released nothing but its place in the queue)."""
-        fields = release or {"pilot": self.pilot.uid}
+        *fields* go on the unit's next state event."""
         if self._unit_killed_cb is not None:
             self._unit_killed_cb(unit, exc, **fields)
         else:

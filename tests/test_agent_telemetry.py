@@ -514,6 +514,64 @@ class TestStaleQueueDepth:
             assert derived.series(f"agent.{pilot.uid}.{gauge}").last == 0
 
 
+@pytest.mark.parametrize("granularity", ["per-unit", "batched"])
+def test_node_failure_while_launching(granularity, monkeypatch):
+    """A node dies while one unit of a launch group is still launching:
+    the state event that hands the unit back releases its held cores,
+    not a place in the queue, and the launch that finally starts is not
+    attributed to the killed unit."""
+    from repro.pilot import (
+        ComputePilotDescription,
+        ComputeUnitDescription,
+        PilotManager,
+        UnitManager,
+    )
+    from repro.pilot.retry import RetryPolicy
+
+    reference = _RecordedAgentTelemetry(monkeypatch)
+    reset_id_counters()
+    session = Session(mode="sim", platform="xsede.comet",
+                      bulk_lifecycle=granularity == "batched",
+                      retry_policy=RetryPolicy(max_attempts=3))
+    pilot = PilotManager(session).submit_pilots(ComputePilotDescription(
+        resource="xsede.comet", cores=72, runtime=600, mode="sim",
+    ))[0]
+    umgr = UnitManager(session)
+    umgr.add_pilots(pilot)
+    units = umgr.submit_units([
+        ComputeUnitDescription(executable="sleep", cores=24, mpi=True,
+                               modelled_duration=100.0)
+        for _ in range(2)
+    ])
+    agent = pilot.agent
+    while not all(u.slots for u in units):
+        session.sim.step()
+    leader = units[0]
+    agent._on_node_failure(agent.slots.node_of(leader.slots[0]))
+    assert leader.state is UnitState.UMGR_SCHEDULING
+    assert units[1].state is UnitState.AGENT_SCHEDULING
+
+    now = session.now()
+    gauge = f"agent.{pilot.uid}."
+    derived = MetricsRegistry.from_events(session.prof)
+    assert derived.series(gauge + "cores_held").value_at(now) == 24
+    assert derived.series(gauge + "queue_depth").value_at(now) == 0
+    session.run_events()
+    assert all(u.state is UnitState.DONE for u in units)
+    events = list(session.prof)
+    derived = MetricsRegistry.from_events(events)
+    recorded = MetricsRegistry.from_events(events + list(reference.sampled))
+    times = sorted({ev.time for ev in events})
+    assert metric_differences(derived, recorded, times) == []
+    derived_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
+        events).build() if s.name in PHASES)
+    recorded_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
+        events + list(reference.prof)).build() if s.name in PHASES)
+    assert not derived_phases - recorded_phases
+    if granularity == "per-unit":
+        assert derived_phases == recorded_phases
+
+
 # -- trace format -------------------------------------------------------------
 
 _PILOT = "pilot.1"
@@ -704,3 +762,10 @@ class TestTraceDiet:
         _assert_diet(events)
         assert {ev.attrs["span"] for ev in events if ev.name == "span_open"
                 and ev.attrs["ref"].startswith("unit.")} == {"exec.payload"}
+        registry = MetricsRegistry.from_events(events)
+        (pilot,) = {ev.uid for ev in events if ev.name == "agent_start"}
+        for gauge in ("queue_depth", "cores_held", "cores_busy"):
+            series = registry.series(f"agent.{pilot}.{gauge}")
+            assert series.derived and series.last == 0, gauge
+            assert 0 <= series.vmin and series.vmax <= 8, gauge
+        assert registry.series(f"agent.{pilot}.cores_busy").vmax <= 4
