@@ -29,7 +29,10 @@ scheduler's exclusion-list path is gated too.
 ``pattern_eop_bulk_faults`` runs the EoP case on two nodes under node
 faults and a retry policy with the batched lifecycle
 (``bulk_lifecycle=True``), and gates that its virtual outcome equals the
-same faulted run moved in batches of one.
+same faulted run moved in batches of one, and that its unit store holds
+no more distinct description objects than the distinct kernel
+signatures the pattern submitted plus its task retries (units of one
+signature share one description).
 
 Usage::
 
@@ -176,13 +179,13 @@ def bench_sched_pressure_faults() -> tuple[dict, float]:
     return config, ttc
 
 
-def bench_pattern_eop(
+def _run_pattern_eop(
     spool_dir: str | None = None, size: int = 16, cores: int = 16,
     **handle_kwargs,
-) -> tuple[dict, float]:
+):
+    """The EoP case; returns its config, finished handle and pattern."""
     from repro.core.kernel_plugin import Kernel
     from repro.core.patterns import EnsembleOfPipelines
-    from repro.core.profiler import breakdown_from_profile
     from repro.core.resource_handle import ResourceHandle
 
     class EoP(EnsembleOfPipelines):
@@ -206,21 +209,52 @@ def bench_pattern_eop(
         handle.run(pattern)
     finally:
         handle.deallocate()
-    breakdown = breakdown_from_profile(handle.profile, pattern)
-    return {"ensemble_size": size, "cores": cores}, breakdown.ttc
+    return {"ensemble_size": size, "cores": cores}, handle, pattern
+
+
+def bench_pattern_eop(
+    spool_dir: str | None = None, size: int = 16, cores: int = 16,
+    **handle_kwargs,
+) -> tuple[dict, float]:
+    from repro.core.profiler import breakdown_from_profile
+
+    config, handle, pattern = _run_pattern_eop(
+        spool_dir, size, cores, **handle_kwargs
+    )
+    return config, breakdown_from_profile(handle.profile, pattern).ttc
+
+
+def check_shared_descriptions(name: str, handle, pattern) -> None:
+    """Units of one kernel signature share one description object: the
+    store may hold one per distinct signature, plus one per task retry."""
+    store = handle.session.unit_store
+    held = len({id(store.shared_description(i)) for i in range(len(store))})
+    signatures = {
+        pattern.get_stage(stage, instance).signature()
+        for stage in range(1, pattern.pipeline_size + 1)
+        for instance in range(1, pattern.ensemble_size + 1)
+    }
+    retries = len(handle.profile.events("entk_task_retry"))
+    if held > len(signatures) + retries:
+        raise AssertionError(
+            f"{name}: the unit store holds {held} description objects for "
+            f"{len(signatures)} kernel signatures and {retries} task retries"
+        )
 
 
 def bench_pattern_eop_faults(bulk: bool) -> tuple[dict, float]:
     """The EoP case on two nodes that fail and get repaired, with retries."""
+    from repro.core.profiler import breakdown_from_profile
     from repro.pilot.retry import RetryPolicy
 
-    config, ttc = bench_pattern_eop(
+    config, handle, pattern = _run_pattern_eop(
         size=48, cores=48, bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
         retry_policy=RetryPolicy(max_attempts=8),
     )
+    check_shared_descriptions("pattern_eop_bulk_faults", handle, pattern)
     config.update(bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
                   max_attempts=8)
-    return config, ttc
+    return config, breakdown_from_profile(handle.profile, pattern).ttc
 
 
 CASES = [

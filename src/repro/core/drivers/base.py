@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +35,7 @@ class SubmitRequest:
 
     kernel: "Kernel"
     tags: dict[str, Any] = field(default_factory=dict)
-    placeholders: dict[str, str] = field(default_factory=dict)
+    placeholders: Mapping[str, str] = field(default_factory=dict)
 
 
 class PatternDriver(abc.ABC):
@@ -55,8 +56,8 @@ class PatternDriver(abc.ABC):
         self._flush_scheduled = False
         #: retry bookkeeping: lineage root uid -> attempts used.
         self._retries: dict[str, int] = {}
-        #: kernel signature -> snapshot of its bound description (see _bind).
-        self._bound: dict[tuple, tuple] = {}
+        #: kernel signature -> its shared bound description (see _bind).
+        self._bound: dict[tuple, ComputeUnitDescription] = {}
 
     # -- subclass contract -----------------------------------------------------------
 
@@ -144,7 +145,8 @@ class PatternDriver(abc.ABC):
             prof.event(
                 "entk_stage_create_start", self.pattern.uid, n=len(requests)
             )
-            descriptions = []
+            descriptions, tags = [], []
+            pattern = self.pattern.uid
             for request in requests:
                 kernel = request.kernel
                 kernel.link_input_data = [
@@ -155,7 +157,11 @@ class PatternDriver(abc.ABC):
                     self._resolve(entry, request.placeholders)
                     for entry in kernel.copy_input_data
                 ]
-                descriptions.append(self._bind(kernel, request.tags))
+                description = self._bind(kernel)
+                descriptions.append(description)
+                unit_tags = {**description.tags, **request.tags}
+                unit_tags.setdefault("pattern", pattern)
+                tags.append(unit_tags)
             prof.event("entk_stage_create_stop", self.pattern.uid, n=len(requests))
 
             # Under simulation, EnTK's client-side cost (task creation +
@@ -168,36 +174,33 @@ class PatternDriver(abc.ABC):
                 prof.event("entk_pattern_overhead", self.pattern.uid,
                            seconds=overhead, n=len(requests))
             units = self.umgr.submit_units(
-                descriptions, callback=self._unit_event, extra_delay=overhead
+                descriptions, callback=self._unit_event, extra_delay=overhead,
+                tags=tags,
             )
             with self._lock:
                 self.units.extend(units)
         return units
 
-    def _bind(self, kernel: "Kernel", tags: dict[str, Any]) -> ComputeUnitDescription:
+    def _bind(self, kernel: "Kernel") -> ComputeUnitDescription:
         """Bind *kernel*, once per distinct :meth:`Kernel.signature`.
 
-        The first kernel of a signature is bound and its unit takes that
-        description; the cache keeps only the description's immutable
-        :meth:`~ComputeUnitDescription.snapshot`.  Every later kernel of
-        the signature gets a copy of the snapshot that shares nothing
-        mutable, so a miss costs what ``bind`` costs.  The resource is
-        fixed for the driver's lifetime, so it is not part of the key.
+        Every kernel of a signature gets the same
+        :meth:`~ComputeUnitDescription.shareable` description object;
+        each unit's tags go to the unit store beside it (see
+        :meth:`submit`).  The resource is fixed for the driver's
+        lifetime, so it is not part of the key.
         """
         key = kernel.signature()
         try:
-            snapshot = self._bound.get(key)
+            description = self._bound.get(key)
         except TypeError:  # an unhashable value in the key: no caching
-            key = snapshot = None
-        if snapshot is not None:
-            merged = {**kernel.tags, **tags}
-            merged.setdefault("pattern", self.pattern.uid)
-            return ComputeUnitDescription.from_snapshot(snapshot, merged)
-        description = kernel.bind(self.handle.resource, self.handle.platform)
-        description.tags.update(tags)
-        description.tags.setdefault("pattern", self.pattern.uid)
-        if key is not None:
-            self._bound[key] = description.snapshot()
+            key = description = None
+        if description is None:
+            description = kernel.bind(
+                self.handle.resource, self.handle.platform
+            ).shareable()
+            if key is not None:
+                self._bound[key] = description
         return description
 
     def queue_submission(self, request: SubmitRequest, on_submitted=None) -> None:
@@ -279,9 +282,9 @@ class PatternDriver(abc.ABC):
     def _try_retry(self, unit: "ComputeUnit") -> bool:
         """Resubmit a failed unit if the pattern's retry budget allows.
 
-        The retry is a fresh compute unit with the identical description
-        (same payload, staging, tags), so the pattern's ordering logic sees
-        it exactly as it saw the original.  Drivers that keep uid-keyed
+        The retry is a fresh compute unit with the same shared description
+        and tags (plus the retry keys), so the pattern's ordering logic
+        sees it exactly as it saw the original.  Drivers that keep uid-keyed
         placeholder maps are told to rebind via :meth:`on_unit_retried`.
         The policy's exponential backoff is charged as extra delivery delay
         on the virtual clock.
@@ -289,18 +292,14 @@ class PatternDriver(abc.ABC):
         policy = self.retry_policy
         if policy is None:
             return False
-        root = unit.description.tags.get("__retry_root", unit.uid)
+        tags = unit.description.tags
+        root = tags.get("__retry_root", unit.uid)
         with self._lock:
             used = self._retries.get(root, 0)
             # attempts consumed so far = the original + `used` retries.
             if not policy.should_retry(used + 1):
                 return False
             self._retries[root] = used + 1
-        description = ComputeUnitDescription.from_snapshot(
-            unit.description.snapshot(),
-            {**unit.description.tags, "__retry_root": root,
-             "__retry_attempt": used + 1},
-        )
         delay = 0.0
         if self.session.is_simulated:
             rng = None
@@ -319,7 +318,10 @@ class PatternDriver(abc.ABC):
         # and the rebound placeholder maps.
         with self._lock:
             replacement = self.umgr.submit_units(
-                [description], callback=self._unit_event, extra_delay=delay
+                [self.session.unit_store.shared_description(unit._i)],
+                callback=self._unit_event, extra_delay=delay,
+                tags=[{**tags, "__retry_root": root,
+                       "__retry_attempt": used + 1}],
             )[0]
             self.units.append(replacement)
             self.on_unit_retried(unit, replacement)
@@ -330,21 +332,22 @@ class PatternDriver(abc.ABC):
 
     # -- unit events --------------------------------------------------------------------
 
-    def _unit_event(self, unit: "ComputeUnit", state: UnitState) -> None:
-        if not state.is_final:
-            return
-        if state is UnitState.FAILED and self._try_retry(unit):
-            return  # the retry unit carries the pattern forward
-        if state in (UnitState.FAILED, UnitState.CANCELED):
-            with self._lock:
-                self.failed_units.append(unit)
+    def _unit_event(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        """Completion hook of a batch of this driver's units: retry or
+        record each unit, hand it to :meth:`on_unit_final`, then wake the
+        drive loop once."""
         try:
             # Serialize all driver logic: callbacks may arrive concurrently
             # from executor worker threads in local mode.  The lock is
             # reentrant, so synchronous failure paths inside submit() that
             # re-enter this handler on the same thread are safe.
             with self._lock:
-                self.on_unit_final(unit)
+                for unit in units:
+                    if state is UnitState.FAILED and self._try_retry(unit):
+                        continue  # the retry unit carries the pattern forward
+                    if state is not UnitState.DONE:
+                        self.failed_units.append(unit)
+                    self.on_unit_final(unit)
         except BaseException as exc:  # noqa: BLE001 - surface via run()
             log.exception("driver callback failed for unit %s", unit.uid)
             with self._lock:

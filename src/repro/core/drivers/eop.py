@@ -13,6 +13,8 @@ the failures.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING
 
 from repro.core.drivers.base import PatternDriver, SubmitRequest
@@ -24,8 +26,34 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EnsembleOfPipelinesDriver"]
 
 #: Shared read-only placeholder map for pipelines with no recorded
-#: sandboxes yet (staging resolution only ever reads these dicts).
-_NO_PLACEHOLDERS: dict[str, str] = {}
+#: sandboxes yet (staging resolution only ever reads these maps).
+_NO_PLACEHOLDERS: Mapping[str, str] = {}
+
+
+class _StageSandboxes(Mapping):
+    """The ``STAGE_k`` placeholders of one pipeline: the uid of its
+    stage-``k`` unit, formatted from the unit's store row on lookup."""
+
+    __slots__ = ("_driver", "_instance")
+
+    def __init__(self, driver: "EnsembleOfPipelinesDriver", instance: int) -> None:
+        self._driver = driver
+        self._instance = instance
+
+    def __getitem__(self, token: str) -> str:
+        rows = self._driver._sandboxes.get(token)
+        row = -1 if rows is None else rows[self._instance - 1]
+        if row < 0:
+            raise KeyError(token)
+        return self._driver.session.unit_store.uid(row)
+
+    def __iter__(self) -> Iterator[str]:
+        for token, rows in self._driver._sandboxes.items():
+            if rows[self._instance - 1] >= 0:
+                yield token
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class EnsembleOfPipelinesDriver(PatternDriver):
@@ -35,21 +63,30 @@ class EnsembleOfPipelinesDriver(PatternDriver):
         super().__init__(pattern, handle)
         #: pipelines still making progress (instance numbers).
         self._live: set[int] = set()
-        #: stage sandbox uids per pipeline: {instance: {"STAGE_1": uid}}.
-        #: Populated lazily — a single-stage pattern (every bag of tasks)
-        #: never records anything, and the final stage of any pipeline is
-        #: skipped because no later stage can reference its sandbox.  At
-        #: the million-unit scale the eager dict-per-pipeline version was
-        #: a measurable resident term.
-        self._sandboxes: dict[int, dict[str, str]] = {}
+        #: Store rows of the stage sandboxes: {"STAGE_k": rows}, where
+        #: ``rows[instance - 1]`` is the row of that pipeline's unit of
+        #: stage k (-1 until it exists).  Uids are formatted only when a
+        #: placeholder is resolved (:class:`_StageSandboxes`).  A stage's
+        #: column is created on first use: a single-stage pattern (every
+        #: bag of tasks) records nothing, and no final stage is recorded
+        #: because no later stage can reference its sandbox.
+        self._sandboxes: dict[str, array] = {}
 
-    def _record_sandbox(self, instance: int, stage: int, uid: str) -> None:
+    def _record_sandbox(self, instance: int, stage: int, unit: "ComputeUnit") -> None:
         if stage >= self.pattern.pipeline_size:
             return
-        self._sandboxes.setdefault(instance, {})[f"STAGE_{stage}"] = uid
+        token = f"STAGE_{stage}"
+        rows = self._sandboxes.get(token)
+        if rows is None:
+            rows = self._sandboxes[token] = (
+                array("q", [-1]) * self.pattern.ensemble_size
+            )
+        rows[instance - 1] = unit._i
 
-    def _placeholders(self, instance: int) -> dict[str, str]:
-        return self._sandboxes.get(instance, _NO_PLACEHOLDERS)
+    def _placeholders(self, instance: int) -> Mapping[str, str]:
+        if not self._sandboxes:
+            return _NO_PLACEHOLDERS
+        return _StageSandboxes(self, instance)
 
     def start(self) -> None:
         pattern = self.pattern
@@ -66,7 +103,7 @@ class EnsembleOfPipelinesDriver(PatternDriver):
             )
         units = self.submit(requests)
         for request, unit in zip(requests, units):
-            self._record_sandbox(request.tags["instance"], 1, unit.uid)
+            self._record_sandbox(request.tags["instance"], 1, unit)
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
         tags = unit.description.tags
@@ -92,15 +129,14 @@ class EnsembleOfPipelinesDriver(PatternDriver):
         self.queue_submission(
             request,
             on_submitted=lambda unit, i=instance, s=next_stage: (
-                self._record_sandbox(i, s, unit.uid)
+                self._record_sandbox(i, s, unit)
             ),
         )
 
     def on_unit_retried(self, old, new) -> None:
-        instance = old.description.tags["instance"]
-        stage = old.description.tags["stage"]
+        tags = old.description.tags
         with self._lock:
-            self._record_sandbox(instance, stage, new.uid)
+            self._record_sandbox(tags["instance"], tags["stage"], new)
 
     @property
     def done(self) -> bool:

@@ -14,10 +14,13 @@ Two classes cooperate:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any
 
 from repro.cluster.platform import PlatformSpec
+from repro.core.kernel_registry import get_plugin_instance
 from repro.exceptions import KernelError
 from repro.pilot.description import ComputeUnitDescription, StagingDirective
 
@@ -57,10 +60,8 @@ class Kernel:
     """
 
     def __init__(self, name: str) -> None:
-        from repro.core.kernel_registry import get_kernel_plugin
-
         self.name = name
-        self._plugin: KernelPlugin = get_kernel_plugin(name)()
+        self._plugin: KernelPlugin = get_plugin_instance(name)
         self.arguments: list[str] = []
         self.cores: int = 1
         self.uses_mpi: bool = False
@@ -118,7 +119,9 @@ class Kernel:
             mpi=self.uses_mpi or self.cores > 1,
             name=self.name,
             payload=self._plugin.execute,
-            duration_model=_DurationModel(self._plugin, args, config),
+            duration_model=_DurationModel(
+                self._plugin, MappingProxyType(args), config.speed_factor
+            ),
             input_staging=input_staging,
             output_staging=output_staging,
             tags=dict(self.tags),
@@ -131,8 +134,8 @@ class Kernel:
 
         Kernels with equal signatures bind to equal descriptions on a
         given resource, so a pattern driver binds each distinct signature
-        once and copies the result for the others (see
-        :meth:`repro.core.drivers.base.PatternDriver.submit`).  Staging
+        once and every unit of that signature shares the result (see
+        :meth:`repro.core.drivers.base.PatternDriver._bind`).  Staging
         lists are read as they are, so call this after placeholder
         resolution.  A subclass whose ``bind`` reads more attributes must
         add them here.  The key is unhashable when a value is (e.g. a
@@ -162,19 +165,22 @@ class Kernel:
 
 class _DurationModel:
     """A bound kernel's cost model: the plugin's modelled runtime for the
-    kernel's arguments, scaled by the resource's speed factor."""
+    kernel's arguments, scaled by the resource's speed factor.
 
-    __slots__ = ("plugin", "args", "config")
+    Every unit of one kernel signature shares it, so the arguments are a
+    read-only mapping."""
 
-    def __init__(self, plugin: "KernelPlugin", args: dict[str, str],
-                 config: MachineConfig) -> None:
+    __slots__ = ("plugin", "args", "speed_factor")
+
+    def __init__(self, plugin: "KernelPlugin", args: Mapping[str, str],
+                 speed_factor: float) -> None:
         self.plugin = plugin
         self.args = args
-        self.config = config
+        self.speed_factor = speed_factor
 
     def __call__(self, cores: int, platform: Any) -> float:
         seconds = self.plugin.duration(cores, platform, self.args)
-        return seconds / self.config.speed_factor
+        return seconds / self.speed_factor
 
 
 class KernelPlugin:

@@ -15,9 +15,14 @@ from repro.exceptions import KernelError, NoKernelPluginError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.kernel_plugin import KernelPlugin
 
-__all__ = ["register_kernel", "get_kernel_plugin", "list_kernel_plugins", "kernel"]
+__all__ = [
+    "register_kernel", "get_kernel_plugin", "get_plugin_instance",
+    "list_kernel_plugins", "kernel",
+]
 
 _REGISTRY: dict[str, type] = {}
+#: The one instance of each plugin class (see :func:`get_plugin_instance`).
+_INSTANCES: dict[type, "KernelPlugin"] = {}
 
 P = TypeVar("P")
 
@@ -68,6 +73,20 @@ def get_kernel_plugin(name: str) -> type:
         return _REGISTRY[name]
     except KeyError:
         raise NoKernelPluginError(name, list(_REGISTRY)) from None
+
+
+def get_plugin_instance(name: str) -> "KernelPlugin":
+    """The shared instance of the plugin registered as *name*.
+
+    Plugins are stateless by contract (``docs/kernels.md``), so every
+    kernel of one plugin class holds the same instance; its bound
+    ``execute`` is the payload of every description bound from it.
+    """
+    plugin_cls = get_kernel_plugin(name)
+    instance = _INSTANCES.get(plugin_cls)
+    if instance is None:
+        instance = _INSTANCES[plugin_cls] = plugin_cls()
+    return instance
 
 
 def list_kernel_plugins() -> list[str]:

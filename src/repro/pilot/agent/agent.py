@@ -96,10 +96,11 @@ class Agent:
         #: In-flight units and their launch times, keyed by unit row.
         self._executing: dict[int, "ComputeUnit"] = {}
         self._launch_times: dict[int, float] = {}
-        #: Rows of units cancelled while in flight.
+        #: Rows of units cancelled while staging or in flight; a row
+        #: leaves once its unit is final.
         self._cancelled: set[int] = set()
         self._started = False
-        self._unit_final_cb: Callable[["ComputeUnit"], Any] | None = None
+        self._unit_final_cb: Callable[[list["ComputeUnit"]], Any] | None = None
         self._unit_killed_cb: Callable[..., Any] | None = None
         self._fault_process: NodeFaultProcess | None = None
         #: Every transition goes through the store, which also decides the
@@ -132,7 +133,7 @@ class Agent:
 
     def _waiting_add(self, unit: "ComputeUnit") -> None:
         """Track *unit* entering the wait queue (caller holds the lock)."""
-        size = unit.description.cores
+        size = self._store.cores(unit._i)
         avoid = unit.avoided_nodes(self.pilot.uid)
         entry = (unit, size, avoid)
         self._waiting.append(entry)
@@ -181,8 +182,7 @@ class Agent:
             self._store.advance_many(
                 batch, UnitState.CANCELED, pilot=self.pilot.uid
             )
-            for unit in batch:
-                self._notify_final(unit)
+            self._notify_final(batch)
         self.executor.shutdown()
         self.session.prof.event("agent_stop", self.pilot.uid)
 
@@ -230,8 +230,11 @@ class Agent:
         self.executor.shutdown()
         self.session.prof.event("agent_abort", self.pilot.uid)
 
-    def on_unit_final(self, callback: Callable[["ComputeUnit"], Any]) -> None:
-        """Register the unit manager's completion hook."""
+    def on_unit_final(
+        self, callback: Callable[[list["ComputeUnit"]], Any]
+    ) -> None:
+        """Register the unit manager's completion hook, called once per
+        batch of units this agent finishes."""
         self._unit_final_cb = callback
 
     def on_unit_killed(self, callback: Callable[..., Any]) -> None:
@@ -254,13 +257,14 @@ class Agent:
     def _accept(self, units: list["ComputeUnit"]) -> None:
         fit: list["ComputeUnit"] = []
         for unit in units:
-            if unit.description.cores > self.slots.total_cores:
-                self._store.advance_many([unit], UnitState.FAILED)
+            cores = self._store.cores(unit._i)
+            if cores > self.slots.total_cores:
                 unit.exception = SchedulingError(
-                    f"unit {unit.uid} wants {unit.description.cores} cores; "
+                    f"unit {unit.uid} wants {cores} cores; "
                     f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
                 )
-                self._notify_final(unit)
+                self._store.advance_many([unit], UnitState.FAILED)
+                self._notify_final([unit])
                 continue
             unit.pilot_uid = self.pilot.uid
             self.stager.register_unit(unit)
@@ -280,10 +284,10 @@ class Agent:
         cancelled = [u for u in units if u._i in self._cancelled]
         if not cancelled:
             return units
+        rest = [u for u in units if u._i not in self._cancelled]
         self._store.advance_many(cancelled, UnitState.CANCELED)
-        for unit in cancelled:
-            self._notify_final(unit)
-        return [u for u in units if u._i not in self._cancelled]
+        self._notify_final(cancelled)
+        return rest
 
     def _on_staged_in(self, units: list["ComputeUnit"]) -> None:
         units = self._without_cancelled(units)
@@ -298,18 +302,20 @@ class Agent:
         self._schedule_waiting()
 
     def cancel_unit(self, unit: "ComputeUnit") -> None:
-        """Cancel a unit; waiting units are dequeued, running ones flagged."""
+        """Cancel a unit; waiting units are dequeued, staging and running
+        ones flagged until they reach the next stage."""
         with self._lock:
-            self._cancelled.add(unit._i)
             entry = self._waiting_rows.get(unit._i)
-            if entry is not None:
+            if entry is None:
+                self._cancelled.add(unit._i)
+            else:
                 self._waiting.remove(entry)
                 self._waiting_forget(entry)
         if entry is not None:
             self._store.advance_many(
                 [unit], UnitState.CANCELED, pilot=self.pilot.uid
             )
-            self._notify_final(unit)
+            self._notify_final([unit])
 
     # -- internals -----------------------------------------------------------------
 
@@ -323,9 +329,10 @@ class Agent:
         out of the wait queue; one with ``cores`` releases slots (and
         busy cores, when it leaves ``EXECUTING``).
         """
+        cores = self._store.cores
         return {
             "pilot": self.pilot.uid,
-            "cores": sum(unit.description.cores for unit in units),
+            "cores": sum(cores(unit._i) for unit in units),
         }
 
     def _hand_back(
@@ -336,6 +343,8 @@ class Agent:
         *fields* go on the unit's next state event."""
         if self._unit_killed_cb is not None:
             self._unit_killed_cb(unit, exc, **fields)
+            if unit.state.is_final:
+                self._cancelled.discard(unit._i)
         else:
             self._fail([unit], exc, **fields)
 
@@ -435,16 +444,18 @@ class Agent:
             self._fail([unit], NodeFailure(
                 f"unit {unit.uid} cannot be placed on pilot {self.pilot.uid}: "
                 f"excluded nodes leave fewer than "
-                f"{unit.description.cores} eligible cores"
+                f"{self._store.cores(unit._i)} eligible cores"
             ))
         now = self.session.now()
+        cores = self._store.cores
         for batch in self._store.batches(launched):
+            rows = [unit._i for unit in batch]
             for unit in batch:
                 unit.attempts += 1
                 self._launch_times[unit._i] = now
             self._store.emit(
-                "slots", [unit._i for unit in batch],
-                slots=sum(len(u.slots) for u in batch), pilot=self.pilot.uid,
+                "slots", rows, slots=sum(map(cores, rows)),
+                pilot=self.pilot.uid,
             )
             self.executor.launch_units(batch, self._on_executed)
 
@@ -531,13 +542,14 @@ class Agent:
         """The executor finished *units* (``exception`` is ``None``) or
         failed them with ``exception``."""
         release = self._release(units)
+        freed: list[int] = []
         with self._lock:
             for unit in units:
                 self._executing.pop(unit._i, None)
                 self._launch_times.pop(unit._i, None)
-                slots = unit.slots
-                if slots:
-                    self.slots.dealloc(slots)
+                freed += unit.slots
+            if freed:
+                self.slots.dealloc(freed)
         if exception is not None:
             self._fail(units, exception, **release)
         else:
@@ -552,9 +564,9 @@ class Agent:
 
     def _on_staged_out(self, units: list["ComputeUnit"]) -> None:
         finished = self._without_cancelled(units)
-        self._store.advance_many(finished, UnitState.DONE)
-        for unit in finished:
-            self._notify_final(unit)
+        if finished:
+            self._store.advance_many(finished, UnitState.DONE)
+            self._notify_final(finished)
 
     def _fail(
         self, units: list["ComputeUnit"], exc: BaseException, **release: Any
@@ -566,12 +578,15 @@ class Agent:
         self._store.advance_many(
             units, UnitState.FAILED, **(release or {"pilot": self.pilot.uid})
         )
-        for unit in units:
-            self._notify_final(unit)
+        self._notify_final(units)
 
-    def _notify_final(self, unit: "ComputeUnit") -> None:
+    def _notify_final(self, units: list["ComputeUnit"]) -> None:
+        """*units* reached a final state here: drop their cancel flags and
+        tell the unit manager once."""
+        if self._cancelled:
+            self._cancelled.difference_update(unit._i for unit in units)
         if self._unit_final_cb is not None:
-            self._unit_final_cb(unit)
+            self._unit_final_cb(units)
 
     # -- introspection -----------------------------------------------------------
 

@@ -34,6 +34,7 @@ from repro.utils.logger import get_logger
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.session import Session
     from repro.pilot.unit import ComputeUnit
+    from repro.pilot.unit_store import UnitDescription
 
 __all__ = ["TaskContext", "LocalExecutor", "SimExecutor"]
 
@@ -51,7 +52,7 @@ class TaskContext:
     gives parsed ``--key=value`` kernel arguments.
     """
 
-    description: ComputeUnitDescription
+    description: "ComputeUnitDescription | UnitDescription"
     sandbox: Path | None
     cores: int
     uid: str
@@ -104,21 +105,25 @@ class LocalExecutor:
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
 
     def launch_units(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
+        store = self.session.unit_store
         for unit in units:
-            get_launch_method(unit.description)  # validates cores/mpi coherence
+            # validates cores/mpi coherence
+            get_launch_method(store.shared_description(unit._i))
             self._pool.submit(self._run, unit, on_done)
 
     def _run(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        self.session.unit_store.advance_many(
+        store = self.session.unit_store
+        store.advance_many(
             [unit], UnitState.EXECUTING,
-            pilot=unit.pilot_uid, cores=unit.description.cores,
+            pilot=unit.pilot_uid, cores=store.cores(unit._i),
         )
         try:
             result = None
-            if unit.description.payload is not None:
+            payload = store.shared_description(unit._i).payload
+            if payload is not None:
                 with self._tracer.span("exec.payload", unit.uid,
                                        component="execution"):
-                    result = unit.description.payload(TaskContext.for_unit(unit))
+                    result = payload(TaskContext.for_unit(unit))
         except BaseException as exc:  # noqa: BLE001 - task failure is data
             log.debug("unit %s payload failed: %r", unit.uid, exc)
             on_done([unit], exc)
@@ -193,16 +198,24 @@ class SimExecutor:
 
     def _launch(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         platform = self.context.platform
+        description = self.session.unit_store.shared_description
+        # (overhead, runtime) per distinct description object.
+        timing: dict[int, tuple[float, float]] = {}
         groups: dict[tuple[float, float], _LaunchGroup] = {}
         for unit in units:
-            desc = unit.description
-            overhead = get_launch_method(desc).launch_overhead(desc.cores, platform)
-            runtime = desc.modelled_runtime(platform) / platform.node.core_speed
-            group = groups.get((overhead, runtime))
+            desc = description(unit._i)
+            key = timing.get(id(desc))
+            if key is None:
+                overhead = get_launch_method(desc).launch_overhead(
+                    desc.cores, platform
+                )
+                runtime = desc.modelled_runtime(platform) / platform.node.core_speed
+                key = timing[id(desc)] = (overhead, runtime)
+            group = groups.get(key)
             if group is None:
-                group = groups[(overhead, runtime)] = _LaunchGroup(runtime, on_done)
+                group = groups[key] = _LaunchGroup(key[1], on_done)
             group.units[unit._i] = unit
-            fault_offset = self.session.fault_model.draw(runtime)
+            fault_offset = self.session.fault_model.draw(group.runtime)
             if fault_offset is not None:
                 group.faults[unit._i] = fault_offset
             self._group_of[unit._i] = group
@@ -216,9 +229,10 @@ class SimExecutor:
     def _start(self, group: _LaunchGroup) -> None:
         group.started = True
         members = list(group.units.values())
-        self.session.unit_store.advance_many(
+        store = self.session.unit_store
+        store.advance_many(
             members, UnitState.EXECUTING, pilot=members[0].pilot_uid,
-            cores=sum(u.description.cores for u in members),
+            cores=sum(map(store.cores, group.units)),
         )
         sim = self.context.sim
         for i, offset in group.faults.items():
@@ -251,12 +265,14 @@ class SimExecutor:
             group.on_done(members, None)
             return
         finished = []
+        description = self.session.unit_store.shared_description
         for unit in members:
-            if unit.description.payload is None:
+            payload = description(unit._i).payload
+            if payload is None:
                 finished.append(unit)
                 continue
             try:
-                unit.result = unit.description.payload(TaskContext.for_unit(unit))
+                unit.result = payload(TaskContext.for_unit(unit))
             except BaseException as exc:  # noqa: BLE001
                 group.on_done([unit], exc)
                 continue

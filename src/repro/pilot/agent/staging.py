@@ -95,11 +95,12 @@ class LocalStager:
                done: StagedCallback) -> None:
         for unit in units:
             sandbox = self.unit_sandboxes[unit.uid]
+            description = unit._store.shared_description(unit._i)
             if inbound:
-                directives = unit.description.input_staging
+                directives = description.input_staging
                 src_base, dst_base = self.pilot_sandbox, sandbox
             else:
-                directives = unit.description.output_staging
+                directives = description.output_staging
                 src_base, dst_base = sandbox, self.pilot_sandbox
             for directive in directives:
                 self._apply(directive, src_base, dst_base)
@@ -134,7 +135,8 @@ class SimStager:
         # Sandboxes are notional under simulation: only units that stage
         # data get a (fake) path, so a million units that stage nothing
         # do not hold a million paths.
-        if unit.description.input_staging or unit.description.output_staging:
+        description = unit._store.shared_description(unit._i)
+        if description.input_staging or description.output_staging:
             unit.sandbox = f"/sim/{unit.uid}"
 
     def _cost(self, directives: list[StagingDirective]) -> float:
@@ -150,7 +152,7 @@ class SimStager:
                done: StagedCallback) -> None:
         groups: dict[float, list["ComputeUnit"]] = {}
         for unit in units:
-            directives = getattr(unit.description, attr)
+            directives = getattr(unit._store.shared_description(unit._i), attr)
             cost = self._cost(directives) if directives else 0.0
             groups.setdefault(cost, []).append(unit)
         for cost, group in groups.items():

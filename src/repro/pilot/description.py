@@ -9,6 +9,7 @@ the same application code runs in either execution mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable
 
 from repro.exceptions import BadParameter
@@ -98,38 +99,24 @@ class ComputeUnitDescription:
         if self.modelled_duration < 0:
             raise BadParameter("modelled_duration must be non-negative")
 
-    def snapshot(self) -> tuple:
-        """Every field but ``tags``, in field order, with containers frozen.
+    def shareable(self) -> "ComputeUnitDescription":
+        """A copy that many units can share: the same fields, with
+        tuples for the lists and read-only mappings for ``environment``
+        and ``tags``.
 
-        A snapshot holds only immutable data: tuples, the frozen
-        :class:`StagingDirective` objects, the payload and duration-model
-        callables and scalars.  :meth:`from_snapshot` turns it back into
-        a description.
+        A pattern driver registers every unit of one kernel signature
+        with the same shareable description and keeps each unit's own
+        tags in the unit store; ``unit.description`` is then a read-only
+        view (:class:`repro.pilot.unit_store.UnitDescription`).
         """
-        return (
+        return ComputeUnitDescription(
             self.executable, tuple(self.arguments),
-            tuple(self.environment.items()), self.cores, self.mpi, self.name,
-            self.payload, self.modelled_duration, self.duration_model,
-            tuple(self.input_staging), tuple(self.output_staging),
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: tuple, tags: dict[str, Any]
-    ) -> "ComputeUnitDescription":
-        """A description of *snapshot* with *tags*, owning its containers.
-
-        The new description shares nothing mutable with any other one:
-        its arguments, environment and staging lists are fresh, and it
-        takes *tags* itself.
-        """
-        (executable, arguments, environment, cores, mpi, name, payload,
-         modelled_duration, duration_model, input_staging,
-         output_staging) = snapshot
-        return cls(
-            executable, list(arguments), dict(environment), cores, mpi, name,
-            payload, modelled_duration, duration_model, list(input_staging),
-            list(output_staging), tags,
+            MappingProxyType(dict(self.environment)),
+            self.cores, self.mpi, self.name, self.payload,
+            self.modelled_duration, self.duration_model,
+            tuple(self.input_staging),
+            tuple(self.output_staging),
+            MappingProxyType(dict(self.tags)),
         )
 
     def modelled_runtime(self, platform: Any) -> float:

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.states import UnitState
-from repro.pilot.unit_store import UnitStore, UnitTimestamps
+from repro.pilot.unit_store import UnitDescription, UnitStore, UnitTimestamps
 
 __all__ = ["ComputeUnit"]
 
@@ -56,7 +56,12 @@ class ComputeUnit:
         return self._store.uid(self._i)
 
     @property
-    def description(self) -> ComputeUnitDescription:
+    def description(self) -> ComputeUnitDescription | UnitDescription:
+        """The unit's description.  A unit created by a pattern driver
+        shares its kernel's bound description with every unit of the same
+        signature and gets a read-only :class:`UnitDescription` view with
+        its own tags; a unit built from a description object keeps that
+        object."""
         return self._store.description(self._i)
 
     @property
@@ -190,5 +195,5 @@ class ComputeUnit:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ComputeUnit {self.uid} {self.state.value} "
-            f"cores={self.description.cores}>"
+            f"cores={self._store.cores(self._i)}>"
         )

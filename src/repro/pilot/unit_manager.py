@@ -53,18 +53,27 @@ class UnitManager:
     def submit_units(
         self,
         descriptions: list[ComputeUnitDescription] | ComputeUnitDescription,
-        callback: Callable[[ComputeUnit, UnitState], Any] | None = None,
+        callback: Callable[[list[ComputeUnit], UnitState], Any] | None = None,
         extra_delay: float = 0.0,
+        tags: list[dict[str, Any]] | None = None,
     ) -> list[ComputeUnit]:
         """Create units, schedule them onto pilots, forward to agents.
 
-        *callback* is a completion hook: ``callback(unit, state)`` runs
-        once per unit, on its transition into a final state (DONE,
-        FAILED or CANCELED).  It is attached to every created unit
-        *before* the unit can make any progress, so callers (e.g. pattern
-        drivers) cannot miss a completion even for tasks that finish
-        instantly.  To see every transition of one unit, use
-        :meth:`ComputeUnit.add_callback`.
+        *callback* is a completion hook: ``callback(units, state)`` runs
+        once per batch of units that reach a final state (DONE, FAILED or
+        CANCELED) together; every unit appears in exactly one call.  It
+        is attached to every created unit *before* the unit can make any
+        progress, so callers (e.g. pattern drivers) cannot miss a
+        completion even for tasks that finish instantly.  To see every
+        transition of one unit, use :meth:`ComputeUnit.add_callback`.
+
+        *tags*, when given, holds each unit's tags, and *descriptions*
+        may repeat one shareable description
+        (:meth:`ComputeUnitDescription.shareable`) for many units; see
+        :meth:`UnitStore.add_bulk`.
+
+        A unit wider than every pilot raises :class:`SchedulingError`
+        before any unit of the call is registered.
 
         Forwarding is *bulk*: all units bound to one pilot travel in one
         message, paying one network delay (RADICAL-Pilot bulk submission).
@@ -73,6 +82,10 @@ class UnitManager:
             raise PilotError("unit manager has no pilots")
         if isinstance(descriptions, ComputeUnitDescription):
             descriptions = [descriptions]
+        if descriptions:
+            widest = max(d.cores for d in descriptions)
+            if widest > max(pilot.cores for pilot in self.pilots):
+                raise SchedulingError(f"no pilot can hold a {widest}-core unit")
         store = self.session.unit_store
         shared = [callback] if callback is not None else []
         units: list[ComputeUnit] = []
@@ -80,13 +93,16 @@ class UnitManager:
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
-            for batch in store.batches(descriptions):
-                rows = store.add_bulk(batch)
+            for batch in store.batches(range(len(descriptions))):
+                lo, hi = batch[0], batch[-1] + 1
+                rows = store.add_bulk(
+                    descriptions[lo:hi], None if tags is None else tags[lo:hi]
+                )
                 new = [ComputeUnit._of(store, i) for i in rows]
                 store.set_group_callbacks(rows, shared)
                 store.advance_many(new, UnitState.UMGR_SCHEDULING)
-                for unit in new:
-                    pilot = self._pick_pilot(unit.description)
+                for unit, description in zip(new, descriptions[lo:hi]):
+                    pilot = self._pick_pilot(description.cores)
                     routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
                 units.extend(new)
             with self._lock:
@@ -96,16 +112,14 @@ class UnitManager:
                 self._forward(pilot, batch, extra_delay)
         return units
 
-    def _pick_pilot(self, description: ComputeUnitDescription) -> ComputePilot:
+    def _pick_pilot(self, cores: int) -> ComputePilot:
         n = len(self.pilots)
         for offset in range(n):
             pilot = self.pilots[(self._rr_next + offset) % n]
-            if pilot.cores >= description.cores:
+            if pilot.cores >= cores:
                 self._rr_next = (self._rr_next + offset + 1) % n
                 return pilot
-        raise SchedulingError(
-            f"no pilot can hold a {description.cores}-core unit"
-        )
+        raise SchedulingError(f"no pilot can hold a {cores}-core unit")
 
     def _forward(
         self, pilot: ComputePilot, batch: list[ComputeUnit], extra_delay: float = 0.0
@@ -168,17 +182,14 @@ class UnitManager:
 
     def _pick_retry_pilot(self, unit: ComputeUnit) -> ComputePilot | None:
         """Round-robin over pilots that can still place the unit."""
+        cores = self.session.unit_store.cores(unit._i)
         n = len(self.pilots)
         for offset in range(n):
             pilot = self.pilots[(self._rr_next + offset) % n]
-            if pilot.state.is_final or pilot.cores < unit.description.cores:
+            if pilot.state.is_final or pilot.cores < cores:
                 continue
             avoid = unit.avoided_nodes(pilot.uid)
-            if (
-                avoid
-                and pilot.agent.slots.eligible_cores(avoid)
-                < unit.description.cores
-            ):
+            if avoid and pilot.agent.slots.eligible_cores(avoid) < cores:
                 continue
             self._rr_next = (self._rr_next + offset + 1) % n
             return pilot
@@ -194,7 +205,7 @@ class UnitManager:
 
     # -- completion --------------------------------------------------------------
 
-    def _on_unit_final(self, unit: ComputeUnit) -> None:
+    def _on_unit_final(self, units: list[ComputeUnit]) -> None:
         with self._all_done:
             self._all_done.notify_all()
 

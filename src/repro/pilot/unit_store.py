@@ -37,6 +37,15 @@ to ``advance`` and ``advance_many`` alike, counts each transition once;
 ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out`` are kept
 the same way.
 
+Units share descriptions.  A pattern driver registers every unit of one
+kernel signature with the same shareable description and passes each
+unit's tags (pattern, stage, instance, ...) beside it; the store packs
+those tags per row, as a value tuple against an interned key tuple, and
+``unit.description`` is a read-only :class:`UnitDescription` view over
+the shared description and the row's tags.  The runtime layers read
+widths from the ``cores`` column and the shared description through
+:meth:`UnitStore.shared_description`, never through the view.
+
 Unit uids are *lazy*: the store reserves serial blocks from the global
 id counter (:func:`repro.utils.ids.reserve_id_block`) and formats
 ``unit.%06d`` on demand, so a million units do not hold a million
@@ -50,7 +59,7 @@ import threading
 from array import array
 from itertools import repeat
 from math import isnan, nan
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.pilot.states import UnitState, validate_unit_edge
 from repro.utils.ids import reserve_id_block
@@ -59,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pilot.description import ComputeUnitDescription
     from repro.pilot.unit import ComputeUnit
 
-__all__ = ["UnitStore", "UnitTimestamps"]
+__all__ = ["UnitDescription", "UnitStore", "UnitTimestamps"]
 
 #: Stable state <-> small-int codec (enum definition order).
 _STATES: list[UnitState] = list(UnitState)
@@ -72,6 +81,12 @@ _EVENT_NAMES = {
 
 _UID_WIDTH = 6
 _EMPTY_EXCLUSIONS: frozenset[tuple[str, int]] = frozenset()
+
+#: Container fields of a shared description, and the copy a view returns.
+_COPIED_FIELDS: dict[str, Callable] = {
+    "arguments": list, "environment": dict,
+    "input_staging": list, "output_staging": list,
+}
 
 
 class UnitTimestamps:
@@ -122,6 +137,41 @@ class UnitTimestamps:
         return f"UnitTimestamps({dict(self.items())!r})"
 
 
+class UnitDescription:
+    """Read-only view of one unit's description: the shared description
+    its row was registered with, plus the row's own tags.
+
+    Fields read the shared description.  ``tags`` and the list and dict
+    fields are fresh copies on every read (``tags`` equal to, and in the
+    key order of, the dict the unit was submitted with), and fields
+    cannot be assigned, so nothing reachable from the view can change
+    another unit's description.
+    """
+
+    __slots__ = ("_store", "_i")
+
+    def __init__(self, store: "UnitStore", i: int) -> None:
+        self._store = store
+        self._i = i
+
+    @property
+    def tags(self) -> dict[str, Any]:
+        return self._store.tags(self._i)
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):  # unset slots during copy/pickle
+            raise AttributeError(name)
+        value = getattr(self._store.shared_description(self._i), name)
+        copy = _COPIED_FIELDS.get(name)
+        return value if copy is None else copy(value)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"UnitDescription({self.name!r}, cores={self.cores}, "
+            f"tags={self.tags!r})"
+        )
+
+
 class UnitStore:
     """Struct-of-arrays backing store for every unit of one session."""
 
@@ -144,6 +194,8 @@ class UnitStore:
         self._cb_group = array("i")  # index into _shared_cbs; -1 = none
         self._slots_off = array("q")  # offset into the slot arena
         self._slots_len = array("i")
+        #: index into _tag_key_tuples; -1 = the description carries its tags
+        self._tag_keys = array("i")
         #: state value -> per-unit entry time column (NaN = never entered).
         self._ts: dict[str, array] = {s.value: array("d") for s in _STATES}
 
@@ -153,6 +205,10 @@ class UnitStore:
         self._slots_arena = array("i")
 
         self._descriptions: list["ComputeUnitDescription"] = []
+        #: Per-row tag values, packed against ``_tag_key_tuples[_tag_keys[i]]``.
+        self._tag_values: list[tuple | None] = []
+        self._tag_key_tuples: list[tuple[str, ...]] = []
+        self._tag_key_index: dict[tuple[str, ...], int] = {}
         self._pilot_uids: list[str] = []
         self._pilot_index: dict[str, int] = {}
         #: Callback lists shared by a whole bulk-submitted batch.
@@ -176,12 +232,23 @@ class UnitStore:
         """Register one unit; returns its row."""
         return self.add_bulk([description])[0]
 
-    def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"]) -> range:
+    def add_bulk(
+        self, descriptions: Sequence["ComputeUnitDescription"],
+        tags: Sequence[dict[str, Any]] | None = None,
+    ) -> range:
         """Register a batch: one id-block reservation, then :meth:`emit`
-        of ``new`` with the first description's ``pattern`` tag."""
-        descriptions = list(descriptions)
+        of ``new`` with the first unit's ``pattern`` tag.
+
+        *tags*, when given, holds each unit's tags, and the descriptions
+        are shared (see :meth:`ComputeUnitDescription.shareable`): the
+        units' ``description`` is a :class:`UnitDescription` view.
+        Without *tags* each unit keeps the description object it was
+        given."""
+        last = None
         for description in descriptions:
-            description.validate()
+            if description is not last:
+                description.validate()
+                last = description
         n = len(descriptions)
         first = len(self._serial)
         if not n:
@@ -199,9 +266,30 @@ class UnitStore:
         for value, column in self._ts.items():
             column.extend(repeat(now if value == UnitState.NEW.value else nan, n))
         self._descriptions.extend(descriptions)
+        if tags is None:
+            self._tag_keys.extend(repeat(-1, n))
+            self._tag_values.extend(repeat(None, n))
+            pattern = descriptions[0].tags.get("pattern", "")
+        else:
+            self._pack_tags(tags)
+            pattern = tags[0].get("pattern", "")
         rows = range(first, first + n)
-        self.emit("new", rows, pattern=descriptions[0].tags.get("pattern", ""))
+        self.emit("new", rows, pattern=pattern)
         return rows
+
+    def _pack_tags(self, tags: Sequence[dict[str, Any]]) -> None:
+        index = self._tag_key_index
+        key_tuples = self._tag_key_tuples
+        codes = self._tag_keys
+        values = self._tag_values
+        for row_tags in tags:
+            keys = tuple(row_tags)
+            code = index.get(keys)
+            if code is None:
+                code = index[keys] = len(key_tuples)
+                key_tuples.append(keys)
+            codes.append(code)
+            values.append(tuple(row_tags.values()))
 
     # -- emission policy ----------------------------------------------------
 
@@ -237,8 +325,23 @@ class UnitStore:
     def cores(self, i: int) -> int:
         return self._cores[i]
 
-    def description(self, i: int) -> "ComputeUnitDescription":
+    def description(self, i: int) -> "ComputeUnitDescription | UnitDescription":
+        """What ``unit.description`` returns: a :class:`UnitDescription`
+        view for a row registered with tags, else the row's own object."""
+        if self._tag_keys[i] < 0:
+            return self._descriptions[i]
+        return UnitDescription(self, i)
+
+    def shared_description(self, i: int) -> "ComputeUnitDescription":
+        """The description object row *i* was registered with.  Rows of
+        one kernel signature share it: read it, never change it."""
         return self._descriptions[i]
+
+    def tags(self, i: int) -> dict[str, Any]:
+        """The tags row *i* was registered with (see :meth:`add_bulk`),
+        as a new dict in their submitted key order."""
+        keys = self._tag_key_tuples[self._tag_keys[i]]
+        return dict(zip(keys, self._tag_values[i]))
 
     def attempts(self, i: int) -> int:
         return self._attempts[i]
@@ -316,10 +419,10 @@ class UnitStore:
     def set_group_callbacks(self, rows: range, callbacks: list[Callable]) -> None:
         """Attach one shared callback list to every unit in *rows*.
 
-        The list is called on transitions into final states only (see
-        :meth:`_advance`).  Consecutive calls with the same list object
-        share one entry, so a submission moved as batches of one still
-        stores its list once.
+        The list is called as ``callback(units, state)``, once per batch
+        of transitions into a final state (see :meth:`_advance`).
+        Consecutive calls with the same list object share one entry, so a
+        submission moved as batches of one still stores its list once.
         """
         if not callbacks:
             return
@@ -341,17 +444,6 @@ class UnitStore:
                 extras.remove(callback)
                 if not extras:
                     del self._extra_cbs[i]
-
-    def callbacks(self, i: int) -> list[Callable]:
-        """What a *final* transition of row *i* calls, in order: the
-        shared group list, then the unit's own callbacks.  A non-final
-        transition calls the unit's own callbacks only."""
-        group = self._cb_group[i]
-        shared = self._shared_cbs[group] if group >= 0 else ()
-        extras = self._extra_cbs.get(i)
-        if extras is None:
-            return list(shared)
-        return [*shared, *extras]
 
     def final_event(self, i: int, *, create: bool = False) -> threading.Event | None:
         event = self._final_events.get(i)
@@ -380,15 +472,15 @@ class UnitStore:
         fields: dict[str, Any] | None = None,
     ) -> None:
         """Transition body, per homogeneous (same current state) group:
-        validate and stamp → one :meth:`emit` → callbacks per unit →
-        final-event set.  For a batch of one this is the historical
-        per-unit order the golden traces pin.
+        validate and stamp → one :meth:`emit` → callbacks → final-event
+        set.  For a batch of one this is the historical per-unit order
+        the golden traces pin.
 
         Shared group callbacks are completion hooks: they fire only on a
-        transition into a final state, where each unit calls its shared
-        list, then its own callbacks, then sets its final event.  A
-        unit's own callbacks (:meth:`add_callback`) fire on every
-        transition."""
+        transition into a final state, once per group with the group's
+        units that share the list.  Then each unit, in order, calls its
+        own callbacks and sets its final event.  A unit's own callbacks
+        (:meth:`add_callback`) fire on every transition."""
         if not units:
             return
         session = self._session
@@ -413,15 +505,33 @@ class UnitStore:
             self.emit("state", rows, state=target.value, prev=previous.value,
                       **(fields or {}))
             if final:
-                for unit in group:
-                    for cb in self.callbacks(unit._i):
-                        cb(unit, target)
-                    event = self._final_events.get(unit._i)
-                    if event is not None:
-                        event.set()
+                self._complete(group, target)
             elif self._extra_cbs:
                 for unit in group:
                     extras = self._extra_cbs.get(unit._i)
                     if extras is not None:
                         for cb in list(extras):
                             cb(unit, target)
+
+    def _complete(self, units: list["ComputeUnit"], target: UnitState) -> None:
+        """Final transition of *units*: shared lists per batch, then each
+        unit's own callbacks and final event."""
+        by_list: dict[int, list["ComputeUnit"]] = {}
+        cb_group = self._cb_group
+        for unit in units:
+            by_list.setdefault(cb_group[unit._i], []).append(unit)
+        for group, members in by_list.items():
+            if group >= 0:
+                for cb in self._shared_cbs[group]:
+                    cb(members, target)
+        extras, events = self._extra_cbs, self._final_events
+        if not (extras or events):
+            return
+        for unit in units:
+            own = extras.get(unit._i)
+            if own is not None:
+                for cb in list(own):
+                    cb(unit, target)
+            event = events.get(unit._i)
+            if event is not None:
+                event.set()

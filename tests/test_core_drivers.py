@@ -79,6 +79,52 @@ class TestPipelineDriver:
                     f"stage {k} ended"
                 )
 
+    def test_stage_placeholders_name_the_pipelines_latest_units(
+        self, sim_handle_factory
+    ):
+        from repro.pilot.retry import RetryPolicy
+
+        class Staged(EnsembleOfPipelines):
+            retry_policy = RetryPolicy(max_attempts=10)
+
+            def stage(self, stage_number, instance):
+                kernel = sleep_kernel(30)
+                kernel.link_input_data = [
+                    f"$STAGE_{k}/out.txt > in{k}.txt"
+                    for k in range(1, stage_number)
+                ]
+                return kernel
+
+        handle = sim_handle_factory(fault_rate=0.3, seed=4)
+        pattern = Staged(ensemble_size=6, pipeline_size=3)
+        handle.run(pattern)
+        assert handle.profile.events("entk_task_retry")
+        for instance in range(1, 7):
+            done = {
+                u.description.tags["stage"]: u
+                for u in by_tag(pattern.units, instance=instance)
+                if u.state is UnitState.DONE
+            }
+            sources = [d.source for d in done[3].description.input_staging]
+            assert sources == [
+                f"$UNIT_{done[1].uid}/out.txt", f"$UNIT_{done[2].uid}/out.txt",
+            ]
+
+    def test_unknown_stage_placeholder_names_the_known_ones(
+        self, sim_handle_factory
+    ):
+        class SelfReferencing(EnsembleOfPipelines):
+            def stage(self, stage_number, instance):
+                kernel = sleep_kernel(10)
+                if stage_number == 2:
+                    kernel.link_input_data = ["$STAGE_2/out.txt"]
+                return kernel
+
+        handle = sim_handle_factory()
+        with pytest.raises(PatternError, match=r"\$STAGE_2 is not defined "
+                           r"here \(known: \['STAGE_1'\]\)"):
+            handle.run(SelfReferencing(ensemble_size=2, pipeline_size=3))
+
     def test_pipelines_do_not_synchronize(self, sim_handle_factory):
         """A slow pipeline must not block fast pipelines' later stages."""
         class UnevenPipelines(EnsembleOfPipelines):

@@ -187,22 +187,26 @@ def _cached_kernel(cls=Kernel, name="test.cached", **fields):
 
 
 def _view(description, platform):
-    """Every field of *description*, with callables compared by behaviour."""
+    """Every field of *description*, with callables compared by behaviour
+    and containers as lists and dicts (a shared description holds tuples
+    and read-only mappings)."""
     return (
-        description.executable, description.arguments,
-        description.environment, description.cores, description.mpi,
+        description.executable, list(description.arguments),
+        dict(description.environment), description.cores, description.mpi,
         description.name, description.payload.__func__,
         description.modelled_duration, description.modelled_runtime(platform),
-        description.input_staging, description.output_staging,
-        description.tags,
+        list(description.input_staging), list(description.output_staging),
+        dict(description.tags),
     )
 
 
-def _plain(driver, kernel, tags=()):
-    """What ``submit`` gave a unit before the cache: one bind per kernel."""
+def _plain(driver, kernel, tags=None):
+    """What a unit's description was before the cache: one bind per
+    kernel; with *tags*, also the request tags and the pattern."""
     description = kernel.bind(driver.handle.resource, driver.handle.platform)
-    description.tags.update(tags)
-    description.tags.setdefault("pattern", driver.pattern.uid)
+    if tags is not None:
+        description.tags.update(tags)
+        description.tags.setdefault("pattern", driver.pattern.uid)
     return description
 
 
@@ -249,59 +253,79 @@ _VARIANTS = {
 }
 
 
+def _submit_equal(driver, n=3):
+    from repro.core.drivers.base import SubmitRequest
+
+    return driver.submit([
+        SubmitRequest(_cached_kernel(), tags={"instance": i}) for i in range(n)
+    ])
+
+
 class TestBindCache:
     @pytest.mark.parametrize("field", sorted(_VARIANTS))
     def test_kernels_differing_in_one_field_bind_apart(self, driver, field):
         platform = driver.handle.platform
-        base = driver._bind(_cached_kernel(), {})
+        base = driver._bind(_cached_kernel())
         variant = _cached_kernel(**_VARIANTS[field])
-        description = driver._bind(variant, {})
+        description = driver._bind(variant)
+        assert description is not base
         assert _view(description, platform) != _view(base, platform)
         assert _view(description, platform) == _view(
             _plain(driver, variant), platform
         )
 
     def test_equal_kernels_bind_once(self, driver, bind_calls):
-        from repro.core.drivers.base import SubmitRequest
-
-        units = driver.submit([
-            SubmitRequest(_cached_kernel(), tags={"instance": i})
-            for i in range(5)
-        ])
+        units = _submit_equal(driver, 5)
         assert len(bind_calls) == 1
+        store = driver.session.unit_store
+        shared = {id(store.shared_description(u._i)) for u in units}
+        assert len(shared) == 1
+        assert driver._bind(_cached_kernel()) is store.shared_description(
+            units[0]._i
+        )
         platform = driver.handle.platform
-        plain = _view(_plain(driver, _cached_kernel()), platform)
         for i, unit in enumerate(units):
-            view = _view(unit.description, platform)
-            assert view[:-1] == plain[:-1]
-            assert unit.description.tags == {
-                "t": 1, "instance": i, "pattern": driver.pattern.uid,
-            }
-        assert len({id(u.description) for u in units}) == 5
+            expected = _plain(driver, _cached_kernel(), {"instance": i})
+            assert _view(unit.description, platform) == _view(expected, platform)
+            assert list(unit.description.tags) == ["t", "instance", "pattern"]
 
     @pytest.mark.parametrize("victim", [0, 1])
-    def test_descriptions_share_nothing_mutable(self, driver, victim):
+    def test_no_unit_can_change_the_shared_description(self, driver, victim):
         platform = driver.handle.platform
-        descriptions = [driver._bind(_cached_kernel(), {}) for _ in range(3)]
-        pristine = _view(descriptions[2], platform)
-        mutated = descriptions[victim]
-        mutated.tags["t"] = 99
-        mutated.arguments.append("--seconds=5")
-        mutated.environment["X"] = "9"
-        mutated.input_staging.clear()
-        mutated.output_staging.clear()
-        later = driver._bind(_cached_kernel(), {})
-        for description in (*descriptions[:victim], *descriptions[victim + 1:],
-                            later):
-            assert _view(description, platform) == pristine
+        units = _submit_equal(driver)
+        pristine = [_view(u.description, platform) for u in units]
+        view = units[victim].description
+        view.tags["t"] = 99
+        view.arguments.append("--seconds=5")
+        view.environment["X"] = "9"
+        view.input_staging.clear()
+        view.output_staging.clear()
+        with pytest.raises(AttributeError):
+            view.cores = 8
+        with pytest.raises(TypeError):
+            view.duration_model.args["seconds"] = "7"
+        shared = driver.session.unit_store.shared_description(units[0]._i)
+        with pytest.raises(AttributeError):
+            shared.arguments.append("--seconds=5")
+        with pytest.raises(TypeError):
+            shared.environment["X"] = "9"
+        with pytest.raises(TypeError):
+            shared.tags["t"] = 99
+        with pytest.raises(AttributeError):
+            shared.input_staging.clear()
+        assert [_view(u.description, platform) for u in units] == pristine
+        assert _view(driver._bind(_cached_kernel()), platform) == _view(
+            _plain(driver, _cached_kernel()), platform
+        )
 
     def test_unhashable_tag_falls_back_to_plain_bind(self, driver, bind_calls):
         kernels = [_cached_kernel() for _ in range(2)]
         for kernel in kernels:
             kernel.tags = {"ids": [1, 2]}
-        descriptions = [driver._bind(kernel, {}) for kernel in kernels]
+        descriptions = [driver._bind(kernel) for kernel in kernels]
         assert len(bind_calls) == 2
         assert driver._bound == {}
+        assert descriptions[0] is not descriptions[1]
         assert all(d.tags["ids"] == [1, 2] for d in descriptions)
 
 
@@ -367,25 +391,70 @@ def test_cached_binds_match_plain_binds_over_a_run(
 ):
     from repro.core.drivers.base import PatternDriver
 
-    plain_of, signatures = {}, set()
-    bind = PatternDriver._bind
+    plain_of, signatures, pending = {}, set(), []
+    bind, submit = PatternDriver._bind, PatternDriver.submit
 
-    def checked(self, kernel, tags):
+    def checked_bind(self, kernel):
         signatures.add(kernel.signature())
-        plain = _plain(self, kernel, tags)
-        description = bind(self, kernel, tags)
-        plain_of[id(description)] = plain
-        return description
+        pending.append(_plain(self, kernel))
+        return bind(self, kernel)
 
-    monkeypatch.setattr(PatternDriver, "_bind", checked)
-    handle = sim_handle_factory()
-    pattern = make_pattern()
+    def checked_submit(self, requests):
+        pending.clear()
+        units = submit(self, requests)
+        for request, unit, plain in zip(requests, units, pending, strict=True):
+            plain.tags.update(request.tags)
+            plain.tags.setdefault("pattern", self.pattern.uid)
+            plain_of[unit] = plain
+        return units
+
+    monkeypatch.setattr(PatternDriver, "_bind", checked_bind)
+    monkeypatch.setattr(PatternDriver, "submit", checked_submit)
+    for bulk in (False, True):  # per-unit, then batched
+        plain_of.clear(), signatures.clear(), bind_calls.clear()
+        handle = sim_handle_factory(bulk_lifecycle=bulk)
+        pattern = make_pattern()
+        handle.run(pattern)
+        platform = handle.platform
+        assert pattern.units
+        assert set(plain_of) == set(pattern.units)
+        for unit in pattern.units:
+            plain = plain_of[unit]
+            assert _view(unit.description, platform) == _view(plain, platform)
+        # One cached bind per distinct signature, beside the plain ones,
+        # and one shared description object per signature.
+        assert len(bind_calls) == len(plain_of) + len(signatures)
+        assert len(signatures) < len(pattern.units)
+        store = handle.session.unit_store
+        shared = {id(store.shared_description(u._i)) for u in pattern.units}
+        assert len(shared) == len(signatures)
+
+
+def test_bulk_eop_run_holds_one_description_and_plugin_per_kernel(
+    sim_handle_factory,
+):
+    import gc
+
+    from repro.core.kernel_registry import get_plugin_instance
+    from repro.core.patterns import EnsembleOfPipelines
+
+    class TwoKernels(EnsembleOfPipelines):
+        def stage_1(self, instance):
+            return _sleep_kernel(30)
+
+        def stage_2(self, instance):
+            return _sleep_kernel(10)
+
+    handle = sim_handle_factory(bulk_lifecycle=True)
+    pattern = TwoKernels(ensemble_size=40, pipeline_size=2)
     handle.run(pattern)
-    platform = handle.platform
-    assert pattern.units
-    for unit in pattern.units:
-        plain = plain_of[id(unit.description)]
-        assert _view(unit.description, platform) == _view(plain, platform)
-    # One cached bind per distinct signature, beside the plain ones.
-    assert len(bind_calls) == len(plain_of) + len(signatures)
-    assert len(signatures) < len(pattern.units)
+    store = handle.session.unit_store
+    assert len(store) == len(pattern.units) == 80
+    shared = {id(d): d for d in map(store.shared_description, range(len(store)))}
+    assert len(shared) <= 2
+    plugin = get_plugin_instance("misc.sleep")
+    for description in shared.values():
+        assert description.payload.__self__ is plugin
+        assert description.duration_model.plugin is plugin
+    gc.collect()
+    assert sum(type(o) is type(plugin) for o in gc.get_objects()) == 1

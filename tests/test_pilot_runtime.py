@@ -285,6 +285,98 @@ class TestSimRuntime:
         pmgr.cancel_pilots()
         session.close()
 
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_too_wide_task_registers_none_of_its_batch(self, bulk):
+        from repro.core.kernel_plugin import Kernel
+        from repro.core.patterns import BagOfTasks
+        from repro.core.resource_handle import ResourceHandle
+        from repro.exceptions import SchedulingError
+
+        class Bag(BagOfTasks):
+            def task(self, instance):
+                kernel = Kernel(name="misc.sleep")
+                kernel.arguments = ["--duration=10"]
+                kernel.cores = 64 if instance == 3 else 1
+                kernel.uses_mpi = kernel.cores > 1
+                return kernel
+
+        handle = ResourceHandle("xsede.comet", cores=24, walltime=60,
+                                mode="sim", bulk_lifecycle=bulk)
+        handle.allocate()
+        try:
+            with pytest.raises(SchedulingError, match="64-core"):
+                handle.run(Bag(size=5))
+        finally:
+            handle.deallocate()
+        assert len(handle.session.unit_store) == 0
+        assert not [ev for ev in handle.profile if ev.name.startswith("unit")]
+
+    def test_agent_sets_exception_before_failing_a_too_wide_unit(self):
+        from repro.exceptions import SchedulingError
+        from repro.pilot.unit import ComputeUnit
+
+        session, pmgr, umgr, pilot = make_sim(cores=4)
+        unit = ComputeUnit(
+            ComputeUnitDescription(executable="t", cores=8, mpi=True), session
+        )
+        unit.advance(UnitState.UMGR_SCHEDULING)
+        seen = []
+        unit.add_callback(lambda u, s: seen.append((s, u.exception)))
+        pilot.agent.submit_units([unit])
+        assert len(seen) == 1
+        assert seen[0][0] is UnitState.FAILED
+        assert isinstance(seen[0][1], SchedulingError)
+        pmgr.cancel_pilots()
+        session.close()
+
+    def test_cancel_flags_leave_once_units_are_final(self):
+        session, pmgr, umgr, pilot = make_sim(cores=2)
+        pmgr.wait_pilots_active()
+        staged = ComputeUnitDescription(
+            executable="s", modelled_duration=1.0,
+            input_staging=[StagingDirective(source="$SHARED/x", target="x",
+                                            action="transfer",
+                                            nbytes=int(2e10))],
+        )
+        units = umgr.submit_units(
+            [ComputeUnitDescription(executable="t", modelled_duration=100.0)
+             for _ in range(4)] + [staged]
+        )
+        running, _, waiting, _, staging = units
+        sim, agent = session.sim, pilot.agent
+        while not (running.state is UnitState.EXECUTING
+                   and waiting.state is UnitState.AGENT_SCHEDULING
+                   and staging.state is UnitState.AGENT_STAGING_INPUT):
+            assert sim.step() is not None
+        umgr.cancel_units([running, waiting, staging])
+        assert waiting.state is UnitState.CANCELED
+        assert agent._cancelled == {running._i, staging._i}
+        umgr.wait_units()
+        assert [u.state for u in units] == [
+            UnitState.CANCELED, UnitState.DONE, UnitState.CANCELED,
+            UnitState.DONE, UnitState.CANCELED,
+        ]
+        assert agent._cancelled == set()
+        pmgr.cancel_pilots()
+        session.close()
+
+    def test_cancel_flag_leaves_when_a_killed_unit_fails(self):
+        session, pmgr, umgr, pilot = make_sim(cores=2)
+        pmgr.wait_pilots_active()
+        unit = umgr.submit_units(
+            [ComputeUnitDescription(executable="t", modelled_duration=100.0)]
+        )[0]
+        sim, agent = session.sim, pilot.agent
+        while unit.state is not UnitState.EXECUTING:
+            assert sim.step() is not None
+        umgr.cancel_units([unit])
+        assert agent._cancelled == {unit._i}
+        agent._on_node_failure(agent.slots.node_of(unit.slots[0]))
+        assert unit.state is UnitState.FAILED  # no retry policy
+        assert agent._cancelled == set()
+        pmgr.cancel_pilots()
+        session.close()
+
     def test_umgr_without_pilots_rejects_submission(self):
         session = Session(mode="sim", platform="xsede.comet")
         umgr = UnitManager(session)

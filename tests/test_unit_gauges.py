@@ -53,8 +53,8 @@ class _RecordedGauges:
             UnitStore.add_bulk, UnitStore._advance, UnitStore.emit
         )
 
-        def wrapped_add_bulk(store, descriptions):
-            rows = add_bulk(store, descriptions)
+        def wrapped_add_bulk(store, descriptions, *tags):
+            rows = add_bulk(store, descriptions, *tags)
             if len(rows):
                 self._metrics(store).adjust("units.NEW", len(rows))
             return rows

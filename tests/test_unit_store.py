@@ -129,11 +129,13 @@ class TestUnitStore:
         assert unit.slots == [1, 2]
 
     def test_callbacks_shared_plus_extra_order(self, session):
-        # Shared group callbacks are completion hooks; a unit's own
-        # callbacks see every transition.  On a final transition each
-        # unit calls shared, then extra, then sets its final event.
+        # Shared group callbacks are completion hooks, called once per
+        # batch with the batch's units that share the list; a unit's own
+        # callbacks see every transition.  On a final transition the
+        # shared lists run first, then each unit calls its own callbacks
+        # and sets its final event.
         store = session.unit_store
-        rows = store.add_bulk([_desc(), _desc()])
+        rows = store.add_bulk([_desc(), _desc(), _desc()])
         events = [store.final_event(i, create=True) for i in rows]
         calls = []
 
@@ -142,7 +144,14 @@ class TestUnitStore:
                 (tag, u.uid, s, events[u._i].is_set())
             )
 
-        store.set_group_callbacks(rows, [record("shared")])
+        def record_batch(tag):
+            return lambda us, s: calls.append(
+                (tag, [u.uid for u in us], s,
+                 [events[u._i].is_set() for u in us])
+            )
+
+        store.set_group_callbacks(rows[:2], [record_batch("shared")])
+        store.set_group_callbacks(rows[2:], [record_batch("other")])
         units = [ComputeUnit._of(store, i) for i in rows]
         units[0].add_callback(record("extra"))
         store.advance_many(units, UnitState.UMGR_SCHEDULING)
@@ -152,11 +161,32 @@ class TestUnitStore:
         calls.clear()
         store.advance_many(units, UnitState.CANCELED)
         assert calls == [
-            ("shared", "unit.000000", UnitState.CANCELED, False),
+            ("shared", ["unit.000000", "unit.000001"], UnitState.CANCELED,
+             [False, False]),
+            ("other", ["unit.000002"], UnitState.CANCELED, [False]),
             ("extra", "unit.000000", UnitState.CANCELED, False),
-            ("shared", "unit.000001", UnitState.CANCELED, False),
         ]
         assert all(event.is_set() for event in events)
+
+    def test_batch_of_one_keeps_per_unit_callback_order(self, session):
+        store = session.unit_store
+        rows = store.add_bulk([_desc(), _desc()])
+        events = [store.final_event(i, create=True) for i in rows]
+        calls = []
+        store.set_group_callbacks(rows, [
+            lambda us, s: calls.append(("shared", [u.uid for u in us])),
+        ])
+        units = [ComputeUnit._of(store, i) for i in rows]
+        for unit in units:
+            unit.add_callback(lambda u, s: calls.append(
+                ("extra", u.uid, events[u._i].is_set())
+            ))
+        for unit in units:
+            store.advance_many([unit], UnitState.CANCELED)
+        assert calls == [
+            ("shared", ["unit.000000"]), ("extra", "unit.000000", False),
+            ("shared", ["unit.000001"]), ("extra", "unit.000001", False),
+        ]
 
     def test_advance_many_emits_one_batch_event_per_group(self, session):
         store = session.unit_store
@@ -341,7 +371,9 @@ class TestBulkLifecycle:
             # Wrap the driver's completion hook, and give every unit its
             # own callback before the unit first moves.
             attach(store, rows, [
-                lambda u, s, cb=cb: (shared.append((u.uid, s)), cb(u, s))
+                lambda us, s, cb=cb: (
+                    shared.extend((u.uid, s) for u in us), cb(us, s)
+                )
                 for cb in callbacks
             ])
             for i in rows:
