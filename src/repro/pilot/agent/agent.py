@@ -305,6 +305,10 @@ class Agent:
         """Cancel a unit; waiting units are dequeued, staging and running
         ones flagged until they reach the next stage."""
         with self._lock:
+            # Under the lock that _notify_final drops flags under, so a
+            # unit finishing on an executor thread keeps no flag.
+            if unit.state.is_final:
+                return
             entry = self._waiting_rows.get(unit._i)
             if entry is None:
                 self._cancelled.add(unit._i)
@@ -584,7 +588,8 @@ class Agent:
         """*units* reached a final state here: drop their cancel flags and
         tell the unit manager once."""
         if self._cancelled:
-            self._cancelled.difference_update(unit._i for unit in units)
+            with self._lock:
+                self._cancelled.difference_update(unit._i for unit in units)
         if self._unit_final_cb is not None:
             self._unit_final_cb(units)
 

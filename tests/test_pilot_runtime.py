@@ -178,6 +178,36 @@ class TestLocalRuntime:
         session.close()
 
 
+    def test_cancels_racing_executor_threads_leave_no_flag(self):
+        import sys
+        import time
+
+        session, pmgr, umgr, pilot = make_local(cores=8)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            units = umgr.submit_units([
+                ComputeUnitDescription(
+                    executable="t", payload=lambda ctx: time.sleep(0.002)
+                )
+                for _ in range(120)
+            ])
+            assert units[0].wait(timeout=30) is UnitState.DONE
+            # Straight to the agent: units[0] is already final, others
+            # finish while their cancel is on its way.
+            for unit in units[::3]:
+                pilot.agent.cancel_unit(unit)
+            umgr.wait_units(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(u.state.is_final for u in units)
+        assert all(u.state is UnitState.DONE
+                   for i, u in enumerate(units) if i % 3)
+        assert pilot.agent._cancelled == set()
+        pmgr.cancel_pilots()
+        session.close()
+
+
 class TestSimRuntime:
     def test_waves_on_undersized_pilot(self):
         session, pmgr, umgr, pilot = make_sim(cores=10)
