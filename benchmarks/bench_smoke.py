@@ -34,6 +34,13 @@ no more distinct description objects than the distinct kernel
 signatures the pattern submitted plus its task retries (units of one
 signature share one description).
 
+``local_bag`` really runs a 200-task ``misc.sleep --duration=0`` bag on
+4 local cores, moved per unit and then batched, and fails unless both
+runs end all DONE with equal results.  It is a wall-clock run: its
+``wall_s`` (the per-unit run; ``bulk_wall_s`` the batched one) is the
+runtime's own overhead, and its ``sim_ttc_s`` is null, which ``--check``
+compares like any other value.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py -o BENCH_micro.json
@@ -354,6 +361,61 @@ def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
     return record
 
 
+def run_local_bag_case(repeats: int = REPEATS) -> dict:
+    """``local_bag``: a no-staging bag that really runs, per unit and
+    batched; both runs must end all DONE with equal results."""
+    from repro.core.kernel_plugin import Kernel
+    from repro.core.patterns import BagOfTasks
+    from repro.core.resource_handle import ResourceHandle
+
+    class SleepBag(BagOfTasks):
+        def task(self, instance):
+            kernel = Kernel(name="misc.sleep")
+            kernel.arguments = ["--duration=0"]
+            return kernel
+
+    size, cores = 200, 4
+    walls: dict[bool, float] = {}
+    outcomes: dict[bool, list] = {}
+    for bulk in (False, True):
+        walls[bulk] = float("inf")
+        for _ in range(repeats):
+            reset_id_counters()
+            handle = ResourceHandle(
+                "local.localhost", cores=cores, walltime=10, mode="local",
+                bulk_lifecycle=bulk,
+            )
+            handle.allocate()
+            pattern = SleepBag(size=size)
+            try:
+                t0 = time.perf_counter()
+                handle.run(pattern)
+                walls[bulk] = min(walls[bulk], time.perf_counter() - t0)
+            finally:
+                handle.deallocate()
+            outcome = sorted(
+                (u.description.tags["instance"], u.state.value, u.result)
+                for u in pattern.units
+            )
+            if any(state != "DONE" for _, state, _ in outcome):
+                raise AssertionError("local_bag: a unit did not end DONE")
+            outcomes[bulk] = outcome
+    if outcomes[True] != outcomes[False]:
+        raise AssertionError(
+            "local_bag: the batched run's results differ from the per-unit "
+            "run's (batching must not change outcomes)"
+        )
+    print(f"{'local_bag':<28} wall {walls[False]:8.3f} s   "
+          f"batched {walls[True]:8.3f} s   (wall-clock run, no sim ttc)")
+    return {
+        "bench": "local_bag",
+        "config": {"tasks": size, "cores": cores, "mode": "local"},
+        "wall_s": round(walls[False], 4),
+        "bulk_wall_s": round(walls[True], 4),
+        "sim_ttc_s": None,
+    }
+
+
 def run_bulk_faults_case() -> dict:
     """``pattern_eop_bulk_faults``: the faulted EoP case, batched.
 
@@ -396,6 +458,7 @@ def main(argv: list[str] | None = None) -> int:
 
     records = run_cases(repeats=args.repeats)
     records.append(run_bulk_faults_case())
+    records.append(run_local_bag_case(repeats=args.repeats))
     if args.spool:
         eop = next(r for r in records if r["bench"] == "pattern_eop")
         records.append(run_spooled_case(args.spool, eop["sim_ttc_s"]))

@@ -48,7 +48,6 @@ class PatternDriver(abc.ABC):
         self.umgr = handle.umgr
         self.overheads = handle.overheads
         self._lock = threading.RLock()
-        self._wakeup = threading.Condition(self._lock)
         self.units: list["ComputeUnit"] = []
         self.failed_units: list["ComputeUnit"] = []
         self._internal_error: BaseException | None = None
@@ -105,25 +104,17 @@ class PatternDriver(abc.ABC):
             )
 
     def _drive_until(self, condition) -> None:
-        def finished() -> bool:
-            return condition() or self._internal_error is not None
+        """Wait until *condition()* holds or a driver callback failed.
 
-        if self.session.is_simulated:
-            sim = self.session.sim
-            while not finished():
-                if sim.step() is None:
-                    raise PatternError(
-                        f"pattern {self.pattern.uid} deadlocked: simulation "
-                        "drained with work outstanding"
-                    )
-            return
-        with self._wakeup:
-            while not finished():
-                self._wakeup.wait(0.25)
-
-    def _wake(self) -> None:
-        with self._wakeup:
-            self._wakeup.notify_all()
+        The session wakes the wait after every batch of units that ends
+        (see ``Session.wait_until``)."""
+        self.session.wait_until(
+            lambda: condition() or self._internal_error is not None,
+            drained=lambda: PatternError(
+                f"pattern {self.pattern.uid} deadlocked: simulation "
+                "drained with work outstanding"
+            ),
+        )
 
     # -- submission helper ------------------------------------------------------------
 
@@ -334,8 +325,8 @@ class PatternDriver(abc.ABC):
 
     def _unit_event(self, units: list["ComputeUnit"], state: UnitState) -> None:
         """Completion hook of a batch of this driver's units: retry or
-        record each unit, hand it to :meth:`on_unit_final`, then wake the
-        drive loop once."""
+        record each unit and hand it to :meth:`on_unit_final`.  The unit
+        store wakes the drive loop once the batch's callbacks have run."""
         try:
             # Serialize all driver logic: callbacks may arrive concurrently
             # from executor worker threads in local mode.  The lock is
@@ -353,4 +344,3 @@ class PatternDriver(abc.ABC):
             with self._lock:
                 if self._internal_error is None:
                     self._internal_error = exc
-        self._wake()

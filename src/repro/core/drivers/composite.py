@@ -41,9 +41,9 @@ class ConcurrentPatternsDriver(PatternDriver):
                 child_driver.start()
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
-        # Children receive their own callbacks; nothing to do here — but we
-        # do wake the composite's drive loop on every completion (base
-        # class handles that) so `done` is re-evaluated.
+        # Children receive their own callbacks; the session wakes the
+        # composite's drive loop after every batch that ends, so `done`
+        # is re-evaluated.
         pass
 
     @property
@@ -56,9 +56,6 @@ class ConcurrentPatternsDriver(PatternDriver):
         prof.event("entk_pattern_start", self.pattern.uid,
                    pattern=self.pattern.pattern_name)
         self.start()
-        # The composite has no units of its own: its wake-ups come from the
-        # children's unit events, so in local mode we poll their doneness
-        # (children notify their own condition variables).
         self._drive_until(lambda: self.done)
         prof.event("entk_pattern_stop", self.pattern.uid)
 

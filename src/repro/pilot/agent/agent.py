@@ -58,7 +58,6 @@ class Agent:
         *,
         policy: str = "backfill",
         slot_strategy: str = "contiguous",
-        evaluate_payloads: bool = False,
     ) -> None:
         if policy not in ("backfill", "fifo"):
             raise SchedulingError(f"unknown agent queue policy {policy!r}")
@@ -100,7 +99,6 @@ class Agent:
         #: leaves once its unit is final.
         self._cancelled: set[int] = set()
         self._started = False
-        self._unit_final_cb: Callable[[list["ComputeUnit"]], Any] | None = None
         self._unit_killed_cb: Callable[..., Any] | None = None
         self._fault_process: NodeFaultProcess | None = None
         #: Every transition goes through the store, which also decides the
@@ -109,9 +107,7 @@ class Agent:
 
         if session.is_simulated:
             self.stager = SimStager(session.sim_context)
-            self.executor: Any = SimExecutor(
-                session, evaluate_payloads=evaluate_payloads
-            )
+            self.executor: Any = SimExecutor(session)
         else:
             pilot_sandbox: "Path" = session.sandbox / pilot.uid  # type: ignore[operator]
             pilot_sandbox.mkdir(parents=True, exist_ok=True)
@@ -229,13 +225,6 @@ class Agent:
             self._hand_back(unit, exc, pilot=self.pilot.uid)
         self.executor.shutdown()
         self.session.prof.event("agent_abort", self.pilot.uid)
-
-    def on_unit_final(
-        self, callback: Callable[[list["ComputeUnit"]], Any]
-    ) -> None:
-        """Register the unit manager's completion hook, called once per
-        batch of units this agent finishes."""
-        self._unit_final_cb = callback
 
     def on_unit_killed(self, callback: Callable[..., Any]) -> None:
         """Register the unit manager's node/pilot-kill hook.
@@ -585,13 +574,10 @@ class Agent:
         self._notify_final(units)
 
     def _notify_final(self, units: list["ComputeUnit"]) -> None:
-        """*units* reached a final state here: drop their cancel flags and
-        tell the unit manager once."""
+        """*units* reached a final state here: drop their cancel flags."""
         if self._cancelled:
             with self._lock:
                 self._cancelled.difference_update(unit._i for unit in units)
-        if self._unit_final_cb is not None:
-            self._unit_final_cb(units)
 
     # -- introspection -----------------------------------------------------------
 

@@ -168,18 +168,14 @@ class SimExecutor:
     """Model payload execution as a timed event on the virtual clock.
 
     Modelled duration = launch overhead (per launch method) + the unit's
-    ``modelled_runtime`` on the session platform.  Payloads may still be
-    *evaluated* when ``evaluate_payloads`` is set — useful for validating
-    science results at small scale while keeping virtual timing — but by
-    default they are skipped.
+    ``modelled_runtime`` on the session platform.  Payloads are not run.
     """
 
-    def __init__(self, session: "Session", *, evaluate_payloads: bool = False) -> None:
+    def __init__(self, session: "Session") -> None:
         if session.sim_context is None:
             raise RuntimeError("SimExecutor requires a simulated session")
         self.session = session
         self.context = session.sim_context
-        self.evaluate_payloads = evaluate_payloads
         #: Launch group of every unit still due to finish with one, and the
         #: pending fault event of every faulted executing unit (both keyed
         #: by unit row), so a node or pilot failure can kill either.
@@ -261,24 +257,7 @@ class SimExecutor:
         for i in group.units:
             del self._group_of[i]
         group.units.clear()
-        if not self.evaluate_payloads:
-            group.on_done(members, None)
-            return
-        finished = []
-        description = self.session.unit_store.shared_description
-        for unit in members:
-            payload = description(unit._i).payload
-            if payload is None:
-                finished.append(unit)
-                continue
-            try:
-                unit.result = payload(TaskContext.for_unit(unit))
-            except BaseException as exc:  # noqa: BLE001
-                group.on_done([unit], exc)
-                continue
-            finished.append(unit)
-        if finished:
-            group.on_done(finished, None)
+        group.on_done(members, None)
 
     def kill(self, unit: "ComputeUnit") -> None:
         """Take the unit out of its pending execution (node/pilot death).

@@ -22,8 +22,6 @@ class ComputePilot:
         self.session = session
         self._state = PilotState.NEW
         self._lock = threading.RLock()
-        self._active_event = threading.Event()
-        self._final_event = threading.Event()
         self._callbacks: list[Callable[["ComputePilot", PilotState], Any]] = []
         self.timestamps: dict[str, float] = {"NEW": session.now()}
         self.agent: Any = None  # attached by the pilot manager at launch
@@ -48,20 +46,10 @@ class ComputePilot:
         self.session.prof.event("pilot_state", self.uid, state=target.value)
         for cb in callbacks:
             cb(self, target)
-        if target is PilotState.ACTIVE:
-            self._active_event.set()
-        if target.is_final:
-            self._final_event.set()
+        self.session.notify()
 
     def add_callback(self, callback: Callable[["ComputePilot", PilotState], Any]) -> None:
         self._callbacks.append(callback)
-
-    def wait_active(self, timeout: float | None = None) -> PilotState:
-        """Block until ACTIVE (local mode); immediate under simulation."""
-        if getattr(self.session, "is_simulated", False):
-            return self._state
-        self._active_event.wait(timeout)
-        return self._state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

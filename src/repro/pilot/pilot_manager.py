@@ -191,7 +191,10 @@ class PilotManager:
             # until the pilot is finalized, exactly like a real batch job.
             pilot.advance(PilotState.ACTIVE)
             pilot.agent.start()
-            pilot._final_event.wait(timeout=pilot.description.runtime * 60.0)
+            self.session.wait_until(
+                lambda: pilot.state.is_final,
+                timeout=pilot.description.runtime * 60.0,
+            )
 
         def on_job_state(job, state: JobState) -> None:
             # Walltime expiry with the pilot still ACTIVE is a normal end of
@@ -231,14 +234,18 @@ class PilotManager:
                 pilot.saga_job.cancel()
 
     def wait_pilots_active(self, timeout: float | None = None) -> None:
-        """Local mode: block until every pilot is ACTIVE.  Sim: advance DES."""
-        if self.session.is_simulated:
-            sim = self.session.sim
-            while any(
-                p.state in (PilotState.NEW, PilotState.PENDING) for p in self.pilots
-            ):
-                if sim.step() is None:
-                    raise PilotError("simulation drained before pilots activated")
-            return
-        for pilot in self.pilots:
-            pilot.wait_active(timeout)
+        """Wait until no pilot is NEW or PENDING (see ``Session.wait_until``).
+
+        A simulated session steps the DES; a local one blocks for at most
+        *timeout* seconds in total and then returns, whatever the pilots'
+        states."""
+        self.session.wait_until(
+            lambda: not any(
+                p.state in (PilotState.NEW, PilotState.PENDING)
+                for p in self.pilots
+            ),
+            timeout=timeout,
+            drained=lambda: PilotError(
+                "simulation drained before pilots activated"
+            ),
+        )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import threading
 from pathlib import Path
+from typing import Callable
 
 from repro.cluster.faults import NodeFaultModel
 from repro.cluster.platforms import get_platform
@@ -73,19 +75,20 @@ class Session:
         aggregates, and ``MetricsRegistry.from_events(session.prof)``
         reads the points.
     bulk_lifecycle:
-        Trace granularity of the one unit lifecycle (sim mode only).
+        Trace granularity of the one unit lifecycle.
         Every lifecycle stage takes a list of units; by default the unit
         manager and agent move them in batches of one, which records the
         per-unit ``unit_*`` events every published figure is built from.
         When true, the :class:`~repro.pilot.unit_store.UnitStore`'s
         emission policy moves each list as one batch, with one
-        ``units_new``/``units_state``/``units_slots`` event and one DES
-        event per batch.  Virtual time is the same either way, fault
-        injection included: launch groups take per-unit fault draws and
-        kills.  (``UnitStore.advance``, ``SimExecutor.launch`` and
-        ``SimStager.stage_in``/``stage_out`` are single-unit adapters
-        kept for the repository benchmark's call counters; the lifecycle
-        itself never calls them.)
+        ``units_new``/``units_state``/``units_slots`` event (and, when
+        simulated, one DES event) per batch.  Virtual time is the same
+        either way, fault injection included: launch groups take
+        per-unit fault draws and kills.  A local run ends with the same
+        states and results either way.  (``UnitStore.advance``,
+        ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out``
+        are single-unit adapters kept for the repository benchmark's
+        call counters; the lifecycle itself never calls them.)
     """
 
     def __init__(
@@ -106,10 +109,6 @@ class Session:
     ) -> None:
         if mode not in ("local", "sim"):
             raise ConfigurationError(f"unknown session mode {mode!r}")
-        if bulk_lifecycle and mode != "sim":
-            raise ConfigurationError(
-                "bulk_lifecycle is a simulated-mode feature"
-            )
         if pilot_mtbf < 0:
             raise ConfigurationError("pilot mtbf must be non-negative")
         if max_pilot_resubmits < 0:
@@ -123,6 +122,9 @@ class Session:
         self.pilot_mtbf = pilot_mtbf
         self.max_pilot_resubmits = max_pilot_resubmits
         self.retry_policy = retry_policy
+        #: Wake-ups of local waiters (see :meth:`wait_until`).
+        self._wakeup = threading.Condition()
+        self._generation = 0
 
         if mode == "sim":
             self.sim_context = SimContext(
@@ -189,6 +191,66 @@ class Session:
         """Drain the simulator (no-op for local sessions)."""
         if self.sim_context is not None:
             self.sim_context.sim.run()
+
+    # -- waiting -----------------------------------------------------------------
+
+    def wait_until(
+        self,
+        predicate: Callable[[], bool],
+        *,
+        timeout: float | None = None,
+        drained: Callable[[], BaseException] | None = None,
+    ) -> bool:
+        """Block until *predicate()* holds; return whether it does.
+
+        Every blocking call of the runtime and the pattern drivers waits
+        here.  A simulated session steps the DES until the predicate
+        holds; if the simulation runs dry first it raises ``drained()``,
+        or returns false without *drained*.  *timeout* is ignored there:
+        virtual time passes only as fast as events do.  A local session
+        sleeps until :meth:`notify`, for at most *timeout* seconds, and
+        returns false if the predicate still fails then.
+
+        The predicate runs outside the wake-up lock, so it may take other
+        locks (a driver's, say) that a notifier holds while it notifies.
+        A notify between reading the generation counter and testing the
+        predicate moves the counter, so no wake-up is lost.
+        """
+        if self.sim_context is not None:
+            sim = self.sim_context.sim
+            while not predicate():
+                if sim.step() is None:
+                    if drained is None:
+                        return False
+                    raise drained()
+            return True
+        deadline = None if timeout is None else self.now() + timeout
+        wakeup = self._wakeup
+        while True:
+            with wakeup:
+                generation = self._generation
+            if predicate():
+                return True
+            with wakeup:
+                while self._generation == generation:
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - self.now()
+                        if remaining <= 0:
+                            return False
+                    wakeup.wait(remaining)
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait_until` caller to test its predicate.
+
+        The unit store calls this once per batch of units that reach a
+        final state, after every callback of the batch has run, and a
+        pilot calls it after each of its state changes.  Call it outside
+        the unit store's lock.
+        """
+        with self._wakeup:
+            self._generation += 1
+            self._wakeup.notify_all()
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -180,16 +180,14 @@ class ComputeUnit:
         return self.duration(UnitState.EXECUTING, UnitState.AGENT_STAGING_OUTPUT)
 
     def wait(self, timeout: float | None = None) -> UnitState:
-        """Block until final (local mode); immediate in simulated mode."""
-        store = self._store
-        if getattr(store._session, "is_simulated", False):
-            return self.state
-        with store._lock:
-            if self.state.is_final:
-                return self.state
-            event = store.final_event(self._i, create=True)
-        assert event is not None
-        event.wait(timeout)
+        """Wait until the unit is final and return its state.
+
+        A local session blocks for at most *timeout* seconds; a simulated
+        one steps the DES until the unit is final (as ``wait_units`` does)
+        or the simulation runs dry.  See ``Session.wait_until``."""
+        self._store._session.wait_until(
+            lambda: self.state.is_final, timeout=timeout
+        )
         return self.state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

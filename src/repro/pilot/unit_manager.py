@@ -36,7 +36,6 @@ class UnitManager:
         self.units: list[ComputeUnit] = []
         self._rr_next = 0
         self._lock = threading.RLock()
-        self._all_done = threading.Condition(self._lock)
 
     # -- pilots ---------------------------------------------------------------
 
@@ -44,7 +43,6 @@ class UnitManager:
         if isinstance(pilots, ComputePilot):
             pilots = [pilots]
         for pilot in pilots:
-            pilot.agent.on_unit_final(self._on_unit_final)
             pilot.agent.on_unit_killed(self._on_unit_killed)
             self.pilots.append(pilot)
 
@@ -200,66 +198,43 @@ class UnitManager:
     ) -> None:
         unit.exception = exc
         self.session.unit_store.advance_many([unit], UnitState.FAILED, **fields)
-        with self._all_done:
-            self._all_done.notify_all()
 
     # -- completion --------------------------------------------------------------
-
-    def _on_unit_final(self, units: list[ComputeUnit]) -> None:
-        with self._all_done:
-            self._all_done.notify_all()
 
     def wait_units(
         self,
         units: list[ComputeUnit] | None = None,
         timeout: float | None = None,
     ) -> list[UnitState]:
-        """Block (local) or advance virtual time (sim) until *units* finish.
+        """Wait until *units* (default: every unit) are final; return
+        their states (see ``Session.wait_until``).
 
-        In simulated sessions the DES is stepped just far enough for every
-        unit to reach a final state; pending unrelated events (e.g. the
+        A simulated session steps the DES just far enough for every unit
+        to reach a final state; pending unrelated events (e.g. the
         pilot's walltime kill) stay pending, so TTC measurements are not
-        polluted by them.
+        polluted by them.  A local session blocks for at most *timeout*
+        seconds.
         """
         targets = units if units is not None else list(self.units)
-        if self.session.is_simulated:
-            sim = self.session.sim
-            # Count completions through a temporary per-unit callback
-            # instead of rescanning every unit after every event — the
-            # rescan made large waits O(units × events).  Callbacks are
-            # client-side only (no trace events), so behavior and traces
-            # are unchanged.
-            open_units = [u for u in targets if not u.state.is_final]
-            remaining = len(open_units)
-            counter = {"open": remaining}
+        # Final is terminal, so a cursor past the leading final units
+        # never looks at them again: a wake-up (one per DES event in a
+        # simulated session) costs O(1) amortized, not a rescan.
+        cursor = 0
 
-            def _on_transition(_unit: ComputeUnit, state: UnitState) -> None:
-                if state.is_final:
-                    counter["open"] -= 1
+        def all_final() -> bool:
+            nonlocal cursor
+            while cursor < len(targets) and targets[cursor].state.is_final:
+                cursor += 1
+            return cursor == len(targets)
 
-            for unit in open_units:
-                unit.add_callback(_on_transition)
-            try:
-                while counter["open"] > 0:
-                    if sim.step() is None:
-                        raise PilotError(
-                            "simulation drained before all units finished "
-                            "(is the pilot large enough and active?)"
-                        )
-            finally:
-                for unit in open_units:
-                    unit.remove_callback(_on_transition)
-            return [u.state for u in targets]
-
-        deadline = None if timeout is None else self.session.now() + timeout
-        with self._all_done:
-            while not all(u.state.is_final for u in targets):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self.session.now()
-                    if remaining <= 0:
-                        raise PilotError("timeout waiting for units")
-                self._all_done.wait(remaining if remaining is not None else 1.0)
+        if not self.session.wait_until(
+            all_final, timeout=timeout,
+            drained=lambda: PilotError(
+                "simulation drained before all units finished "
+                "(is the pilot large enough and active?)"
+            ),
+        ):
+            raise PilotError("timeout waiting for units")
         return [u.state for u in targets]
 
     def cancel_units(self, units: list[ComputeUnit] | None = None) -> None:

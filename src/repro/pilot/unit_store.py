@@ -7,7 +7,7 @@ unit has done anything).  The :class:`UnitStore` keeps every dense
 per-unit field in parallel ``array`` columns — state, cores, retry
 counts, one timestamp column per lifecycle state, slot-arena offsets —
 and every *sparse* field (result, exception, sandbox, node exclusions,
-wait events) in side dicts that only pay for units that actually use
+extra callbacks) in side dicts that only pay for units that actually use
 them.  :class:`~repro.pilot.unit.ComputeUnit` is a two-word view over
 one row, so the public unit API is unchanged.
 
@@ -221,7 +221,6 @@ class UnitStore:
         self._sandboxes: dict[int, str] = {}
         self._excluded: dict[int, set[tuple[str, int]]] = {}
         self._extra_cbs: dict[int, list[Callable]] = {}
-        self._final_events: dict[int, threading.Event] = {}
 
     def __len__(self) -> int:
         return len(self._serial)
@@ -445,12 +444,6 @@ class UnitStore:
                 if not extras:
                     del self._extra_cbs[i]
 
-    def final_event(self, i: int, *, create: bool = False) -> threading.Event | None:
-        event = self._final_events.get(i)
-        if event is None and create:
-            event = self._final_events[i] = threading.Event()
-        return event
-
     # -- lifecycle ----------------------------------------------------------
 
     def advance(self, unit: "ComputeUnit", target: UnitState) -> None:
@@ -472,14 +465,15 @@ class UnitStore:
         fields: dict[str, Any] | None = None,
     ) -> None:
         """Transition body, per homogeneous (same current state) group:
-        validate and stamp → one :meth:`emit` → callbacks → final-event
-        set.  For a batch of one this is the historical per-unit order
-        the golden traces pin.
+        validate and stamp → one :meth:`emit` → callbacks → (final
+        groups) one session notify.  For a batch of one this is the
+        historical per-unit order the golden traces pin.
 
         Shared group callbacks are completion hooks: they fire only on a
         transition into a final state, once per group with the group's
         units that share the list.  Then each unit, in order, calls its
-        own callbacks and sets its final event.  A unit's own callbacks
+        own callbacks, and the session's waiters are woken once
+        (``Session.notify``).  A unit's own callbacks
         (:meth:`add_callback`) fire on every transition."""
         if not units:
             return
@@ -515,7 +509,7 @@ class UnitStore:
 
     def _complete(self, units: list["ComputeUnit"], target: UnitState) -> None:
         """Final transition of *units*: shared lists per batch, then each
-        unit's own callbacks and final event."""
+        unit's own callbacks, then one wake-up of the session's waiters."""
         by_list: dict[int, list["ComputeUnit"]] = {}
         cb_group = self._cb_group
         for unit in units:
@@ -524,14 +518,11 @@ class UnitStore:
             if group >= 0:
                 for cb in self._shared_cbs[group]:
                     cb(members, target)
-        extras, events = self._extra_cbs, self._final_events
-        if not (extras or events):
-            return
-        for unit in units:
-            own = extras.get(unit._i)
-            if own is not None:
-                for cb in list(own):
-                    cb(unit, target)
-            event = events.get(unit._i)
-            if event is not None:
-                event.set()
+        extras = self._extra_cbs
+        if extras:
+            for unit in units:
+                own = extras.get(unit._i)
+                if own is not None:
+                    for cb in list(own):
+                        cb(unit, target)
+        self._session.notify()

@@ -9,6 +9,7 @@ from repro.core.patterns import (
     PatternSequence,
     SimulationAnalysisLoop,
 )
+from repro.core.resource_handle import ResourceHandle
 from repro.exceptions import PatternError
 from repro.pilot.states import UnitState
 
@@ -85,6 +86,26 @@ class TestConcurrentExecution:
         # bag: 3 tasks; SAL: 2 iterations x (2 sims + 1 analysis) = 6.
         assert len(composite.units) == 3 + 2 * (2 + 1)
         assert all(u.state is UnitState.DONE for u in composite.units)
+
+    def test_local_composite_ends_with_its_last_unit(self, tmp_path):
+        """The composite's wait wakes on its children's completions, not
+        on a poll interval."""
+        handle = ResourceHandle(
+            "local.localhost", cores=2, walltime=10, mode="local",
+            sandbox=tmp_path / "sandbox",
+        )
+        handle.allocate()
+        composite = ConcurrentPatterns([Bag(size=2), Bag(size=2)])
+        try:
+            handle.run(composite)
+            last_done = max(
+                event.time for event in handle.profile.events("unit_state")
+                if event.attrs["state"] == "DONE"
+            )
+            (stop,) = handle.profile.events("entk_pattern_stop", composite.uid)
+        finally:
+            handle.deallocate()
+        assert stop.time - last_done < 0.05
 
     def test_constituents_really_interleave(self, sim_handle_factory):
         """Two bags with long tasks share the pilot concurrently: total

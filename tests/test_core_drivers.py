@@ -162,6 +162,50 @@ class TestPipelineDriver:
             (stage2,) = by_tag(pattern.units, instance=instance, stage=2)
             assert stage2.state is UnitState.DONE
 
+    def test_retry_notifying_under_the_driver_lock_does_not_deadlock(
+        self, tmp_path
+    ):
+        """Stage 2 is submitted from an executor thread under the driver
+        lock; its stage-in fails there at once, and so do both retries,
+        so the last failure notifies the session from under that lock
+        while the drive loop's predicate (EoP ``done``) takes it."""
+        import threading
+
+        from repro.core.resource_handle import ResourceHandle
+
+        class MissingInput(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+            def stage_2(self, instance):
+                kernel = sleep_kernel()
+                kernel.link_input_data = ["$STAGE_1/missing.txt"]
+                return kernel
+
+        handle = ResourceHandle(
+            "local.localhost", cores=4, walltime=10, mode="local",
+            sandbox=tmp_path / "sandbox",
+        )
+        handle.allocate()
+        pattern = MissingInput(ensemble_size=2, pipeline_size=2)
+        pattern.max_task_retries = 2
+        errors = []
+
+        def run():
+            try:
+                handle.run(pattern)
+            except PatternError as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        # A deadlocked run keeps its locks: tearing it down would hang.
+        assert not runner.is_alive(), "the drive loop deadlocked"
+        handle.deallocate()
+        assert len(errors) == 1 and "2 task(s) failed" in str(errors[0])
+        assert len(handle.profile.events("entk_task_retry")) == 4
+
     def test_bag_of_tasks_runs_all(self, local_handle):
         class Bag(BagOfTasks):
             def task(self, instance):

@@ -136,6 +136,78 @@ class TestSession:
         session.close()  # second close is a no-op
 
 
+class TestSessionWait:
+    def test_sim_wait_steps_until_the_predicate_holds(self):
+        session = Session(mode="sim", platform="xsede.comet")
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            session.sim.schedule(t, lambda t=t: fired.append(t))
+        assert session.wait_until(lambda: len(fired) == 2)
+        assert session.now() == 2.0  # the third event is still pending
+        session.close()
+
+    def test_sim_wait_on_a_drained_simulation(self):
+        session = Session(mode="sim", platform="xsede.comet")
+        assert not session.wait_until(lambda: False)
+        with pytest.raises(ValueError, match="dry"):
+            session.wait_until(lambda: False,
+                               drained=lambda: ValueError("dry"))
+        session.close()
+
+    def test_local_wait_times_out_without_a_notify(self):
+        session = Session(mode="local")
+        assert not session.wait_until(lambda: False, timeout=0.05)
+        session.close()
+
+    def test_local_notifies_from_racing_threads_are_never_lost(self):
+        # Four pairs of threads (more threads than cores) pass turns back
+        # and forth through one session, under a tiny switch interval.
+        # Each turn is a wait that only the other thread's notify ends,
+        # so one wake-up lost between a predicate test and its wait
+        # stalls that pair until the timeout.
+        import sys
+        import threading
+        import time
+
+        session = Session(mode="local")
+        rounds, pairs = 200, 4
+        turns = [[0] for _ in range(pairs)]
+        stalled = []
+
+        def player(turn, parity):
+            def my_turn():
+                mine = turn[0] % 2 == parity
+                # A predicate may block (on a driver lock, say): yield
+                # here to widen the window a lost wake-up would need.
+                time.sleep(0)
+                return mine
+
+            for _ in range(rounds):
+                if not session.wait_until(my_turn, timeout=10):
+                    stalled.append(turn)
+                    return
+                turn[0] += 1  # only the player whose turn it is writes
+                session.notify()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=player, args=(turn, parity))
+            for turn in turns for parity in (0, 1)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not stalled
+        assert [turn[0] for turn in turns] == [2 * rounds] * pairs
+        session.close()
+
+
 class TestLaunchMethods:
     def test_fork_for_serial(self):
         description = ComputeUnitDescription(executable="x")

@@ -207,8 +207,38 @@ class TestLocalRuntime:
         pmgr.cancel_pilots()
         session.close()
 
+    def test_wait_units_times_out_on_a_unit_that_cannot_finish(self):
+        import threading
+
+        session, pmgr, umgr, pilot = make_local(cores=1)
+        release = threading.Event()
+        (unit,) = umgr.submit_units(ComputeUnitDescription(
+            executable="t", payload=lambda ctx: release.wait(30)
+        ))
+        try:
+            with pytest.raises(PilotError, match="^timeout waiting for units$"):
+                umgr.wait_units(timeout=0.2)
+            assert not unit.wait(timeout=0.05).is_final
+        finally:
+            release.set()
+        assert umgr.wait_units(timeout=30) == [UnitState.DONE]
+        pmgr.cancel_pilots()
+        session.close()
+
 
 class TestSimRuntime:
+    def test_unit_wait_steps_the_simulation(self):
+        session, pmgr, umgr, pilot = make_sim()
+        (unit,) = umgr.submit_units(
+            ComputeUnitDescription(executable="t", modelled_duration=10.0)
+        )
+        assert unit.wait() is UnitState.DONE
+        assert session.now() > 10.0
+        # Only as far as the unit needed: the pilot's walltime end waits.
+        assert pilot.state is PilotState.ACTIVE
+        pmgr.cancel_pilots()
+        session.close()
+
     def test_waves_on_undersized_pilot(self):
         session, pmgr, umgr, pilot = make_sim(cores=10)
         units = umgr.submit_units(

@@ -13,13 +13,14 @@ Three layers under test:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.kernel_plugin import Kernel
-from repro.core.patterns import EnsembleOfPipelines
+from repro.core.patterns import BagOfTasks, EnsembleOfPipelines
 from repro.core.resource_handle import ResourceHandle
-from repro.exceptions import ConfigurationError, StateTransitionError
+from repro.exceptions import StateTransitionError
 from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
@@ -132,23 +133,18 @@ class TestUnitStore:
         # Shared group callbacks are completion hooks, called once per
         # batch with the batch's units that share the list; a unit's own
         # callbacks see every transition.  On a final transition the
-        # shared lists run first, then each unit calls its own callbacks
-        # and sets its final event.
+        # shared lists run first, then each unit calls its own callbacks,
+        # and then the session is notified once.
         store = session.unit_store
         rows = store.add_bulk([_desc(), _desc(), _desc()])
-        events = [store.final_event(i, create=True) for i in rows]
         calls = []
+        session.notify = lambda: calls.append("notify")
 
         def record(tag):
-            return lambda u, s: calls.append(
-                (tag, u.uid, s, events[u._i].is_set())
-            )
+            return lambda u, s: calls.append((tag, u.uid, s))
 
         def record_batch(tag):
-            return lambda us, s: calls.append(
-                (tag, [u.uid for u in us], s,
-                 [events[u._i].is_set() for u in us])
-            )
+            return lambda us, s: calls.append((tag, [u.uid for u in us], s))
 
         store.set_group_callbacks(rows[:2], [record_batch("shared")])
         store.set_group_callbacks(rows[2:], [record_batch("other")])
@@ -156,36 +152,33 @@ class TestUnitStore:
         units[0].add_callback(record("extra"))
         store.advance_many(units, UnitState.UMGR_SCHEDULING)
         assert calls == [
-            ("extra", "unit.000000", UnitState.UMGR_SCHEDULING, False),
+            ("extra", "unit.000000", UnitState.UMGR_SCHEDULING),
         ]
         calls.clear()
         store.advance_many(units, UnitState.CANCELED)
         assert calls == [
-            ("shared", ["unit.000000", "unit.000001"], UnitState.CANCELED,
-             [False, False]),
-            ("other", ["unit.000002"], UnitState.CANCELED, [False]),
-            ("extra", "unit.000000", UnitState.CANCELED, False),
+            ("shared", ["unit.000000", "unit.000001"], UnitState.CANCELED),
+            ("other", ["unit.000002"], UnitState.CANCELED),
+            ("extra", "unit.000000", UnitState.CANCELED),
+            "notify",
         ]
-        assert all(event.is_set() for event in events)
 
     def test_batch_of_one_keeps_per_unit_callback_order(self, session):
         store = session.unit_store
         rows = store.add_bulk([_desc(), _desc()])
-        events = [store.final_event(i, create=True) for i in rows]
         calls = []
+        session.notify = lambda: calls.append("notify")
         store.set_group_callbacks(rows, [
             lambda us, s: calls.append(("shared", [u.uid for u in us])),
         ])
         units = [ComputeUnit._of(store, i) for i in rows]
         for unit in units:
-            unit.add_callback(lambda u, s: calls.append(
-                ("extra", u.uid, events[u._i].is_set())
-            ))
+            unit.add_callback(lambda u, s: calls.append(("extra", u.uid)))
         for unit in units:
             store.advance_many([unit], UnitState.CANCELED)
         assert calls == [
-            ("shared", ["unit.000000"]), ("extra", "unit.000000", False),
-            ("shared", ["unit.000001"]), ("extra", "unit.000001", False),
+            ("shared", ["unit.000000"]), ("extra", "unit.000000"), "notify",
+            ("shared", ["unit.000001"]), ("extra", "unit.000001"), "notify",
         ]
 
     def test_advance_many_emits_one_batch_event_per_group(self, session):
@@ -438,6 +431,65 @@ class TestBulkLifecycle:
         assert all(u.state is UnitState.DONE for u in pattern.units)
         assert handle.session.spool_path.exists()
 
-    def test_bulk_rejects_local_mode(self):
-        with pytest.raises(ConfigurationError):
-            Session(mode="local", bulk_lifecycle=True)
+    @pytest.mark.parametrize("make_pattern", [
+        lambda: SleepBag(size=64),
+        lambda: CharCount(ensemble_size=16, pipeline_size=2),
+    ], ids=["bag64", "staged_eop16x2"])
+    def test_local_batched_run_matches_per_unit_run(self, tmp_path,
+                                                    make_pattern):
+        # Wall times differ between the runs; outcomes must not.
+        per_unit = _local_outcome(make_pattern(), tmp_path / "per_unit")
+        batched = _local_outcome(make_pattern(), tmp_path / "batched",
+                                 bulk_lifecycle=True)
+        assert batched == per_unit
+        assert all(state is UnitState.DONE for _, state, *_ in per_unit)
+
+
+class SleepBag(BagOfTasks):
+    def task(self, instance):
+        return _sleep(0)
+
+
+class CharCount(EnsembleOfPipelines):
+    """The paper's characterization pipeline, staged through $STAGE_1."""
+
+    def stage_1(self, instance):
+        kernel = Kernel(name="misc.mkfile")
+        kernel.arguments = [f"--size={100 * instance}", "--filename=data.txt"]
+        return kernel
+
+    def stage_2(self, instance):
+        kernel = Kernel(name="misc.ccount")
+        kernel.arguments = ["--inputfile=data.txt", "--outputfile=count.txt"]
+        kernel.link_input_data = ["$STAGE_1/data.txt > data.txt"]
+        return kernel
+
+
+def _local_outcome(pattern, sandbox, **handle_kwargs):
+    """Per unit, sorted by its tags: final state, result, the files in its
+    sandbox and the states it entered."""
+    reset_id_counters()
+    handle = ResourceHandle(
+        "local.localhost", cores=4, walltime=10, mode="local",
+        sandbox=sandbox, **handle_kwargs,
+    )
+    handle.allocate()
+    try:
+        handle.run(pattern)
+        outcome = sorted(
+            (
+                sorted((k, v) for k, v in unit.description.tags.items()
+                       if k != "pattern"),
+                unit.state,
+                unit.result,
+                {path.name: path.read_text()
+                 for path in Path(unit.sandbox).iterdir()},
+                set(unit.timestamps),
+            )
+            for unit in pattern.units
+        )
+        batch_events = handle.profile.events("units_state")
+    finally:
+        handle.deallocate()
+    assert bool(batch_events) == handle.bulk_lifecycle
+    return outcome
