@@ -65,16 +65,9 @@ from repro.telemetry.sink import TraceIndex
 from repro.utils.ids import reset_id_counters
 from tests.test_analysis_differential import _EXERCISED, CASES, FAULTS, PATTERNS
 from tests import test_determinism
-from tests.test_determinism import (
-    EXCLUSION_KWARGS,
-    FAULT_KWARGS,
-    FaultedBag,
-    SleepEE,
-    TwoStageEoP,
-    WideBag,
-    _sleep,
-)
+from tests.test_determinism import _sleep
 from tests.test_unit_gauges import _trace
+from tests.trace_projections import digest, phase_spans
 
 #: The spans the agent no longer records, and the ones it never needed.
 PHASES = ("agent.stage_in", "exec.launch", "agent.stage_out")
@@ -239,6 +232,35 @@ class _RecordedAgentTelemetry:
 
 # -- comparisons --------------------------------------------------------------
 
+#: Per-unit runs: the :func:`~tests.trace_projections.digest` of the
+#: recorded phase spans (:func:`~tests.trace_projections.phase_spans`) of
+#: each case below, taken while per-unit sessions moved their lists one
+#: unit at a time, so that the reference recorded one span per unit.
+#: Lists now move whole in every session and the reference records one
+#: span per moved list, but a per-unit trace still derives one span per
+#: unit: these must still be the spans recorded then.
+PER_UNIT_PHASES = {
+    "eop-none-2": "1f1e80f09a6d0bbc",
+    "eop-node-3": "7df7fcbcf6940edc",
+    "eop-pilot-4": "2fc8d8b310988485",
+    "eop-task-5": "2ba6e8bd8bb5bea1",
+    "sal-none-6": "ccb923f2058ae8de",
+    "sal-node-7": "1f89f802a15cca2d",
+    "sal-pilot-8": "3689fc63919927a4",
+    "sal-task-9": "30833a964af881cd",
+    "bag-none-10": "e16b8283f1d10257",
+    "bag-node-11": "58746c9abc4af2f5",
+    "bag-pilot-12": "994fa5ffa496d44a",
+    "bag-task-13": "b1594e418dde6203",
+    "bag_task_node_faults_seed11": "c5f9ff9dc11041cc",
+    "ee_faults_seed3": "ac85140e284dff87",
+    "eop_faults_seed7": "74ba2a6b4ef11ed0",
+    "eop_plain_seed7": "ec132cf8aa6c8ad4",
+    "wide_bag_exclusion_seed1": "f78cfe960aea977d",
+    "launch_groups": "59db5f44b67f2b82",
+    "node_failure_while_launching": "1c1873789a2ae611",
+}
+
 
 def _phase_key(span) -> tuple:
     return (span.name, span.ref, span.t_start, span.t_end)
@@ -249,13 +271,16 @@ def _shape(span) -> tuple:
             span.attrs)
 
 
-def assert_same_tree(derived, recorded, batched: bool = False) -> None:
+def assert_same_tree(derived, recorded, batched: bool = False,
+                     phases: str | None = None) -> None:
     """*derived* (from the run's trace) and *recorded* (from the trace
     plus the reference recordings) are one tree: every span but the
     phase and pass spans is the same span, and the recorded phase spans
     are the derived ones.  In a *batched* trace a launch group that its
     batch event does not lead has no derived launch span (see
-    ``test_launch_groups_of_one_pass``); no derived span is wrong."""
+    ``test_launch_groups_of_one_pass``); no derived span is wrong.  With
+    *phases*, a per-unit run's derived phase spans are checked against
+    that pinned digest (see :data:`PER_UNIT_PHASES`) instead."""
     recorded_phases = Counter(
         _phase_key(s) for s in recorded if s.name in PHASES
     )
@@ -266,6 +291,8 @@ def assert_same_tree(derived, recorded, batched: bool = False) -> None:
         assert not derived_phases - recorded_phases
         missing = recorded_phases - derived_phases
         assert {name for name, *_ in missing} <= {"exec.launch"}
+    elif phases is not None:
+        assert digest(phase_spans(derived, PHASES)) == phases
     else:
         assert derived_phases == recorded_phases
     assert all(not s.uid.startswith("span.") for s in derived
@@ -307,7 +334,8 @@ class _MixedBag(BagOfTasks):
 @pytest.mark.parametrize("granularity", ["per-unit", "batched"])
 def test_launch_groups_of_one_pass(granularity, monkeypatch):
     """A pass that launches two durations starts two launch groups.  Per
-    unit every launch is derived; a batch event names only its first
+    unit every launch is derived (the spans pinned when the reference
+    recorded one launch per unit); a batch event names only its first
     unit, so a batched trace derives the launch of the group that unit
     leads, and no span the agent did not record."""
     reference = _RecordedAgentTelemetry(monkeypatch)
@@ -325,12 +353,12 @@ def test_launch_groups_of_one_pass(granularity, monkeypatch):
         events).build() if s.name in PHASES)
     recorded = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events + list(reference.prof)).build() if s.name in PHASES)
+    if granularity == "per-unit":
+        assert digest(sorted(derived.items())) == PER_UNIT_PHASES["launch_groups"]
+        return
     assert not derived - recorded
     missing = recorded - derived
-    if granularity == "per-unit":
-        assert not missing
-    else:
-        assert missing and {name for name, *_ in missing} == {"exec.launch"}
+    assert missing and {name for name, *_ in missing} == {"exec.launch"}
 
 
 def not_started(events) -> dict[str, list[tuple[float, float]]]:
@@ -351,10 +379,13 @@ def not_started(events) -> dict[str, list[tuple[float, float]]]:
     return windows
 
 
-def check_against_reference(handle, pattern, reference) -> list:
+def check_against_reference(handle, pattern, reference,
+                            phases: str | None = None) -> list:
     """Everything *handle*'s finished run implies, read from its trace
-    alone, equals what its trace plus *reference*'s recordings implies.
-    Returns the points where the recorded gauges were stale."""
+    alone, equals what its trace plus *reference*'s recordings implies
+    (a per-unit run's phase spans: the pinned *phases*, see
+    :func:`assert_same_tree`).  Returns the points where the recorded
+    gauges were stale."""
     events = list(handle.profile)
     assert not any(ev.name == "metric" and ev.uid.startswith("agent.")
                    for ev in events)
@@ -371,7 +402,7 @@ def check_against_reference(handle, pattern, reference) -> list:
     derived_tree = SpanBuilder().add_events(events).build()
     recorded_tree = SpanBuilder().add_events(recorded_trace).build()
     assert_same_tree(derived_tree, recorded_tree,
-                     batched=handle.session.bulk_lifecycle)
+                     batched=handle.session.bulk_lifecycle, phases=phases)
     path = critical_path(derived_tree, pattern.uid)
     ref_path = critical_path(recorded_tree, pattern.uid)
     assert ([(s.t_start, s.t_end, s.component) for s in path.segments]
@@ -416,7 +447,9 @@ def test_derived_agent_telemetry_matches_recorded_reference(
     if faults in _EXERCISED:
         summary = fault_recovery_summary(handle.profile)
         assert getattr(summary, _EXERCISED[faults]) > 0
-    stale = check_against_reference(handle, pattern, reference)
+    phases = (None if granularity == "batched"
+              else PER_UNIT_PHASES[f"{pattern_name}-{faults}-{seed}"])
+    stale = check_against_reference(handle, pattern, reference, phases)
     assert bool(stale) == (faults == "pilot")
 
 
@@ -426,17 +459,7 @@ GOLDEN_RUNS = {
     **{name: (make, dict(kwargs, bulk_lifecycle=True))
        for name, (make, kwargs, _)
        in test_determinism.TestGoldenTraceHashesBatched.CASES.items()},
-    "eop_plain_seed7": (lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
-                        dict(seed=7)),
-    "eop_faults_seed7": (lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
-                         dict(seed=7, **FAULT_KWARGS)),
-    "ee_faults_seed3": (lambda: SleepEE(ensemble_size=32, iterations=2),
-                        dict(seed=3, **FAULT_KWARGS)),
-    "bag_task_node_faults_seed11": (lambda: FaultedBag(size=64),
-                                    dict(seed=11, fault_rate=0.2,
-                                         **FAULT_KWARGS)),
-    "wide_bag_exclusion_seed1": (lambda: WideBag(size=64),
-                                 dict(seed=1, **EXCLUSION_KWARGS)),
+    **test_determinism.GOLDEN_RUNS,
 }
 
 
@@ -456,7 +479,8 @@ def test_golden_runs_imply_what_they_recorded(case, monkeypatch):
         handle.run(pattern)
     finally:
         handle.deallocate()
-    stale = check_against_reference(handle, pattern, reference)
+    phases = None if kwargs.get("bulk_lifecycle") else PER_UNIT_PHASES[case]
+    stale = check_against_reference(handle, pattern, reference, phases)
     assert bool(stale) == ("pilot_mtbf" in kwargs)
 
 
@@ -567,9 +591,11 @@ def test_node_failure_while_launching(granularity, monkeypatch):
         events).build() if s.name in PHASES)
     recorded_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events + list(reference.prof)).build() if s.name in PHASES)
-    assert not derived_phases - recorded_phases
     if granularity == "per-unit":
-        assert derived_phases == recorded_phases
+        assert (digest(sorted(derived_phases.items()))
+                == PER_UNIT_PHASES["node_failure_while_launching"])
+    else:
+        assert not derived_phases - recorded_phases
 
 
 # -- trace format -------------------------------------------------------------

@@ -206,6 +206,99 @@ class TestFaultsOffIsABitIdenticalNoOp:
         }
 
 
+#: The per-unit runs :class:`TestGoldenTraceHashes` pins the Chrome export
+#: of, as (pattern factory, handle keywords).
+GOLDEN_RUNS = {
+    "eop_plain_seed7": (lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
+                        dict(seed=7)),
+    "eop_faults_seed7": (lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
+                         dict(seed=7, **FAULT_KWARGS)),
+    "ee_faults_seed3": (lambda: SleepEE(ensemble_size=32, iterations=2),
+                        dict(seed=3, **FAULT_KWARGS)),
+    "bag_task_node_faults_seed11": (lambda: FaultedBag(size=64),
+                                    dict(seed=11, fault_rate=0.2,
+                                         **FAULT_KWARGS)),
+    "wide_bag_exclusion_seed1": (lambda: WideBag(size=64),
+                                 dict(seed=1, **EXCLUSION_KWARGS)),
+}
+
+
+class TestGoldenProjections:
+    """Pinned order-insensitive projections of the per-unit golden runs.
+
+    The Chrome-export digests below pin the order of events within a
+    timestamp too.  These pins (:mod:`tests.trace_projections`) do not:
+    each unit's state and slot events with their times, the multiset of
+    all events, the span set, the critical path, the Fig. 3 breakdown,
+    the fault summary and every metric's value at the end of each
+    distinct event time.  A change that reorders events within a
+    timestamp on purpose re-pins the digests, never these.
+    """
+
+    GOLDEN = {
+        "bag_task_node_faults_seed11": {
+            "states": "0ab42517023bb53d",
+            "slots": "a75c4bdf562b8912",
+            "events": "8132d125c26ebcd6",
+            "spans": "991de94a1b180dec",
+            "faults": "824b81918ea2f971",
+            "metrics": "235d8daae6f64e33",
+            "critical_path": "660941603853fe3d",
+            "breakdown": "bf5ecd547960be26",
+        },
+        "ee_faults_seed3": {
+            "states": "328dc48a59ef296e",
+            "slots": "e0eccc12bdac2d15",
+            "events": "5ee73257887fdcdc",
+            "spans": "34fd9841da887670",
+            "faults": "99a9adeb3f8e41d7",
+            "metrics": "f9951ad2d84dce65",
+            "critical_path": "12c90a3b96096f62",
+            "breakdown": "6b6605e9888aa295",
+        },
+        "eop_faults_seed7": {
+            "states": "a2b3582acee5e961",
+            "slots": "55028a34ffd34db6",
+            "events": "eee006faed9d5230",
+            "spans": "f28b8abfd3965987",
+            "faults": "4fcf59a04002fae5",
+            "metrics": "538dfdf8e2d775bc",
+            "critical_path": "be55a171356eb851",
+            "breakdown": "3cefb46aafb1554c",
+        },
+        "eop_plain_seed7": {
+            "states": "96c8f0cc71630bf8",
+            "slots": "035a5f70d2d754f8",
+            "events": "a0fa9c5a2f6bb6c2",
+            "spans": "38315b571ea7880b",
+            "faults": "99a9adeb3f8e41d7",
+            "metrics": "eead1975a16d232d",
+            "critical_path": "31b03406a94b4001",
+            "breakdown": "b94333fe2bc67dbe",
+        },
+        "wide_bag_exclusion_seed1": {
+            "states": "a3f94055c45d9519",
+            "slots": "ff6abaa4ed5febb6",
+            "events": "b6e0cbaf7f55e99f",
+            "spans": "a439f2ceb942a552",
+            "faults": "b87f757b3a9c0aef",
+            "metrics": "00f66752f41b1dde",
+            "critical_path": "4634bedd19f90cad",
+            "breakdown": "cce6d10fb8d673e7",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+    def test_projections_match_golden(self, case):
+        from tests.trace_projections import digests, project
+
+        make, kwargs = GOLDEN_RUNS[case]
+        kwargs = dict(kwargs)
+        pattern = make()
+        events = trace(lambda: pattern, **kwargs)
+        assert digests(project(events, pattern)) == self.GOLDEN[case]
+
+
 class TestGoldenTraceHashes:
     """Pinned Chrome-export digests: cross-*version* determinism.
 

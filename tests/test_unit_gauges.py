@@ -12,7 +12,10 @@ into the gauges.  Two checks here:
   runs (EoP, SAL and bag patterns, without faults and with node, pilot
   and task faults, per-unit and batched) the derived series must equal
   the recorded ones point for point, and each gauge must end at the
-  number of units the store holds in that state.
+  number of units the store holds in that state.  The wrapper records
+  once per moved list, so a per-unit run, which moves whole lists but
+  writes one event per unit, is checked at the end of every distinct
+  event time against values pinned when it moved one unit at a time.
 * **Trace format.**  A trace written before state events carried
   ``prev`` (recorded ``units.*`` points) reads exactly as it did: the
   same series, the same Chrome counters and the same ``repro trace
@@ -36,6 +39,7 @@ from repro.telemetry import MetricsRegistry, chrome_trace, write_chrome_trace
 from repro.utils.ids import reset_id_counters
 from tests.test_lifecycle_granularity import _EXERCISED, FAULTS, PATTERNS
 from tests.test_telemetry import synthetic_trace
+from tests.trace_projections import digest
 
 
 # -- reference: the store's former gauge emitter ------------------------------
@@ -94,7 +98,35 @@ def _unit_series(registry: MetricsRegistry) -> dict[str, list]:
     }
 
 
+def _unit_values(registry: MetricsRegistry, times) -> dict[str, list]:
+    """Each ``units.*`` gauge's value at the end of each of *times*."""
+    return {
+        name: [registry.series(name).value_at(t) for t in times]
+        for name in sorted(registry.names())
+        if name.startswith("units.")
+    }
+
+
 CASES = list(product(PATTERNS, FAULTS, ("per-unit", "batched")))
+
+#: Per-unit cases: the :func:`~tests.trace_projections.digest` of the
+#: recorded gauges' :func:`_unit_values` at every distinct event time,
+#: taken while per-unit sessions moved their lists one unit at a time
+#: (when the recorded series equalled the derived ones point for point).
+PER_UNIT_VALUES = {
+    "bag-node": "1270e7de8d2df3f6",
+    "bag-none": "a0e782bb36991082",
+    "bag-pilot": "416f16ceb460b4ef",
+    "bag-task": "0c7d254ac1f11da4",
+    "eop-node": "90143ea0f0934e16",
+    "eop-none": "4b46615dde27870f",
+    "eop-pilot": "d8a7c00ce509c63a",
+    "eop-task": "842462c05d5765ba",
+    "sal-node": "895597268f4d60fe",
+    "sal-none": "091cdb6666f50f23",
+    "sal-pilot": "1db61094563ebf93",
+    "sal-task": "a7e65eaf6b32de1e",
+}
 
 
 @pytest.mark.parametrize("pattern_name,faults,granularity", CASES)
@@ -123,7 +155,12 @@ def test_derived_gauges_match_recorded_reference(
     derived = MetricsRegistry.from_events(events)
     recorded = MetricsRegistry.from_events(reference.prof)
     assert _unit_series(recorded)
-    assert _unit_series(derived) == _unit_series(recorded)
+    if granularity == "per-unit":
+        times = sorted({ev.time for ev in events})
+        assert (digest(_unit_values(derived, times))
+                == PER_UNIT_VALUES[f"{pattern_name}-{faults}"])
+    else:
+        assert _unit_series(derived) == _unit_series(recorded)
 
     store = handle.session.unit_store
     for state in UnitState:
