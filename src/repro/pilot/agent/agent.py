@@ -5,8 +5,9 @@ from the unit manager, stages their inputs, queues them for cores, launches
 them through an executor and stages outputs — continuation-passing all the
 way, so the identical control flow serves threaded local execution and the
 single-threaded discrete-event simulation.  Every stage takes a list of
-units; the session's :class:`~repro.pilot.unit_store.UnitStore` decides the
-batches a list moves in (batches of one unless ``bulk_lifecycle`` is set).
+units and moves it whole; the session's
+:class:`~repro.pilot.unit_store.UnitStore` decides only how the list is
+written to the trace (see ``UnitStore.emit``).
 
 Queue policies (the paper's agent inherits RADICAL-Pilot's):
 
@@ -30,6 +31,7 @@ from repro.pilot.agent.slots import make_slot_scheduler
 from repro.pilot.agent.staging import LocalStager, SimStager
 from repro.pilot.faults import NodeFailure, PilotFailure
 from repro.pilot.states import UnitState
+from repro.pilot.unit_store import WIDTH
 from repro.utils.logger import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,8 +103,7 @@ class Agent:
         self._started = False
         self._unit_killed_cb: Callable[..., Any] | None = None
         self._fault_process: NodeFaultProcess | None = None
-        #: Every transition goes through the store, which also decides the
-        #: batches a lifecycle list moves in (see ``UnitStore.batches``).
+        #: Every transition goes through the store.
         self._store = session.unit_store
 
         if session.is_simulated:
@@ -174,11 +175,10 @@ class Agent:
         self._disarm_node_faults()
         with self._lock:
             waiting = self._waiting_clear()
-        for batch in self._store.batches(waiting):
-            self._store.advance_many(
-                batch, UnitState.CANCELED, pilot=self.pilot.uid
-            )
-            self._notify_final(batch)
+        self._store.advance_many(
+            waiting, UnitState.CANCELED, pilot=self.pilot.uid
+        )
+        self._notify_final(waiting)
         self.executor.shutdown()
         self.session.prof.event("agent_stop", self.pilot.uid)
 
@@ -240,11 +240,8 @@ class Agent:
 
     def submit_units(self, units: list["ComputeUnit"]) -> None:
         """Accept units from the unit manager (any time after creation)."""
-        for batch in self._store.batches(units):
-            self._accept(batch)
-
-    def _accept(self, units: list["ComputeUnit"]) -> None:
         fit: list["ComputeUnit"] = []
+        wide: list["ComputeUnit"] = []
         for unit in units:
             cores = self._store.cores(unit._i)
             if cores > self.slots.total_cores:
@@ -252,12 +249,14 @@ class Agent:
                     f"unit {unit.uid} wants {cores} cores; "
                     f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
                 )
-                self._store.advance_many([unit], UnitState.FAILED)
-                self._notify_final([unit])
+                wide.append(unit)
                 continue
             unit.pilot_uid = self.pilot.uid
             self.stager.register_unit(unit)
             fit.append(unit)
+        if wide:
+            self._store.advance_many(wide, UnitState.FAILED)
+            self._notify_final(wide)
         if not fit:
             return
         self._store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
@@ -312,8 +311,8 @@ class Agent:
 
     # -- internals -----------------------------------------------------------------
 
-    def _release(self, units: list["ComputeUnit"]) -> dict[str, Any]:
-        """The fields of the state event that takes placed *units* out of
+    def _release(self) -> dict[str, Any]:
+        """The fields of the state event that takes placed units out of
         this agent's hands: the pilot and the cores they held.
 
         The agent records no gauge: ``MetricsRegistry.from_events``
@@ -322,11 +321,7 @@ class Agent:
         out of the wait queue; one with ``cores`` releases slots (and
         busy cores, when it leaves ``EXECUTING``).
         """
-        cores = self._store.cores
-        return {
-            "pilot": self.pilot.uid,
-            "cores": sum(cores(unit._i) for unit in units),
-        }
+        return {"pilot": self.pilot.uid, "cores": WIDTH}
 
     def _hand_back(
         self, unit: "ComputeUnit", exc: BaseException, **fields: Any
@@ -439,18 +434,15 @@ class Agent:
                 f"excluded nodes leave fewer than "
                 f"{self._store.cores(unit._i)} eligible cores"
             ))
+        if not launched:
+            return
         now = self.session.now()
-        cores = self._store.cores
-        for batch in self._store.batches(launched):
-            rows = [unit._i for unit in batch]
-            for unit in batch:
-                unit.attempts += 1
-                self._launch_times[unit._i] = now
-            self._store.emit(
-                "slots", rows, slots=sum(map(cores, rows)),
-                pilot=self.pilot.uid,
-            )
-            self.executor.launch_units(batch, self._on_executed)
+        for unit in launched:
+            unit.attempts += 1
+            self._launch_times[unit._i] = now
+        self._store.emit("slots", [unit._i for unit in launched],
+                         slots=WIDTH, pilot=self.pilot.uid)
+        self.executor.launch_units(launched, self._on_executed)
 
     # -- failure domains ------------------------------------------------------------
 
@@ -497,7 +489,7 @@ class Agent:
     def _kill_unit(self, unit: "ComputeUnit", node: int | None) -> None:
         """Tear down one in-flight unit whose node (or whole pilot) died."""
         self.executor.kill(unit)
-        release = self._release([unit])
+        release = self._release()
         with self._lock:
             self._executing.pop(unit._i, None)
             if unit.slots:
@@ -534,7 +526,7 @@ class Agent:
     ) -> None:
         """The executor finished *units* (``exception`` is ``None``) or
         failed them with ``exception``."""
-        release = self._release(units)
+        release = self._release()
         freed: list[int] = []
         with self._lock:
             for unit in units:

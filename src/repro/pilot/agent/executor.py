@@ -28,6 +28,7 @@ from repro.pilot.agent.launch_method import get_launch_method
 from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.faults import TaskFault
 from repro.pilot.states import UnitState
+from repro.pilot.unit_store import WIDTH
 from repro.telemetry.span import Tracer
 from repro.utils.logger import get_logger
 
@@ -114,8 +115,7 @@ class LocalExecutor:
     def _run(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
         store = self.session.unit_store
         store.advance_many(
-            [unit], UnitState.EXECUTING,
-            pilot=unit.pilot_uid, cores=store.cores(unit._i),
+            [unit], UnitState.EXECUTING, pilot=unit.pilot_uid, cores=WIDTH
         )
         try:
             result = None
@@ -225,10 +225,9 @@ class SimExecutor:
     def _start(self, group: _LaunchGroup) -> None:
         group.started = True
         members = list(group.units.values())
-        store = self.session.unit_store
-        store.advance_many(
+        self.session.unit_store.advance_many(
             members, UnitState.EXECUTING, pilot=members[0].pilot_uid,
-            cores=sum(map(store.cores, group.units)),
+            cores=WIDTH,
         )
         sim = self.context.sim
         for i, offset in group.faults.items():

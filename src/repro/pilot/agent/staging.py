@@ -122,10 +122,9 @@ class LocalStager:
 class SimStager:
     """Charge modelled transfer time on the virtual clock.
 
-    Each call schedules one DES event per *cost group* of its units; for
-    a batch of one that is one per unit, and the common bulk case — no
-    staging directives anywhere — is a single zero-cost event for the
-    whole batch.
+    Each call schedules one DES event per *cost group* of its units; the
+    common case — no staging directives anywhere — is a single zero-cost
+    event for the whole list.
     """
 
     def __init__(self, context: "SimContext") -> None:

@@ -86,23 +86,17 @@ class UnitManager:
                 raise SchedulingError(f"no pilot can hold a {widest}-core unit")
         store = self.session.unit_store
         shared = [callback] if callback is not None else []
-        units: list[ComputeUnit] = []
         routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
-            for batch in store.batches(range(len(descriptions))):
-                lo, hi = batch[0], batch[-1] + 1
-                rows = store.add_bulk(
-                    descriptions[lo:hi], None if tags is None else tags[lo:hi]
-                )
-                new = [ComputeUnit._of(store, i) for i in rows]
-                store.set_group_callbacks(rows, shared)
-                store.advance_many(new, UnitState.UMGR_SCHEDULING)
-                for unit, description in zip(new, descriptions[lo:hi]):
-                    pilot = self._pick_pilot(description.cores)
-                    routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
-                units.extend(new)
+            rows = store.add_bulk(descriptions, tags)
+            units = [ComputeUnit._of(store, i) for i in rows]
+            store.set_group_callbacks(rows, shared)
+            store.advance_many(units, UnitState.UMGR_SCHEDULING)
+            for unit, description in zip(units, descriptions):
+                pilot = self._pick_pilot(description.cores)
+                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
             with self._lock:
                 self.units.extend(units)
 

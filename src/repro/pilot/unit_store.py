@@ -12,17 +12,15 @@ them.  :class:`~repro.pilot.unit.ComputeUnit` is a two-word view over
 one row, so the public unit API is unchanged.
 
 One write path serves every session.  Each lifecycle call takes a list
-of units (``add_bulk``/``advance_many``), and the store alone decides
-how that list shows up in the trace — the *emission policy*:
-
-* :meth:`UnitStore.batches` splits a lifecycle list into the batches it
-  moves in: the whole list under ``Session(bulk_lifecycle=True)``,
-  batches of one otherwise;
-* :meth:`UnitStore.emit` names the event: a batch of one in a per-unit
-  session is a per-unit ``unit_new``/``unit_state``/``unit_slots`` event,
-  which replays the historical per-unit trace byte for byte (the golden
-  hashes pin this); any other batch is one ``units_*`` event carrying
-  ``n`` and ``last``.
+of units (``add_bulk``/``advance_many``) and moves it whole, and the
+store alone decides how that list shows up in the trace — the *emission
+policy*, applied by :meth:`UnitStore.emit`: under
+``Session(bulk_lifecycle=True)`` a list is one ``units_*`` event
+carrying ``n`` and ``last``; otherwise it is expanded into one per-unit
+``unit_new``/``unit_state``/``unit_slots`` event per row, in list order.
+A field passed as :data:`WIDTH` is filled in by the store from its
+``cores`` column: the list's total on a batch event, the row's own
+width on a per-unit one.
 
 Each row is in the trace once per transition: :meth:`UnitStore.add_bulk`
 emits the ``new`` event, and every state event names the state it left
@@ -68,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pilot.description import ComputeUnitDescription
     from repro.pilot.unit import ComputeUnit
 
-__all__ = ["UnitDescription", "UnitStore", "UnitTimestamps"]
+__all__ = ["WIDTH", "UnitDescription", "UnitStore", "UnitTimestamps"]
 
 #: Stable state <-> small-int codec (enum definition order).
 _STATES: list[UnitState] = list(UnitState)
@@ -78,6 +76,18 @@ _STATE_INDEX: dict[UnitState, int] = {s: i for i, s in enumerate(_STATES)}
 _EVENT_NAMES = {
     kind: (f"unit_{kind}", f"units_{kind}") for kind in ("new", "state", "slots")
 }
+
+
+class _Width:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "WIDTH"
+
+
+#: An event field value that :meth:`UnitStore.emit` replaces with the
+#: cores of the event's units: their total on a batch event, the row's
+#: own on a per-unit one (``cores`` on state events, ``slots`` on slot
+#: events).
+WIDTH = _Width()
 
 _UID_WIDTH = 6
 _EMPTY_EXCLUSIONS: frozenset[tuple[str, int]] = frozenset()
@@ -177,8 +187,8 @@ class UnitStore:
 
     def __init__(self, session: Any) -> None:
         self._session = session
-        #: The emission policy: move lifecycle lists as whole batches
-        #: (``units_*`` events) instead of batches of one.
+        #: The emission policy: one ``units_*`` event per lifecycle list
+        #: instead of one ``unit_*`` event per unit (see :meth:`emit`).
         self.bulk = bool(getattr(session, "bulk_lifecycle", False))
         # One coarse lock replaces the historical per-unit locks: the
         # only concurrent writers are local-mode executor threads, and
@@ -236,7 +246,8 @@ class UnitStore:
         tags: Sequence[dict[str, Any]] | None = None,
     ) -> range:
         """Register a batch: one id-block reservation, then :meth:`emit`
-        of ``new`` with the first unit's ``pattern`` tag.
+        of ``new`` with the first unit's ``pattern`` tag (each unit's own
+        on a per-unit event).
 
         *tags*, when given, holds each unit's tags, and the descriptions
         are shared (see :meth:`ComputeUnitDescription.shareable`): the
@@ -292,26 +303,29 @@ class UnitStore:
 
     # -- emission policy ----------------------------------------------------
 
-    def batches(self, items: list) -> list[list]:
-        """Split one lifecycle list into the batches it moves in."""
-        if self.bulk:
-            return [items] if items else []
-        return [[item] for item in items]
-
     def emit(self, kind: str, rows: Sequence[int], **fields: Any) -> None:
-        """Record one lifecycle event of *kind* (``new``, ``state``,
-        ``slots``) for the units in *rows*: a per-unit event for a batch
-        of one in a per-unit session, else one batch event with ``n``
-        and ``last``."""
+        """Record the lifecycle event of *kind* (``new``, ``state``,
+        ``slots``) for the units in *rows*: one batch event with ``n`` and
+        ``last`` in a bulk session, else one per-unit event per row.  A
+        field given as :data:`WIDTH` carries the units' cores."""
         per_unit, batch = _EVENT_NAMES[kind]
-        first = self.uid(rows[0])
-        if len(rows) == 1 and not self.bulk:
-            self._session.prof.event(per_unit, first, **fields)
-        else:
-            self._session.prof.event(
-                batch, first, **fields,
+        prof = self._session.prof
+        if self.bulk:
+            for key, value in fields.items():
+                if value is WIDTH:
+                    fields[key] = sum(map(self._cores.__getitem__, rows))
+            prof.event(
+                batch, self.uid(rows[0]), **fields,
                 n=len(rows), last=self.uid(rows[-1]),
             )
+            return
+        widths = [key for key, value in fields.items() if value is WIDTH]
+        for i in rows:
+            for key in widths:
+                fields[key] = self._cores[i]
+            if kind == "new":
+                fields["pattern"] = self.description(i).tags.get("pattern", "")
+            prof.event(per_unit, self.uid(i), **fields)
 
     # -- dense fields -------------------------------------------------------
 
@@ -420,16 +434,11 @@ class UnitStore:
 
         The list is called as ``callback(units, state)``, once per batch
         of transitions into a final state (see :meth:`_advance`).
-        Consecutive calls with the same list object share one entry, so a
-        submission moved as batches of one still stores its list once.
         """
         if not callbacks:
             return
-        if self._shared_cbs and self._shared_cbs[-1] is callbacks:
-            group = len(self._shared_cbs) - 1
-        else:
-            group = len(self._shared_cbs)
-            self._shared_cbs.append(callbacks)
+        group = len(self._shared_cbs)
+        self._shared_cbs.append(callbacks)
         for i in rows:
             self._cb_group[i] = group
 
@@ -456,8 +465,8 @@ class UnitStore:
         """Move *units* to *target* (the lifecycle's one transition call).
 
         *fields* ride on the state event; the agent layer passes the
-        ``pilot`` and ``cores`` its gauges are derived from (see
-        ``MetricsRegistry.from_events``)."""
+        ``pilot`` and (as :data:`WIDTH`) the ``cores`` its gauges are
+        derived from (see ``MetricsRegistry.from_events``)."""
         self._advance(units, target, fields)
 
     def _advance(
@@ -466,8 +475,7 @@ class UnitStore:
     ) -> None:
         """Transition body, per homogeneous (same current state) group:
         validate and stamp → one :meth:`emit` → callbacks → (final
-        groups) one session notify.  For a batch of one this is the
-        historical per-unit order the golden traces pin.
+        groups) one session notify.
 
         Shared group callbacks are completion hooks: they fire only on a
         transition into a final state, once per group with the group's

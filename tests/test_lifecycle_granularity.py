@@ -1,13 +1,14 @@
 """Differential test: trace granularity must not change what a run does.
 
-There is one unit lifecycle.  ``Session(bulk_lifecycle=True)`` only
-changes how the :class:`~repro.pilot.unit_store.UnitStore` batches the
-lists every stage passes (one batch per list instead of batches of one)
-and names their events.  So a per-unit run and a batched run of the
-same seeded workload must agree on everything the simulation decides:
-TTC, every unit's final state, attempt count and state timestamps, and
-how often the fault machinery fired — with node, pilot and task faults
-as much as without any.
+There is one unit lifecycle, and every stage moves its whole list.
+``Session(bulk_lifecycle=True)`` only changes how the
+:class:`~repro.pilot.unit_store.UnitStore` writes a list to the trace
+(one ``units_*`` event instead of one ``unit_*`` event per unit).  So a
+per-unit run and a batched run of the same seeded workload must agree
+on everything the simulation decides: TTC, every unit's final state,
+attempt count and state timestamps, and how often the fault machinery
+fired — with node, pilot and task faults as much as without any — and
+they must step the same DES events.
 """
 
 from __future__ import annotations
@@ -114,13 +115,13 @@ def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
         )
     names = [ev.name for ev in handle.profile]
     counts = {name: names.count(name) for name in _COUNTED}
-    return ttc, units, counts, names
+    return ttc, units, counts, names, handle.session.sim.events_processed
 
 
 @pytest.mark.parametrize("pattern_name,faults,seed", CASES)
 def test_batched_run_matches_per_unit_run(pattern_name, faults, seed):
-    ttc, units, counts, names = _outcome(pattern_name, faults, seed, False)
-    b_ttc, b_units, b_counts, b_names = _outcome(
+    ttc, units, counts, names, _ = _outcome(pattern_name, faults, seed, False)
+    b_ttc, b_units, b_counts, b_names, _ = _outcome(
         pattern_name, faults, seed, True
     )
     assert "unit_state" in names and "unit_state" not in b_names
@@ -132,3 +133,13 @@ def test_batched_run_matches_per_unit_run(pattern_name, faults, seed):
     for uid, outcome in units.items():
         assert b_units[uid] == outcome, uid
     assert b_counts == counts
+
+
+@pytest.mark.parametrize("pattern_name,faults", list(product(PATTERNS, FAULTS)))
+def test_granularity_steps_the_same_des_events(pattern_name, faults):
+    """Trace granularity is an emission policy only: a per-unit run moves
+    its lists as whole batches, so it steps exactly the DES events of the
+    batched run, not one set per unit."""
+    per_unit = _outcome(pattern_name, faults, SEEDS[0], False)[-1]
+    batched = _outcome(pattern_name, faults, SEEDS[0], True)[-1]
+    assert per_unit == batched

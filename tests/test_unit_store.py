@@ -26,7 +26,7 @@ from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
-from repro.pilot.unit_store import UnitStore
+from repro.pilot.unit_store import WIDTH, UnitStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sink import MemorySink, ProfileEvent, SpoolSink, revive
 from repro.utils.ids import reset_id_counters
@@ -36,6 +36,13 @@ from repro.utils.ids import reset_id_counters
 def session():
     reset_id_counters()
     with Session(mode="sim", platform="xsede.comet") as s:
+        yield s
+
+
+@pytest.fixture
+def bulk_session():
+    reset_id_counters()
+    with Session(mode="sim", platform="xsede.comet", bulk_lifecycle=True) as s:
         yield s
 
 
@@ -181,7 +188,8 @@ class TestUnitStore:
             ("shared", ["unit.000001"]), ("extra", "unit.000001"), "notify",
         ]
 
-    def test_advance_many_emits_one_batch_event_per_group(self, session):
+    def test_advance_many_emits_one_batch_event_per_group(self, bulk_session):
+        session = bulk_session
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(5)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -201,7 +209,8 @@ class TestUnitStore:
         gauges = MetricsRegistry.from_events(session.prof)
         assert gauges.series("units.UMGR_SCHEDULING").last == 5
 
-    def test_advance_many_groups_by_current_state(self, session):
+    def test_advance_many_groups_by_current_state(self, bulk_session):
+        session = bulk_session
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(4)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -216,6 +225,50 @@ class TestUnitStore:
         ]
         assert sorted(sizes) == [2, 2]
         assert all(u.state is UnitState.CANCELED for u in units)
+
+    def test_per_unit_session_expands_a_list_per_row(self, session):
+        """A per-unit session moves the list whole but writes one event
+        per row, each with that row's own width and pattern tag; a bulk
+        session writes one event with the list's total width."""
+        store = session.unit_store
+        rows = store.add_bulk(
+            [_desc(1), _desc(4), _desc(2)],
+            [{"pattern": "p.a"}, {"pattern": "p.b"}, {"pattern": "p.a"}],
+        )
+        units = [ComputeUnit._of(store, i) for i in rows]
+        store.advance_many(units, UnitState.UMGR_SCHEDULING,
+                           pilot="pilot.0000", cores=WIDTH)
+        store.emit("slots", list(rows), slots=WIDTH, pilot="pilot.0000")
+        events = session.prof.events()
+        assert not any(ev.name.startswith("units_") for ev in events)
+        uids = ["unit.000000", "unit.000001", "unit.000002"]
+        new = [ev for ev in events if ev.name == "unit_new"]
+        assert [(ev.uid, ev.attrs["pattern"]) for ev in new] == list(
+            zip(uids, ["p.a", "p.b", "p.a"])
+        )
+        state = [ev for ev in events if ev.name == "unit_state"]
+        assert [(ev.uid, ev.attrs) for ev in state] == [
+            (uid, {"state": "UMGR_SCHEDULING", "prev": "NEW",
+                   "pilot": "pilot.0000", "cores": cores})
+            for uid, cores in zip(uids, [1, 4, 2])
+        ]
+        slots = [ev for ev in events if ev.name == "unit_slots"]
+        assert [(ev.uid, ev.attrs) for ev in slots] == [
+            (uid, {"slots": cores, "pilot": "pilot.0000"})
+            for uid, cores in zip(uids, [1, 4, 2])
+        ]
+
+    def test_bulk_session_puts_the_list_width_on_its_event(self, bulk_session):
+        store = bulk_session.unit_store
+        rows = store.add_bulk([_desc(1), _desc(4), _desc(2)])
+        units = [ComputeUnit._of(store, i) for i in rows]
+        store.advance_many(units, UnitState.UMGR_SCHEDULING,
+                           pilot="pilot.0000", cores=WIDTH)
+        store.emit("slots", list(rows), slots=WIDTH, pilot="pilot.0000")
+        (state,) = bulk_session.prof.events("units_state")
+        assert state.attrs["cores"] == 7 and state.attrs["n"] == 3
+        (slots,) = bulk_session.prof.events("units_slots")
+        assert slots.attrs["slots"] == 7
 
     def test_advance_many_validates_every_group(self, session):
         store = session.unit_store
