@@ -310,24 +310,27 @@ class TestGoldenTraceHashes:
     purpose (a genuine semantic change to scheduling or tracing), it
     must say so and re-pin.
 
-    Last re-pinned when the agent stopped recording its gauges and
-    phase spans: the exports now carry the derived ones, with new span
-    uids and without the zero-length ``agent.schedule``/``agent.submit``
-    spans.  ``tests/test_agent_telemetry.py`` checks that each pinned
-    run implies what it recorded before.
+    Last re-pinned when per-unit sessions started moving every unit
+    list as one batch: a list's per-unit events became contiguous, so
+    only the order of events within a timestamp changed.
+    :class:`TestGoldenProjections` pins, from before that change, what
+    must not move (every unit's events and times, the event multiset,
+    spans, critical path, breakdown, fault summary and metric values),
+    and ``tests/test_agent_telemetry.py`` checks that each pinned run
+    implies what the agent's former emitters recorded.
     """
 
     GOLDEN = {
         "eop_plain_seed7":
-            "5cc77249bae99624bdc882ebe998017bfd627de764a3738e31a77d345d4717ba",
+            "8d9d1cea369fcc23fe40530ac4dda565f32fc2e23cf8819ba655047b70308fb1",
         "eop_faults_seed7":
-            "ec0f3f35208e24fd47a14027e26ea506f9930d97f030385b7496a5850b7835f4",
+            "80c01cb723df0a98f8a70439b58bed78ef5ca383017d8e403f2a4c6dadcfd163",
         "ee_faults_seed3":
-            "f6cfad48542326501cd7b5495bcc75e228f507c4ec92b9b1bb2f45bfdefc0bfa",
+            "4169713fe6fd7289869890de967469f43b2096fea0bc7657031d4851b349ba59",
         "bag_task_node_faults_seed11":
-            "0d4df2b668f3feeef28773e0ab31455a3cd4c0370a759bc0677ce39fe833817d",
+            "630340440018e518c4fef0ad6457eb8eeb3b8eaa449d1ca6d68e20cc250b92c3",
         "wide_bag_exclusion_seed1":
-            "7e026f2865e982ec74e979d0078b91df6b17053e8999a1df7986abe1cda5f5d0",
+            "383abced552760799386a82b47a58fa34c2248ff174e720919a7c369f91ae8a0",
     }
 
     @staticmethod
