@@ -50,6 +50,10 @@ class PatternDriver(abc.ABC):
         self._lock = threading.RLock()
         self.units: list["ComputeUnit"] = []
         self.failed_units: list["ComputeUnit"] = []
+        #: The composite driver running this one, if any (see :attr:`root`).
+        self.parent: PatternDriver | None = None
+        #: The first driver-callback error of this driver's whole tree;
+        #: set on the :attr:`root` only.
         self._internal_error: BaseException | None = None
         self._pending: list[tuple[SubmitRequest, Any]] = []
         self._flush_scheduled = False
@@ -75,6 +79,15 @@ class PatternDriver(abc.ABC):
 
     # -- execution -------------------------------------------------------------------
 
+    @property
+    def root(self) -> "PatternDriver":
+        """The outermost driver of this one's composite tree: the one
+        place a driver error goes, and which every drive loop checks."""
+        driver = self
+        while driver.parent is not None:
+            driver = driver.parent
+        return driver
+
     def run(self) -> None:
         """Execute the pattern; raises :class:`PatternError` on task failure."""
         prof = self.session.prof
@@ -91,8 +104,7 @@ class PatternDriver(abc.ABC):
         self.pattern.units = list(self.units)
         self.pattern.failed_units = list(self.failed_units)
         self.pattern.executed = True
-        if self._internal_error is not None:
-            raise self._internal_error
+        self._raise_internal_error()
         if self.failed_units:
             details = "; ".join(
                 f"{u.uid} ({u.description.name}): {u.exception!r}"
@@ -104,17 +116,25 @@ class PatternDriver(abc.ABC):
             )
 
     def _drive_until(self, condition) -> None:
-        """Wait until *condition()* holds or a driver callback failed.
+        """Wait until *condition()* holds or a callback of any driver in
+        this one's tree failed (see :attr:`root`).
 
         The session wakes the wait after every batch of units that ends
         (see ``Session.wait_until``)."""
+        root = self.root
         self.session.wait_until(
-            lambda: condition() or self._internal_error is not None,
+            lambda: condition() or root._internal_error is not None,
             drained=lambda: PatternError(
                 f"pattern {self.pattern.uid} deadlocked: simulation "
                 "drained with work outstanding"
             ),
         )
+
+    def _raise_internal_error(self) -> None:
+        """Re-raise the first driver-callback error of this driver's tree."""
+        error = self.root._internal_error
+        if error is not None:
+            raise error
 
     # -- submission helper ------------------------------------------------------------
 
@@ -341,6 +361,7 @@ class PatternDriver(abc.ABC):
                     self.on_unit_final(unit)
         except BaseException as exc:  # noqa: BLE001 - surface via run()
             log.exception("driver callback failed for unit %s", unit.uid)
-            with self._lock:
-                if self._internal_error is None:
-                    self._internal_error = exc
+            root = self.root
+            with root._lock:
+                if root._internal_error is None:
+                    root._internal_error = exc

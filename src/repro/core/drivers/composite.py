@@ -27,8 +27,9 @@ class ConcurrentPatternsDriver(PatternDriver):
         super().__init__(pattern, handle)
         self._children: list[PatternDriver] = []
         for child in pattern.patterns:
-            driver_cls = get_driver_class(child)
-            self._children.append(driver_cls(child, handle))
+            driver = get_driver_class(child)(child, handle)
+            driver.parent = self
+            self._children.append(driver)
 
     def start(self) -> None:
         prof = self.session.prof
@@ -67,13 +68,12 @@ class ConcurrentPatternsDriver(PatternDriver):
             child.failed_units = list(child_driver.failed_units)
             child.executed = True
             failed.extend(child_driver.failed_units)
-            if child_driver._internal_error is not None:
-                raise child_driver._internal_error
         self.pattern.units = [
             unit for child in self._children for unit in child.units
         ]
         self.pattern.failed_units = failed
         self.pattern.executed = True
+        self._raise_internal_error()
         if failed:
             raise PatternError(
                 f"pattern {self.pattern.uid}: {len(failed)} task(s) failed "

@@ -135,9 +135,11 @@ class LocalExecutor:
         """Real threads cannot be killed mid-payload; kills are sim-only."""
 
     def shutdown(self) -> None:
+        """Drop queued payloads and wait for running ones: no worker
+        thread outlives its pilot."""
         if not self._shutdown:
             self._shutdown = True
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _LaunchGroup:

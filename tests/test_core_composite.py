@@ -164,3 +164,129 @@ class TestConcurrentExecution:
         for child in (bag, sal):
             assert prof.first("entk_pattern_start", child.uid) is not None
             assert prof.last("entk_pattern_stop", child.uid) is not None
+
+
+# -- driver errors ------------------------------------------------------------
+
+#: A composite with a one-pipeline EoP whose ``stage_2`` hook raises, and a
+#: one-task bag beside it: at the top level in either order, and as the
+#: middle step of a sequence.  (A sequence cannot nest in a concurrent
+#: group; ``test_nesting_rules`` pins that.)
+_ERROR_CASE = '''
+import json, sys, tempfile, threading, time
+
+from repro.core.kernel_plugin import Kernel
+from repro.core.patterns import (
+    BagOfTasks, ConcurrentPatterns, EnsembleOfPipelines, PatternSequence,
+)
+from repro.core.resource_handle import ResourceHandle
+
+
+def _sleep():
+    kernel = Kernel(name="misc.sleep")
+    kernel.arguments = ["--duration=0"]
+    return kernel
+
+
+class BadEoP(EnsembleOfPipelines):
+    def stage_1(self, instance):
+        return _sleep()
+
+    def stage_2(self, instance):
+        raise RuntimeError("stage_2 hook failed")
+
+
+class OneBag(BagOfTasks):
+    def task(self, instance):
+        return _sleep()
+
+
+def composite(shape):
+    members = [BadEoP(ensemble_size=1, pipeline_size=2), OneBag(size=1)]
+    if shape == "reversed":
+        members.reverse()
+    group = ConcurrentPatterns(members)
+    if shape == "in-sequence":
+        return PatternSequence([OneBag(size=1), group, OneBag(size=1)])
+    return group
+
+
+def run(mode, shape):
+    """(error type name, error text, seconds to the error, last step ran)."""
+    if mode == "local":
+        handle = ResourceHandle("local.localhost", cores=4, walltime=10,
+                                mode="local", sandbox=tempfile.mkdtemp())
+    else:
+        handle = ResourceHandle("xsede.comet", cores=4, walltime=10,
+                                mode="sim")
+    handle.allocate()
+    pattern = composite(shape)
+    t0 = time.perf_counter()
+    try:
+        handle.run(pattern)
+        error = None
+    except Exception as exc:  # noqa: BLE001 - reported to the test
+        error = exc
+    elapsed = time.perf_counter() - t0
+    handle.deallocate()
+    last = pattern.patterns[-1] if shape == "in-sequence" else None
+    return (type(error).__name__, str(error), elapsed,
+            last is not None and last.executed)
+
+
+if __name__ == "__main__":
+    name, text, elapsed, last_ran = run(sys.argv[1], sys.argv[2])
+    threads = [t.name for t in threading.enumerate()
+               if t.name.startswith("unit-exec")]
+    print(json.dumps([name, text, elapsed, last_ran, threads]))
+'''
+
+_SHAPES = ["concurrent", "reversed", "in-sequence"]
+
+
+def _error_case_module(tmp_path):
+    path = tmp_path / "error_case.py"
+    path.write_text(_ERROR_CASE)
+    return path
+
+
+class TestCompositeErrors:
+    """A driver callback's error ends the whole composite at once, with
+    the callback's own exception, whichever constituent raised it."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_sim_composite_raises_the_hook_error(self, shape, tmp_path,
+                                                 monkeypatch):
+        import importlib
+
+        monkeypatch.syspath_prepend(str(tmp_path))
+        _error_case_module(tmp_path)
+        case = importlib.import_module("error_case")
+        name, text, _, last_ran = case.run("sim", shape)
+        assert (name, text) == ("RuntimeError", "stage_2 hook failed")
+        assert not last_ran
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_local_composite_raises_the_hook_error(self, shape, tmp_path):
+        """Run in a subprocess with a timeout, so that a composite that
+        waits forever fails the test instead of hanging it, and so that
+        an executor thread left alive keeps the process from exiting."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, str(_error_case_module(tmp_path)), "local", shape],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        name, text, elapsed, last_ran, threads = json.loads(done.stdout)
+        assert (name, text) == ("RuntimeError", "stage_2 hook failed")
+        assert elapsed < 1.0
+        assert not last_ran
+        # No executor thread outlives handle.deallocate().
+        assert threads == []
