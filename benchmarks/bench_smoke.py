@@ -26,10 +26,16 @@ is in the trace once; gauges and phase spans are derived on read).
 node faults with a retry policy that excludes failed nodes, so the
 scheduler's exclusion-list path is gated too.
 
+Every run gates that the per-unit ``pattern_eop`` case steps no more DES
+events than the same case with batch events (``bulk_lifecycle=True``):
+trace granularity is an emission policy only, and every lifecycle list
+moves as one batch in both, so a per-unit run that moved units one at a
+time would step several events per unit and fail here.
+
 ``pattern_eop_bulk_faults`` runs the EoP case on two nodes under node
 faults and a retry policy with the batched lifecycle
 (``bulk_lifecycle=True``), and gates that its virtual outcome equals the
-same faulted run moved in batches of one, and that its unit store holds
+same faulted run with per-unit events, and that its unit store holds
 no more distinct description objects than the distinct kernel
 signatures the pattern submitted plus its task retries (units of one
 signature share one description).
@@ -322,6 +328,23 @@ def run_cases(repeats: int = REPEATS) -> list[dict]:
     return records
 
 
+def check_des_events() -> None:
+    """Fail unless the per-unit ``pattern_eop`` case steps at most the
+    DES events of the same case with batch events."""
+    steps = {}
+    for bulk in (False, True):
+        reset_id_counters()
+        _, handle, _ = _run_pattern_eop(bulk_lifecycle=bulk)
+        steps[bulk] = handle.session.sim.events_processed
+    if steps[False] > steps[True]:
+        raise AssertionError(
+            f"pattern_eop: the per-unit run steps {steps[False]} DES events, "
+            f"the batched run {steps[True]} (per-unit lists must move whole)"
+        )
+    print(f"{'pattern_eop DES events':<28} per-unit {steps[False]}   "
+          f"batched {steps[True]}")
+
+
 def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
     """The EoP case with its trace streamed to a spool file in *spool_dir*.
 
@@ -457,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records = run_cases(repeats=args.repeats)
+    check_des_events()
     records.append(run_bulk_faults_case())
     records.append(run_local_bag_case(repeats=args.repeats))
     if args.spool:
