@@ -76,16 +76,17 @@ class Session:
         reads the points.
     bulk_lifecycle:
         Trace granularity of the one unit lifecycle.
-        Every lifecycle stage takes a list of units; by default the unit
-        manager and agent move them in batches of one, which records the
-        per-unit ``unit_*`` events every published figure is built from.
-        When true, the :class:`~repro.pilot.unit_store.UnitStore`'s
-        emission policy moves each list as one batch, with one
-        ``units_new``/``units_state``/``units_slots`` event (and, when
-        simulated, one DES event) per batch.  Virtual time is the same
-        either way, fault injection included: launch groups take
-        per-unit fault draws and kills.  A local run ends with the same
-        states and results either way.  (``UnitStore.advance``,
+        Every lifecycle stage takes a list of units and moves it whole
+        (when simulated, with one DES event per homogeneous group); this
+        flag only picks how the
+        :class:`~repro.pilot.unit_store.UnitStore` writes a list.  By
+        default it writes one per-unit ``unit_*`` event per unit, the
+        events every published figure is built from; when true, one
+        ``units_new``/``units_state``/``units_slots`` event per list.
+        Virtual time and the DES events stepped are the same either way,
+        fault injection included: launch groups take per-unit fault
+        draws and kills.  A local run ends with the same states and
+        results either way.  (``UnitStore.advance``,
         ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out``
         are single-unit adapters kept for the repository benchmark's
         call counters; the lifecycle itself never calls them.)

@@ -77,17 +77,11 @@ _EVENT_NAMES = {
     kind: (f"unit_{kind}", f"units_{kind}") for kind in ("new", "state", "slots")
 }
 
-
-class _Width:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "WIDTH"
-
-
 #: An event field value that :meth:`UnitStore.emit` replaces with the
 #: cores of the event's units: their total on a batch event, the row's
 #: own on a per-unit one (``cores`` on state events, ``slots`` on slot
 #: events).
-WIDTH = _Width()
+WIDTH: Any = object()
 
 _UID_WIDTH = 6
 _EMPTY_EXCLUSIONS: frozenset[tuple[str, int]] = frozenset()
