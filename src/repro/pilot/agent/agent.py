@@ -260,10 +260,8 @@ class Agent:
         if not fit:
             return
         self._store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
-        try:
-            self.stager.stage_in_bulk(fit, self._on_staged_in)
-        except Exception as exc:  # staging failure fails the units, not the agent
-            self._fail(fit, exc)
+        # A staging failure fails its unit, not the list or the agent.
+        self.stager.stage_in_bulk(fit, self._on_staged_in, self._fail)
 
     def _without_cancelled(self, units: list["ComputeUnit"]) -> list["ComputeUnit"]:
         """Finish the cancelled units of *units*; return the others."""
@@ -541,10 +539,7 @@ class Agent:
             self._store.advance_many(
                 units, UnitState.AGENT_STAGING_OUTPUT, **release
             )
-            try:
-                self.stager.stage_out_bulk(units, self._on_staged_out)
-            except Exception as exc:  # staging failure fails the units, not the agent
-                self._fail(units, exc)
+            self.stager.stage_out_bulk(units, self._on_staged_out, self._fail)
         self._schedule_waiting()
 
     def _on_staged_out(self, units: list["ComputeUnit"]) -> None:

@@ -37,6 +37,8 @@ log = get_logger("pilot.agent.staging")
 
 #: ``done(units)`` once a list of units has been staged.
 StagedCallback = Callable[[list["ComputeUnit"]], None]
+#: ``failed(units, exc)`` for units whose staging failed.
+FailedCallback = Callable[[list["ComputeUnit"], BaseException], None]
 
 
 def resolve_placeholders(path: str, pilot_sandbox: Path, unit_sandboxes: dict[str, Path]) -> Path:
@@ -92,7 +94,10 @@ class LocalStager:
                 shutil.copy2(source, target)
 
     def _stage(self, units: list["ComputeUnit"], inbound: bool,
-               done: StagedCallback) -> None:
+               done: StagedCallback, failed: FailedCallback | None) -> None:
+        """Stage each unit; a unit whose staging fails goes to *failed*
+        (without it, the error propagates) and the rest to *done*."""
+        staged = []
         for unit in units:
             sandbox = self.unit_sandboxes[unit.uid]
             description = unit._store.shared_description(unit._i)
@@ -102,21 +107,31 @@ class LocalStager:
             else:
                 directives = description.output_staging
                 src_base, dst_base = sandbox, self.pilot_sandbox
-            for directive in directives:
-                self._apply(directive, src_base, dst_base)
-        done(units)
+            try:
+                for directive in directives:
+                    self._apply(directive, src_base, dst_base)
+            except (StagingError, OSError) as exc:
+                if failed is None:
+                    raise
+                failed([unit], exc)
+                continue
+            staged.append(unit)
+        if staged:
+            done(staged)
 
     def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage([unit], True, lambda _: done())
+        self._stage([unit], True, lambda _: done(), None)
 
     def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage([unit], False, lambda _: done())
+        self._stage([unit], False, lambda _: done(), None)
 
-    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage(units, True, done)
+    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback,
+                      failed: FailedCallback) -> None:
+        self._stage(units, True, done, failed)
 
-    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
-        self._stage(units, False, done)
+    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback,
+                       failed: FailedCallback) -> None:
+        self._stage(units, False, done, failed)
 
 
 class SimStager:
@@ -166,8 +181,12 @@ class SimStager:
     def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
         self._stage("stage_out", [unit], "output_staging", lambda _: done())
 
-    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+    def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback,
+                      failed: FailedCallback) -> None:
+        """*failed* is never called: modelled staging cannot fail."""
         self._stage("stage_in", units, "input_staging", done)
 
-    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback) -> None:
+    def stage_out_bulk(self, units: list["ComputeUnit"], done: StagedCallback,
+                       failed: FailedCallback) -> None:
+        """*failed* is never called: modelled staging cannot fail."""
         self._stage("stage_out", units, "output_staging", done)

@@ -20,7 +20,7 @@ import pytest
 from repro.core.kernel_plugin import Kernel
 from repro.core.patterns import BagOfTasks, EnsembleOfPipelines
 from repro.core.resource_handle import ResourceHandle
-from repro.exceptions import StateTransitionError
+from repro.exceptions import PatternError, StagingError, StateTransitionError
 from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
@@ -497,10 +497,41 @@ class TestBulkLifecycle:
         assert batched == per_unit
         assert all(state is UnitState.DONE for _, state, *_ in per_unit)
 
+    @pytest.mark.parametrize("bulk", [False, True], ids=["per-unit", "batched"])
+    def test_local_staging_failure_fails_only_its_unit(self, tmp_path, bulk):
+        """A unit whose input is missing fails alone: the rest of the
+        list it was submitted with still runs."""
+        handle = ResourceHandle(
+            "local.localhost", cores=4, walltime=10, mode="local",
+            sandbox=tmp_path, bulk_lifecycle=bulk,
+        )
+        handle.allocate()
+        pattern = MissingInputBag(size=4)
+        try:
+            with pytest.raises(PatternError, match="1 task"):
+                handle.run(pattern)
+        finally:
+            handle.deallocate()
+        states = {u.description.tags["instance"]: u.state for u in pattern.units}
+        assert states == {1: UnitState.DONE, 2: UnitState.FAILED,
+                          3: UnitState.DONE, 4: UnitState.DONE}
+        (failed,) = pattern.failed_units
+        assert isinstance(failed.exception, StagingError)
+
 
 class SleepBag(BagOfTasks):
     def task(self, instance):
         return _sleep(0)
+
+
+class MissingInputBag(BagOfTasks):
+    """A bag whose second task links a shared file that does not exist."""
+
+    def task(self, instance):
+        kernel = _sleep(0)
+        if instance == 2:
+            kernel.link_input_data = ["$SHARED/missing.txt > in.txt"]
+        return kernel
 
 
 class CharCount(EnsembleOfPipelines):
