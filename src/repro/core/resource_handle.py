@@ -66,9 +66,10 @@ class ResourceHandle:
     agent_policy, slot_strategy:
         Agent scheduling knobs (see :class:`repro.pilot.agent.Agent`).
     spool_dir, bulk_lifecycle:
-        Scale-envelope knobs: stream the trace to an NDJSON spool file,
-        and move homogeneous unit batches through the state machine in
-        bulk (see :class:`repro.pilot.session.Session`).
+        Trace knobs: stream the trace to an NDJSON spool file, and pick
+        its granularity.  Every session moves unit lists whole; the flag
+        only picks one ``units_*`` trace event per list instead of one
+        ``unit_*`` event per unit (see :class:`repro.pilot.session.Session`).
     overheads:
         EnTK client-side cost model used under simulation.
     """

@@ -29,7 +29,6 @@ from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.faults import TaskFault
 from repro.pilot.states import UnitState
 from repro.pilot.unit_store import WIDTH
-from repro.telemetry.span import Tracer
 from repro.utils.logger import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +102,7 @@ class LocalExecutor:
             max_workers=max(total_cores, 1), thread_name_prefix="unit-exec"
         )
         self._shutdown = False
-        self._tracer = getattr(session, "tracer", None) or Tracer(None)
+        self._tracer = session.tracer
 
     def launch_units(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         store = self.session.unit_store

@@ -11,8 +11,8 @@ Where appended events *live* is delegated to an
 :class:`~repro.telemetry.sink.MemorySink` keeps the historical
 everything-resident list, while a
 :class:`~repro.telemetry.sink.SpoolSink` streams events to an NDJSON
-spool file and keeps only a bounded ring in memory — the million-unit
-scale envelope.  ``ProfileEvent`` is defined next to the sinks and
+spool file and keeps none of them in memory — the million-unit scale
+envelope.  ``ProfileEvent`` is defined next to the sinks and
 re-exported here under its historical import path.
 
 Every query (``events``, ``first``, ``last``, ``span``) reads the whole
@@ -59,19 +59,6 @@ class Profiler(TraceQueries):
             self._sink.append(ev)
         return ev
 
-    def record(self, name: str, uid: str, attrs: dict[str, Any]) -> ProfileEvent:
-        """Like :meth:`event` but takes the attrs dict directly.
-
-        Hot emitters (span open/close, metric points) build their attrs
-        dict anyway; handing it over instead of exploding it through
-        ``**kwargs`` skips one dict copy per event.  The caller must not
-        reuse or mutate *attrs* afterwards.
-        """
-        ev = ProfileEvent(self._clock(), name, uid, attrs)
-        with self._lock:
-            self._sink.append(ev)
-        return ev
-
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -81,21 +68,6 @@ class Profiler(TraceQueries):
     def __iter__(self) -> Iterator[ProfileEvent]:
         with self._lock:
             return iter(self._sink.events())
-
-    def snapshot(self, since: int = 0) -> tuple[list[ProfileEvent], int]:
-        """Incremental view: events recorded at index ``since`` onward.
-
-        Returns ``(new_events, cursor)`` where ``cursor`` is the index
-        to pass as ``since`` next time.  Because the trace is
-        append-only, repeated calls see every event exactly once —
-        the telemetry span builder and analytics poll large live traces
-        through this.  O(new) on a memory sink; a spool sink pays a
-        file re-read, which only end-of-run consumers do.
-        """
-        with self._lock:
-            fresh = self._sink.events(since)
-            cursor = len(self._sink)
-        return fresh, cursor
 
     def events(self, name: str | None = None, uid: str | None = None) -> list[ProfileEvent]:
         """Events filtered by name and/or uid, in recording order."""

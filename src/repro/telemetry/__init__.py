@@ -18,8 +18,12 @@ The pilot layer records a flat, append-only list of profile events
   loadable in Perfetto / ``about://tracing``.
 * :mod:`repro.telemetry.sink` — append-only event sinks: the resident
   :class:`MemorySink` (default) and the spillable :class:`SpoolSink`
-  that streams events to an NDJSON spool file, keeping only a bounded
-  ring in memory (the 10^6-unit scale envelope).
+  that streams events to an NDJSON spool file and keeps none in memory
+  (the 10^6-unit scale envelope).
+
+Every reader here takes :class:`ProfileEvent`s and reads a whole trace:
+a profiler's sink, or a JSONL file loaded with
+:func:`~repro.telemetry.sink.read_events`.
 
 Everything here is *derived* from the trace after the fact (or emitted
 as extra trace events that charge no virtual time), so telemetry can

@@ -1,8 +1,9 @@
 """Chrome trace-event JSON export.
 
-:func:`chrome_trace` renders a flat profiler trace (live events or
-dicts parsed from a JSONL dump) as a Chrome trace-event document —
-load it in Perfetto (https://ui.perfetto.dev) or ``about://tracing``:
+:func:`chrome_trace` renders a flat profiler trace (a profiler's
+``ProfileEvent``s, or a JSONL dump loaded with ``read_events``) as a
+Chrome trace-event document — load it in Perfetto
+(https://ui.perfetto.dev) or ``about://tracing``:
 
 * one *thread* track per entity — the client (session, ``entk_*``
   toolkit spans, pattern spans), each pilot, each unit — with the
@@ -25,7 +26,8 @@ import json
 from typing import Any, Iterable
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.span import Span, SpanTree, SpanBuilder, _normalize, component_of
+from repro.telemetry.sink import ProfileEvent
+from repro.telemetry.span import Span, SpanTree, SpanBuilder, component_of
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
 
@@ -59,10 +61,10 @@ def _track_of(span: Span, tree: SpanTree) -> str:
     return "client"
 
 
-def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
+def chrome_trace(events: Iterable[ProfileEvent]) -> dict[str, Any]:
     """Render a flat event trace as a Chrome trace-event document."""
-    normalized = [_normalize(ev) for ev in events]
-    tree = SpanBuilder().add_events(normalized).build()
+    events = list(events)
+    tree = SpanBuilder().add_events(events).build()
 
     spans = sorted(tree, key=lambda span: (span.t_start, span.uid))
     tids: dict[str, int] = {"client": 1}
@@ -96,7 +98,7 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
             "args": args,
         })
 
-    registry = MetricsRegistry.from_events(normalized)
+    registry = MetricsRegistry.from_events(events)
     counters = [(t, name, v) for name in registry.names()
                 for t, v in registry.series(name).points]
     counters.sort(key=lambda point: point[:2])  # stable: series order
@@ -106,7 +108,7 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
             "cat": "metric", "ts": _us(time), "args": {"value": value},
         })
 
-    instants = [ev for ev in normalized if ev.name in _INSTANT_NAMES]
+    instants = [ev for ev in events if ev.name in _INSTANT_NAMES]
     instants.sort(key=lambda ev: (ev.time, ev.name, ev.uid))
     for ev in instants:
         trace_events.append({
@@ -118,7 +120,7 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
     return {"displayTimeUnit": "ms", "traceEvents": trace_events}
 
 
-def write_chrome_trace(events: Iterable[Any], path: Any) -> None:
+def write_chrome_trace(events: Iterable[ProfileEvent], path: Any) -> None:
     """Serialize :func:`chrome_trace` output byte-deterministically."""
     doc = chrome_trace(events)
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -45,7 +45,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
+
+from repro.telemetry.sink import ProfileEvent
 
 __all__ = ["MetricSeries", "MetricsRegistry"]
 
@@ -198,12 +200,15 @@ class MetricsRegistry:
     # -- reconstruction from a trace --------------------------------------
 
     @classmethod
-    def from_events(cls, events: Iterable[Any]) -> "MetricsRegistry":
+    def from_events(
+        cls, events: Iterable[ProfileEvent]
+    ) -> "MetricsRegistry":
         """Rebuild a registry with resident points from a trace.
 
-        Accepts live profile events or dicts parsed from a JSONL dump
-        (including spool files).  Recorded ``metric`` events become
-        series in trace order; the ``units.<STATE>`` and
+        Takes :class:`~repro.telemetry.sink.ProfileEvent`s: a profiler's
+        own, or a JSONL dump (a spool file included) loaded with
+        :func:`~repro.telemetry.sink.read_events`.  Recorded ``metric``
+        events become series in trace order; the ``units.<STATE>`` and
         ``agent.<pilot>.*`` gauges are derived from lifecycle events
         (see the module docstring).  The returned
         registry's clock is frozen (recording into it stamps time 0.0);
@@ -215,14 +220,8 @@ class MetricsRegistry:
         agent_moves: list[tuple[float, str, int]] = []
         derivable = True
         for event in events:
-            if isinstance(event, Mapping):
-                name, uid = str(event["name"]), str(event.get("uid", ""))
-                attrs: Mapping[str, Any] = event
-                time = float(event["time"])
-            else:
-                name, uid = event.name, event.uid
-                attrs = event.attrs
-                time = event.time
+            name, uid, attrs = event.name, event.uid, event.attrs
+            time = event.time
             if name == "metric":
                 series = recorded.get(uid)
                 if series is None:

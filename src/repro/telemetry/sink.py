@@ -10,11 +10,13 @@ attrs dict).  A *sink* abstracts where appended events live:
 * :class:`SpoolSink` — events are serialized to a newline-delimited
   JSON spool file as they are appended (the exact format of
   ``Profiler.write_jsonl``, so ``repro trace`` subcommands read spool
-  files directly) and only a bounded ring of recent events stays
-  resident.  Iteration re-reads the spool and *revives* each line as a
-  :class:`ProfileEvent`, so every consumer — ``SpanBuilder``,
-  ``MetricsRegistry.from_events``, the Chrome export, analytics
-  readers — works identically on either sink.
+  files directly) and none stays resident.  Reading re-reads the whole
+  spool and *revives* each line as a :class:`ProfileEvent`.
+
+Every trace reader — ``SpanBuilder``, ``MetricsRegistry.from_events``,
+the Chrome export, the analytics — takes ``ProfileEvent``s and reads
+the whole trace: a sink's ``events()``, or a file loaded with
+:func:`read_events`.
 
 Revival is exact: JSON floats round-trip through ``repr`` so a trace
 digested from a spool is byte-identical to one digested live (the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 from array import array
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -91,8 +92,8 @@ def revive(row: dict[str, Any]) -> ProfileEvent:
     return ProfileEvent(float(time), str(name), str(uid), row)
 
 
-def read_events(path: str | Path, since: int = 0) -> list[ProfileEvent]:
-    """Revive the events of an NDJSON trace file from line *since* on.
+def read_events(path: str | Path) -> list[ProfileEvent]:
+    """Revive every event of an NDJSON trace file.
 
     Lines are decoded a block at a time, one ``json.loads`` per block;
     a block that does not decode to exactly one row per line is decoded
@@ -104,9 +105,8 @@ def read_events(path: str | Path, since: int = 0) -> list[ProfileEvent]:
     events: list[ProfileEvent] = []
     bad: tuple[int, json.JSONDecodeError] | None = None
     with Path(path).open(encoding="utf-8") as stream:
-        lines = islice(stream, since, None)
-        lineno = since
-        while block := list(islice(lines, _BLOCK_LINES)):
+        lineno = 0
+        while block := list(islice(stream, _BLOCK_LINES)):
             if bad is None:
                 try:
                     rows = json.loads("[" + ",".join(block) + "]")
@@ -240,8 +240,8 @@ class TraceIndex(TraceQueries):
 class EventSink:
     """Append-only event storage; the profiler serializes all access.
 
-    The contract is deliberately tiny: ``append`` one event, ``events``
-    from an index onward, ``len``, and lifecycle ``flush``/``close``.
+    The contract is deliberately tiny: ``append`` one event, read all
+    ``events``, ``len``, and lifecycle ``flush``/``close``.
     Sinks need no locking of their own — the owning profiler already
     guards every call.
     """
@@ -251,7 +251,7 @@ class EventSink:
     def append(self, ev: ProfileEvent) -> None:
         raise NotImplementedError
 
-    def events(self, since: int = 0) -> list[ProfileEvent]:
+    def events(self) -> list[ProfileEvent]:
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -278,30 +278,28 @@ class MemorySink(EventSink):
     def append(self, ev: ProfileEvent) -> None:
         self._events.append(ev)
 
-    def events(self, since: int = 0) -> list[ProfileEvent]:
-        return self._events[since:] if since else list(self._events)
+    def events(self) -> list[ProfileEvent]:
+        return list(self._events)
 
     def __len__(self) -> int:
         return len(self._events)
 
 
 class SpoolSink(EventSink):
-    """Stream events to an NDJSON spool file; keep a bounded ring resident.
+    """Stream events to an NDJSON spool file; keep none resident.
 
     ``path`` is created (parents included) and truncated on first
-    append.  ``ring`` bounds how many recent events stay in memory for
-    cheap :meth:`tail` access; the full history lives only in the file.
-    Reading (``events``/``__iter__``) flushes the stream and revives the
-    file's rows with :func:`read_events`, so reads are O(file) — fine
-    for end-of-run export and analytics, which is the only read pattern
-    the runtime has.
+    append; the history lives only in the file.  Reading (``events``/
+    ``__iter__``) flushes the stream and revives the file's rows with
+    :func:`read_events`, so reads are O(file) — fine for end-of-run
+    export and analytics, which is the only read pattern the runtime
+    has.
     """
 
-    __slots__ = ("path", "_ring", "_stream", "_count", "_opened")
+    __slots__ = ("path", "_stream", "_count", "_opened")
 
-    def __init__(self, path: str | Path, ring: int = 1024) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._ring: deque[ProfileEvent] = deque(maxlen=max(ring, 1))
         self._stream = None
         self._count = 0
         self._opened = False
@@ -315,18 +313,13 @@ class SpoolSink(EventSink):
             self._stream = self.path.open("a" if self._opened else "w")
             self._opened = True
         self._stream.write(encode_row(ev.row()) + "\n")
-        self._ring.append(ev)
         self._count += 1
 
-    def events(self, since: int = 0) -> list[ProfileEvent]:
+    def events(self) -> list[ProfileEvent]:
         self.flush()
         if not self._opened:
             return []
-        return read_events(self.path, since)
-
-    def tail(self) -> list[ProfileEvent]:
-        """The most recent events still resident (at most the ring size)."""
-        return list(self._ring)
+        return read_events(self.path)
 
     def __len__(self) -> int:
         return self._count

@@ -23,14 +23,14 @@ A trace written while the agent still recorded its phase spans (any
 explicit span named like a derived phase) is read as recorded: no phase
 span is derived from it.
 
-The builder accepts events in any order (it sorts by timestamp, stably)
-and from either live :class:`~repro.pilot.profiler.ProfileEvent` objects
-or dicts parsed back from a JSONL trace dump, so the ``repro trace`` CLI
-and the in-process analytics share one code path.
+The builder takes :class:`~repro.telemetry.sink.ProfileEvent` objects
+in any order (it sorts by timestamp, stably): a profiler's own, or a
+JSONL trace dump loaded with :func:`~repro.telemetry.sink.read_events`,
+so the ``repro trace`` CLI and the in-process analytics share one code
+path.
 
 This module must not import the pilot layer at runtime (the session
-imports *us*); events are duck-typed on ``time``/``name``/``uid``/
-``attrs``.
+imports *us*).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.telemetry.sink import TraceIndex
+from repro.telemetry.sink import ProfileEvent, TraceIndex
 from repro.utils.ids import generate_id
 
 __all__ = ["Span", "SpanTree", "SpanBuilder", "Tracer", "component_of"]
@@ -127,13 +127,9 @@ class Tracer:
     Span uids come from :func:`repro.utils.ids.generate_id`, so traces
     stay bit-identical across same-seed runs (the id counters are part
     of the deterministic replay state).
-
-    A tracer built over ``profiler=None`` is a no-op; components that
-    receive no tracer (e.g. stagers built directly in tests) stay
-    silent instead of needing guards at every call site.
     """
 
-    def __init__(self, profiler: Any | None) -> None:
+    def __init__(self, profiler: Any) -> None:
         self._prof = profiler
         self._local = threading.local()
 
@@ -148,23 +144,17 @@ class Tracer:
         self, name: str, ref: str = "", *, component: str = "", **attrs: Any
     ) -> str:
         """Open a span; returns its uid (pass to :meth:`end`)."""
-        if self._prof is None:
-            return ""
         uid = generate_id("span", width=6)
         stack = self._stack()
-        parent = stack[-1] if stack else ""
-        payload = {"span": name, "ref": ref, "parent": parent}
-        payload.update(attrs)
         if component:
-            payload["component"] = component
-        self._prof.record("span_open", uid, payload)
+            attrs["component"] = component
+        self._prof.event("span_open", uid, span=name, ref=ref,
+                         parent=stack[-1] if stack else "", **attrs)
         return uid
 
     def end(self, uid: str) -> None:
         """Close a span opened with :meth:`begin`."""
-        if self._prof is None or not uid:
-            return
-        self._prof.record("span_close", uid, {})
+        self._prof.event("span_close", uid)
 
     @contextmanager
     def span(
@@ -173,40 +163,12 @@ class Tracer:
         """Context manager: open a span, nest children under it, close it."""
         uid = self.begin(name, ref, component=component, **attrs)
         stack = self._stack()
-        if uid:
-            stack.append(uid)
+        stack.append(uid)
         try:
             yield uid
         finally:
-            if uid:
-                stack.pop()
+            stack.pop()
             self.end(uid)
-
-
-#: The tracer handed to components that were built without one.
-NULL_TRACER = Tracer(None)
-
-
-@dataclass(frozen=True, slots=True)
-class _Event:
-    """Normalized view of one trace event (live object or JSONL dict)."""
-
-    time: float
-    name: str
-    uid: str
-    attrs: Mapping[str, Any]
-
-
-def _normalize(event: Any) -> _Event:
-    if isinstance(event, Mapping):
-        attrs = {
-            key: value
-            for key, value in event.items()
-            if key not in ("time", "name", "uid")
-        }
-        return _Event(float(event["time"]), str(event["name"]),
-                      str(event.get("uid", "")), attrs)
-    return _Event(event.time, event.name, event.uid, event.attrs)
 
 
 @dataclass
@@ -260,24 +222,16 @@ class SpanTree:
 class SpanBuilder:
     """Reconstructs the causal span tree from the flat event trace.
 
-    Feed events with :meth:`add_events` (any iterable, any order) or
-    :meth:`ingest` (incremental pull from a live profiler via its
-    ``snapshot(since=...)`` cursor), then call :meth:`build`.
+    Feed :class:`ProfileEvent`s with :meth:`add_events` (any iterable,
+    any order), then call :meth:`build`.
     """
 
     def __init__(self) -> None:
-        self._events: list[_Event] = []
-        self._cursor = 0
+        self._events: list[ProfileEvent] = []
 
-    def add_events(self, events: Iterable[Any]) -> "SpanBuilder":
-        self._events.extend(_normalize(ev) for ev in events)
+    def add_events(self, events: Iterable[ProfileEvent]) -> "SpanBuilder":
+        self._events.extend(events)
         return self
-
-    def ingest(self, profiler: Any) -> int:
-        """Pull events recorded since the last call; returns how many."""
-        fresh, self._cursor = profiler.snapshot(since=self._cursor)
-        self.add_events(fresh)
-        return len(fresh)
 
     # -- construction ------------------------------------------------------
 
@@ -373,11 +327,12 @@ class SpanBuilder:
                 enclosing.sort(key=lambda s: (s.duration, s.uid))
                 span.parent = enclosing[0].uid
 
+        create_counts: dict[str, int] = {}
         for uid, t0, t1, attrs in self._paired(
             trace, "entk_stage_create_start", "entk_stage_create_stop"
         ):
-            i = sum(1 for s in spans.values()
-                    if s.name == "entk_stage_create" and s.ref == uid)
+            i = create_counts.get(uid, 0)
+            create_counts[uid] = i + 1
             parent = f"pattern:{uid}" if f"pattern:{uid}" in spans else root.uid
             key = f"entk_stage_create:{uid}:{i}"
             spans[key] = Span(key, "entk_stage_create", t0, t1,

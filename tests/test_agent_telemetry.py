@@ -66,6 +66,7 @@ from repro.utils.ids import reset_id_counters
 from tests.test_analysis_differential import _EXERCISED, CASES, FAULTS, PATTERNS
 from tests import test_determinism
 from tests.test_determinism import _sleep
+from tests.test_telemetry import revived
 from tests.test_unit_gauges import _trace
 from tests.trace_projections import digest, phase_spans
 
@@ -103,12 +104,11 @@ class _RecordedAgentTelemetry:
 
     def _begin(self, name: str, ref: str) -> str:
         uid = f"span.ref{next(self._ids):06d}"
-        self.prof.record("span_open", uid,
-                         {"span": name, "ref": ref, "parent": ""})
+        self.prof.event("span_open", uid, span=name, ref=ref, parent="")
         return uid
 
     def _end(self, uid: str) -> None:
-        self.prof.record("span_close", uid, {})
+        self.prof.event("span_close", uid)
 
     def _busy(self, units, sign: int) -> None:
         for metrics in self._registries:
@@ -680,7 +680,7 @@ def _agent_trace(old_format: bool) -> list[dict]:
 
 
 def _digest(events) -> str:
-    payload = json.dumps(chrome_trace(events), sort_keys=True,
+    payload = json.dumps(chrome_trace(revived(events)), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -702,7 +702,7 @@ class TestTraceFormat:
         assert _digest(events) == self.OLD_FORMAT_EXPORT["forward"]
         assert _digest(events[::-1]) == self.OLD_FORMAT_EXPORT["reversed"]
 
-        registry = MetricsRegistry.from_events(events)
+        registry = MetricsRegistry.from_events(revived(events))
         recorded: dict[str, list] = {}
         for ev in events:
             if ev["name"] == "metric":
@@ -712,7 +712,7 @@ class TestTraceFormat:
         assert {n: registry.series(n).points for n in registry.names()
                 if not n.startswith("units.")} == recorded
 
-        tree = SpanBuilder().add_events(events).build()
+        tree = SpanBuilder().add_events(revived(events)).build()
         phases = [s for s in tree if s.name in PHASES]
         assert len(phases) == 6
         assert all(s.uid.startswith("span.") for s in phases)
@@ -725,14 +725,14 @@ class TestTraceFormat:
             new = new[::-1]
         assert not any(ev["name"] == "span_open" for ev in new)
         assert [ev["uid"] for ev in new if ev["name"] == "metric"] == ["depth"]
-        derived = MetricsRegistry.from_events(new)
-        recorded = MetricsRegistry.from_events(old)
+        derived = MetricsRegistry.from_events(revived(new))
+        recorded = MetricsRegistry.from_events(revived(old))
         assert sorted(derived.names()) == sorted(recorded.names())
         times = sorted({ev["time"] for ev in old})
         assert metric_differences(derived, recorded, times) == []
 
-        derived_tree = SpanBuilder().add_events(new).build()
-        recorded_tree = SpanBuilder().add_events(old).build()
+        derived_tree = SpanBuilder().add_events(revived(new)).build()
+        recorded_tree = SpanBuilder().add_events(revived(old)).build()
         assert_same_tree(derived_tree, recorded_tree)
         assert _digest(new) == _digest(new[::-1])
 

@@ -1,4 +1,4 @@
-"""Profiler thread-safety and the incremental snapshot view."""
+"""Profiler thread-safety under concurrent writers and readers."""
 
 import threading
 
@@ -60,36 +60,3 @@ class TestConcurrentWriters:
         finally:
             stop.set()
             thread.join()
-
-
-class TestSnapshot:
-    def test_incremental_cursor_sees_every_event_once(self):
-        prof = Profiler(_clock_factory())
-        collected, cursor = [], 0
-        for batch in range(5):
-            for i in range(10):
-                prof.event("ev", f"b{batch}", i=i)
-            fresh, cursor = prof.snapshot(since=cursor)
-            assert len(fresh) == 10
-            collected.extend(fresh)
-        assert collected == list(prof)
-        fresh, cursor = prof.snapshot(since=cursor)
-        assert fresh == []
-        assert cursor == len(prof)
-
-    def test_snapshot_under_concurrent_writes_is_gap_free(self):
-        prof = Profiler(_clock_factory())
-        total = 4000
-
-        def writer() -> None:
-            for i in range(total):
-                prof.event("tick", "w", i=i)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        seen, cursor = [], 0
-        while len(seen) < total:
-            fresh, cursor = prof.snapshot(since=cursor)
-            seen.extend(ev.attrs["i"] for ev in fresh)
-        thread.join()
-        assert seen == list(range(total))

@@ -19,13 +19,13 @@ from repro.pilot.unit import ComputeUnit
 from repro.pilot.unit_store import UnitTimestamps
 from repro.telemetry.metrics import MetricSeries
 from repro.telemetry.sink import MemorySink, ProfileEvent, SpoolSink
-from repro.telemetry.span import Span, _Event
+from repro.telemetry.span import Span
 
-#: Every class audited as slots-only.  Grow this list, never shrink it.
+#: Every class audited as slots-only.  Grow this list; drop an entry only
+#: when its class is deleted.
 AUDITED = [
     # one per trace event — the single hottest allocation
     ProfileEvent,
-    _Event,
     # one per explicit/derived span in analytics
     Span,
     # one per unit (view + timestamp view over the columnar store)

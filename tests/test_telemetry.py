@@ -15,7 +15,14 @@ from repro.telemetry import (
     critical_path,
     write_chrome_trace,
 )
+from repro.telemetry.sink import ProfileEvent, revive
 from repro.utils.ids import reset_id_counters
+
+
+def revived(rows) -> list[ProfileEvent]:
+    """Hand-written ``{"time", "name", "uid", **attrs}`` rows as the
+    events a trace reader takes."""
+    return [revive(dict(row)) for row in rows]
 
 
 def synthetic_trace() -> list[dict]:
@@ -70,7 +77,7 @@ def synthetic_trace() -> list[dict]:
 
 class TestSpanBuilder:
     def test_tree_shape(self):
-        tree = SpanBuilder().add_events(synthetic_trace()).build()
+        tree = SpanBuilder().add_events(revived(synthetic_trace())).build()
         root = tree.root
         assert root.name == "session"
         assert root.t_start == 0.0 and root.t_end == 52.0
@@ -108,7 +115,7 @@ class TestSpanBuilder:
         assert (explicit.t_start, explicit.t_end) == (5.0, 5.9)
 
     def test_out_of_order_events_build_identical_tree(self):
-        events = synthetic_trace()
+        events = revived(synthetic_trace())
         shuffled = list(events)
         random.Random(1234).shuffle(shuffled)
 
@@ -122,17 +129,31 @@ class TestSpanBuilder:
         scrambled = SpanBuilder().add_events(shuffled).build()
         assert shape(in_order) == shape(scrambled)
 
-    def test_ingest_uses_snapshot_cursor(self):
-        prof = Profiler(lambda: 1.0)
-        prof.event("session_start", "s")
-        builder = SpanBuilder()
-        assert builder.ingest(prof) == 1
-        prof.event("unit_new", "u1", pattern="")
-        prof.event("unit_state", "u1", state="UMGR_SCHEDULING")
-        assert builder.ingest(prof) == 2
-        assert builder.ingest(prof) == 0
-        tree = builder.build()
-        assert "unit:u1" in tree.spans
+    def test_stage_create_spans_numbered_per_pattern(self):
+        """Interleaved stage-create pairs of two patterns are numbered per
+        pattern uid, in order of their start times."""
+        rows = [{"time": 0.0, "name": "session_start", "uid": "s"}]
+        for uid in ("p1", "p2"):
+            rows.append({"time": 0.0, "name": "entk_pattern_start", "uid": uid})
+            rows.append({"time": 9.0, "name": "entk_pattern_stop", "uid": uid})
+        for name, uid, time in [
+            ("start", "p1", 1.0), ("start", "p2", 1.5), ("stop", "p1", 2.0),
+            ("stop", "p2", 2.5), ("start", "p1", 3.0), ("start", "p2", 3.5),
+            ("stop", "p1", 4.0), ("stop", "p2", 4.5), ("start", "p2", 5.0),
+            ("stop", "p2", 6.0),
+        ]:
+            rows.append({"time": time, "name": f"entk_stage_create_{name}",
+                         "uid": uid})
+        tree = SpanBuilder().add_events(revived(rows)).build()
+        creates = {s.uid: (s.t_start, s.t_end, s.parent)
+                   for s in tree.find(name="entk_stage_create")}
+        assert creates == {
+            "entk_stage_create:p1:0": (1.0, 2.0, "pattern:p1"),
+            "entk_stage_create:p1:1": (3.0, 4.0, "pattern:p1"),
+            "entk_stage_create:p2:0": (1.5, 2.5, "pattern:p2"),
+            "entk_stage_create:p2:1": (3.5, 4.5, "pattern:p2"),
+            "entk_stage_create:p2:2": (5.0, 6.0, "pattern:p2"),
+        }
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
@@ -145,7 +166,7 @@ class TestSpanBuilder:
              "span": "dangling", "ref": "", "parent": ""},
             {"time": 5.0, "name": "session_close", "uid": "s"},
         ]
-        tree = SpanBuilder().add_events(events).build()
+        tree = SpanBuilder().add_events(revived(events)).build()
         dangling = tree.spans["span.000001"]
         assert dangling.t_end == 5.0
         assert dangling.parent == tree.root.uid
@@ -177,13 +198,6 @@ class TestTracer:
                  for ev in prof.events("span_open")}
         assert opens["async"] == outer_uid
         assert opens["sibling"] == outer_uid  # not parented to "async"
-
-    def test_null_tracer_is_silent_noop(self):
-        tracer = Tracer(None)
-        with tracer.span("anything", "x") as uid:
-            assert uid == ""
-        assert tracer.begin("more") == ""
-        tracer.end("")
 
 
 class TestMetrics:
@@ -224,7 +238,7 @@ class TestMetrics:
 
 class TestCriticalPath:
     def test_tiles_cover_window_exactly(self):
-        tree = SpanBuilder().add_events(synthetic_trace()).build()
+        tree = SpanBuilder().add_events(revived(synthetic_trace())).build()
         path = critical_path(tree)
         assert path.ref == "p1"
         assert path.total == pytest.approx(46.0)  # pattern window 2.0..48.0
@@ -256,7 +270,7 @@ class TestCriticalPath:
             {"time": 11.0, "name": "entk_pattern_stop", "uid": "p"},
             {"time": 11.0, "name": "session_close", "uid": "s"},
         ]
-        tree = SpanBuilder().add_events(events).build()
+        tree = SpanBuilder().add_events(revived(events)).build()
         totals = critical_path(tree).by_component()
         assert totals["execution"] == pytest.approx(6.0)   # 3..9
         assert totals["pattern"] == pytest.approx(1.0)     # 2..3 only
@@ -265,7 +279,7 @@ class TestCriticalPath:
 
 class TestChromeExport:
     def test_document_structure(self):
-        doc = chrome_trace(synthetic_trace())
+        doc = chrome_trace(revived(synthetic_trace()))
         assert set(doc) == {"displayTimeUnit", "traceEvents"}
         phases = {ev["ph"] for ev in doc["traceEvents"]}
         assert phases == {"M", "X"}
@@ -291,7 +305,7 @@ class TestChromeExport:
              "kind": "gauge"},
             {"time": 20.0, "name": "node_fail", "uid": "pilot.1", "node": 0},
         ]
-        doc = chrome_trace(events)
+        doc = chrome_trace(revived(events))
         counters = [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
         assert counters[0]["name"] == "depth"
         assert counters[0]["args"]["value"] == 4.0
@@ -299,7 +313,7 @@ class TestChromeExport:
         assert instants[0]["name"] == "node_fail pilot.1"
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        events = synthetic_trace()
+        events = revived(synthetic_trace())
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         write_chrome_trace(events, first)
         write_chrome_trace(list(reversed(events)), second)

@@ -59,13 +59,6 @@ class TestReadEvents:
         written = _write_spool(path, 2 * BLOCK + 17)
         assert read_events(path) == written
 
-    @pytest.mark.parametrize("since", [1, BLOCK - 1, BLOCK, BLOCK + 6,
-                                       2 * BLOCK + 16, 2 * BLOCK + 17, 10**6])
-    def test_since_across_block_boundaries(self, tmp_path, since):
-        path = tmp_path / "trace.jsonl"
-        written = _write_spool(path, 2 * BLOCK + 17)
-        assert read_events(path, since) == written[since:]
-
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         written = _write_spool(path, BLOCK + 40)
@@ -228,9 +221,9 @@ class _CountingSink(EventSink):
     def append(self, ev):
         self.inner.append(ev)
 
-    def events(self, since=0):
+    def events(self):
         self.reads += 1
-        return self.inner.events(since)
+        return self.inner.events()
 
     def __len__(self):
         return len(self.inner)

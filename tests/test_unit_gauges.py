@@ -38,7 +38,7 @@ from repro.pilot.unit_store import UnitStore
 from repro.telemetry import MetricsRegistry, chrome_trace, write_chrome_trace
 from repro.utils.ids import reset_id_counters
 from tests.test_lifecycle_granularity import _EXERCISED, FAULTS, PATTERNS
-from tests.test_telemetry import synthetic_trace
+from tests.test_telemetry import revived, synthetic_trace
 from tests.trace_projections import digest
 
 
@@ -237,7 +237,7 @@ def _write_jsonl(path, events) -> None:
 class TestTraceFormat:
     def test_old_format_reads_as_recorded(self, tmp_path, capsys):
         events = _trace(old_format=True)
-        registry = MetricsRegistry.from_events(events)
+        registry = MetricsRegistry.from_events(revived(events))
         recorded: dict[str, list] = {}
         for ev in events:
             if ev["name"] == "metric":
@@ -247,7 +247,7 @@ class TestTraceFormat:
         assert {n: registry.series(n).points for n in registry.names()} == recorded
 
         export = tmp_path / "old.json"
-        write_chrome_trace(events, export)
+        write_chrome_trace(revived(events), export)
         assert hashlib.sha256(export.read_bytes()).hexdigest() == _OLD_FORMAT_EXPORT
 
         trace = tmp_path / "old.jsonl"
@@ -255,15 +255,15 @@ class TestTraceFormat:
         assert _summary_metrics(trace, capsys) == _OLD_FORMAT_METRICS
 
     def test_new_format_derives_the_same_series(self, tmp_path, capsys):
-        old = MetricsRegistry.from_events(_trace(old_format=True))
-        new = MetricsRegistry.from_events(_trace(old_format=False))
+        old = MetricsRegistry.from_events(revived(_trace(old_format=True)))
+        new = MetricsRegistry.from_events(revived(_trace(old_format=False)))
         assert new.names() == old.names()
         for name in old.names():
             assert new.series(name).points == old.series(name).points, name
             assert new.series(name).stats() == old.series(name).stats(), name
 
         export = tmp_path / "new.json"
-        write_chrome_trace(_trace(old_format=False), export)
+        write_chrome_trace(revived(_trace(old_format=False)), export)
         assert hashlib.sha256(export.read_bytes()).hexdigest() == _OLD_FORMAT_EXPORT
 
         trace = tmp_path / "new.jsonl"
@@ -274,7 +274,7 @@ class TestTraceFormat:
         events = _trace(old_format=False)
         first = next(ev for ev in events if ev["name"] == "unit_state")
         del first["prev"]
-        assert MetricsRegistry.from_events(events).names() == ["depth"]
+        assert MetricsRegistry.from_events(revived(events)).names() == ["depth"]
 
     def test_batch_events_move_n_units(self):
         events = [
@@ -285,7 +285,7 @@ class TestTraceFormat:
             {"time": 3.0, "name": "unit_state", "uid": "u3",
              "state": "CANCELED", "prev": "NEW"},
         ]
-        registry = MetricsRegistry.from_events(events)
+        registry = MetricsRegistry.from_events(revived(events))
         assert registry.series("units.NEW").points == [
             (1.0, 3.0), (2.0, 1.0), (3.0, 0.0)
         ]
@@ -294,7 +294,7 @@ class TestTraceFormat:
 
     @pytest.mark.parametrize("old_format", [True, False], ids=["old", "new"])
     def test_reversed_input_exports_byte_identically(self, old_format):
-        events = _trace(old_format)
+        events = revived(_trace(old_format))
         forward = json.dumps(chrome_trace(events), sort_keys=True)
         backward = json.dumps(chrome_trace(events[::-1]), sort_keys=True)
         assert forward == backward
