@@ -2,9 +2,12 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from repro.core.kernel_plugin import Kernel
+from repro.core.patterns import BagOfTasks, PatternSequence
 from repro.pilot.profiler import Profiler
 from repro.telemetry import (
     MetricsRegistry,
@@ -170,6 +173,75 @@ class TestSpanBuilder:
         dangling = tree.spans["span.000001"]
         assert dangling.t_end == 5.0
         assert dangling.parent == tree.root.uid
+
+
+class SleepBag(BagOfTasks):
+    def task(self, instance):
+        kernel = Kernel(name="misc.sleep")
+        kernel.arguments = ["--duration=10"]
+        return kernel
+
+
+class TestSpanTreeQueries:
+    """``SpanTree.leaves()`` and ``SpanTree.pattern()``: the two tree
+    queries the critical path reads."""
+
+    def test_sequence_trace(self, sim_handle_factory):
+        reset_id_counters()
+        handle = sim_handle_factory(seed=1)
+        first, second = SleepBag(size=2), SleepBag(size=3)
+        sequence = PatternSequence([first, second])
+        handle.run(sequence)
+        tree = SpanBuilder().add_events(handle.profile).build()
+
+        outer = tree.pattern(sequence.uid)
+        assert {s.ref: s.parent for s in tree.find(name="pattern")} == {
+            sequence.uid: tree.root.uid,
+            first.uid: outer.uid,
+            second.uid: outer.uid,
+        }
+        # The first pattern without a pattern child, not the sequence.
+        assert tree.pattern().ref == first.uid
+
+        leaves = tree.leaves()
+        assert len(leaves) == len({s.uid for s in leaves}) == 50
+        names = Counter(s.name for s in leaves)
+        assert names == {
+            "agent.stage_in": 5, "agent.stage_out": 5, "exec.launch": 5,
+            "unit:UMGR_SCHEDULING": 5, "unit:AGENT_STAGING_INPUT": 5,
+            "unit:AGENT_SCHEDULING": 5, "unit:EXECUTING": 5,
+            "unit:AGENT_STAGING_OUTPUT": 5, "entk_init": 1, "entk_alloc": 1,
+            "entk_stage_create": 2,
+            "entk_pattern_overhead": 2, "pilot_startup": 1, "pmgr.submit": 1,
+            "umgr.submit": 2,
+        }
+        assert len(tree) == 62  # the other 12 have children
+
+    def test_startup_of_an_unsubmitted_pilot_hangs_off_the_root(self):
+        """A ``pilot_startup`` span whose ``pilot:`` span is missing (no
+        ``pilot_submit`` in the trace) is the root's child and a leaf."""
+        tree = SpanBuilder().add_events(revived([
+            {"time": 0.0, "name": "session_start", "uid": "s"},
+            {"time": 1.0, "name": "pilot_resubmit", "uid": "pilot.1"},
+            {"time": 3.0, "name": "agent_start", "uid": "pilot.1"},
+            {"time": 5.0, "name": "session_close", "uid": "s"},
+        ])).build()
+        (startup,) = tree.find(name="pilot_startup")
+        assert startup.parent == "pilot:pilot.1"
+        assert "pilot:pilot.1" not in tree.spans
+        assert [s.uid for s in tree.leaves()] == [startup.uid]
+        assert tree.pattern() is None
+
+    def test_self_parented_span_hangs_off_the_root(self):
+        tree = SpanBuilder().add_events(revived([
+            {"time": 0.0, "name": "session_start", "uid": "s"},
+            {"time": 1.0, "name": "span_open", "uid": "span.000001",
+             "span": "loop", "ref": "", "parent": "span.000001"},
+            {"time": 2.0, "name": "span_close", "uid": "span.000001"},
+            {"time": 5.0, "name": "session_close", "uid": "s"},
+        ])).build()
+        assert tree.spans["span.000001"].parent == "span.000001"
+        assert [s.uid for s in tree.leaves()] == ["span.000001"]
 
 
 class TestTracer:
