@@ -163,10 +163,7 @@ class DAGWorkflowDriver(PatternDriver):
             self._task_uid[name] = new.uid
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
-        tags = unit.description.tags
-        if tags.get("pattern") != self.pattern.uid:
-            return
-        name = tags["dag_task"]
+        name = unit.description.tags["dag_task"]
         with self._lock:
             self._pending_count -= 1
             if unit.state is not UnitState.DONE:

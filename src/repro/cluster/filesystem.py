@@ -1,9 +1,9 @@
 """Shared-filesystem transfer model.
 
 Data staging in the pilot runtime charges time against this model: a
-transfer of ``nbytes`` costs ``latency + nbytes / bandwidth`` seconds, with
-optional contention (concurrent transfers share the bandwidth equally, which
-is the right first-order model for a striped parallel filesystem).
+transfer of ``nbytes`` costs ``latency + nbytes / bandwidth`` seconds.
+Concurrent transfers do not share the bandwidth: each is charged as if
+it had the filesystem to itself.
 """
 
 from __future__ import annotations
@@ -16,38 +16,16 @@ __all__ = ["SharedFilesystem"]
 class SharedFilesystem:
     """First-order Lustre/GPFS-like transfer cost model."""
 
-    def __init__(
-        self,
-        bandwidth: float,
-        latency: float = 1e-3,
-        *,
-        contention: bool = True,
-    ) -> None:
+    def __init__(self, bandwidth: float, latency: float = 1e-3) -> None:
         if bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
         if latency < 0:
             raise ConfigurationError("latency must be non-negative")
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
-        self.contention = contention
-        self._active_transfers = 0
-
-    def transfer_begin(self) -> None:
-        """Note one more concurrent transfer (affects contention)."""
-        self._active_transfers += 1
-
-    def transfer_end(self) -> None:
-        if self._active_transfers <= 0:
-            raise ConfigurationError("transfer_end without transfer_begin")
-        self._active_transfers -= 1
-
-    @property
-    def active_transfers(self) -> int:
-        return self._active_transfers
 
     def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move *nbytes* under the current contention level."""
+        """Seconds to move *nbytes*."""
         if nbytes < 0:
             raise ConfigurationError("nbytes must be non-negative")
-        concurrency = max(1, self._active_transfers) if self.contention else 1
-        return self.latency + nbytes * concurrency / self.bandwidth
+        return self.latency + nbytes / self.bandwidth

@@ -170,9 +170,8 @@ class PatternDriver(abc.ABC):
                 ]
                 description = self._bind(kernel)
                 descriptions.append(description)
-                unit_tags = {**description.tags, **request.tags}
-                unit_tags.setdefault("pattern", pattern)
-                tags.append(unit_tags)
+                tags.append({**description.tags, **request.tags,
+                             "pattern": pattern})
             prof.event("entk_stage_create_stop", self.pattern.uid, n=len(requests))
 
             # Under simulation, EnTK's client-side cost (task creation +

@@ -93,8 +93,6 @@ class EnsembleExchangeDriver(PatternDriver):
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
         tags = unit.description.tags
-        if tags.get("pattern") != self.pattern.uid:
-            return
         if tags["phase"] == "sim":
             self._on_sim_final(unit, tags)
         else:

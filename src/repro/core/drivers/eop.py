@@ -107,8 +107,6 @@ class EnsembleOfPipelinesDriver(PatternDriver):
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
         tags = unit.description.tags
-        if tags.get("pattern") != self.pattern.uid:
-            return
         instance = tags["instance"]
         stage = tags["stage"]
         if unit.state is not UnitState.DONE:

@@ -126,8 +126,6 @@ class SimulationAnalysisLoopDriver(PatternDriver):
     # -- events -----------------------------------------------------------------------
 
     def on_unit_final(self, unit: "ComputeUnit") -> None:
-        if unit.description.tags.get("pattern") != self.pattern.uid:
-            return
         with self._lock:
             self._outstanding -= 1
             if unit.state is not UnitState.DONE:

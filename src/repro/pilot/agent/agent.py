@@ -338,6 +338,10 @@ class Agent:
         """One scheduling pass over the wait queue: start every waiting
         unit the policy and free slots allow.
 
+        Both policies run the same scan in queue order.  Backfill passes
+        over a unit it cannot place and goes on; FIFO stops at the first
+        such unit, which keeps its place at the head of the queue.
+
         A pass skips only work that is *event-silent*: failed allocation
         probes emit nothing and leave the queue order untouched.  Within
         one pass the pool only shrinks, and avoiding nodes only removes
@@ -374,55 +378,36 @@ class Agent:
                 and slots.free_cores < self._min_waiting
             ):
                 return
-            if self.policy == "fifo":
-                while self._waiting:
-                    entry = self._waiting[0]
-                    head, cores, avoid = entry
-                    if head._i in unchecked:
-                        if slots.eligible_cores(avoid) < cores:
-                            self._waiting.popleft()
-                            self._waiting_forget(entry)
-                            unplaceable.append(head)
-                            continue
-                        unchecked.discard(head._i)
-                    placed = slots.alloc(cores, avoid)
-                    if placed is None:
-                        break
-                    self._waiting.popleft()
-                    self._waiting_forget(entry)
-                    head.slots = placed
-                    self._executing[head._i] = head
-                    launched.append(head)
-            else:  # backfill
-                requeued: list[_Waiting] = []
-                fail_at = slots.free_cores + 1
-                while self._waiting:
-                    if not unchecked and fail_at <= self._min_waiting:
-                        # Every request left is at least fail_at wide.
-                        break
-                    entry = self._waiting.popleft()
-                    unit, cores, avoid = entry
-                    if unchecked and unit._i in unchecked:
-                        if slots.eligible_cores(avoid) < cores:
-                            self._waiting_forget(entry)
-                            unplaceable.append(unit)
-                            continue
-                        unchecked.discard(unit._i)
-                    if cores >= fail_at:
-                        requeued.append(entry)
+            fifo = self.policy == "fifo"
+            requeued: list[_Waiting] = []
+            fail_at = slots.free_cores + 1
+            while self._waiting:
+                if not unchecked and fail_at <= self._min_waiting:
+                    # Every request left is at least fail_at wide.
+                    break
+                entry = self._waiting.popleft()
+                unit, cores, avoid = entry
+                if unchecked and unit._i in unchecked:
+                    if slots.eligible_cores(avoid) < cores:
+                        self._waiting_forget(entry)
+                        unplaceable.append(unit)
                         continue
+                    unchecked.discard(unit._i)
+                if cores < fail_at:
                     placed = slots.alloc(cores, avoid)
-                    if placed is None:
-                        if not avoid:
-                            fail_at = cores
-                        requeued.append(entry)
+                    if placed is not None:
+                        self._waiting_forget(entry)
+                        unit.slots = placed
+                        self._executing[unit._i] = unit
+                        launched.append(unit)
+                        fail_at = min(fail_at, slots.free_cores + 1)
                         continue
-                    self._waiting_forget(entry)
-                    unit.slots = placed
-                    self._executing[unit._i] = unit
-                    launched.append(unit)
-                    fail_at = min(fail_at, slots.free_cores + 1)
-                self._waiting.extendleft(reversed(requeued))
+                    if not avoid:
+                        fail_at = cores
+                requeued.append(entry)
+                if fifo:
+                    break
+            self._waiting.extendleft(reversed(requeued))
         for unit in unplaceable:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast

@@ -94,9 +94,9 @@ class LocalStager:
                 shutil.copy2(source, target)
 
     def _stage(self, units: list["ComputeUnit"], inbound: bool,
-               done: StagedCallback, failed: FailedCallback | None) -> None:
+               done: StagedCallback, failed: FailedCallback) -> None:
         """Stage each unit; a unit whose staging fails goes to *failed*
-        (without it, the error propagates) and the rest to *done*."""
+        and the rest to *done*."""
         staged = []
         for unit in units:
             sandbox = self.unit_sandboxes[unit.uid]
@@ -111,19 +111,11 @@ class LocalStager:
                 for directive in directives:
                     self._apply(directive, src_base, dst_base)
             except (StagingError, OSError) as exc:
-                if failed is None:
-                    raise
                 failed([unit], exc)
                 continue
             staged.append(unit)
         if staged:
             done(staged)
-
-    def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage([unit], True, lambda _: done(), None)
-
-    def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._stage([unit], False, lambda _: done(), None)
 
     def stage_in_bulk(self, units: list["ComputeUnit"], done: StagedCallback,
                       failed: FailedCallback) -> None:

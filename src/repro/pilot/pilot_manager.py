@@ -29,7 +29,6 @@ class PilotManager:
         self.uid = "pmgr." + session.uid
         self.pilots: list[ComputePilot] = []
         self._agent_options = agent_options
-        self._services: dict[str, JobService] = {}
         #: Pending pilot-level fault event per pilot uid (sim only).
         self._pilot_fault_events: dict[str, object] = {}
 
@@ -76,7 +75,6 @@ class PilotManager:
     def _launch_sim(self, pilot: ComputePilot) -> None:
         context = self.session.sim_context
         service = JobService(f"sim://{pilot.description.resource}", context=context)
-        self._services[pilot.uid] = service
         job = self._make_sim_job(pilot, service)
         pilot.advance(PilotState.PENDING)
         job.run()
@@ -184,7 +182,6 @@ class PilotManager:
 
     def _launch_local(self, pilot: ComputePilot) -> None:
         service = JobService("fork://localhost")
-        self._services[pilot.uid] = service
 
         def payload(job) -> None:
             # The container job thread *is* the allocation: it stays alive

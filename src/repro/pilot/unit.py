@@ -31,15 +31,8 @@ class ComputeUnit:
     __slots__ = ("_store", "_i")
 
     def __init__(self, description: ComputeUnitDescription, session: Any) -> None:
-        store = getattr(session, "unit_store", None)
-        if store is None:
-            # Sessions built by repro.pilot.session always carry a store;
-            # this keeps directly constructed units (tests, ad-hoc
-            # harnesses) working against any session-like object.
-            store = UnitStore(session)
-            session.unit_store = store
-        self._store = store
-        self._i = store.add(description)
+        self._store = session.unit_store
+        self._i = self._store.add_bulk([description])[0]
 
     @classmethod
     def _of(cls, store: UnitStore, i: int) -> "ComputeUnit":

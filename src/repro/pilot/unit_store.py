@@ -28,10 +28,10 @@ emits the ``new`` event, and every state event names the state it left
 ``units.<STATE>`` gauges are not recorded; ``MetricsRegistry.from_events``
 derives them from these events.
 
-The singular ``add``/``advance`` are adapters over the same bodies for
-callers that hold one unit.  The runtime lifecycle never calls them, so
-the repository benchmark (``perfbench/worker.py``), which counts calls
-to ``advance`` and ``advance_many`` alike, counts each transition once;
+The singular ``advance`` is an adapter over the same body for callers
+that hold one unit.  The runtime lifecycle never calls it, so the
+repository benchmark (``perfbench/worker.py``), which counts calls to
+``advance`` and ``advance_many`` alike, counts each transition once;
 ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out`` are kept
 the same way.
 
@@ -183,7 +183,7 @@ class UnitStore:
         self._session = session
         #: The emission policy: one ``units_*`` event per lifecycle list
         #: instead of one ``unit_*`` event per unit (see :meth:`emit`).
-        self.bulk = bool(getattr(session, "bulk_lifecycle", False))
+        self.bulk = session.bulk_lifecycle
         # One coarse lock replaces the historical per-unit locks: the
         # only concurrent writers are local-mode executor threads, and
         # they contend for the profiler's single lock anyway.
@@ -230,10 +230,6 @@ class UnitStore:
         return len(self._serial)
 
     # -- registration -------------------------------------------------------
-
-    def add(self, description: "ComputeUnitDescription") -> int:
-        """Register one unit; returns its row."""
-        return self.add_bulk([description])[0]
 
     def add_bulk(
         self, descriptions: Sequence["ComputeUnitDescription"],

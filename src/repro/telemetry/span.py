@@ -78,20 +78,15 @@ class Span:
     parent: str | None = None
     ref: str = ""
     attrs: dict[str, Any] = field(default_factory=dict)
-    children: list["Span"] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Span {self.name} [{self.t_start:.3f}, {self.t_end:.3f}] "
-            f"ref={self.ref!r} children={len(self.children)}>"
+            f"ref={self.ref!r}>"
         )
 
 
@@ -193,8 +188,22 @@ class SpanTree:
             and (ref is None or span.ref == ref)
         ]
 
+    def _parents(self, spans: Iterable[Span]) -> set[str]:
+        """Uids of the spans that *spans* hang off: each one's recorded
+        parent, or the root when that parent is unknown or itself."""
+        root, known = self.root, self.spans
+        return {
+            span.parent
+            if span.parent in known and span.parent != span.uid
+            else root.uid
+            for span in spans
+            if span is not root
+        }
+
     def leaves(self) -> list[Span]:
-        return [span for span in self.spans.values() if span.is_leaf]
+        """Spans that no other span hangs off, in creation order."""
+        parents = self._parents(self.spans.values())
+        return [span for span in self.spans.values() if span.uid not in parents]
 
     def pattern(self, uid: str | None = None) -> Span | None:
         """The pattern span (by uid, or the innermost one when unique).
@@ -211,11 +220,8 @@ class SpanTree:
             return None
         if not patterns:
             return None
-        inner = [
-            span
-            for span in patterns
-            if not any(child.name == "pattern" for child in span.children)
-        ]
+        outer = self._parents(patterns)
+        inner = [span for span in patterns if span.uid not in outer]
         return inner[0] if inner else patterns[0]
 
 
@@ -263,8 +269,6 @@ class SpanBuilder:
         self._pilot_spans(trace, spans, root, t_trace_end)
         self._unit_spans(trace, spans, root, t_trace_end)
         self._explicit_spans(trace, spans, root, t_trace_end)
-
-        self._link(spans, root)
         return SpanTree(root=root, spans=spans)
 
     # -- derivation passes -------------------------------------------------
@@ -520,15 +524,3 @@ class SpanBuilder:
             if key in spans:
                 return key
         return root.uid
-
-    @staticmethod
-    def _link(spans: dict[str, Span], root: Span) -> None:
-        for span in spans.values():
-            if span is root:
-                continue
-            parent = spans.get(span.parent or "", root)
-            if parent is span:  # defensive: never self-parent
-                parent = root
-            parent.children.append(span)
-        for span in spans.values():
-            span.children.sort(key=lambda s: (s.t_start, s.uid))

@@ -186,7 +186,6 @@ class _ReferenceSpanBuilder(SpanBuilder):
         self._ref_pilot_spans(events, spans, root, t_trace_end)
         self._ref_unit_spans(events, spans, root, t_trace_end)
         self._ref_explicit_spans(events, spans, root, t_trace_end)
-        self._link(spans, root)
         return SpanTree(root=root, spans=spans)
 
     @staticmethod

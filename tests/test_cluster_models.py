@@ -17,28 +17,6 @@ class TestSharedFilesystem:
         fs = SharedFilesystem(bandwidth=1e9, latency=0.25)
         assert fs.transfer_time(0) == pytest.approx(0.25)
 
-    def test_contention_shares_bandwidth(self):
-        fs = SharedFilesystem(bandwidth=1e6, latency=0.0)
-        base = fs.transfer_time(1e6)
-        fs.transfer_begin()
-        fs.transfer_begin()
-        assert fs.transfer_time(1e6) == pytest.approx(2 * base)
-        fs.transfer_end()
-        assert fs.transfer_time(1e6) == pytest.approx(base)
-        fs.transfer_end()
-
-    def test_contention_can_be_disabled(self):
-        fs = SharedFilesystem(bandwidth=1e6, latency=0.0, contention=False)
-        fs.transfer_begin()
-        fs.transfer_begin()
-        assert fs.transfer_time(1e6) == pytest.approx(1.0)
-        fs.transfer_end(); fs.transfer_end()
-
-    def test_transfer_end_without_begin_raises(self):
-        fs = SharedFilesystem(bandwidth=1e6)
-        with pytest.raises(ConfigurationError):
-            fs.transfer_end()
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             SharedFilesystem(bandwidth=0)

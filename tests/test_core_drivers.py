@@ -216,6 +216,26 @@ class TestPipelineDriver:
         assert len(pattern.units) == 5
         assert all(u.state is UnitState.DONE for u in pattern.units)
 
+    def test_driver_owns_the_pattern_tag(self, sim_handle_factory):
+        """A kernel tag named ``pattern`` does not rename the unit's
+        pattern: the driver's own uid wins."""
+        class Bag(BagOfTasks):
+            def task(self, instance):
+                kernel = sleep_kernel()
+                kernel.tags = {"pattern": "mine"}
+                return kernel
+
+        handle = sim_handle_factory()
+        pattern = Bag(size=4)
+        handle.run(pattern)
+        assert len(pattern.units) == 4
+        assert all(u.state is UnitState.DONE for u in pattern.units)
+        assert {u.description.tags["pattern"] for u in pattern.units} == {
+            pattern.uid
+        }
+        assert {ev.attrs["pattern"]
+                for ev in handle.profile.events("unit_new")} == {pattern.uid}
+
 
 # ---------------------------------------------------------------------------
 # Simulation-analysis loop

@@ -239,6 +239,10 @@ class TestLaunchMethods:
         )
 
 
+def _no_failure(units, exc):
+    raise AssertionError(f"staging failed: {exc}")
+
+
 class TestStaging:
     def test_placeholder_resolution(self):
         pilot_sandbox = Path("/p")
@@ -276,8 +280,8 @@ class TestStaging:
             ]
         )
         done = []
-        stager.stage_in(unit, lambda: done.append(True))
-        assert done == [True]
+        stager.stage_in_bulk([unit], done.append, _no_failure)
+        assert done == [[unit]]
         sandbox = Path(unit.sandbox)
         assert (sandbox / "linked.txt").is_symlink()
         assert (sandbox / "copied.txt").read_text() == "shared-data"
@@ -289,15 +293,25 @@ class TestStaging:
         unit.description.output_staging.append(
             StagingDirective(source="result.txt", target="$SHARED/collected.txt")
         )
-        stager.stage_out(unit, lambda: None)
+        done = []
+        stager.stage_out_bulk([unit], done.append, _no_failure)
+        assert done == [[unit]]
         assert (tmp_path / "collected.txt").read_text() == "out"
         session.close()
 
     def test_missing_source_raises(self, tmp_path):
+        """The StagingError of a missing source fails only that unit: it
+        reaches the failed callback instead of propagating."""
         session, stager, unit = self.make_stager_and_unit(tmp_path)
         unit.description.input_staging.append(
             StagingDirective(source="$SHARED/ghost.txt", target="x")
         )
-        with pytest.raises(StagingError, match="does not exist"):
-            stager.stage_in(unit, lambda: None)
+        done, failed = [], []
+        stager.stage_in_bulk([unit], done.append,
+                             lambda units, exc: failed.append((units, exc)))
+        assert done == []
+        ((units, exc),) = failed
+        assert units == [unit]
+        assert isinstance(exc, StagingError)
+        assert "does not exist" in str(exc)
         session.close()

@@ -58,22 +58,22 @@ def _desc(cores=1):
 class TestUnitStore:
     def test_add_assigns_sequential_lazy_uids(self, session):
         store = session.unit_store
-        a = store.add(_desc())
-        b = store.add(_desc())
+        (a,) = store.add_bulk([_desc()])
+        (b,) = store.add_bulk([_desc()])
         assert store.uid(a) == "unit.000000"
         assert store.uid(b) == "unit.000001"
         assert len(store) == 2
 
     def test_add_bulk_matches_per_unit_serials(self, session):
         store = session.unit_store
-        store.add(_desc())
+        store.add_bulk([_desc()])
         rows = store.add_bulk([_desc() for _ in range(3)])
         assert list(rows) == [1, 2, 3]
         assert [store.uid(i) for i in rows] == [
             "unit.000001", "unit.000002", "unit.000003",
         ]
-        # The classic path continues from the same counter.
-        assert store.uid(store.add(_desc())) == "unit.000004"
+        # A one-unit batch continues from the same counter.
+        assert store.uid(store.add_bulk([_desc()])[0]) == "unit.000004"
 
     def test_view_round_trips_every_field(self, session):
         unit = ComputeUnit(_desc(cores=4), session)
