@@ -21,7 +21,7 @@ from repro.core.kernel_plugin import Kernel
 from repro.core.patterns.bag_of_tasks import BagOfTasks
 from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import run_on_sim
-from repro.experiments.workloads import CharCountPipeline
+from repro.experiments.workloads import CharCountPipeline, SleepBag
 from repro.saga.adaptors.sim import SimContext
 
 __all__ = [
@@ -32,19 +32,6 @@ __all__ = [
     "heterogeneity_utilization",
     "patterns_vs_dag",
 ]
-
-
-class _SleepBag(BagOfTasks):
-    """N identical fixed-duration tasks."""
-
-    def __init__(self, size: int, duration: float) -> None:
-        super().__init__(size=size)
-        self.duration = duration
-
-    def task(self, instance: int) -> Kernel:
-        kernel = Kernel(name="misc.sleep")
-        kernel.arguments = [f"--duration={self.duration}"]
-        return kernel
 
 
 class _MixedBag(BagOfTasks):
@@ -78,7 +65,7 @@ def pilot_vs_batch(
         f"({cores} cores): pilot vs. per-task batch submission",
     )
     # --- pilot: one container job, agent schedules all tasks -----------------
-    pattern = _SleepBag(ntasks, task_duration)
+    pattern = SleepBag(ntasks, task_duration)
     _, handle, breakdown = run_on_sim(
         pattern,
         resource=resource,
@@ -236,7 +223,7 @@ def fault_resilience(
     )
     for rate in fault_rates:
 
-        class _Bag(_SleepBag):
+        class _Bag(SleepBag):
             max_task_retries = retries
 
         pattern = _Bag(ntasks, task_duration)

@@ -19,26 +19,12 @@ from __future__ import annotations
 
 from repro.analytics.faults import fault_recovery_summary
 from repro.analytics.tables import Series
-from repro.core.kernel_plugin import Kernel
-from repro.core.patterns.bag_of_tasks import BagOfTasks
 from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import run_on_sim
+from repro.experiments.workloads import SleepBag
 from repro.pilot.retry import RetryPolicy
 
 __all__ = ["DEFAULT_POLICIES", "fault_ablation", "main"]
-
-
-class _SleepBag(BagOfTasks):
-    """N identical fixed-duration tasks."""
-
-    def __init__(self, size: int, duration: float) -> None:
-        super().__init__(size=size)
-        self.duration = duration
-
-    def task(self, instance: int) -> Kernel:
-        kernel = Kernel(name="misc.sleep")
-        kernel.arguments = [f"--duration={self.duration}"]
-        return kernel
 
 
 #: The two recovery strategies the sweep contrasts: resubmit immediately
@@ -88,7 +74,7 @@ def fault_ablation(
     )
 
     def one_run(mtbf: float, policy: RetryPolicy | None):
-        pattern = _SleepBag(ntasks, task_duration)
+        pattern = SleepBag(ntasks, task_duration)
         _, handle, breakdown = run_on_sim(
             pattern,
             resource=resource,

@@ -7,6 +7,7 @@ examples, the tests and the benchmark harness.
 from __future__ import annotations
 
 from repro.core.kernel_plugin import Kernel
+from repro.core.patterns.bag_of_tasks import BagOfTasks
 from repro.core.patterns.ensemble_exchange import EnsembleExchange
 from repro.core.patterns.pipeline import EnsembleOfPipelines
 from repro.core.patterns.simulation_analysis_loop import SimulationAnalysisLoop
@@ -19,6 +20,7 @@ __all__ = [
     "GromacsLSDMapSAL",
     "AmberTemperatureREMD",
     "AmberCoCoSAL",
+    "SleepBag",
 ]
 
 #: File size of the characterization workload (paper §IV.A).
@@ -257,4 +259,17 @@ class AmberCoCoSAL(SimulationAnalysisLoop):
             f"$SIMULATION_{iteration}_{i}/trajectory.npz > traj_{i:05d}.npz"
             for i in range(1, self.simulation_instances + 1)
         ]
+        return kernel
+
+
+class SleepBag(BagOfTasks):
+    """N identical fixed-duration tasks (the ablations' workload)."""
+
+    def __init__(self, size: int, duration: float) -> None:
+        super().__init__(size=size)
+        self.duration = duration
+
+    def task(self, instance: int) -> Kernel:
+        kernel = Kernel(name="misc.sleep")
+        kernel.arguments = [f"--duration={self.duration}"]
         return kernel
