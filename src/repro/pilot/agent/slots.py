@@ -32,6 +32,9 @@ truth; the indexes are accelerators kept incrementally consistent:
 * :class:`ContiguousSlotScheduler` additionally keeps the pool as a
   sorted list of maximal runs ``[start, end)``; deallocation merges
   adjacent runs, allocation carves a prefix off the first fitting run;
+  the sorted run lengths give ``largest_fit`` (the longest run) in O(1);
+* ``largest_fit`` bounds what ``alloc`` can place, so the agent's
+  scheduling pass never probes a request that cannot fit;
 * ``eligible_cores`` is pure node-size arithmetic — no per-core loop.
 
 Placement *choices* are bit-identical to the reference linear scans
@@ -57,8 +60,11 @@ __all__ = [
 
 def _segments(slots: list[int]) -> list[tuple[int, int]]:
     """Group a sorted slot list into maximal ``[start, end)`` runs."""
+    start = slots[0]
+    if slots[-1] - start + 1 == len(slots):  # one run (slots are distinct)
+        return [(start, start + len(slots))]
     runs: list[tuple[int, int]] = []
-    start = prev = slots[0]
+    prev = start
     for slot in slots[1:]:
         if slot != prev + 1:
             runs.append((start, prev + 1))
@@ -117,6 +123,13 @@ class CoreSlotScheduler(abc.ABC):
         return self._nfree
 
     @property
+    @abc.abstractmethod
+    def largest_fit(self) -> int:
+        """The widest request with no avoided nodes that :meth:`alloc`
+        would place now (``0`` when the pool is empty).  Avoiding nodes
+        only removes choices, so nothing wider fits, whatever it avoids."""
+
+    @property
     def used_cores(self) -> int:
         return self._nused
 
@@ -151,37 +164,34 @@ class CoreSlotScheduler(abc.ABC):
         elif had and not has:
             del self._nonempty_nodes[bisect_left(self._nonempty_nodes, node)]
 
+    def _pool_count_runs(self, runs: list[tuple[int, int]], sign: int) -> None:
+        """Add ``sign`` times the slots of *runs* to the per-node counts."""
+        cpn = self.cores_per_node
+        for start, end in runs:
+            for node in range(start // cpn, (end - 1) // cpn + 1):
+                span = min(end, (node + 1) * cpn) - max(start, node * cpn)
+                self._pool_count_add(node, sign * span)
+
     def _pool_add(self, slots: list[int]) -> None:
         """*slots* (sorted, disjoint from the pool) join the pool."""
-        for start, end in _segments(slots):
-            node_lo = start // self.cores_per_node
-            node_hi = (end - 1) // self.cores_per_node
-            for node in range(node_lo, node_hi + 1):
-                span = min(end, (node + 1) * self.cores_per_node) - max(
-                    start, node * self.cores_per_node
-                )
-                self._pool_count_add(node, span)
+        runs = _segments(slots)
+        self._pool_count_runs(runs, 1)
         self._nfree += len(slots)
-        self._index_add(slots)
+        self._index_add(runs)
 
     def _pool_remove(self, slots: list[int]) -> None:
         """*slots* (sorted, all in the pool) leave the pool."""
-        for start, end in _segments(slots):
-            node_lo = start // self.cores_per_node
-            node_hi = (end - 1) // self.cores_per_node
-            for node in range(node_lo, node_hi + 1):
-                span = min(end, (node + 1) * self.cores_per_node) - max(
-                    start, node * self.cores_per_node
-                )
-                self._pool_count_add(node, -span)
+        runs = _segments(slots)
+        self._pool_count_runs(runs, -1)
         self._nfree -= len(slots)
-        self._index_remove(slots)
+        self._index_remove(runs)
 
-    def _index_add(self, slots: list[int]) -> None:
-        """Subclass hook: *slots* (sorted) joined the pool."""
+    def _index_add(self, runs: list[tuple[int, int]]) -> None:
+        """Subclass hook: the maximal ``[start, end)`` *runs* of a sorted
+        slot list joined the pool."""
 
-    def _index_remove(self, slots: list[int]) -> None:
-        """Subclass hook: *slots* (sorted) left the pool."""
+    def _index_remove(self, runs: list[tuple[int, int]]) -> None:
+        """Subclass hook: the slots of *runs* left the pool."""
 
     # -- failure domains -----------------------------------------------------------
 
@@ -246,7 +256,7 @@ class CoreSlotScheduler(abc.ABC):
                 raise SchedulingError(f"slot {slot} allocated while offline (internal bug)")
             self._free[slot] = False
         self._nused += len(slots)
-        self._pool_remove(sorted(slots))
+        self._pool_remove(slots)
         return slots
 
     def dealloc(self, slots: list[int]) -> None:
@@ -267,7 +277,8 @@ class CoreSlotScheduler(abc.ABC):
     def _pick(
         self, ncores: int, avoid_nodes: set[int] | frozenset[int]
     ) -> list[int] | None:
-        """Choose slots among the pool ones (enough are free by contract)."""
+        """Choose slots among the pool ones (enough are free by contract),
+        in ascending order."""
 
 
 class ContiguousSlotScheduler(CoreSlotScheduler):
@@ -276,6 +287,8 @@ class ContiguousSlotScheduler(CoreSlotScheduler):
     The pool is indexed as a sorted list of maximal runs: ``_run_starts``
     (sorted starts) with ``_run_end[start] -> end`` and the reverse map
     ``_run_by_end[end] -> start`` for O(log n) merge-on-dealloc.
+    ``_run_lens`` holds the run lengths in sorted order, so its last entry
+    is :attr:`largest_fit`.
     """
 
     def __init__(self, total_cores: int, cores_per_node: int | None = None) -> None:
@@ -283,48 +296,61 @@ class ContiguousSlotScheduler(CoreSlotScheduler):
         self._run_starts: list[int] = [0]
         self._run_end: dict[int, int] = {0: total_cores}
         self._run_by_end: dict[int, int] = {total_cores: 0}
+        self._run_lens: list[int] = [total_cores]
+
+    @property
+    def largest_fit(self) -> int:
+        return self._run_lens[-1] if self._run_lens else 0
 
     # -- run index -----------------------------------------------------------
 
     def _insert_run(self, start: int, end: int) -> None:
         """Add pool run ``[start, end)``, merging with adjacent runs."""
+        lens = self._run_lens
         left = self._run_by_end.pop(start, None)
         if left is not None:
             del self._run_end[left]
             del self._run_starts[bisect_left(self._run_starts, left)]
+            del lens[bisect_left(lens, start - left)]
             start = left
         right_end = self._run_end.pop(end, None)
         if right_end is not None:
             del self._run_by_end[right_end]
             del self._run_starts[bisect_left(self._run_starts, end)]
+            del lens[bisect_left(lens, right_end - end)]
             end = right_end
         insort(self._run_starts, start)
         self._run_end[start] = end
         self._run_by_end[end] = start
+        insort(lens, end - start)
 
     def _remove_span(self, start: int, end: int) -> None:
         """Remove ``[start, end)`` (inside one run) from the run index."""
+        lens = self._run_lens
         i = bisect_right(self._run_starts, start) - 1
         run_start = self._run_starts[i]
         run_end = self._run_end[run_start]
         del self._run_starts[i]
         del self._run_end[run_start]
         del self._run_by_end[run_end]
+        del lens[bisect_left(lens, run_end - run_start)]
         if run_start < start:
             insort(self._run_starts, run_start)
             self._run_end[run_start] = start
             self._run_by_end[start] = run_start
+            insort(lens, start - run_start)
         if end < run_end:
             insort(self._run_starts, end)
             self._run_end[end] = run_end
             self._run_by_end[run_end] = end
+            insort(lens, run_end - end)
 
-    def _index_add(self, slots: list[int]) -> None:
-        for start, end in _segments(slots):
+    def _index_add(self, runs: list[tuple[int, int]]) -> None:
+        for start, end in runs:
             self._insert_run(start, end)
 
-    def _index_remove(self, slots: list[int]) -> None:
-        for start, end in _segments(slots):
+    def _index_remove(self, runs: list[tuple[int, int]]) -> None:
+        for start, end in runs:
             self._remove_span(start, end)
 
     # -- placement -----------------------------------------------------------
@@ -364,6 +390,10 @@ class ScatteredSlotScheduler(CoreSlotScheduler):
     the nodes it takes slots from — O(placed + skipped nodes), not
     O(pilot size).
     """
+
+    @property
+    def largest_fit(self) -> int:
+        return self._nfree
 
     def _pick(
         self, ncores: int, avoid_nodes: set[int] | frozenset[int]

@@ -6,7 +6,8 @@ in the same order, for every alloc/dealloc/fail/repair/avoid sequence —
 because placements feed the deterministic traces.  The pre-rewrite
 implementation is kept here, verbatim in behavior, as the executable
 specification; hypothesis drives both through random operation sequences
-and compares every observable after every step.
+and compares every observable after every step, including each
+scheduler's ``largest_fit`` bound against a brute-force scan.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ class _ReferenceScheduler:
 
 
 class _RefContiguous(_ReferenceScheduler):
+    @property
+    def largest_fit(self):
+        """The longest run of free, online slots."""
+        longest = run = 0
+        for i in range(self.total_cores):
+            run = run + 1 if self._usable(i, frozenset()) else 0
+            longest = max(longest, run)
+        return longest
+
     def _pick(self, ncores, avoid_nodes):
         run_start = None
         run_len = 0
@@ -129,6 +139,10 @@ class _RefContiguous(_ReferenceScheduler):
 
 
 class _RefScattered(_ReferenceScheduler):
+    @property
+    def largest_fit(self):
+        return self.free_cores
+
     def _pick(self, ncores, avoid_nodes):
         slots = [
             i for i in range(self.total_cores) if self._usable(i, avoid_nodes)
@@ -167,12 +181,18 @@ def _interpret_and_compare(kind, total_cores, cores_per_node, ops):
             avoid = frozenset(
                 node for node in range(min(ref.nnodes, 6)) if b >> node & 1
             )
+            fits = ncores <= new.largest_fit
             got_ref = ref.alloc(ncores, avoid)
             got_new = new.alloc(ncores, avoid)
             assert got_ref == got_new, (
                 f"alloc({ncores}, avoid={sorted(avoid)}) placed "
                 f"{got_ref} (reference) vs {got_new} (indexed)"
             )
+            if not avoid:
+                # largest_fit is exact for requests that avoid nothing.
+                assert (got_new is not None) == fits
+            elif not fits:
+                assert got_new is None
             if got_new is not None:
                 outstanding.append(got_new)
         elif op == "dealloc" and outstanding:
@@ -191,6 +211,7 @@ def _interpret_and_compare(kind, total_cores, cores_per_node, ops):
         assert new.free_cores == ref.free_cores
         assert new.used_cores == ref.used_cores
         assert new.offline_nodes == ref.offline_nodes
+        assert new.largest_fit == ref.largest_fit
 
     for avoid in (frozenset(), frozenset({0}), frozenset(range(ref.nnodes))):
         assert new.eligible_cores(avoid) == ref.eligible_cores(avoid)
