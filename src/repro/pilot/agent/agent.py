@@ -11,18 +11,27 @@ written to the trace (see ``UnitStore.emit``).
 
 Queue policies (the paper's agent inherits RADICAL-Pilot's):
 
-* ``backfill`` (default) — scan the whole wait queue, start everything that
-  fits.  Maximizes utilization; this is what produces the paper's linear
+* ``backfill`` (default) — start every waiting unit that fits, in arrival
+  order.  Maximizes utilization; this is what produces the paper's linear
   weak/strong scaling.
 * ``fifo`` — strict order: if the head does not fit, nothing starts.  Kept
   for the scheduler ablation benchmark.
+
+The wait queue keeps one FIFO per unit width, and a scheduling pass
+visits only the widths that can fit the free pool (see
+``_schedule_waiting``), so its cost follows the units it places rather
+than the length of the queue.  An occupancy index per node names the
+units a node failure kills without reading every executing unit.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from bisect import bisect_left, insort
+from collections import defaultdict, deque
+from heapq import heapify, heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.cluster.faults import NODE_FAULT_STREAM, NodeFaultProcess
 from repro.exceptions import SchedulingError
@@ -43,11 +52,119 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Agent"]
 
-#: A wait-queue entry: the unit, its core count and the nodes of this
-#: pilot it avoids.
-_Waiting = tuple["ComputeUnit", int, frozenset[int]]
+#: A wait-queue entry: its arrival number, the unit, its core count and
+#: the nodes of this pilot it avoids.  Arrival numbers are unique, so
+#: entries order by arrival alone.
+_Waiting = tuple[int, "ComputeUnit", int, frozenset[int]]
 
 log = get_logger("pilot.agent")
+
+
+class _WaitQueue:
+    """The agent's wait queue: one FIFO per unit width.
+
+    Every entry carries a global arrival number, so a pass can merge
+    any set of widths back into arrival order.  The queue also tracks
+    the one-time *unplaceable check* of units that avoid nodes of the
+    pilot: ``unchecked`` holds those not yet checked, and ``doomed``
+    those that failed it (they leave the width FIFOs and wait, in
+    arrival order, until a pass reaches them).  The caller holds the
+    agent's lock.
+    """
+
+    def __init__(self) -> None:
+        self._arrivals = count()
+        #: Entries of each width, in arrival order; a width is present
+        #: only while it has entries.
+        self.by_width: dict[int, deque[_Waiting]] = {}
+        #: The keys of ``by_width``, sorted.
+        self.widths: list[int] = []
+        #: Every entry (``doomed`` ones too) by unit row.
+        self.rows: dict[int, _Waiting] = {}
+        #: Entries that avoid nodes and await their check, in arrival order.
+        self.unchecked: dict[int, _Waiting] = {}
+        #: Entries that failed their check, in arrival order.
+        self.doomed: list[_Waiting] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[_Waiting]:
+        """Every entry, in arrival order."""
+        return iter(sorted(self.rows.values()))
+
+    @property
+    def settled(self) -> bool:
+        """True when every entry is in a width FIFO and checked."""
+        return not self.unchecked and not self.doomed
+
+    def add(self, unit: "ComputeUnit", cores: int, avoid: frozenset[int]) -> None:
+        entry = (next(self._arrivals), unit, cores, avoid)
+        fifo = self.by_width.get(cores)
+        if fifo is None:
+            fifo = self.by_width[cores] = deque()
+            insort(self.widths, cores)
+        fifo.append(entry)
+        self.rows[unit._i] = entry
+        if avoid:
+            self.unchecked[unit._i] = entry
+
+    def remove(self, row: int) -> _Waiting | None:
+        """Take the entry of unit row *row* out of the queue, if queued."""
+        entry = self.rows.pop(row, None)
+        if entry is None:
+            return None
+        self.unchecked.pop(row, None)
+        if entry in self.doomed:
+            self.doomed.remove(entry)
+        else:
+            self._unlink(entry)
+        return entry
+
+    def _unlink(self, entry: _Waiting) -> None:
+        fifo = self.by_width[entry[2]]
+        fifo.remove(entry)
+        if not fifo:
+            self.retire([entry[2]])
+
+    def retire(self, widths: list[int]) -> None:
+        """Drop the emptied FIFOs among *widths*."""
+        for width in widths:
+            if not self.by_width[width]:
+                del self.by_width[width]
+                del self.widths[bisect_left(self.widths, width)]
+
+    def clear(self) -> list["ComputeUnit"]:
+        """Empty the queue; returns its units in arrival order."""
+        units = [unit for _, unit, _, _ in self]
+        self.by_width.clear()
+        self.widths.clear()
+        self.rows.clear()
+        self.unchecked.clear()
+        self.doomed.clear()
+        return units
+
+    def check_new(self, eligible_cores: Callable[[frozenset[int]], int]) -> None:
+        """Run the unplaceable check of every unchecked entry, in arrival
+        order; the ones that fail move to ``doomed``.  The answer depends
+        only on the unit's exclusions and the pilot's node sizes, so it
+        never changes while the unit waits."""
+        for entry in self.unchecked.values():
+            if eligible_cores(entry[3]) < entry[2]:
+                self._unlink(entry)
+                self.doomed.append(entry)
+        self.unchecked.clear()
+
+    def take_doomed(self, before: int | None) -> list["ComputeUnit"]:
+        """Remove the doomed entries that arrived before arrival number
+        *before* (all of them when ``None``); returns their units."""
+        n = len(self.doomed) if before is None else bisect_left(
+            self.doomed, (before,)
+        )
+        taken, self.doomed[:n] = self.doomed[:n], []
+        for _, unit, _, _ in taken:
+            del self.rows[unit._i]
+        return [unit for _, unit, _, _ in taken]
 
 
 class Agent:
@@ -80,22 +197,14 @@ class Agent:
         #: The wait queue.  Each entry carries the unit's width and the
         #: nodes of this pilot it avoids, fixed for its stint in the queue,
         #: so a pass reads nothing from the unit store for units it skips.
-        self._waiting: deque[_Waiting] = deque()
-        #: Entries by unit row (O(1) membership for cancel_unit).
-        self._waiting_rows: dict[int, _Waiting] = {}
-        #: Core-count multiset of waiting units; ``_min_waiting`` caches its
-        #: minimum so a wake-up that cannot place anything returns in O(1)
-        #: (see ``_schedule_waiting``'s short-circuit).
-        self._waiting_sizes: dict[int, int] = {}
-        self._min_waiting: int | None = None
-        #: Rows of waiting units that avoid nodes of this pilot and have
-        #: not yet had their one unplaceable check.  While non-empty every
-        #: wake-up must run the full scan: the check can fail such a unit
-        #: *terminally* (emitting events), so the event-silent
-        #: short-circuits would change traces.
-        self._waiting_excluded: set[int] = set()
+        self._waiting = _WaitQueue()
         #: In-flight units and their launch times, keyed by unit row.
         self._executing: dict[int, "ComputeUnit"] = {}
+        #: In-flight units by the nodes their slots lie on, each in
+        #: ``_executing`` order.
+        self._occupants: defaultdict[int, dict[int, "ComputeUnit"]] = (
+            defaultdict(dict)
+        )
         self._launch_times: dict[int, float] = {}
         #: Rows of units cancelled while staging or in flight; a row
         #: leaves once its unit is final.
@@ -126,55 +235,11 @@ class Agent:
         self._arm_node_faults()
         self._schedule_waiting()
 
-    # -- waiting-queue bookkeeping -------------------------------------------------
-
-    def _waiting_add(self, unit: "ComputeUnit") -> None:
-        """Track *unit* entering the wait queue (caller holds the lock)."""
-        size = self._store.cores(unit._i)
-        avoid = unit.avoided_nodes(self.pilot.uid)
-        entry = (unit, size, avoid)
-        self._waiting.append(entry)
-        self._waiting_rows[unit._i] = entry
-        self._waiting_sizes[size] = self._waiting_sizes.get(size, 0) + 1
-        if self._min_waiting is None or size < self._min_waiting:
-            self._min_waiting = size
-        if avoid:
-            self._waiting_excluded.add(unit._i)
-
-    def _waiting_forget(self, entry: "_Waiting") -> None:
-        """Untrack *entry* leaving the wait queue (caller holds the lock).
-
-        The caller removes the entry from the deque itself (pop or
-        ``remove``); this maintains the row map and the size multiset.
-        """
-        unit, size, _ = entry
-        del self._waiting_rows[unit._i]
-        self._waiting_excluded.discard(unit._i)
-        count = self._waiting_sizes.get(size, 0) - 1
-        if count > 0:
-            self._waiting_sizes[size] = count
-        else:
-            self._waiting_sizes.pop(size, None)
-            if size == self._min_waiting:
-                self._min_waiting = (
-                    min(self._waiting_sizes) if self._waiting_sizes else None
-                )
-
-    def _waiting_clear(self) -> list["ComputeUnit"]:
-        """Drop the whole wait queue (caller holds the lock)."""
-        waiting = [unit for unit, _, _ in self._waiting]
-        self._waiting.clear()
-        self._waiting_rows.clear()
-        self._waiting_sizes.clear()
-        self._waiting_excluded.clear()
-        self._min_waiting = None
-        return waiting
-
     def stop(self) -> None:
         """Called at pilot teardown; cancels whatever is still queued."""
         self._disarm_node_faults()
         with self._lock:
-            waiting = self._waiting_clear()
+            waiting = self._waiting.clear()
         self._store.advance_many(
             waiting, UnitState.CANCELED, pilot=self.pilot.uid
         )
@@ -214,7 +279,7 @@ class Agent:
         with self._lock:
             self._started = False
             victims = list(self._executing.values())
-            waiting = self._waiting_clear()
+            waiting = self._waiting.clear()
         for unit in victims:
             self._kill_unit(unit, node=None)
         for unit in waiting:
@@ -282,10 +347,17 @@ class Agent:
         self._store.advance_many(
             units, UnitState.AGENT_SCHEDULING, pilot=self.pilot.uid
         )
+        self._enqueue(units)
+        self._schedule_waiting()
+
+    def _enqueue(self, units: list["ComputeUnit"]) -> None:
+        """Put *units* at the back of the wait queue."""
         with self._lock:
             for unit in units:
-                self._waiting_add(unit)
-        self._schedule_waiting()
+                self._waiting.add(
+                    unit, self._store.cores(unit._i),
+                    unit.avoided_nodes(self.pilot.uid),
+                )
 
     def cancel_unit(self, unit: "ComputeUnit") -> None:
         """Cancel a unit; waiting units are dequeued, staging and running
@@ -295,12 +367,9 @@ class Agent:
             # unit finishing on an executor thread keeps no flag.
             if unit.state.is_final:
                 return
-            entry = self._waiting_rows.get(unit._i)
+            entry = self._waiting.remove(unit._i)
             if entry is None:
                 self._cancelled.add(unit._i)
-            else:
-                self._waiting.remove(entry)
-                self._waiting_forget(entry)
         if entry is not None:
             self._store.advance_many(
                 [unit], UnitState.CANCELED, pilot=self.pilot.uid
@@ -336,78 +405,97 @@ class Agent:
 
     def _schedule_waiting(self) -> None:
         """One scheduling pass over the wait queue: start every waiting
-        unit the policy and free slots allow.
+        unit the policy and free slots allow, in arrival order.
 
-        Both policies run the same scan in queue order.  Backfill passes
-        over a unit it cannot place and goes on; FIFO stops at the first
-        such unit, which keeps its place at the head of the queue.
+        Backfill passes over a unit it cannot place and goes on; FIFO
+        stops at the first such unit, which keeps its place at the head
+        of the queue.
 
         A pass skips only work that is *event-silent*: failed allocation
         probes emit nothing and leave the queue order untouched.  Within
-        one pass the pool only shrinks, and avoiding nodes only removes
-        choices (for both slot strategies), so once ``alloc(w)`` with no
-        avoided nodes has failed, every request at least ``w`` wide fails
-        for the rest of the pass, whatever it avoids.  The pass therefore
-        keeps a threshold ``fail_at``: it starts at ``free_cores + 1``,
-        drops to ``free_cores + 1`` after each launch and to ``w`` after
-        such a failed probe, and every unit at least that wide is requeued
-        without probing.
+        one pass the pool only shrinks, and no request wider than the
+        slot scheduler's ``largest_fit`` can be placed, whatever it
+        avoids.  The pass therefore keeps a bound ``fail_at`` of
+        ``largest_fit + 1``, lowered after each launch, and merges into
+        arrival order only the widths below it (FIFO: every width, since
+        it stops at a head that is too wide).  Wider units are neither
+        popped nor probed, and a probe that avoids no nodes never fails.
+        The merge takes the next width from a heap of width heads only
+        where arrivals of two widths interleave, so a pass over one width
+        does no heap work.
 
-        Wake-ups are *coalesced*: a pass whose free-core count cannot
-        satisfy the smallest waiting request returns in O(1), so a wave
-        of same-timestamp deallocations accumulates capacity silently
-        until one pass can actually place units.  The same bound ends a
-        scan once ``fail_at`` drops to the smallest waiting request.
-        Both short-circuits wait while any queued unit that avoids nodes
-        of this pilot has not had its unplaceable check: such a unit can
-        fail terminally *during* the scan, which is observable in the
-        trace.  The check depends only on the unit's exclusions and the
-        pilot's node sizes, so its answer never changes while the unit
-        waits: it runs on the unit's first scanning pass only.
+        Wake-ups are *coalesced*: a pass whose ``largest_fit`` cannot
+        satisfy the narrowest waiting unit returns in O(1), so a wave of
+        same-timestamp deallocations accumulates capacity silently until
+        one pass can actually place units.  That return waits while any
+        queued unit that avoids nodes of this pilot has not had its
+        unplaceable check, or has failed it and is still queued: failing
+        such a unit is observable in the trace.  The check runs once per
+        stint in the queue, on all new such units in arrival order, before
+        the merge; a unit that fails it leaves in this pass under
+        backfill, and under FIFO once every unit ahead of it has started.
         """
         launched: list["ComputeUnit"] = []
-        unplaceable: list["ComputeUnit"] = []
         with self._lock:
-            if not self._started or not self._waiting:
+            queue = self._waiting
+            if not self._started or not queue:
                 return
-            unchecked = self._waiting_excluded
             slots = self.slots
-            if (
-                not unchecked
-                and self._min_waiting is not None
-                and slots.free_cores < self._min_waiting
-            ):
+            fail_at = slots.largest_fit + 1
+            if queue.settled and fail_at <= queue.widths[0]:
                 return
+            queue.check_new(slots.eligible_cores)
             fifo = self.policy == "fifo"
-            requeued: list[_Waiting] = []
-            fail_at = slots.free_cores + 1
-            while self._waiting:
-                if not unchecked and fail_at <= self._min_waiting:
-                    # Every request left is at least fail_at wide.
-                    break
-                entry = self._waiting.popleft()
-                unit, cores, avoid = entry
-                if unchecked and unit._i in unchecked:
-                    if slots.eligible_cores(avoid) < cores:
-                        self._waiting_forget(entry)
-                        unplaceable.append(unit)
-                        continue
-                    unchecked.discard(unit._i)
-                if cores < fail_at:
-                    placed = slots.alloc(cores, avoid)
-                    if placed is not None:
-                        self._waiting_forget(entry)
+            cpn = slots.cores_per_node
+            occupants = self._occupants
+            by_width = queue.by_width
+            widths = (
+                list(queue.widths) if fifo
+                else queue.widths[:bisect_left(queue.widths, fail_at)]
+            )
+            # Arrival number of the unit a FIFO pass stopped at.
+            stop: int | None = None
+            # One cursor per width: (arrival of the entry at index i of
+            # the width's FIFO, width, i); entries before i stay queued.
+            heads = [(by_width[width][0][0], width, 0) for width in widths]
+            heapify(heads)
+            while heads and stop is None:
+                _, width, i = heappop(heads)
+                waiting = by_width[width]
+                bound = heads[0][0] if heads else None
+                while True:
+                    arrival, unit, _, avoid = waiting[i]
+                    if bound is not None and arrival > bound:
+                        heappush(heads, (arrival, width, i))
+                        break
+                    if width >= fail_at:
+                        if fifo:
+                            stop = arrival
+                        break
+                    placed = slots.alloc(width, avoid)
+                    if placed is None:  # only units that avoid nodes
+                        if fifo:
+                            stop = arrival
+                            break
+                        i += 1
+                    else:
+                        del waiting[i]
+                        row = unit._i
+                        del queue.rows[row]
                         unit.slots = placed
-                        self._executing[unit._i] = unit
+                        self._executing[row] = unit
+                        first = placed[0] // cpn  # slots ascend
+                        if placed[-1] // cpn == first:
+                            occupants[first][row] = unit
+                        else:
+                            for node in sorted({slot // cpn for slot in placed}):
+                                occupants[node][row] = unit
                         launched.append(unit)
-                        fail_at = min(fail_at, slots.free_cores + 1)
-                        continue
-                    if not avoid:
-                        fail_at = cores
-                requeued.append(entry)
-                if fifo:
-                    break
-            self._waiting.extendleft(reversed(requeued))
+                        fail_at = slots.largest_fit + 1
+                    if i == len(waiting):
+                        break
+            queue.retire(widths)
+            unplaceable = queue.take_doomed(stop)
         for unit in unplaceable:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast
@@ -454,15 +542,32 @@ class Agent:
         self.session.prof.event("node_fail", self.pilot.uid, node=node)
         self.slots.fail_node(node)
         with self._lock:
-            victims = [
-                u
-                for u in self._executing.values()
-                if any(self.slots.node_of(s) == node for s in u.slots)
-            ]
+            victims = list(self._occupants[node].values())
         for unit in victims:
             self._kill_unit(unit, node=node)
         # Multi-node victims may have freed slots on healthy nodes.
         self._schedule_waiting()
+
+    def _vacate(self, units: list["ComputeUnit"]) -> list[int]:
+        """Take *units* out of the executing set and the occupancy index
+        (caller holds the lock); returns the slots they held."""
+        cpn = self.slots.cores_per_node
+        occupants = self._occupants
+        freed: list[int] = []
+        for unit in units:
+            row = unit._i
+            self._executing.pop(row, None)
+            placed = unit.slots
+            if not placed:
+                continue
+            first = placed[0] // cpn  # slots ascend
+            if placed[-1] // cpn == first:
+                occupants[first].pop(row, None)
+            else:
+                for node in sorted({slot // cpn for slot in placed}):
+                    occupants[node].pop(row, None)
+            freed += placed
+        return freed
 
     def _on_node_repair(self, node: int) -> None:
         self.session.prof.event("node_repair", self.pilot.uid, node=node)
@@ -474,9 +579,9 @@ class Agent:
         self.executor.kill(unit)
         release = self._release()
         with self._lock:
-            self._executing.pop(unit._i, None)
-            if unit.slots:
-                self.slots.dealloc(unit.slots)
+            freed = self._vacate([unit])
+            if freed:
+                self.slots.dealloc(freed)
                 unit.slots = []
         launched_at = self._launch_times.pop(unit._i, None)
         wasted = (
@@ -510,12 +615,10 @@ class Agent:
         """The executor finished *units* (``exception`` is ``None``) or
         failed them with ``exception``."""
         release = self._release()
-        freed: list[int] = []
         with self._lock:
+            freed = self._vacate(units)
             for unit in units:
-                self._executing.pop(unit._i, None)
                 self._launch_times.pop(unit._i, None)
-                freed += unit.slots
             if freed:
                 self.slots.dealloc(freed)
         if exception is not None:

@@ -1,21 +1,23 @@
 """Differential test: the agent's scheduling pass vs. the probe-every-unit scan.
 
-The backfill pass skips every allocation probe it can prove will fail
-(a request at least as wide as one that already failed with no avoided
-nodes, or wider than the free pool), and runs each waiting unit's
-unplaceable check only on the unit's first scanning pass.  Skipped
-probes are event-silent, so the pass must be *decision identical* to the
-scan it replaced: same units launched in the same order on the same
-slots, same units failed as unplaceable, same queue order left behind.
+The pass visits only the widths that fit the slot scheduler's
+``largest_fit`` bound, merged into arrival order from one FIFO per
+width, so it never probes a unit that cannot fit; and it runs each
+waiting unit's unplaceable check only once.  Skipped probes are
+event-silent, so the pass must be *decision identical* to the scan it
+replaced: same units launched in the same order on the same slots, same
+units failed as unplaceable, same queue order left behind; and no probe
+that avoids no nodes may fail.
 The pre-change pass is kept here as the executable specification;
 hypothesis drives both through random sequences of arrivals (widths,
-exclusion lists, some unplaceable), scheduling passes, holds and
-releases that fragment the pool, and node failures and repairs.
+exclusion lists, some unplaceable), cancellations, scheduling passes,
+holds and releases that fragment the pool, and node failures and
+repairs.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
@@ -97,13 +99,17 @@ class _Reference:
 
 
 def _counting(slots):
-    """Count every ``alloc`` call on *slots*."""
-    calls = [0]
+    """Count every ``alloc`` call on *slots*, and (second count) the
+    failed ones that avoided no nodes."""
+    calls = [0, 0]
     real = slots.alloc
 
     def alloc(ncores, avoid_nodes=frozenset()):
         calls[0] += 1
-        return real(ncores, avoid_nodes)
+        placed = real(ncores, avoid_nodes)
+        if placed is None and not avoid_nodes:
+            calls[1] += 1
+        return placed
 
     slots.alloc = alloc
     return calls
@@ -131,7 +137,7 @@ _OPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["arrive", "arrive", "arrive", "pass", "pass", "hold",
-             "release", "fail", "repair"]
+             "release", "fail", "repair", "cancel"]
         ),
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=255),
@@ -158,7 +164,9 @@ def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
         def one_pass():
             launched_before = len(record.launched)
             failed_before = len(record.unplaceable)
+            misses_before = new_calls[1]
             agent._schedule_waiting()
+            assert new_calls[1] == misses_before
             want_launched, want_unplaceable = ref.schedule()
             got_launched = [
                 (units.index(u), list(u.slots))
@@ -169,7 +177,7 @@ def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
                 units.index(u) for u in record.unplaceable[failed_before:]
             ]
             assert got_unplaceable == want_unplaceable
-            assert [units.index(u) for u, _, _ in agent._waiting] == [
+            assert [units.index(u) for _, u, _, _ in agent._waiting] == [
                 key for key, *_ in ref.waiting
             ]
             assert new_calls[0] <= ref_calls[0]
@@ -195,8 +203,7 @@ def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
                 if b & 128:
                     unit.exclude_node("pilot.other", 0)
                 units.append(unit)
-                with agent._lock:
-                    agent._waiting_add(unit)
+                agent._enqueue([unit])
                 ref.waiting.append(
                     (len(units) - 1, cores, avoid, bool(avoid or b & 128))
                 )
@@ -212,6 +219,12 @@ def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
                 placed = held.pop(a % len(held))
                 agent.slots.dealloc(list(placed))
                 ref.slots.dealloc(list(placed))
+            elif op == "cancel" and ref.waiting:
+                key = ref.waiting[a % len(ref.waiting)][0]
+                agent.cancel_unit(units[key])
+                ref.waiting = deque(
+                    item for item in ref.waiting if item[0] != key
+                )
             elif op == "fail":
                 agent.slots.fail_node(a % nnodes)
                 ref.slots.fail_node(a % nnodes)
@@ -221,12 +234,26 @@ def _run_and_compare(kind, policy, total_cores, cores_per_node, ops):
             assert agent.slots.free_cores == ref.slots.free_cores
         one_pass()
 
-        sizes: dict[int, int] = {}
-        for _, cores, _, _ in ref.waiting:
-            sizes[cores] = sizes.get(cores, 0) + 1
-        assert agent._waiting_sizes == sizes
-        assert agent._min_waiting == (min(sizes) if sizes else None)
-        assert set(agent._waiting_rows) == {u._i for u, _, _ in agent._waiting}
+        queue = agent._waiting
+        # The width multiset of the queue (formerly ``_waiting_sizes``).
+        sizes = Counter(cores for _, cores, _, _ in ref.waiting)
+        assert Counter(cores for _, _, cores, _ in queue) == sizes
+        # Every FIFO holds its own width in arrival order, and the
+        # sorted width list names exactly the non-empty FIFOs, so its
+        # head is the narrowest unit a pass can place (formerly
+        # ``_min_waiting``); units that failed their check sit apart.
+        for width, fifo in queue.by_width.items():
+            assert fifo and list(fifo) == sorted(fifo)
+            assert {cores for _, _, cores, _ in fifo} == {width}
+        assert queue.widths == sorted(queue.by_width)
+        if policy == "backfill":
+            assert not queue.doomed
+            assert queue.widths[:1] == ([min(sizes)] if sizes else [])
+        # The row map names every queued unit (formerly ``_waiting_rows``).
+        assert set(queue.rows) == {u._i for _, u, _, _ in queue}
+        assert sorted(
+            [*queue.doomed, *(e for f in queue.by_width.values() for e in f)]
+        ) == list(queue)
     finally:
         session.close()
 
