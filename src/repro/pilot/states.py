@@ -8,6 +8,7 @@ manager) and agent-side states, because the paper's overhead decomposition
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 from repro.exceptions import StateTransitionError
 
@@ -110,6 +111,13 @@ def validate_pilot_edge(entity: str, current: PilotState, target: PilotState) ->
         raise StateTransitionError(entity, current.value, target.value)
 
 
-def validate_unit_edge(entity: str, current: UnitState, target: UnitState) -> None:
+def validate_unit_edge(
+    entity: str | Callable[[], str], current: UnitState, target: UnitState
+) -> None:
+    """Raise :class:`StateTransitionError` unless *current* -> *target* is
+    a legal unit edge.  *entity* names the unit in the error; pass a
+    callable to build the name only when the edge is illegal."""
     if target not in _UNIT_EDGES[current]:
+        if callable(entity):
+            entity = entity()
         raise StateTransitionError(entity, current.value, target.value)

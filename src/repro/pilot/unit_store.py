@@ -488,7 +488,7 @@ class UnitStore:
             rows = [unit._i for unit in group]
             with self._lock:
                 validate_unit_edge(
-                    f"ComputeUnit {self.uid(rows[0])}", previous, target
+                    lambda: f"ComputeUnit {self.uid(rows[0])}", previous, target
                 )
                 now = session.now()
                 for i in rows:

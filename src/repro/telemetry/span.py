@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.telemetry.sink import ProfileEvent, TraceIndex
@@ -61,6 +62,20 @@ _LAUNCH_SPAN_NAME = "exec.launch"
 _PHASE_SPAN_NAMES = frozenset({*_STAGING_PHASES.values(), _LAUNCH_SPAN_NAME})
 
 
+#: The attributes of every span that has none: one shared, read-only
+#: mapping instead of an empty dict per span.
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
+
+def _no_attrs() -> Mapping[str, Any]:
+    return _NO_ATTRS
+
+
+def _copy_attrs(attrs: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A span's own copy of *attrs*, or the shared mapping when empty."""
+    return dict(attrs) if attrs else _NO_ATTRS
+
+
 @dataclass(slots=True)
 class Span:
     """One named, causally-parented time interval.
@@ -68,7 +83,8 @@ class Span:
     ``uid`` identifies the span; ``ref`` names the runtime entity the
     span belongs to (a unit, pilot, pattern or session uid), which is
     how explicit spans without a recorded parent find their place in
-    the tree.
+    the tree.  A span without attributes shares one read-only empty
+    ``attrs`` mapping.
     """
 
     uid: str
@@ -77,7 +93,7 @@ class Span:
     t_end: float
     parent: str | None = None
     ref: str = ""
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = field(default_factory=_no_attrs)
 
     @property
     def duration(self) -> float:
@@ -263,7 +279,7 @@ class SpanBuilder:
                 self._paired(trace, f"{name}_start", f"{name}_stop")
             ):
                 add(Span(f"{name}:{i}", name, t0, t1,
-                         parent=root.uid, ref=uid, attrs=dict(attrs)))
+                         parent=root.uid, ref=uid, attrs=_copy_attrs(attrs)))
 
         self._pattern_spans(trace, spans, root, t_trace_end)
         self._pilot_spans(trace, spans, root, t_trace_end)
@@ -314,7 +330,7 @@ class SpanBuilder:
         for uid, t0, t1, attrs in patterns:
             spans[f"pattern:{uid}"] = Span(
                 f"pattern:{uid}", "pattern", t0, t1, parent=root.uid,
-                ref=uid, attrs=dict(attrs),
+                ref=uid, attrs=_copy_attrs(attrs),
             )
         # Nest patterns by strict containment (PatternSequence wrappers).
         pattern_spans = [s for s in spans.values() if s.name == "pattern"]
@@ -340,7 +356,7 @@ class SpanBuilder:
             parent = f"pattern:{uid}" if f"pattern:{uid}" in spans else root.uid
             key = f"entk_stage_create:{uid}:{i}"
             spans[key] = Span(key, "entk_stage_create", t0, t1,
-                              parent=parent, ref=uid, attrs=dict(attrs))
+                              parent=parent, ref=uid, attrs=_copy_attrs(attrs))
 
         # The charged pattern overhead delays delivery of a batch starting
         # at the moment it is recorded; book it as a [t, t+seconds] span.
@@ -354,7 +370,7 @@ class SpanBuilder:
             key = f"entk_pattern_overhead:{ev.uid}:{i}"
             spans[key] = Span(key, "entk_pattern_overhead", ev.time,
                               ev.time + seconds, parent=parent, ref=ev.uid,
-                              attrs=dict(ev.attrs))
+                              attrs=_copy_attrs(ev.attrs))
 
     def _pilot_spans(
         self, trace: TraceIndex, spans: dict[str, Span], root: Span,
@@ -504,7 +520,8 @@ class SpanBuilder:
                 span = Span(ev.uid, str(ev.attrs.get("span", "span")),
                             ev.time, t_trace_end,
                             parent=str(ev.attrs.get("parent", "")) or None,
-                            ref=str(ev.attrs.get("ref", "")), attrs=attrs)
+                            ref=str(ev.attrs.get("ref", "")),
+                            attrs=attrs or _NO_ATTRS)
                 opened[ev.uid] = span
                 spans[ev.uid] = span
             elif ev.name == "span_close" and ev.uid in opened:

@@ -44,6 +44,23 @@ class TestStateTables:
         with pytest.raises(StateTransitionError):
             validate_unit_edge("u", UnitState.EXECUTING, UnitState.DONE)
 
+    def test_entity_callable_builds_the_name_only_on_an_illegal_edge(self):
+        calls = []
+
+        def name():
+            calls.append(1)
+            return "ComputeUnit u.1"
+
+        validate_unit_edge(name, UnitState.NEW, UnitState.UMGR_SCHEDULING)
+        assert calls == []
+        with pytest.raises(
+            StateTransitionError,
+            match=r"^ComputeUnit u\.1: illegal state transition "
+                  r"'NEW' -> 'EXECUTING'$",
+        ):
+            validate_unit_edge(name, UnitState.NEW, UnitState.EXECUTING)
+        assert calls == [1]
+
     def test_final_states_are_terminal(self):
         for final in (UnitState.DONE, UnitState.FAILED, UnitState.CANCELED):
             for target in UnitState:

@@ -117,6 +117,15 @@ class TestSpanBuilder:
         assert explicit.parent == "unit:u1"
         assert (explicit.t_start, explicit.t_end) == (5.0, 5.9)
 
+    def test_spans_without_attributes_share_one_read_only_mapping(self):
+        tree = SpanBuilder().add_events(revived(synthetic_trace())).build()
+        bare = [span for span in tree if not span.attrs]
+        assert len(bare) > 1
+        assert all(span.attrs is bare[0].attrs for span in bare)
+        with pytest.raises(TypeError):
+            bare[0].attrs["component"] = "core"  # type: ignore[index]
+        assert component_of(tree.spans["unit:u1:3"]) == "execution"
+
     def test_out_of_order_events_build_identical_tree(self):
         events = revived(synthetic_trace())
         shuffled = list(events)

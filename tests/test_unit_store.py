@@ -13,6 +13,7 @@ Three layers under test:
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -117,7 +118,11 @@ class TestUnitStore:
 
     def test_advance_validates_edges(self, session):
         unit = ComputeUnit(_desc(), session)
-        with pytest.raises(StateTransitionError):
+        with pytest.raises(
+            StateTransitionError,
+            match=rf"^ComputeUnit {re.escape(unit.uid)}: illegal state "
+                  r"transition 'NEW' -> 'EXECUTING'$",
+        ):
             unit.advance(UnitState.EXECUTING)
 
     def test_advance_updates_state_gauges(self, session):
