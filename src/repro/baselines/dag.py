@@ -162,11 +162,17 @@ class DAGWorkflowDriver(PatternDriver):
         if name is not None:
             self._task_uid[name] = new.uid
 
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
-        name = unit.description.tags["dag_task"]
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        # Task by task: each finished task submits its ready successors
+        # before the next one is seen.
+        store = self.session.unit_store
+        for name in store.tag_values([unit._i for unit in units], "dag_task"):
+            self._on_task_final(name, state)
+
+    def _on_task_final(self, name: str, state: UnitState) -> None:
         with self._lock:
             self._pending_count -= 1
-            if unit.state is not UnitState.DONE:
+            if state is not UnitState.DONE:
                 # Prune the descendant cone: those tasks will never run.
                 descendants = nx.descendants(self._graph, name)
                 not_submitted = [
@@ -183,7 +189,7 @@ class DAGWorkflowDriver(PatternDriver):
                 self._remaining_deps[successor] -= 1
                 if self._remaining_deps[successor] == 0:
                     ready.append(successor)
-        if unit.state is UnitState.DONE and ready:
+        if ready:
             self._submit_tasks(ready)
 
     @property

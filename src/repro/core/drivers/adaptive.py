@@ -16,11 +16,15 @@ class AdaptiveSimulationAnalysisLoopDriver(SimulationAnalysisLoopDriver):
     def _after_analysis_barrier(self) -> None:
         pattern = self.pattern
         iteration = self._iteration
+        store = self.session.unit_store
+        rows = [u._i for u in self.units]
         analysis_units = [
             u
-            for u in self.units
-            if u.description.tags.get("phase") == "ana"
-            and u.description.tags.get("iteration") == iteration
+            for u, phase, it in zip(
+                self.units, store.tag_values(rows, "phase"),
+                store.tag_values(rows, "iteration"),
+            )
+            if phase == "ana" and it == iteration
         ]
         decision = pattern.adapt(iteration, analysis_units)
         decision.validate()

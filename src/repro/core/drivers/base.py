@@ -39,7 +39,16 @@ class SubmitRequest:
 
 
 class PatternDriver(abc.ABC):
-    """Drives one pattern instance to completion on a resource handle."""
+    """Drives one pattern instance to completion on a resource handle.
+
+    Units move in lists at both ends.  The driver submits a list of
+    :class:`SubmitRequest` at a time (:meth:`submit`, or
+    :meth:`queue_submission` for successors), and it learns of
+    completions a batch at a time: :meth:`on_units_final` gets every
+    unit that reached one final state together.  A subclass reads the
+    batch's tags from the unit store's columns
+    (``UnitStore.tag_values``), not through a view per unit.
+    """
 
     def __init__(self, pattern: "ExecutionPattern", handle: "ResourceHandle") -> None:
         self.pattern = pattern
@@ -69,8 +78,16 @@ class PatternDriver(abc.ABC):
         """Submit the pattern's initial batch(es)."""
 
     @abc.abstractmethod
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
-        """React to one unit reaching a final state (submit successors...)."""
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        """React to a completion batch: *units* reached the final *state*
+        together (submit successors...).
+
+        A unit appears in exactly one call, and a FAILED unit that the
+        retry policy resubmits in none (its replacement carries the
+        pattern forward).  Read per-unit tags for the whole batch with
+        ``UnitStore.tag_values``; submit successors with
+        :meth:`queue_submission`, one list per batch where the pattern's
+        order allows it."""
 
     @property
     @abc.abstractmethod
@@ -160,14 +177,16 @@ class PatternDriver(abc.ABC):
             pattern = self.pattern.uid
             for request in requests:
                 kernel = request.kernel
-                kernel.link_input_data = [
-                    self._resolve(entry, request.placeholders)
-                    for entry in kernel.link_input_data
-                ]
-                kernel.copy_input_data = [
-                    self._resolve(entry, request.placeholders)
-                    for entry in kernel.copy_input_data
-                ]
+                if kernel.link_input_data:
+                    kernel.link_input_data = [
+                        self._resolve(entry, request.placeholders)
+                        for entry in kernel.link_input_data
+                    ]
+                if kernel.copy_input_data:
+                    kernel.copy_input_data = [
+                        self._resolve(entry, request.placeholders)
+                        for entry in kernel.copy_input_data
+                    ]
                 description = self._bind(kernel)
                 descriptions.append(description)
                 tags.append({**description.tags, **request.tags,
@@ -213,26 +232,31 @@ class PatternDriver(abc.ABC):
                 self._bound[key] = description
         return description
 
-    def queue_submission(self, request: SubmitRequest, on_submitted=None) -> None:
-        """Submit *request*, coalescing same-instant requests into one batch.
+    def queue_submission(
+        self, requests: list[SubmitRequest], on_submitted=None
+    ) -> None:
+        """Submit *requests*, coalescing same-instant lists into one batch.
 
         Pattern progress often releases many successor tasks at the same
         (virtual) moment — e.g. all pipelines finishing a lock-step stage.
         The real toolkit submits those as one bulk operation; submitting
         192 one-task batches instead would charge 192 batch costs.  Under
-        simulation, requests queued within one event timestamp are flushed
-        together by a zero-delay, low-priority event; locally the request
-        is submitted immediately (real measured costs are per-call anyway).
+        simulation, lists queued within one event timestamp are flushed
+        together by a zero-delay, low-priority event; locally the list is
+        submitted at once (real measured costs are per call anyway).
 
-        ``on_submitted(unit)`` is invoked for the created unit before it can
-        start executing, so callers can record placeholder mappings.
+        ``on_submitted(units)`` is invoked once with the list's created
+        units, in request order, before any of them can start executing,
+        so callers can record placeholder mappings.
         """
-        if not self.session.is_simulated:
-            units = self.submit([request])
-            if on_submitted is not None:
-                on_submitted(units[0])
+        if not requests:
             return
-        self._pending.append((request, on_submitted))
+        if not self.session.is_simulated:
+            units = self.submit(requests)
+            if on_submitted is not None:
+                on_submitted(units)
+            return
+        self._pending.append((requests, on_submitted))
         if not self._flush_scheduled:
             self._flush_scheduled = True
             # priority=10: run after all same-time unit-final events so the
@@ -249,10 +273,13 @@ class PatternDriver(abc.ABC):
             self._pending = []
             if not batch:
                 return
-            units = self.submit([request for request, _ in batch])
-            for (_, on_submitted), unit in zip(batch, units):
+            units = self.submit([r for queued, _ in batch for r in queued])
+            start = 0
+            for queued, on_submitted in batch:
+                end = start + len(queued)
                 if on_submitted is not None:
-                    on_submitted(unit)
+                    on_submitted(units[start:end])
+                start = end
 
     @staticmethod
     def _resolve(entry: str, placeholders: dict[str, str]) -> str:
@@ -343,23 +370,27 @@ class PatternDriver(abc.ABC):
     # -- unit events --------------------------------------------------------------------
 
     def _unit_event(self, units: list["ComputeUnit"], state: UnitState) -> None:
-        """Completion hook of a batch of this driver's units: retry or
-        record each unit and hand it to :meth:`on_unit_final`.  The unit
-        store wakes the drive loop once the batch's callbacks have run."""
+        """Completion hook of a batch of this driver's units: a FAILED
+        batch first retries, in list order, each unit the retry policy
+        allows; the rest are recorded and handed to
+        :meth:`on_units_final` in one call.  The unit store wakes the
+        drive loop once the batch's callbacks have run."""
         try:
             # Serialize all driver logic: callbacks may arrive concurrently
             # from executor worker threads in local mode.  The lock is
             # reentrant, so synchronous failure paths inside submit() that
             # re-enter this handler on the same thread are safe.
             with self._lock:
-                for unit in units:
-                    if state is UnitState.FAILED and self._try_retry(unit):
-                        continue  # the retry unit carries the pattern forward
-                    if state is not UnitState.DONE:
-                        self.failed_units.append(unit)
-                    self.on_unit_final(unit)
+                if state is UnitState.FAILED:
+                    # A retried unit's replacement carries the pattern forward.
+                    units = [unit for unit in units if not self._try_retry(unit)]
+                if state is not UnitState.DONE:
+                    self.failed_units.extend(units)
+                if units:
+                    self.on_units_final(units, state)
         except BaseException as exc:  # noqa: BLE001 - surface via run()
-            log.exception("driver callback failed for unit %s", unit.uid)
+            log.exception("driver callback failed for %d %s unit(s)",
+                          len(units), state.value)
             root = self.root
             with root._lock:
                 if root._internal_error is None:

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 from repro.core.drivers.base import PatternDriver
 from repro.core.drivers.registry import get_driver_class
 from repro.exceptions import PatternError
+from repro.pilot.states import UnitState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
@@ -41,7 +42,7 @@ class ConcurrentPatternsDriver(PatternDriver):
             with child_driver._lock:
                 child_driver.start()
 
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
         # Children receive their own callbacks; the session wakes the
         # composite's drive loop after every batch that ends, so `done`
         # is re-evaluated.

@@ -91,22 +91,29 @@ class EnsembleExchangeDriver(PatternDriver):
 
     # -- events ------------------------------------------------------------------------
 
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
-        tags = unit.description.tags
-        if tags["phase"] == "sim":
-            self._on_sim_final(unit, tags)
-        else:
-            self._on_exchange_final(unit, tags)
-        self._resolve_stragglers()
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        # Unit by unit: each completion may free stragglers before the
+        # next one is seen, as when completions arrived one at a time.
+        store = self.session.unit_store
+        rows = [unit._i for unit in units]
+        done = state is UnitState.DONE
+        for phase, iteration, instance, members in zip(
+            store.tag_values(rows, "phase"),
+            store.tag_values(rows, "iteration"),
+            store.tag_values(rows, "instance"),
+            store.tag_values(rows, "instances"),
+        ):
+            if phase == "sim":
+                self._on_sim_final(instance, iteration, done)
+            else:
+                self._on_exchange_final(members, iteration, done)
+            self._resolve_stragglers()
 
-    def _on_sim_final(self, unit: "ComputeUnit", tags: dict) -> None:
-        instance = tags["instance"]
-        iteration = tags["iteration"]
-        with self._lock:
-            self._busy.pop(instance, None)
-            if unit.state is not UnitState.DONE:
-                self._live.discard(instance)
-                return
+    def _on_sim_final(self, instance: int, iteration: int, done: bool) -> None:
+        self._busy.pop(instance, None)
+        if not done:
+            self._live.discard(instance)
+            return
         if self.pattern.exchange_mode == "global":
             pool = self._pool.setdefault(iteration, [])
             pool.append(instance)
@@ -132,16 +139,14 @@ class EnsembleExchangeDriver(PatternDriver):
                 pool.remove(b)
                 self._submit_exchange(iteration, (a, b))
 
-    def _on_exchange_final(self, unit: "ComputeUnit", tags: dict) -> None:
-        iteration = tags["iteration"]
-        instances = tags["instances"]
-        failed = unit.state is not UnitState.DONE
+    def _on_exchange_final(
+        self, instances: list[int], iteration: int, done: bool
+    ) -> None:
         for instance in instances:
-            with self._lock:
-                self._busy.pop(instance, None)
-                if failed:
-                    self._live.discard(instance)
-                    continue
+            self._busy.pop(instance, None)
+            if not done:
+                self._live.discard(instance)
+                continue
             self._advance_member(instance, iteration)
 
     def _advance_member(self, instance: int, iteration: int) -> None:
@@ -154,11 +159,10 @@ class EnsembleExchangeDriver(PatternDriver):
         request = self._sim_request(iteration + 1, instance)
         self._busy[instance] = "sim"
 
-        def record(unit, i=instance) -> None:
-            self._prev[i] = unit.uid
-            self._prev_sim[i] = unit.uid
+        def record(units, i=instance) -> None:
+            self._prev[i] = self._prev_sim[i] = units[0].uid
 
-        self.queue_submission(request, on_submitted=record)
+        self.queue_submission([request], on_submitted=record)
 
     def _resolve_stragglers(self) -> None:
         """Skip exchanges that can never be matched (quiescence rule).

@@ -72,16 +72,25 @@ class EnsembleOfPipelinesDriver(PatternDriver):
         #: because no later stage can reference its sandbox.
         self._sandboxes: dict[str, array] = {}
 
-    def _record_sandbox(self, instance: int, stage: int, unit: "ComputeUnit") -> None:
-        if stage >= self.pattern.pipeline_size:
-            return
-        token = f"STAGE_{stage}"
-        rows = self._sandboxes.get(token)
-        if rows is None:
-            rows = self._sandboxes[token] = (
-                array("q", [-1]) * self.pattern.ensemble_size
-            )
-        rows[instance - 1] = unit._i
+    def _record_sandboxes(self, units: list["ComputeUnit"]) -> None:
+        """Record the rows of *units* as their pipelines' stage sandboxes."""
+        store = self.session.unit_store
+        rows = [unit._i for unit in units]
+        last = self.pattern.pipeline_size
+        columns = self._sandboxes
+        for row, instance, stage in zip(
+            rows, store.tag_values(rows, "instance"),
+            store.tag_values(rows, "stage"),
+        ):
+            if stage >= last:
+                continue
+            token = f"STAGE_{stage}"
+            column = columns.get(token)
+            if column is None:
+                column = columns[token] = (
+                    array("q", [-1]) * self.pattern.ensemble_size
+                )
+            column[instance - 1] = row
 
     def _placeholders(self, instance: int) -> Mapping[str, str]:
         if not self._sandboxes:
@@ -102,39 +111,38 @@ class EnsembleOfPipelinesDriver(PatternDriver):
                 )
             )
         units = self.submit(requests)
-        for request, unit in zip(requests, units):
-            self._record_sandbox(request.tags["instance"], 1, unit)
+        if pattern.pipeline_size > 1:
+            self._record_sandboxes(units)
 
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
-        tags = unit.description.tags
-        instance = tags["instance"]
-        stage = tags["stage"]
-        if unit.state is not UnitState.DONE:
-            with self._lock:
-                self._live.discard(instance)
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        store = self.session.unit_store
+        rows = [unit._i for unit in units]
+        instances = store.tag_values(rows, "instance")
+        last = self.pattern.pipeline_size
+        if state is not UnitState.DONE or last == 1:
+            # A failed stage, or a pipeline's only stage, ends it.
+            self._live.difference_update(instances)
             return
-        if stage >= self.pattern.pipeline_size:
-            with self._lock:
+        requests = []
+        record = False
+        for instance, stage in zip(instances, store.tag_values(rows, "stage")):
+            if stage >= last:
                 self._live.discard(instance)
-            return
-        next_stage = stage + 1
-        kernel = self.pattern.get_stage(next_stage, instance)
-        request = SubmitRequest(
-            kernel=kernel,
-            tags={"stage": next_stage, "instance": instance},
-            placeholders=self._placeholders(instance),
-        )
-        self.queue_submission(
-            request,
-            on_submitted=lambda unit, i=instance, s=next_stage: (
-                self._record_sandbox(i, s, unit)
-            ),
-        )
+                continue
+            next_stage = stage + 1
+            record = record or next_stage < last
+            requests.append(SubmitRequest(
+                kernel=self.pattern.get_stage(next_stage, instance),
+                tags={"stage": next_stage, "instance": instance},
+                placeholders=self._placeholders(instance),
+            ))
+        if requests:
+            self.queue_submission(
+                requests, on_submitted=self._record_sandboxes if record else None
+            )
 
     def on_unit_retried(self, old, new) -> None:
-        tags = old.description.tags
-        with self._lock:
-            self._record_sandbox(tags["instance"], tags["stage"], new)
+        self._record_sandboxes([new])
 
     @property
     def done(self) -> bool:

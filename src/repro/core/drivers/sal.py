@@ -125,13 +125,13 @@ class SimulationAnalysisLoopDriver(PatternDriver):
 
     # -- events -----------------------------------------------------------------------
 
-    def on_unit_final(self, unit: "ComputeUnit") -> None:
-        with self._lock:
-            self._outstanding -= 1
-            if unit.state is not UnitState.DONE:
-                self._aborted = True
-            barrier_reached = self._outstanding == 0
-        if not barrier_reached:
+    def on_units_final(self, units: list["ComputeUnit"], state: UnitState) -> None:
+        # Every unit of a batch belongs to the current phase: the next
+        # phase starts only once this one's last unit is final.
+        self._outstanding -= len(units)
+        if state is not UnitState.DONE:
+            self._aborted = True
+        if self._outstanding:
             return
         if self._aborted:
             self._phase = "done"

@@ -20,7 +20,8 @@ Queue policies (the paper's agent inherits RADICAL-Pilot's):
 The wait queue keeps one FIFO per unit width, and a scheduling pass
 visits only the widths that can fit the free pool (see
 ``_schedule_waiting``), so its cost follows the units it places rather
-than the length of the queue.  An occupancy index per node names the
+than the length of the queue; a run of equal widths is placed in one
+slot-scheduler call.  An occupancy index per node names the
 units a node failure kills without reading every executing unit.
 """
 
@@ -30,7 +31,7 @@ import threading
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.cluster.faults import NODE_FAULT_STREAM, NodeFaultProcess
@@ -73,7 +74,8 @@ class _WaitQueue:
     """
 
     def __init__(self) -> None:
-        self._arrivals = count()
+        #: The arrival number of the next entry.
+        self._arrivals = 0
         #: Entries of each width, in arrival order; a width is present
         #: only while it has entries.
         self.by_width: dict[int, deque[_Waiting]] = {}
@@ -98,16 +100,30 @@ class _WaitQueue:
         """True when every entry is in a width FIFO and checked."""
         return not self.unchecked and not self.doomed
 
-    def add(self, unit: "ComputeUnit", cores: int, avoid: frozenset[int]) -> None:
-        entry = (next(self._arrivals), unit, cores, avoid)
-        fifo = self.by_width.get(cores)
-        if fifo is None:
-            fifo = self.by_width[cores] = deque()
-            insort(self.widths, cores)
-        fifo.append(entry)
-        self.rows[unit._i] = entry
-        if avoid:
-            self.unchecked[unit._i] = entry
+    def add(
+        self, units: list["ComputeUnit"], widths: list[int],
+        avoids: list[frozenset[int]],
+    ) -> None:
+        """Queue *units* (core *widths*, avoided nodes *avoids*) in list
+        order."""
+        arrival = self._arrivals
+        by_width = self.by_width
+        queued = self.rows
+        width = fifo = None
+        for unit, cores, avoid in zip(units, widths, avoids):
+            entry = (arrival, unit, cores, avoid)
+            arrival += 1
+            if cores != width:
+                width = cores
+                fifo = by_width.get(width)
+                if fifo is None:
+                    fifo = by_width[width] = deque()
+                    insort(self.widths, width)
+            fifo.append(entry)
+            queued[unit._i] = entry
+            if avoid:
+                self.unchecked[unit._i] = entry
+        self._arrivals = arrival
 
     def remove(self, row: int) -> _Waiting | None:
         """Take the entry of unit row *row* out of the queue, if queued."""
@@ -305,26 +321,30 @@ class Agent:
 
     def submit_units(self, units: list["ComputeUnit"]) -> None:
         """Accept units from the unit manager (any time after creation)."""
-        fit: list["ComputeUnit"] = []
-        wide: list["ComputeUnit"] = []
-        for unit in units:
-            cores = self._store.cores(unit._i)
-            if cores > self.slots.total_cores:
-                unit.exception = SchedulingError(
-                    f"unit {unit.uid} wants {cores} cores; "
-                    f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
-                )
-                wide.append(unit)
-                continue
-            unit.pilot_uid = self.pilot.uid
-            self.stager.register_unit(unit)
-            fit.append(unit)
-        if wide:
-            self._store.advance_many(wide, UnitState.FAILED)
+        store = self._store
+        rows = [unit._i for unit in units]
+        total = self.slots.total_cores
+        fit = units
+        if rows and max(store.cores_of(rows)) > total:
+            fit, wide = [], []
+            for unit in units:
+                cores = store.cores(unit._i)
+                if cores > total:
+                    unit.exception = SchedulingError(
+                        f"unit {unit.uid} wants {cores} cores; "
+                        f"pilot {self.pilot.uid} holds {total}"
+                    )
+                    wide.append(unit)
+                else:
+                    fit.append(unit)
+            rows = [unit._i for unit in fit]
+            store.advance_many(wide, UnitState.FAILED)
             self._notify_final(wide)
         if not fit:
             return
-        self._store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
+        store.set_pilot_uids(rows, self.pilot.uid)
+        self.stager.register_units(fit)
+        store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
         # A staging failure fails its unit, not the list or the agent.
         self.stager.stage_in_bulk(fit, self._on_staged_in, self._fail)
 
@@ -352,12 +372,11 @@ class Agent:
 
     def _enqueue(self, units: list["ComputeUnit"]) -> None:
         """Put *units* at the back of the wait queue."""
+        store = self._store
+        rows = [unit._i for unit in units]
+        avoids = store.avoided_nodes(rows, self.pilot.uid)
         with self._lock:
-            for unit in units:
-                self._waiting.add(
-                    unit, self._store.cores(unit._i),
-                    unit.avoided_nodes(self.pilot.uid),
-                )
+            self._waiting.add(units, store.cores_of(rows), avoids)
 
     def cancel_unit(self, unit: "ComputeUnit") -> None:
         """Cancel a unit; waiting units are dequeued, staging and running
@@ -422,7 +441,11 @@ class Agent:
         popped nor probed, and a probe that avoids no nodes never fails.
         The merge takes the next width from a heap of width heads only
         where arrivals of two widths interleave, so a pass over one width
-        does no heap work.
+        does no heap work.  A run of two or more entries of one width
+        that avoid no nodes and are due before the next width's head is
+        placed by one ``alloc_many`` call (the same placements as one
+        ``alloc`` each) when ``largest_fit`` alone holds two of them; a
+        run of one costs a single look at the next entry.
 
         Wake-ups are *coalesced*: a pass whose ``largest_fit`` cannot
         satisfy the narrowest waiting unit returns in O(1), so a wave of
@@ -446,8 +469,6 @@ class Agent:
                 return
             queue.check_new(slots.eligible_cores)
             fifo = self.policy == "fifo"
-            cpn = slots.cores_per_node
-            occupants = self._occupants
             by_width = queue.by_width
             widths = (
                 list(queue.widths) if fifo
@@ -459,6 +480,7 @@ class Agent:
             # the width's FIFO, width, i); entries before i stay queued.
             heads = [(by_width[width][0][0], width, 0) for width in widths]
             heapify(heads)
+            placements: list[list[int]] = []
             while heads and stop is None:
                 _, width, i = heappop(heads)
                 waiting = by_width[width]
@@ -472,30 +494,44 @@ class Agent:
                         if fifo:
                             stop = arrival
                         break
-                    placed = slots.alloc(width, avoid)
-                    if placed is None:  # only units that avoid nodes
-                        if fifo:
-                            stop = arrival
-                            break
-                        i += 1
+                    if (not avoid and 2 * width < fail_at
+                            and i + 1 < len(waiting)
+                            and not waiting[i + 1][3]
+                            and (bound is None or waiting[i + 1][0] <= bound)):
+                        # A run of entries that avoid nothing, due before
+                        # the next width's head, of which the largest
+                        # free run alone holds two: place it in one call.
+                        run = 2
+                        cap = slots.free_cores // width
+                        for entry in islice(waiting, i + 2, None):
+                            if (run >= cap or entry[3]
+                                    or bound is not None and entry[0] > bound):
+                                break
+                            run += 1
+                        placed_run = slots.alloc_many(width, run)
+                        for _ in placed_run:
+                            launched.append(waiting[i][1])
+                            del waiting[i]
+                        placements += placed_run
                     else:
-                        del waiting[i]
-                        row = unit._i
-                        del queue.rows[row]
-                        unit.slots = placed
-                        self._executing[row] = unit
-                        first = placed[0] // cpn  # slots ascend
-                        if placed[-1] // cpn == first:
-                            occupants[first][row] = unit
+                        placed = slots.alloc(width, avoid)
+                        if placed is None:  # only units that avoid nodes
+                            if fifo:
+                                stop = arrival
+                                break
+                            i += 1
                         else:
-                            for node in sorted({slot // cpn for slot in placed}):
-                                occupants[node][row] = unit
-                        launched.append(unit)
-                        fail_at = slots.largest_fit + 1
+                            del waiting[i]
+                            launched.append(unit)
+                            placements.append(placed)
+                    fail_at = slots.largest_fit + 1
                     if i == len(waiting):
                         break
             queue.retire(widths)
             unplaceable = queue.take_doomed(stop)
+            if launched:
+                rows = [unit._i for unit in launched]
+                self._book(rows, launched, placements)
         for unit in unplaceable:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast
@@ -507,13 +543,34 @@ class Agent:
             ))
         if not launched:
             return
-        now = self.session.now()
-        for unit in launched:
-            unit.attempts += 1
-            self._launch_times[unit._i] = now
-        self._store.emit("slots", [unit._i for unit in launched],
-                         slots=WIDTH, pilot=self.pilot.uid)
+        self._store.emit("slots", rows, slots=WIDTH, pilot=self.pilot.uid)
         self.executor.launch_units(launched, self._on_executed)
+
+    def _book(
+        self, rows: list[int], units: list["ComputeUnit"],
+        placements: list[list[int]],
+    ) -> None:
+        """Record that *units* (store *rows*) left the wait queue for the
+        slots *placements* now (caller holds the lock): the executing
+        set, launch times, the node occupancy index and the store's slot
+        columns."""
+        cpn = self.slots.cores_per_node
+        occupants = self._occupants
+        queued = self._waiting.rows
+        executing = self._executing
+        launch_times = self._launch_times
+        now = self.session.now()
+        for row, unit, placed in zip(rows, units, placements):
+            del queued[row]
+            executing[row] = unit
+            launch_times[row] = now
+            first = placed[0] // cpn  # slots ascend
+            if placed[-1] // cpn == first:
+                occupants[first][row] = unit
+            else:
+                for node in sorted({slot // cpn for slot in placed}):
+                    occupants[node][row] = unit
+        self._store.place(rows, placements)
 
     # -- failure domains ------------------------------------------------------------
 

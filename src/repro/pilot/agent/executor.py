@@ -196,26 +196,33 @@ class SimExecutor:
     def _launch(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         platform = self.context.platform
         description = self.session.unit_store.shared_description
+        fault_model = self.session.fault_model
+        draw = fault_model.draw if fault_model.enabled else None
         # (overhead, runtime) per distinct description object.
         timing: dict[int, tuple[float, float]] = {}
         groups: dict[tuple[float, float], _LaunchGroup] = {}
+        group_of = self._group_of
+        last = None
         for unit in units:
             desc = description(unit._i)
-            key = timing.get(id(desc))
-            if key is None:
-                overhead = get_launch_method(desc).launch_overhead(
-                    desc.cores, platform
-                )
-                runtime = desc.modelled_runtime(platform) / platform.node.core_speed
-                key = timing[id(desc)] = (overhead, runtime)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _LaunchGroup(key[1], on_done)
+            if desc is not last:  # units of a kernel come in runs
+                last = desc
+                key = timing.get(id(desc))
+                if key is None:
+                    overhead = get_launch_method(desc).launch_overhead(
+                        desc.cores, platform
+                    )
+                    runtime = desc.modelled_runtime(platform) / platform.node.core_speed
+                    key = timing[id(desc)] = (overhead, runtime)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = _LaunchGroup(key[1], on_done)
             group.units[unit._i] = unit
-            fault_offset = self.session.fault_model.draw(group.runtime)
-            if fault_offset is not None:
-                group.faults[unit._i] = fault_offset
-            self._group_of[unit._i] = group
+            if draw is not None:
+                fault_offset = draw(group.runtime)
+                if fault_offset is not None:
+                    group.faults[unit._i] = fault_offset
+            group_of[unit._i] = group
         for (overhead, _), group in groups.items():
             group.ref = next(iter(group.units.values())).uid
             group.event = self.context.sim.schedule(

@@ -37,10 +37,20 @@ truth; the indexes are accelerators kept incrementally consistent:
   scheduling pass never probes a request that cannot fit;
 * ``eligible_cores`` is pure node-size arithmetic — no per-core loop.
 
+Two calls place units.  :meth:`~CoreSlotScheduler.alloc` places one
+request, which may avoid nodes.  :meth:`~CoreSlotScheduler.alloc_many`
+places a run of equal-width requests that avoid nothing, exactly as
+successive ``alloc`` calls would, with one pool update for the whole
+run: the contiguous strategy carves blocks first-fit off the runs in
+order, the scattered one takes the lowest pool slots in width-sized
+chunks.  Both check every slot they take against double booking and
+offline nodes.
+
 Placement *choices* are bit-identical to the reference linear scans
 (first-fit lowest contiguous block; lowest-numbered free slots), which is
 property-tested differentially against the reference implementation in
-``tests/test_pilot_slots.py``.
+``tests/test_slots_differential.py``, for ``alloc_many`` against
+successive ``alloc`` calls too.
 """
 
 from __future__ import annotations
@@ -179,11 +189,11 @@ class CoreSlotScheduler(abc.ABC):
         self._nfree += len(slots)
         self._index_add(runs)
 
-    def _pool_remove(self, slots: list[int]) -> None:
-        """*slots* (sorted, all in the pool) leave the pool."""
-        runs = _segments(slots)
+    def _pool_remove(self, runs: list[tuple[int, int]], n: int) -> None:
+        """The *n* slots of the sorted ``[start, end)`` *runs* (all in the
+        pool) leave the pool."""
         self._pool_count_runs(runs, -1)
-        self._nfree -= len(slots)
+        self._nfree -= n
         self._index_remove(runs)
 
     def _index_add(self, runs: list[tuple[int, int]]) -> None:
@@ -210,7 +220,7 @@ class CoreSlotScheduler(abc.ABC):
                     leaving.append(slot)
         self._offline_node_set.add(node)
         if leaving:
-            self._pool_remove(leaving)
+            self._pool_remove(_segments(leaving), len(leaving))
 
     def repair_node(self, node: int) -> None:
         """Return *node* to service; its free slots rejoin the pool."""
@@ -238,26 +248,55 @@ class CoreSlotScheduler(abc.ABC):
         request can *never* be satisfied (larger than the pilot), so
         callers fail fast instead of queueing a unit forever.
         """
+        self._check_width(ncores)
+        if ncores > self._nfree:
+            return None
+        slots = self._pick(ncores, avoid_nodes)
+        if slots is None:
+            return None
+        self._take(_segments(slots), ncores)
+        return slots
+
+    def alloc_many(self, ncores: int, k: int) -> list[list[int]]:
+        """Place up to *k* requests of *ncores* slots that avoid no nodes.
+
+        Returns exactly what *k* successive ``alloc(ncores)`` calls would
+        return up to their first ``None``: a request that avoids nothing
+        fits exactly when it is no wider than :attr:`largest_fit`, so the
+        placements stop at the first that does not fit.  The slots of all
+        placements leave the pool in one update, with :meth:`alloc`'s
+        double-booking and offline checks.
+        """
+        self._check_width(ncores)
+        if k < 1 or ncores > self.largest_fit:
+            return []
+        placements, runs = self._pick_many(ncores, k)
+        self._take(runs, ncores * len(placements))
+        return placements
+
+    def _check_width(self, ncores: int) -> None:
         if ncores < 1:
             raise SchedulingError("must allocate at least one core")
         if ncores > self.total_cores:
             raise SchedulingError(
                 f"unit wants {ncores} cores; pilot holds {self.total_cores}"
             )
-        if ncores > self._nfree:
-            return None
-        slots = self._pick(ncores, avoid_nodes)
-        if slots is None:
-            return None
-        for slot in slots:
-            if not self._free[slot]:
-                raise SchedulingError(f"slot {slot} double-booked (internal bug)")
-            if self._offline[slot]:
-                raise SchedulingError(f"slot {slot} allocated while offline (internal bug)")
-            self._free[slot] = False
-        self._nused += len(slots)
-        self._pool_remove(slots)
-        return slots
+
+    def _take(self, runs: list[tuple[int, int]], n: int) -> None:
+        """Occupy the *n* pool slots of the sorted ``[start, end)`` *runs*."""
+        free = self._free
+        offline = self._offline
+        for start, end in runs:
+            for slot in range(start, end):
+                if not free[slot]:
+                    raise SchedulingError(f"slot {slot} double-booked (internal bug)")
+                if offline[slot]:
+                    raise SchedulingError(
+                        f"slot {slot} allocated while offline (internal bug)"
+                    )
+                free[slot] = False
+        self._nused += n
+        self._pool_remove(runs, n)
 
     def dealloc(self, slots: list[int]) -> None:
         """Free *slots*; offline slots stay out of the pool until repair."""
@@ -279,6 +318,14 @@ class CoreSlotScheduler(abc.ABC):
     ) -> list[int] | None:
         """Choose slots among the pool ones (enough are free by contract),
         in ascending order."""
+
+    @abc.abstractmethod
+    def _pick_many(
+        self, ncores: int, k: int
+    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        """Choose the placements of up to *k* successive ``alloc(ncores)``
+        calls that avoid nothing (at least one fits by contract), and the
+        sorted ``[start, end)`` runs of all their slots."""
 
 
 class ContiguousSlotScheduler(CoreSlotScheduler):
@@ -381,6 +428,31 @@ class ContiguousSlotScheduler(CoreSlotScheduler):
                 cursor = seg_end
         return None
 
+    def _pick_many(
+        self, ncores: int, k: int
+    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        # Successive first-fit allocs carve blocks off the front of the
+        # first run that holds one until it no longer does, then move on.
+        placements: list[list[int]] = []
+        runs: list[tuple[int, int]] = []
+        lens = self._run_lens
+        fitting = len(lens) - bisect_left(lens, ncores)
+        for start in self._run_starts:
+            blocks = (self._run_end[start] - start) // ncores
+            if not blocks:
+                continue
+            blocks = min(blocks, k - len(placements))
+            stop = start + blocks * ncores
+            placements += [
+                list(range(first, first + ncores))
+                for first in range(start, stop, ncores)
+            ]
+            runs.append((start, stop))
+            fitting -= 1
+            if len(placements) == k or not fitting:
+                break
+        return placements, runs
+
 
 class ScatteredSlotScheduler(CoreSlotScheduler):
     """Lowest-numbered free cores, contiguous or not; never fragments.
@@ -416,6 +488,28 @@ class ScatteredSlotScheduler(CoreSlotScheduler):
             if need == 0:
                 return picked
         return None
+
+    def _pick_many(
+        self, ncores: int, k: int
+    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        # Successive allocs take the lowest pool slots: together, the
+        # first ``k * ncores`` of them, chunked by width.
+        need = min(k, self._nfree // ncores) * ncores
+        picked: list[int] = []
+        free = self._free
+        offline = self._offline
+        for node in self._nonempty_nodes:
+            slots = self.node_slots(node)
+            pooled = self._node_free[node]
+            take = min(need - len(picked), pooled)
+            if pooled == len(slots):  # the whole node is in the pool
+                picked += slots[:take]
+            else:
+                picked += [s for s in slots if free[s] and not offline[s]][:take]
+            if len(picked) == need:
+                break
+        placements = [picked[i:i + ncores] for i in range(0, need, ncores)]
+        return placements, _segments(picked)
 
 
 def make_slot_scheduler(

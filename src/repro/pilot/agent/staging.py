@@ -63,6 +63,10 @@ class LocalStager:
         self.pilot_sandbox = pilot_sandbox
         self.unit_sandboxes: dict[str, Path] = {}
 
+    def register_units(self, units: list["ComputeUnit"]) -> None:
+        for unit in units:
+            self.register_unit(unit)
+
     def register_unit(self, unit: "ComputeUnit") -> Path:
         """Create (and remember) the unit's sandbox directory."""
         sandbox = self.pilot_sandbox / unit.uid
@@ -137,13 +141,14 @@ class SimStager:
     def __init__(self, context: "SimContext") -> None:
         self.context = context
 
-    def register_unit(self, unit: "ComputeUnit") -> None:
+    def register_units(self, units: list["ComputeUnit"]) -> None:
         # Sandboxes are notional under simulation: only units that stage
         # data get a (fake) path, so a million units that stage nothing
         # do not hold a million paths.
-        description = unit._store.shared_description(unit._i)
-        if description.input_staging or description.output_staging:
-            unit.sandbox = f"/sim/{unit.uid}"
+        for unit in units:
+            description = unit._store.shared_description(unit._i)
+            if description.input_staging or description.output_staging:
+                unit.sandbox = f"/sim/{unit.uid}"
 
     def _cost(self, directives: list[StagingDirective]) -> float:
         fs = self.context.filesystem
@@ -157,10 +162,16 @@ class SimStager:
     def _stage(self, kind: str, units: list["ComputeUnit"], attr: str,
                done: StagedCallback) -> None:
         groups: dict[float, list["ComputeUnit"]] = {}
+        shared = units[0]._store.shared_description
+        last = None
         for unit in units:
-            directives = getattr(unit._store.shared_description(unit._i), attr)
-            cost = self._cost(directives) if directives else 0.0
-            groups.setdefault(cost, []).append(unit)
+            description = shared(unit._i)
+            if description is not last:  # units of a kernel come in runs
+                last = description
+                directives = getattr(description, attr)
+                cost = self._cost(directives) if directives else 0.0
+                group = groups.setdefault(cost, [])
+            group.append(unit)
         for cost, group in groups.items():
             self.context.sim.schedule(
                 cost, functools.partial(done, group),

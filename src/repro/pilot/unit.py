@@ -147,10 +147,7 @@ class ComputeUnit:
 
     def avoided_nodes(self, pilot_uid: str) -> frozenset[int]:
         """Nodes of pilot *pilot_uid* this unit must not be placed on."""
-        excluded = self._store.excluded_nodes(self._i)
-        if not excluded:
-            return frozenset()
-        return frozenset(node for puid, node in excluded if puid == pilot_uid)
+        return self._store.avoided_nodes([self._i], pilot_uid)[0]
 
     # -- introspection -----------------------------------------------------------
 

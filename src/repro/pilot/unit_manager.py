@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from functools import partial
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import PilotError, SchedulingError
@@ -86,7 +89,6 @@ class UnitManager:
                 raise SchedulingError(f"no pilot can hold a {widest}-core unit")
         store = self.session.unit_store
         shared = [callback] if callback is not None else []
-        routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
@@ -94,9 +96,7 @@ class UnitManager:
             units = [ComputeUnit._of(store, i) for i in rows]
             store.set_group_callbacks(rows, shared)
             store.advance_many(units, UnitState.UMGR_SCHEDULING)
-            for unit, description in zip(units, descriptions):
-                pilot = self._pick_pilot(description.cores)
-                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
+            routing = self._route(units, store.cores_of(rows))
             with self._lock:
                 self.units.extend(units)
 
@@ -104,14 +104,33 @@ class UnitManager:
                 self._forward(pilot, batch, extra_delay)
         return units
 
-    def _pick_pilot(self, cores: int) -> ComputePilot:
-        n = len(self.pilots)
-        for offset in range(n):
-            pilot = self.pilots[(self._rr_next + offset) % n]
-            if pilot.cores >= cores:
-                self._rr_next = (self._rr_next + offset + 1) % n
-                return pilot
-        raise SchedulingError(f"no pilot can hold a {cores}-core unit")
+    def _route(
+        self, units: list[ComputeUnit], widths: list[int]
+    ) -> dict[str, tuple[ComputePilot, list[ComputeUnit]]]:
+        """Round-robin *units* (of core *widths*) over the pilots that can
+        hold them: each unit goes to the first such pilot at or after the
+        cursor, which then moves past it.  Consecutive units that fit the
+        same pilots (with one pilot size, every unit) cycle through one
+        list of pilots, so such a run is routed in one step per pilot.
+        Returns each pilot's units, in order of first use."""
+        routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
+        pilots = self.pilots
+        sizes = sorted({pilot.cores for pilot in pilots})
+        start = 0
+        # A unit fits the pilots of at least sizes[c], c its class.
+        for c, run in groupby(map(partial(bisect_left, sizes), widths)):
+            m = sum(1 for _ in run)
+            batch = units[start:start + m]
+            start += m
+            fits = [k for k, pilot in enumerate(pilots) if pilot.cores >= sizes[c]]
+            first = bisect_left(fits, self._rr_next) % len(fits)
+            order = fits[first:] + fits[:first]
+            for j, k in enumerate(order[:m]):
+                routing.setdefault(pilots[k].uid, (pilots[k], []))[1].extend(
+                    batch[j::len(order)]
+                )
+            self._rr_next = (order[(m - 1) % len(order)] + 1) % len(pilots)
+        return routing
 
     def _forward(
         self, pilot: ComputePilot, batch: list[ComputeUnit], extra_delay: float = 0.0

@@ -41,8 +41,9 @@ unit's tags (pattern, stage, instance, ...) beside it; the store packs
 those tags per row, as a value tuple against an interned key tuple, and
 ``unit.description`` is a read-only :class:`UnitDescription` view over
 the shared description and the row's tags.  The runtime layers read
-widths from the ``cores`` column and the shared description through
-:meth:`UnitStore.shared_description`, never through the view.
+widths and tags for a whole list of rows (:meth:`UnitStore.cores_of`,
+:meth:`UnitStore.tag_values`) and each row's shared description
+(:meth:`UnitStore.shared_description`), never through the view.
 
 Unit uids are *lazy*: the store reserves serial blocks from the global
 id counter (:func:`repro.utils.ids.reserve_id_block`) and formats
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from math import isnan, nan
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -85,6 +86,7 @@ WIDTH: Any = object()
 
 _UID_WIDTH = 6
 _EMPTY_EXCLUSIONS: frozenset[tuple[str, int]] = frozenset()
+_NO_NODES: frozenset[int] = frozenset()
 
 #: Container fields of a shared description, and the copy a view returns.
 _COPIED_FIELDS: dict[str, Callable] = {
@@ -310,11 +312,14 @@ class UnitStore:
             )
             return
         widths = [key for key, value in fields.items() if value is WIDTH]
+        patterns = (
+            iter(self.tag_values(rows, "pattern", "")) if kind == "new" else None
+        )
         for i in rows:
             for key in widths:
                 fields[key] = self._cores[i]
-            if kind == "new":
-                fields["pattern"] = self.description(i).tags.get("pattern", "")
+            if patterns is not None:
+                fields["pattern"] = next(patterns)
             prof.event(per_unit, self.uid(i), **fields)
 
     # -- dense fields -------------------------------------------------------
@@ -346,6 +351,36 @@ class UnitStore:
         keys = self._tag_key_tuples[self._tag_keys[i]]
         return dict(zip(keys, self._tag_values[i]))
 
+    def tag_values(self, rows: Sequence[int], key: str, default: Any = None) -> list:
+        """The tag *key* of each row in *rows* (*default* where a row has
+        none), read from the packed tag columns without building a dict
+        or a view per row."""
+        codes = self._tag_keys
+        values = self._tag_values
+        code = codes[rows[0]] if rows else -1
+        if code >= 0 and (
+            len(rows) == 1 or len(set(map(codes.__getitem__, rows))) == 1
+        ):
+            # One key layout (the common case): one position for all rows.
+            keys = self._tag_key_tuples[code]
+            if key in keys:
+                position = keys.index(key)
+                return [values[i][position] for i in rows]
+        key_tuples = self._tag_key_tuples
+        out = []
+        for i in rows:
+            code = codes[i]
+            if code < 0:
+                out.append(self._descriptions[i].tags.get(key, default))
+                continue
+            keys = key_tuples[code]
+            out.append(values[i][keys.index(key)] if key in keys else default)
+        return out
+
+    def cores_of(self, rows: Sequence[int]) -> list[int]:
+        """The ``cores`` column at *rows*."""
+        return list(map(self._cores.__getitem__, rows))
+
     def attempts(self, i: int) -> int:
         return self._attempts[i]
 
@@ -357,15 +392,19 @@ class UnitStore:
         return None if index < 0 else self._pilot_uids[index]
 
     def set_pilot_uid(self, i: int, uid: str | None) -> None:
-        if uid is None:
-            self._pilot[i] = -1
-            return
-        index = self._pilot_index.get(uid)
-        if index is None:
-            index = len(self._pilot_uids)
-            self._pilot_uids.append(uid)
-            self._pilot_index[uid] = index
-        self._pilot[i] = index
+        self.set_pilot_uids([i], uid)
+
+    def set_pilot_uids(self, rows: Sequence[int], uid: str | None) -> None:
+        """Assign every row in *rows* to pilot *uid* (``None``: none)."""
+        index = -1
+        if uid is not None:
+            index = self._pilot_index.get(uid, -1)
+            if index < 0:
+                index = self._pilot_index[uid] = len(self._pilot_uids)
+                self._pilot_uids.append(uid)
+        column = self._pilot
+        for i in rows:
+            column[i] = index
 
     def slots(self, i: int) -> list[int]:
         length = self._slots_len[i]
@@ -381,6 +420,22 @@ class UnitStore:
         self._slots_off[i] = len(self._slots_arena)
         self._slots_len[i] = len(slots)
         self._slots_arena.extend(slots)
+
+    def place(self, rows: Sequence[int], placements: Sequence[list[int]]) -> None:
+        """Record a launch: row ``rows[j]`` occupies the (non-empty) slots
+        ``placements[j]``, and each row's attempt count goes up by one."""
+        arena = self._slots_arena
+        offsets = self._slots_off
+        lengths = self._slots_len
+        attempts = self._attempts
+        off = len(arena)
+        for i, placed in zip(rows, placements):
+            n = len(placed)
+            offsets[i] = off
+            lengths[i] = n
+            off += n
+            attempts[i] += 1
+        arena.extend(chain.from_iterable(placements))
 
     # -- sparse fields ------------------------------------------------------
 
@@ -416,6 +471,20 @@ class UnitStore:
 
     def exclude_node(self, i: int, pilot_uid: str, node: int) -> None:
         self._excluded.setdefault(i, set()).add((pilot_uid, node))
+
+    def avoided_nodes(self, rows: Sequence[int], pilot_uid: str) -> list[frozenset[int]]:
+        """The nodes of pilot *pilot_uid* each row in *rows* must not be
+        placed on."""
+        excluded = self._excluded
+        if not excluded:
+            return [_NO_NODES] * len(rows)
+        out = []
+        for i in rows:
+            pairs = excluded.get(i)
+            out.append(_NO_NODES if not pairs else frozenset(
+                node for puid, node in pairs if puid == pilot_uid
+            ))
+        return out
 
     # -- callbacks ----------------------------------------------------------
 
@@ -479,21 +548,36 @@ class UnitStore:
         final = target.is_final
         code = _STATE_INDEX[target]
         column = self._ts[target.value]
-        groups: dict[int, list["ComputeUnit"]] = {}
+        state = self._state
+        rows = [unit._i for unit in units]
         with self._lock:
-            for unit in units:
-                groups.setdefault(self._state[unit._i], []).append(unit)
-        for previous_code, group in groups.items():
+            if len(rows) == 1 or len(set(map(state.__getitem__, rows))) == 1:
+                # The usual list, all in one state: no split.
+                groups = {state[rows[0]]: (units, rows)}
+            else:
+                groups = {}
+                for unit, i in zip(units, rows):
+                    group = groups.get(state[i])
+                    if group is None:
+                        group = groups[state[i]] = ([], [])
+                    group[0].append(unit)
+                    group[1].append(i)
+        for previous_code, (group, rows) in groups.items():
             previous = _STATES[previous_code]
-            rows = [unit._i for unit in group]
             with self._lock:
                 validate_unit_edge(
                     lambda: f"ComputeUnit {self.uid(rows[0])}", previous, target
                 )
                 now = session.now()
-                for i in rows:
-                    self._state[i] = code
-                    column[i] = now
+                lo, n = rows[0], len(rows)
+                if n > 1 and rows[-1] == lo + n - 1 and rows == list(range(lo, lo + n)):
+                    # One contiguous run of rows: stamp it by slice.
+                    state[lo:lo + n] = array("b", [code]) * n
+                    column[lo:lo + n] = array("d", [now]) * n
+                else:
+                    for i in rows:
+                        state[i] = code
+                        column[i] = now
             self.emit("state", rows, state=target.value, prev=previous.value,
                       **(fields or {}))
             if final:

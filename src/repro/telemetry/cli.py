@@ -10,13 +10,15 @@ harness's ``--trace-out``).  Subcommands:
 ``critical-path PATH``   the blocking-activity tiling of the TTC window
 
 Exit codes follow ``repro lint``: 0 success, 2 usage error (missing or
-malformed trace file).  A trace whose last line was cut off mid-write
+malformed trace file).  A reader that closes the pipe early (``| head``)
+ends the command quietly with status 0.  A trace whose last line was cut off mid-write
 still loads: the torn line is dropped with a note on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -147,7 +149,14 @@ def run_trace(args: argparse.Namespace) -> int:
         "critical-path": _cmd_critical_path,
     }
     try:
-        return handlers[args.trace_command](args)
+        status = handlers[args.trace_command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
     except ValueError as exc:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped early (``| head``), as it may.  Point stdout
+        # at devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status

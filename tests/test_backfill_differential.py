@@ -99,10 +99,11 @@ class _Reference:
 
 
 def _counting(slots):
-    """Count every ``alloc`` call on *slots*, and (second count) the
-    failed ones that avoided no nodes."""
+    """Count every ``alloc`` and ``alloc_many`` call on *slots*, and
+    (second count) the failed ones that avoided no nodes: an ``alloc``
+    that returned ``None`` or an ``alloc_many`` that placed nothing."""
     calls = [0, 0]
-    real = slots.alloc
+    real, real_many = slots.alloc, slots.alloc_many
 
     def alloc(ncores, avoid_nodes=frozenset()):
         calls[0] += 1
@@ -111,7 +112,14 @@ def _counting(slots):
             calls[1] += 1
         return placed
 
-    slots.alloc = alloc
+    def alloc_many(ncores, k):
+        calls[0] += 1
+        placed = real_many(ncores, k)
+        if not placed:
+            calls[1] += 1
+        return placed
+
+    slots.alloc, slots.alloc_many = alloc, alloc_many
     return calls
 
 

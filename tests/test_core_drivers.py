@@ -402,6 +402,90 @@ class TestEEDriver:
 # ---------------------------------------------------------------------------
 # Sequence composition
 # ---------------------------------------------------------------------------
+# The driver contract: completion batches in, submission lists out
+# ---------------------------------------------------------------------------
+
+
+class TestCompletionBatches:
+    def test_failed_batch_retries_in_list_order_then_one_call(
+        self, sim_handle_factory
+    ):
+        """A FAILED batch retries each unit the policy allows, in list
+        order, and hands the others to one ``on_units_final`` call."""
+        from repro.core.drivers.base import SubmitRequest
+        from repro.core.drivers.eop import EnsembleOfPipelinesDriver
+        from repro.pilot.retry import RetryPolicy
+
+        calls = []
+
+        class Recording(EnsembleOfPipelinesDriver):
+            def on_units_final(self, units, state):
+                calls.append((list(units), state))
+
+        handle = sim_handle_factory()
+        pattern = SleepPipelines(ensemble_size=4, pipeline_size=1)
+        pattern.retry_policy = RetryPolicy(max_attempts=2)
+        driver = Recording(pattern, handle)
+        units = driver.submit([
+            SubmitRequest(kernel=sleep_kernel(),
+                          tags={"stage": 1, "instance": instance})
+            for instance in range(1, 5)
+        ])
+        # Units 0 and 2 have used their one retry; 1 and 3 have not.
+        driver._retries[units[0].uid] = driver._retries[units[2].uid] = 1
+        driver._unit_event(units, UnitState.FAILED)
+
+        retried = [ev.uid for ev in handle.profile.events("entk_task_retry")]
+        assert retried == [units[1].uid, units[3].uid]
+        assert calls == [([units[0], units[2]], UnitState.FAILED)]
+        assert driver.failed_units == [units[0], units[2]]
+        assert len(driver.units) == 6  # two replacements joined
+        # A batch whose every unit is retried makes no call.
+        fresh = driver.submit([SubmitRequest(
+            kernel=sleep_kernel(), tags={"stage": 1, "instance": 1}
+        )])
+        driver._unit_event(fresh, UnitState.FAILED)
+        assert len(calls) == 1
+        assert handle.profile.events("entk_task_retry")[-1].uid == fresh[0].uid
+
+    def test_local_run_submits_one_list_per_completion_batch(
+        self, local_handle, monkeypatch
+    ):
+        """Locally, the next stages a completion batch releases go to the
+        unit manager as one list, submitted at once."""
+        from repro.core.drivers.eop import EnsembleOfPipelinesDriver
+        from repro.pilot.unit_manager import UnitManager
+
+        submits, batches = [], []
+        submit_units = UnitManager.submit_units
+        on_units_final = EnsembleOfPipelinesDriver.on_units_final
+
+        def counting_submit(self, descriptions, *args, **kwargs):
+            submits.append(len(descriptions))
+            return submit_units(self, descriptions, *args, **kwargs)
+
+        def recording_final(self, units, state):
+            batches.append([u.description.tags["stage"] for u in units])
+            on_units_final(self, units, state)
+
+        monkeypatch.setattr(UnitManager, "submit_units", counting_submit)
+        monkeypatch.setattr(
+            EnsembleOfPipelinesDriver, "on_units_final", recording_final
+        )
+        pattern = SleepPipelines(ensemble_size=6, pipeline_size=3)
+        local_handle.run(pattern)
+
+        assert len(pattern.units) == 18
+        assert all(u.state is UnitState.DONE for u in pattern.units)
+        releasing = [stages for stages in batches if min(stages) < 3]
+        assert submits[0] == 6
+        assert len(submits) == 1 + len(releasing)
+        assert submits[1:] == [
+            sum(stage < 3 for stage in stages) for stages in releasing
+        ]
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestSequence:

@@ -1,8 +1,10 @@
 """Tests for multi-pilot execution (round-robin unit routing)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pilot import (
     ComputePilotDescription,
@@ -88,3 +90,48 @@ def test_profile_export_round_trips(tmp_path):
     times = [r["time"] for r in records]
     assert times == sorted(times)
     session.close()
+
+
+# -- routing a list by width runs equals routing it unit by unit -------------
+
+
+def _route_one_by_one(pilot_cores, rr, widths):
+    """Reference round robin: one pilot pick per unit."""
+    routing, n = {}, len(pilot_cores)
+    for unit, width in enumerate(widths):
+        for offset in range(n):
+            k = (rr + offset) % n
+            if pilot_cores[k] >= width:
+                rr = (k + 1) % n
+                routing.setdefault(k, []).append(unit)
+                break
+    return routing, rr
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pilot_cores=st.lists(st.integers(min_value=1, max_value=8),
+                         min_size=1, max_size=5),
+    submits=st.lists(st.lists(st.integers(min_value=1, max_value=8),
+                              max_size=12), max_size=4),
+)
+def test_routing_by_runs_matches_unit_by_unit(pilot_cores, submits):
+    """``UnitManager._route`` sends every unit to the pilot that one
+    round-robin pick per unit would, first-used pilots first, and leaves
+    the cursor where those picks leave it."""
+    widest = max(pilot_cores)
+    umgr = UnitManager.__new__(UnitManager)
+    umgr.pilots = [SimpleNamespace(uid=f"pilot.{k}", cores=cores)
+                   for k, cores in enumerate(pilot_cores)]
+    umgr._rr_next = 0
+    rr = 0
+    for widths in submits:
+        widths = [min(width, widest) for width in widths]
+        units = list(range(len(widths)))
+        want, rr = _route_one_by_one(pilot_cores, rr, widths)
+        got = umgr._route(units, widths)
+        assert list(got) == [f"pilot.{k}" for k in want]
+        assert {uid: batch for uid, (_, batch) in got.items()} == {
+            f"pilot.{k}": batch for k, batch in want.items()
+        }
+        assert umgr._rr_next == rr

@@ -268,3 +268,107 @@ class TestDifferential:
             new.repair_node(node)
         assert new.free_cores == ref.free_cores
         assert ref.alloc(7) == new.alloc(7)
+
+
+# -- alloc_many vs. successive single allocs -----------------------------------
+
+
+def _index_state(sched):
+    """Every pool index a scheduler keeps, as comparable values."""
+    state = {
+        "free": list(sched._free),
+        "nfree": sched._nfree,
+        "nused": sched._nused,
+        "node_free": list(sched._node_free),
+        "nonempty_nodes": list(sched._nonempty_nodes),
+    }
+    if isinstance(sched, ContiguousSlotScheduler):
+        state.update(
+            run_starts=list(sched._run_starts),
+            run_end=dict(sched._run_end),
+            run_by_end=dict(sched._run_by_end),
+            run_lens=list(sched._run_lens),
+        )
+    return state
+
+
+def _drive(sched, ops):
+    """Apply a random alloc/dealloc/fail/repair sequence to *sched*."""
+    held = []
+    for op, a, b in ops:
+        if op == "alloc":
+            avoid = frozenset(
+                node for node in range(min(sched.nnodes, 6)) if b >> node & 1
+            )
+            placed = sched.alloc(1 + a % sched.total_cores, avoid)
+            if placed is not None:
+                held.append(placed)
+        elif op == "dealloc" and held:
+            sched.dealloc(held.pop(a % len(held)))
+        elif op == "fail":
+            sched.fail_node(a % sched.nnodes)
+        elif op == "repair":
+            sched.repair_node(a % sched.nnodes)
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIRS))
+class TestAllocMany:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        total_cores=st.integers(min_value=1, max_value=48),
+        cores_per_node=st.one_of(
+            st.none(), st.integers(min_value=1, max_value=17)
+        ),
+        ops=_OPS,
+        width=st.integers(min_value=1, max_value=48),
+        k=st.integers(min_value=1, max_value=60),
+    )
+    def test_places_like_successive_allocs(
+        self, kind, total_cores, cores_per_node, ops, width, k
+    ):
+        """``alloc_many(w, k)`` equals *k* ``alloc(w)`` calls up to the
+        first that fails, *k* above capacity included, and leaves every
+        index as they do."""
+        _, new_cls = _PAIRS[kind]
+        many = new_cls(total_cores, cores_per_node)
+        single = new_cls(total_cores, cores_per_node)
+        _drive(many, ops)
+        _drive(single, ops)
+        width = 1 + (width - 1) % total_cores
+        expected = []
+        for _ in range(k):
+            placed = single.alloc(width)
+            if placed is None:
+                break
+            expected.append(placed)
+        assert many.alloc_many(width, k) == expected
+        assert many.free_cores == single.free_cores
+        assert many.used_cores == single.used_cores
+        assert many.largest_fit == single.largest_fit
+        assert _index_state(many) == _index_state(single)
+
+    def test_rejects_impossible_widths(self, kind):
+        _, new_cls = _PAIRS[kind]
+        sched = new_cls(8, 4)
+        with pytest.raises(SchedulingError):
+            sched.alloc_many(0, 3)
+        with pytest.raises(SchedulingError):
+            sched.alloc_many(9, 3)
+        assert sched.alloc_many(8, 0) == []
+        assert sched.free_cores == 8
+
+    def test_raises_on_double_booked_slot(self, kind):
+        """A pool slot marked occupied behind the indexes' back is an
+        internal bug that ``alloc_many`` reports, as ``alloc`` does."""
+        _, new_cls = _PAIRS[kind]
+        sched = new_cls(8, 4)
+        sched._free[1] = False
+        with pytest.raises(SchedulingError, match="slot 1 double-booked"):
+            sched.alloc_many(2, 3)
+
+    def test_raises_on_offline_slot(self, kind):
+        _, new_cls = _PAIRS[kind]
+        sched = new_cls(8, 4)
+        sched._offline[5] = True
+        with pytest.raises(SchedulingError, match="slot 5 allocated while offline"):
+            sched.alloc_many(1, 8)

@@ -1,8 +1,12 @@
 """Unit tests for the telemetry subsystem on synthetic traces."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +446,23 @@ class TestTraceCli:
         missing = tmp_path / "nope.jsonl"
         assert main(["trace", "summarize", str(missing)]) == 2
         assert "no such trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    @pytest.mark.parametrize("command", ["summarize", "critical-path"])
+    def test_closed_pipe_exits_quietly(self, trace_file, command, lines_read):
+        """``repro trace summarize TRACE | head -1``: the reader goes away
+        early, and the command ends with status 0 and no traceback."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", command, str(trace_file)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
