@@ -61,6 +61,7 @@ from math import isnan, nan
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.pilot.states import UnitState, validate_unit_edge
+from repro.telemetry.sink import runs, serial_runs
 from repro.utils.ids import reserve_id_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -238,8 +239,7 @@ class UnitStore:
         tags: Sequence[dict[str, Any]] | None = None,
     ) -> range:
         """Register a batch: one id-block reservation, then :meth:`emit`
-        of ``new`` with the first unit's ``pattern`` tag (each unit's own
-        on a per-unit event).
+        of ``new`` with each unit's ``pattern`` tag.
 
         *tags*, when given, holds each unit's tags, and the descriptions
         are shared (see :meth:`ComputeUnitDescription.shareable`): the
@@ -271,12 +271,10 @@ class UnitStore:
         if tags is None:
             self._tag_keys.extend(repeat(-1, n))
             self._tag_values.extend(repeat(None, n))
-            pattern = descriptions[0].tags.get("pattern", "")
         else:
             self._pack_tags(tags)
-            pattern = tags[0].get("pattern", "")
         rows = range(first, first + n)
-        self.emit("new", rows, pattern=pattern)
+        self.emit("new", rows, pattern=runs(self.tag_values(rows, "pattern", "")))
         return rows
 
     def _pack_tags(self, tags: Sequence[dict[str, Any]]) -> None:
@@ -297,19 +295,25 @@ class UnitStore:
 
     def emit(self, kind: str, rows: Sequence[int], **fields: Any) -> None:
         """Record the lifecycle event of *kind* (``new``, ``state``,
-        ``slots``) for the units in *rows*: one batch event with ``n`` and
-        ``last`` in a bulk session, else one per-unit event per row.  A
-        field given as :data:`WIDTH` carries the units' cores."""
+        ``slots``) for the units in *rows*: one batch event naming its
+        members (see :mod:`repro.telemetry.lifecycle`) in a bulk session,
+        else one per-unit event per row.  A field given as :data:`WIDTH`
+        carries the units' cores.  *rows* given as a ``range`` is one
+        contiguous run, whose members encode in O(1)."""
         per_unit, batch = _EVENT_NAMES[kind]
         prof = self._session.prof
         if self.bulk:
+            widths = None
             for key, value in fields.items():
                 if value is WIDTH:
-                    fields[key] = sum(map(self._cores.__getitem__, rows))
-            prof.event(
-                batch, self.uid(rows[0]), **fields,
-                n=len(rows), last=self.uid(rows[-1]),
-            )
+                    if widths is None:
+                        cores = self.cores_of(rows)
+                        total, widths = sum(cores), runs(cores)
+                    fields[key] = total
+            if widths is not None:
+                fields["widths"] = widths
+            prof.event(batch, self.uid(rows[0]), **fields, n=len(rows),
+                       members=self._members(rows))
             return
         widths = [key for key, value in fields.items() if value is WIDTH]
         patterns = (
@@ -321,6 +325,17 @@ class UnitStore:
             if patterns is not None:
                 fields["pattern"] = next(patterns)
             prof.event(per_unit, self.uid(i), **fields)
+
+    def _members(self, rows: Sequence[int]) -> list[list[int]]:
+        """The uid serials of *rows* as run-length ``[first, count]``
+        ranges.  Serials grow with rows, so a contiguous run of rows
+        whose end serials are as far apart as its ends is one range."""
+        serial = self._serial
+        if isinstance(rows, range):
+            first, n = serial[rows[0]], len(rows)
+            if serial[rows[-1]] - first == n - 1:
+                return [[first, n]]
+        return serial_runs(map(serial.__getitem__, rows))
 
     # -- dense fields -------------------------------------------------------
 
@@ -570,8 +585,10 @@ class UnitStore:
                 )
                 now = session.now()
                 lo, n = rows[0], len(rows)
-                if n > 1 and rows[-1] == lo + n - 1 and rows == list(range(lo, lo + n)):
-                    # One contiguous run of rows: stamp it by slice.
+                if rows[-1] == lo + n - 1 and rows == list(range(lo, lo + n)):
+                    # One contiguous run of rows: stamp it by slice, and
+                    # let emit() name its members as one range.
+                    rows = range(lo, lo + n)
                     state[lo:lo + n] = array("b", [code]) * n
                     column[lo:lo + n] = array("d", [now]) * n
                 else:

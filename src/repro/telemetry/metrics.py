@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from repro.telemetry.sink import ProfileEvent
+from repro.telemetry.sink import NEW, SLOTS, STATE, ProfileEvent, member_count
 
 __all__ = ["MetricSeries", "MetricsRegistry"]
 
@@ -228,10 +228,10 @@ class MetricsRegistry:
                     kind = str(attrs.get("kind", "gauge"))
                     series = recorded[uid] = MetricSeries(name=uid, kind=kind)
                 series._push(time, float(attrs.get("value", 0.0)))
-            elif name == "unit_new" or name == "units_new":
-                moves.append((time, "units.NEW", int(attrs.get("n", 1))))
-            elif name == "unit_state" or name == "units_state":
-                n = int(attrs.get("n", 1))
+            elif name == NEW or name == "unit_new":
+                moves.append((time, "units.NEW", member_count(event)))
+            elif name == STATE or name == "unit_state":
+                n = member_count(event)
                 prev, state = attrs.get("prev"), attrs.get("state")
                 derivable = derivable and prev is not None
                 moves.append((time, f"units.{prev}", -n))
@@ -240,10 +240,10 @@ class MetricsRegistry:
                 if pilot is not None:
                     _agent_moves(agent_moves, time, f"agent.{pilot}.", n,
                                  prev, state, attrs.get("cores"))
-            elif name == "unit_slots" or name == "units_slots":
+            elif name == SLOTS or name == "unit_slots":
                 gauge = f"agent.{attrs.get('pilot')}."
                 agent_moves.append(
-                    (time, gauge + "queue_depth", -int(attrs.get("n", 1)))
+                    (time, gauge + "queue_depth", -member_count(event))
                 )
                 agent_moves.append(
                     (time, gauge + "cores_held", int(attrs.get("slots", 0)))

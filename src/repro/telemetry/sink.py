@@ -1,9 +1,10 @@
-"""Spillable append-only sinks for the flat event trace.
+"""Spillable append-only sinks for the flat event trace, and the unit
+lifecycle's trace format.
 
 The profiler used to keep every :class:`ProfileEvent` in one resident
 Python list — fine at 10^4 units, but the dominant memory term at 10^6
-(a unit's lifecycle is ~30 events and each event is an object plus an
-attrs dict).  A *sink* abstracts where appended events live:
+(each event is an object plus an attrs dict).  A *sink* abstracts where
+appended events live:
 
 * :class:`MemorySink` — the historical behaviour: every event resident,
   O(1) random access.  The default; nothing changes for existing runs.
@@ -26,6 +27,30 @@ A spool whose last line was cut off mid-write (a crash while appending)
 still reads back: :func:`read_events` drops the torn tail and warns
 with the number of complete events recovered.
 
+**The lifecycle format.**  The unit store writes every unit list it
+moves as one *batch* event, whatever the list's length:
+
+* ``units_new`` — the list was registered; carries ``pattern``;
+* ``units_state`` — the list left state ``prev`` for ``state``; the
+  agent layer adds the ``pilot`` and the ``cores`` the list holds;
+* ``units_slots`` — the list was placed; carries ``pilot`` and the
+  ``slots`` (cores) it occupies.
+
+Each one names its members.  ``uid`` is the first member's uid, ``n``
+the member count, and ``members`` the members' uid serials as
+run-length ranges in list order: ``[[first, count], ...]`` names
+``unit.<first>`` to ``unit.<first + count - 1>`` (at least six digits,
+as ``UnitStore.uid`` formats them).  A contiguous list is one range
+whatever its length; rows that faults scatter take one range per run.
+Two fields hold per-member values, where a scalar applies to every
+member and a list is run-length ``[value, count]`` pairs in member
+order: ``pattern`` (each member's pattern uid) and ``widths`` (each
+member's own cores, beside a ``cores`` or ``slots`` field that holds the
+list's total).  :func:`expand` gives each member's ``(uid, attrs)`` with
+exactly the attrs a one-unit event would carry, so the readers derive
+every unit's phase spans and gauges from batches.  A batch event with no
+``members`` names its ``uid`` alone.
+
 ``ProfileEvent`` itself is defined here (and re-exported by
 :mod:`repro.pilot.profiler` under its historical import path) so this
 module does not import the pilot layer — the session imports telemetry.
@@ -40,11 +65,15 @@ import json
 from array import array
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
+    "LIFECYCLE_EVENTS",
+    "NEW",
+    "SLOTS",
+    "STATE",
     "ProfileEvent",
     "EventSink",
     "MemorySink",
@@ -52,7 +81,13 @@ __all__ = [
     "TraceIndex",
     "TraceQueries",
     "encode_row",
+    "expand",
+    "member_count",
+    "member_patterns",
+    "member_uids",
     "read_events",
+    "runs",
+    "serial_runs",
     "unit_count",
 ]
 
@@ -138,16 +173,106 @@ def read_events(path: str | Path) -> list[ProfileEvent]:
     return events
 
 
+# -- the unit lifecycle's trace format ------------------------------------
+
+NEW, STATE, SLOTS = "units_new", "units_state", "units_slots"
+LIFECYCLE_EVENTS = (NEW, STATE, SLOTS)
+
+#: Fields that hold a list's total width; ``widths`` holds each member's.
+_WIDTH_FIELDS = ("cores", "slots")
+#: Batch bookkeeping that no one-unit event carries.
+_BATCH_FIELDS = frozenset({"n", "members", "widths"})
+
+
+def runs(values: Sequence[Any]) -> Any:
+    """*values* as a per-member field: the value itself when all are
+    equal, else run-length ``[value, count]`` pairs."""
+    first = values[0]
+    if values.count(first) == len(values):
+        return first
+    out: list[list[Any]] = []
+    for value in values:
+        if out and out[-1][0] == value:
+            out[-1][1] += 1
+        else:
+            out.append([value, 1])
+    return out
+
+
+def serial_runs(serials: Iterable[int]) -> list[list[int]]:
+    """Run-length ``[first, count]`` ranges of *serials*, in order."""
+    out: list[list[int]] = []
+    last = None
+    for serial in serials:
+        if serial == last:
+            out[-1][1] += 1
+        else:
+            out.append([serial, 1])
+        last = serial + 1
+    return out
+
+
+def _values(value: Any, n: int) -> Iterator[Any]:
+    """The *n* per-member values a per-member field encodes."""
+    if isinstance(value, list):
+        return chain.from_iterable(repeat(v, count) for v, count in value)
+    return repeat(value, n)
+
+
+def member_count(ev: Any) -> int:
+    """How many units batch event *ev* names."""
+    return int(ev.attrs.get("n", 1))
+
+
+def member_uids(ev: Any) -> list[str]:
+    """The uids batch event *ev* names, in list order."""
+    members = ev.attrs.get("members")
+    if members is None:
+        return [ev.uid]
+    return [
+        f"unit.{serial:06d}"
+        for first, count in members
+        for serial in range(first, first + count)
+    ]
+
+
+def member_patterns(ev: Any) -> Iterator[Any]:
+    """Each member's ``pattern`` field of batch event *ev*, in list order."""
+    return _values(ev.attrs.get("pattern", ""), member_count(ev))
+
+
+def expand(ev: Any) -> list[tuple[str, dict[str, Any]]]:
+    """Each member's ``(uid, attrs)`` of batch event *ev*: the attrs a
+    one-unit event would carry (a member's own width in ``cores`` or
+    ``slots`` and its own ``pattern``), in list order."""
+    attrs = ev.attrs
+    uids = member_uids(ev)
+    n = len(uids)
+    common = {k: v for k, v in attrs.items() if k not in _BATCH_FIELDS}
+    per_member: dict[str, Iterator[Any]] = {}
+    if "widths" in attrs:
+        for key in _WIDTH_FIELDS:
+            if key in common:
+                per_member[key] = _values(attrs["widths"], n)
+    if isinstance(common.get("pattern"), list):
+        per_member["pattern"] = _values(common["pattern"], n)
+    if not per_member:
+        return [(uid, dict(common)) for uid in uids]
+    out = []
+    for uid in uids:
+        own = dict(common)
+        for key, values in per_member.items():
+            own[key] = next(values)
+        out.append((uid, own))
+    return out
+
+
 def unit_count(events: Iterable[Any]) -> int:
-    """Units a trace registers: one per ``unit_new`` event plus ``n`` per
-    ``units_new`` batch event (events duck-typed on ``name``/``attrs``)."""
-    count = 0
-    for ev in events:
-        if ev.name == "unit_new":
-            count += 1
-        elif ev.name == "units_new":
-            count += int(ev.attrs.get("n", 1))
-    return count
+    """Units a trace registers: the members of its ``units_new`` events
+    (events duck-typed on ``name``/``attrs``)."""
+    return sum(
+        member_count(ev) for ev in events if ev.name in (NEW, "unit_new")
+    )
 
 
 class TraceQueries:

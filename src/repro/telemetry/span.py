@@ -41,7 +41,15 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.telemetry.sink import ProfileEvent, TraceIndex
+from repro.telemetry.sink import (
+    LIFECYCLE_EVENTS,
+    NEW,
+    SLOTS,
+    ProfileEvent,
+    TraceIndex,
+    member_patterns,
+    member_uids,
+)
 from repro.utils.ids import generate_id
 
 __all__ = ["Span", "SpanTree", "SpanBuilder", "Tracer", "component_of"]
@@ -60,6 +68,9 @@ _STAGING_PHASES = {
 }
 _LAUNCH_SPAN_NAME = "exec.launch"
 _PHASE_SPAN_NAMES = frozenset({*_STAGING_PHASES.values(), _LAUNCH_SPAN_NAME})
+_LIFECYCLE_NAMES = (*LIFECYCLE_EVENTS, "unit_new", "unit_state", "unit_slots")
+_NEW_NAMES = (NEW, "unit_new")
+_SLOTS_NAMES = (SLOTS, "unit_slots")
 
 
 #: The attributes of every span that has none: one shared, read-only
@@ -406,19 +417,10 @@ class SpanBuilder:
         self, trace: TraceIndex, spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
-        # Per unit: creation time + pattern attribution from unit_new,
-        # then the timestamped state sequence.
-        created: dict[str, tuple[float, str]] = {}
-        for ev in trace.events("unit_new"):
-            created.setdefault(
-                ev.uid, (ev.time, str(ev.attrs.get("pattern", "")))
-            )
+        created, states, launches = self._lifecycles(trace, t_trace_end)
         phases = not any(
             ev.attrs.get("span") in _PHASE_SPAN_NAMES
             for ev in trace.events("span_open")
-        )
-        states, launches = self._lifecycles(
-            trace, "unit_state", "unit_slots", t_trace_end
         )
         for uid in sorted(set(created) | set(states)):
             t_created, pattern_uid = created.get(uid, (None, ""))
@@ -439,48 +441,46 @@ class SpanBuilder:
             if phases:
                 self._phase_spans(spans, container.uid, uid, seq,
                                   launches.get(uid, ()), t_trace_end)
-        if not phases:
-            return
-        # A batch event names only its first unit, so a batch's phases are
-        # keyed by that uid and hang off the root.  A launch is derived
-        # only when that uid's next state is EXECUTING: a pass whose units
-        # start in several launch groups, or whose first unit is killed
-        # while launching, names no other group's start.
-        states, launches = self._lifecycles(
-            trace, "units_state", "units_slots", t_trace_end, batch=True
-        )
-        for uid in sorted(states):
-            self._phase_spans(spans, root.uid, uid, states[uid],
-                              launches.get(uid, ()), t_trace_end)
 
     @staticmethod
     def _lifecycles(
-        trace: TraceIndex, state_name: str, slots_name: str,
-        t_trace_end: float, batch: bool = False,
-    ) -> tuple[dict[str, list[tuple[float, str]]],
+        trace: TraceIndex, t_trace_end: float,
+    ) -> tuple[dict[str, tuple[float, str]],
+               dict[str, list[tuple[float, str]]],
                dict[str, list[tuple[float, float]]]]:
-        """Per uid: the (time, state) sequence of its *state_name* events,
-        and its launch intervals, each from a *slots_name* event to the
-        uid's next state event (or the end of the trace; for *batch*
-        events, only to an ``EXECUTING`` one)."""
+        """Per unit, from the lifecycle batch events' members: its
+        creation time and pattern uid, the (time, state) sequence of its
+        state events, and its launch intervals, each from a slots event
+        to the unit's next state event (or the end of the trace)."""
+        created: dict[str, tuple[float, str]] = {}
         states: dict[str, list[tuple[float, str]]] = {}
         launching: dict[str, float] = {}
         launches: dict[str, list[tuple[float, float]]] = {}
-        for ev in trace.select(state_name, slots_name):
-            if ev.name == slots_name:
-                launching[ev.uid] = ev.time
-                continue
-            states.setdefault(ev.uid, []).append(
-                (ev.time, str(ev.attrs.get("state", "")))
-            )
-            t_launch = launching.pop(ev.uid, None)
-            if t_launch is not None and (
-                not batch or ev.attrs.get("state") == "EXECUTING"
-            ):
-                launches.setdefault(ev.uid, []).append((t_launch, ev.time))
+        for ev in trace.select(*_LIFECYCLE_NAMES):
+            name = ev.name
+            if name in _NEW_NAMES:
+                for uid, pattern in zip(member_uids(ev), member_patterns(ev)):
+                    created.setdefault(uid, (ev.time, str(pattern)))
+            elif name in _SLOTS_NAMES:
+                for uid in member_uids(ev):
+                    launching[uid] = ev.time
+            else:
+                entry = (ev.time, str(ev.attrs.get("state", "")))
+                for uid in member_uids(ev):
+                    seq = states.get(uid)
+                    if seq is None:
+                        states[uid] = [entry]
+                    else:
+                        seq.append(entry)
+                    if launching:
+                        t_launch = launching.pop(uid, None)
+                        if t_launch is not None:
+                            launches.setdefault(uid, []).append(
+                                (t_launch, ev.time)
+                            )
         for uid, t_launch in launching.items():
             launches.setdefault(uid, []).append((t_launch, t_trace_end))
-        return states, launches
+        return created, states, launches
 
     @staticmethod
     def _phase_spans(

@@ -259,6 +259,11 @@ PER_UNIT_PHASES = {
     "wide_bag_exclusion_seed1": "f78cfe960aea977d",
     "launch_groups": "59db5f44b67f2b82",
     "node_failure_while_launching": "1c1873789a2ae611",
+    # Taken from the per-unit trace of each run when batch events began
+    # naming their members, and equal to its batched trace's.
+    "bag_bulk_pilot_faults_seed0": "7d0fd2bc49e6cf4f",
+    "bag_bulk_task_faults_seed11": "6d157c26926a57e3",
+    "eop_bulk_node_faults_seed7": "74ba2a6b4ef11ed0",
 }
 
 
@@ -271,27 +276,20 @@ def _shape(span) -> tuple:
             span.attrs)
 
 
-def assert_same_tree(derived, recorded, batched: bool = False,
-                     phases: str | None = None) -> None:
+def assert_same_tree(derived, recorded, phases: str | None = None) -> None:
     """*derived* (from the run's trace) and *recorded* (from the trace
     plus the reference recordings) are one tree: every span but the
     phase and pass spans is the same span, and the recorded phase spans
-    are the derived ones.  In a *batched* trace a launch group that its
-    batch event does not lead has no derived launch span (see
-    ``test_launch_groups_of_one_pass``); no derived span is wrong.  With
-    *phases*, a per-unit run's derived phase spans are checked against
-    that pinned digest (see :data:`PER_UNIT_PHASES`) instead."""
+    are the derived ones.  With *phases*, the derived phase spans are
+    checked against that pinned digest (see :data:`PER_UNIT_PHASES`)
+    instead."""
     recorded_phases = Counter(
         _phase_key(s) for s in recorded if s.name in PHASES
     )
     derived_phases = Counter(
         _phase_key(s) for s in derived if s.name in PHASES
     )
-    if batched:
-        assert not derived_phases - recorded_phases
-        missing = recorded_phases - derived_phases
-        assert {name for name, *_ in missing} <= {"exec.launch"}
-    elif phases is not None:
+    if phases is not None:
         assert digest(phase_spans(derived, PHASES)) == phases
     else:
         assert derived_phases == recorded_phases
@@ -333,11 +331,9 @@ class _MixedBag(BagOfTasks):
 
 @pytest.mark.parametrize("granularity", ["per-unit", "batched"])
 def test_launch_groups_of_one_pass(granularity, monkeypatch):
-    """A pass that launches two durations starts two launch groups.  Per
-    unit every launch is derived (the spans pinned when the reference
-    recorded one launch per unit); a batch event names only its first
-    unit, so a batched trace derives the launch of the group that unit
-    leads, and no span the agent did not record."""
+    """A pass that launches two durations starts two launch groups, and
+    every unit's launch is derived, in either granularity: the spans
+    pinned when the reference recorded one launch per unit."""
     reference = _RecordedAgentTelemetry(monkeypatch)
     reset_id_counters()
     handle = ResourceHandle("xsede.comet", cores=32, walltime=900,
@@ -353,12 +349,8 @@ def test_launch_groups_of_one_pass(granularity, monkeypatch):
         events).build() if s.name in PHASES)
     recorded = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events + list(reference.prof)).build() if s.name in PHASES)
-    if granularity == "per-unit":
-        assert digest(sorted(derived.items())) == PER_UNIT_PHASES["launch_groups"]
-        return
-    assert not derived - recorded
-    missing = recorded - derived
-    assert missing and {name for name, *_ in missing} == {"exec.launch"}
+    assert digest(sorted(derived.items())) == PER_UNIT_PHASES["launch_groups"]
+    assert len(recorded) < len(derived)
 
 
 def not_started(events) -> dict[str, list[tuple[float, float]]]:
@@ -401,8 +393,7 @@ def check_against_reference(handle, pattern, reference,
 
     derived_tree = SpanBuilder().add_events(events).build()
     recorded_tree = SpanBuilder().add_events(recorded_trace).build()
-    assert_same_tree(derived_tree, recorded_tree,
-                     batched=handle.session.bulk_lifecycle, phases=phases)
+    assert_same_tree(derived_tree, recorded_tree, phases=phases)
     path = critical_path(derived_tree, pattern.uid)
     ref_path = critical_path(recorded_tree, pattern.uid)
     assert ([(s.t_start, s.t_end, s.component) for s in path.segments]
@@ -447,8 +438,7 @@ def test_derived_agent_telemetry_matches_recorded_reference(
     if faults in _EXERCISED:
         summary = fault_recovery_summary(handle.profile)
         assert getattr(summary, _EXERCISED[faults]) > 0
-    phases = (None if granularity == "batched"
-              else PER_UNIT_PHASES[f"{pattern_name}-{faults}-{seed}"])
+    phases = PER_UNIT_PHASES[f"{pattern_name}-{faults}-{seed}"]
     stale = check_against_reference(handle, pattern, reference, phases)
     assert bool(stale) == (faults == "pilot")
 
@@ -479,8 +469,8 @@ def test_golden_runs_imply_what_they_recorded(case, monkeypatch):
         handle.run(pattern)
     finally:
         handle.deallocate()
-    phases = None if kwargs.get("bulk_lifecycle") else PER_UNIT_PHASES[case]
-    stale = check_against_reference(handle, pattern, reference, phases)
+    stale = check_against_reference(handle, pattern, reference,
+                                    PER_UNIT_PHASES[case])
     assert bool(stale) == ("pilot_mtbf" in kwargs)
 
 
@@ -591,11 +581,9 @@ def test_node_failure_while_launching(granularity, monkeypatch):
         events).build() if s.name in PHASES)
     recorded_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events + list(reference.prof)).build() if s.name in PHASES)
-    if granularity == "per-unit":
-        assert (digest(sorted(derived_phases.items()))
-                == PER_UNIT_PHASES["node_failure_while_launching"])
-    else:
-        assert not derived_phases - recorded_phases
+    assert (digest(sorted(derived_phases.items()))
+            == PER_UNIT_PHASES["node_failure_while_launching"])
+    assert recorded_phases
 
 
 # -- trace format -------------------------------------------------------------

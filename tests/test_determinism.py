@@ -392,15 +392,21 @@ class TestGoldenTraceHashesBatched:
     so a batched trace is as deterministic as a per-unit one — node and
     pilot kills, requeues and task faults included.  Each case is pinned resident and
     spooled; the per-unit goldens above are unaffected by these.
+
+    Last re-pinned when batch events began naming their members: a
+    batched trace now derives each unit's phase spans (every launch
+    included), as the per-unit trace of the same run does
+    (``tests/test_lifecycle_granularity.py`` checks their projections
+    equal), so its Chrome export gained those spans.
     """
 
     GOLDEN = {
         "eop_bulk_node_faults_seed7":
-            "51150228d650bc91ffc446a1b744d78edc3f55e159251dc833b028b673aad820",
+            "d91c71a5664422cd962c15af2c11ea796cfe2537bdeb008be631bf03cce930ff",
         "bag_bulk_task_faults_seed11":
-            "7756d9b979fe759718ed4ee854ebe5b39aeb5ff095ea85f6312d62e5ccb5efcf",
+            "7919e5aaa016971257ef0c1fb8e25d224c407fe38e62f6e6b0b33cfcaa573da8",
         "bag_bulk_pilot_faults_seed0":
-            "079e4f70e35e0924bb8924a2b38aba9b514ac01c53c17345a4e61052ca48d79f",
+            "b32f61f3f69486a6e6849693d38a9f8e8c66fa143cc3d764879712c0b60e899a",
     }
 
     CASES = {

@@ -14,6 +14,7 @@ they must step the same DES events.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.pilot.retry import RetryPolicy
 from repro.pilot.unit import ComputeUnit
 from repro.utils.ids import reset_id_counters
 from tests.test_determinism import _sleep
+from tests.trace_projections import digest, digests, project
 
 _RETRY = RetryPolicy(
     max_attempts=10, backoff_base=2.0, backoff_factor=2.0,
@@ -93,6 +95,65 @@ SEEDS = (1, 2, 3)
 
 CASES = list(product(PATTERNS, FAULTS, SEEDS))
 
+#: Per case (``pattern-faults-seed``): the :func:`_digest` of the
+#: per-unit run, taken while sessions could still write one event per
+#: unit.
+PER_UNIT_RUNS = {
+    "eop-none-1": "7f4ceb12b6d3c6c7",
+    "eop-none-2": "87dbedb03a2fe91e",
+    "eop-none-3": "c406d07383817ed0",
+    "eop-node-1": "bec45a57c7341f9a",
+    "eop-node-2": "ec7632b1d4a12760",
+    "eop-node-3": "1f5722b9c3077dcb",
+    "eop-pilot-1": "22f0d9bf979cab71",
+    "eop-pilot-2": "bf91ac19cf8fe179",
+    "eop-pilot-3": "d963654c7aa77b5c",
+    "eop-task-1": "2743244d7a980964",
+    "eop-task-2": "727a5f187efc58bf",
+    "eop-task-3": "32ba792ce070b1e5",
+    "sal-none-1": "f8d7172d24adbf92",
+    "sal-none-2": "6a8e8c13ccd26f2e",
+    "sal-none-3": "59433a9a8c475523",
+    "sal-node-1": "3a728c7c4fbcc01e",
+    "sal-node-2": "6d5e9b033ae4d903",
+    "sal-node-3": "778d5bbd81703643",
+    "sal-pilot-1": "32754cd1978f7b38",
+    "sal-pilot-2": "d4b969fc05cd041c",
+    "sal-pilot-3": "dae33dc132734f37",
+    "sal-task-1": "69cb6d409cfb34b6",
+    "sal-task-2": "2a2abf69b0a5446c",
+    "sal-task-3": "376bb77a28082f4a",
+    "bag-none-1": "74ce08e9fbd0a8a6",
+    "bag-none-2": "8367c1e4846cd430",
+    "bag-none-3": "8e78775fed4ff786",
+    "bag-node-1": "02d19db326151045",
+    "bag-node-2": "68812077f65b351d",
+    "bag-node-3": "d33fb7283cd49fe0",
+    "bag-pilot-1": "4afa8f72dfe85caf",
+    "bag-pilot-2": "aafacb74ae8f2835",
+    "bag-pilot-3": "9acf0cbfd1445f37",
+    "bag-task-1": "15d4f270ca07ae25",
+    "bag-task-2": "432a42e50bb8193f",
+    "bag-task-3": "24a06c57784c849b",
+}
+
+#: Per ``pattern-faults`` case at the first seed: the DES events the run
+#: steps.
+DES_EVENTS = {
+    "eop-none": 13,
+    "eop-node": 627,
+    "eop-pilot": 65,
+    "eop-task": 119,
+    "sal-none": 22,
+    "sal-node": 559,
+    "sal-pilot": 74,
+    "sal-task": 92,
+    "bag-none": 10,
+    "bag-node": 603,
+    "bag-pilot": 1201,
+    "bag-task": 102,
+}
+
 
 def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
     reset_id_counters()
@@ -100,9 +161,10 @@ def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
         "xsede.comet", cores=48, walltime=900, mode="sim", seed=seed,
         bulk_lifecycle=bulk, **FAULTS[faults],
     )
+    pattern = PATTERNS[pattern_name]()
     handle.allocate()
     try:
-        handle.run(PATTERNS[pattern_name]())
+        handle.run(pattern)
         ttc = handle.session.now()
     finally:
         handle.deallocate()
@@ -113,26 +175,38 @@ def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
         units[unit.uid] = (
             unit.state, unit.attempts, dict(unit.timestamps.items())
         )
-    names = [ev.name for ev in handle.profile]
+    events = list(handle.profile)
+    names = [ev.name for ev in events]
     counts = {name: names.count(name) for name in _COUNTED}
-    return ttc, units, counts, names, handle.session.sim.events_processed
+    return SimpleNamespace(
+        ttc=ttc, units=units, counts=counts, names=names,
+        des_events=handle.session.sim.events_processed,
+        projection=project(events, pattern),
+    )
+
+
+def _digest(run) -> str:
+    """One digest of what a run decided and of its trace's projections."""
+    return digest({"ttc": run.ttc, "units": run.units, "counts": run.counts,
+                   **digests(run.projection)})
 
 
 @pytest.mark.parametrize("pattern_name,faults,seed", CASES)
 def test_batched_run_matches_per_unit_run(pattern_name, faults, seed):
-    ttc, units, counts, names, _ = _outcome(pattern_name, faults, seed, False)
-    b_ttc, b_units, b_counts, b_names, _ = _outcome(
-        pattern_name, faults, seed, True
-    )
-    assert "unit_state" in names and "unit_state" not in b_names
-    assert "units_state" in b_names and "units_state" not in names
+    run = _outcome(pattern_name, faults, seed, False)
+    batched = _outcome(pattern_name, faults, seed, True)
+    assert "unit_state" in run.names and "unit_state" not in batched.names
+    assert "units_state" in batched.names and "units_state" not in run.names
     if faults in _EXERCISED:
-        assert counts[_EXERCISED[faults]] > 0
-    assert b_ttc == ttc
-    assert b_units.keys() == units.keys()
-    for uid, outcome in units.items():
-        assert b_units[uid] == outcome, uid
-    assert b_counts == counts
+        assert run.counts[_EXERCISED[faults]] > 0
+    assert batched.ttc == run.ttc
+    assert batched.units.keys() == run.units.keys()
+    for uid, outcome in run.units.items():
+        assert batched.units[uid] == outcome, uid
+    assert batched.counts == run.counts
+    for name, value in run.projection.items():
+        assert batched.projection[name] == value, name
+    assert _digest(batched) == PER_UNIT_RUNS[f"{pattern_name}-{faults}-{seed}"]
 
 
 @pytest.mark.parametrize("pattern_name,faults", list(product(PATTERNS, FAULTS)))
@@ -140,6 +214,6 @@ def test_granularity_steps_the_same_des_events(pattern_name, faults):
     """Trace granularity is an emission policy only: a per-unit run moves
     its lists as whole batches, so it steps exactly the DES events of the
     batched run, not one set per unit."""
-    per_unit = _outcome(pattern_name, faults, SEEDS[0], False)[-1]
-    batched = _outcome(pattern_name, faults, SEEDS[0], True)[-1]
-    assert per_unit == batched
+    per_unit = _outcome(pattern_name, faults, SEEDS[0], False).des_events
+    batched = _outcome(pattern_name, faults, SEEDS[0], True).des_events
+    assert per_unit == batched == DES_EVENTS[f"{pattern_name}-{faults}"]

@@ -29,7 +29,14 @@ from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
 from repro.pilot.unit_store import WIDTH, UnitStore
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.sink import MemorySink, ProfileEvent, SpoolSink, revive
+from repro.telemetry.sink import (
+    MemorySink,
+    ProfileEvent,
+    SpoolSink,
+    expand,
+    member_uids,
+    revive,
+)
 from repro.utils.ids import reset_id_counters
 
 
@@ -207,7 +214,7 @@ class TestUnitStore:
         assert len(batch) == 1
         assert batch[0].uid == "unit.000000"
         assert batch[0].attrs["n"] == 5
-        assert batch[0].attrs["last"] == "unit.000004"
+        assert batch[0].attrs["members"] == [[0, 5]]
         assert batch[0].attrs["state"] == "UMGR_SCHEDULING"
         assert batch[0].attrs["prev"] == "NEW"
         assert all(u.state is UnitState.UMGR_SCHEDULING for u in units)
@@ -272,8 +279,27 @@ class TestUnitStore:
         store.emit("slots", list(rows), slots=WIDTH, pilot="pilot.0000")
         (state,) = bulk_session.prof.events("units_state")
         assert state.attrs["cores"] == 7 and state.attrs["n"] == 3
+        assert state.attrs["widths"] == [[1, 1], [4, 1], [2, 1]]
         (slots,) = bulk_session.prof.events("units_slots")
         assert slots.attrs["slots"] == 7
+        assert [attrs["slots"] for _, attrs in expand(slots)] == [1, 4, 2]
+
+    def test_batch_events_name_scattered_members_as_ranges(self, bulk_session):
+        """Rows that faults scatter take one range per run, in list
+        order; a contiguous list is one range and one scalar width."""
+        store = bulk_session.unit_store
+        rows = store.add_bulk([_desc(2) for _ in range(6)])
+        units = [ComputeUnit._of(store, i) for i in rows]
+        store.advance_many(units, UnitState.UMGR_SCHEDULING,
+                           pilot="pilot.0000", cores=WIDTH)
+        picked = [units[i] for i in (4, 0, 1, 2, 5)]
+        store.advance_many(picked, UnitState.CANCELED)
+        first, second = bulk_session.prof.events("units_state")
+        assert first.attrs["members"] == [[0, 6]]
+        assert first.attrs["widths"] == 2 and first.attrs["cores"] == 12
+        assert second.attrs["members"] == [[4, 1], [0, 3], [5, 1]]
+        assert second.uid == "unit.000004" and second.attrs["n"] == 5
+        assert member_uids(second) == [u.uid for u in picked]
 
     def test_advance_many_validates_every_group(self, session):
         store = session.unit_store

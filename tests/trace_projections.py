@@ -1,8 +1,9 @@
 """Order-insensitive projections of a finished run's trace.
 
 Two traces that differ only in the order of events *within one
-timestamp* have equal projections: every unit's events with their
-times, the span tree, the critical path, the Fig. 3 breakdown, the
+timestamp*, or in how the unit lifecycle's records are batched, have
+equal projections: every unit's lifecycle records with their times
+(:func:`per_unit`), the span tree, the critical path, the Fig. 3 breakdown, the
 fault summary, and every metric's value at the end of each distinct
 event time.  Tests pin the :func:`digests` of these projections, so a
 change that reorders a trace on purpose can show it changed nothing
@@ -19,11 +20,27 @@ from typing import Any
 from repro.analytics.faults import fault_recovery_summary
 from repro.core.profiler import breakdown_from_profile
 from repro.telemetry import MetricsRegistry, SpanBuilder, critical_path
-from repro.telemetry.sink import TraceIndex
+from repro.telemetry.sink import LIFECYCLE_EVENTS, ProfileEvent, TraceIndex, expand
 
-#: The unit lifecycle events of a per-unit trace.
+#: Each unit's lifecycle records, as :func:`per_unit` names them.
 STATE_EVENTS = ("unit_new", "unit_state")
 SLOT_EVENTS = ("unit_slots",)
+
+
+def per_unit(events) -> list:
+    """*events* with every lifecycle batch event replaced by one event
+    per member (``units_<kind>`` becomes ``unit_<kind>``), carrying the
+    member's own fields: the records a trace of one event per unit
+    holds."""
+    out = []
+    for ev in events:
+        if ev.name in LIFECYCLE_EVENTS:
+            name = "unit_" + ev.name[len("units_"):]
+            out.extend(ProfileEvent(ev.time, name, uid, attrs)
+                       for uid, attrs in expand(ev))
+        else:
+            out.append(ev)
+    return out
 
 
 def _event_key(ev) -> tuple:
@@ -56,12 +73,13 @@ def project(events, pattern=None) -> dict[str, Any]:
     tree = SpanBuilder().add_events(events).build()
     registry = MetricsRegistry.from_events(events)
     times = sorted({ev.time for ev in events})
+    records = per_unit(events)
     out: dict[str, Any] = {
-        "states": _by_unit(events, STATE_EVENTS),
-        "slots": _by_unit(events, SLOT_EVENTS),
+        "states": _by_unit(records, STATE_EVENTS),
+        "slots": _by_unit(records, SLOT_EVENTS),
         "events": sorted(
             (ev.time, ev.name, ev.uid, sorted(ev.attrs.items()))
-            for ev in events
+            for ev in records
         ),
         "spans": sorted(
             (s.uid, s.name, s.ref, s.t_start, s.t_end, s.parent,
