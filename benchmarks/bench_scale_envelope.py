@@ -8,8 +8,8 @@ every task completes, core accounting holds, and the toolkit overhead per
 task stays flat from 1K to 10K tasks.
 
 Beyond the paper's envelope, the *memory* envelope: with the columnar
-unit store, batched lifecycle transitions (``bulk_lifecycle=True``) and
-a trace spool file, one run sustains 10^6 units in bounded memory.  The
+unit store, a trace that writes one event per unit list and a trace
+spool file, one run sustains 10^6 units in bounded memory.  The
 ``units_1e6`` case measures exactly that (tracemalloc peak + wall time);
 the committed numbers live in ``BENCH_micro.json`` and
 ``docs/performance.md``.
@@ -107,20 +107,26 @@ class TwoStageEoP(EnsembleOfPipelines):
         return kernel
 
 
-def run_memory_envelope(n_units: int, *, bulk: bool = False,
-                        spool_dir=None, cores: int = 10_016) -> dict:
+#: Peak bytes per unit of the 10^5-unit run when its trace held one
+#: resident event per unit per transition (``BENCH_micro.json``,
+#: ``memory_envelope_resident_1e5``).
+CLASSIC_RESIDENT_BYTES_PER_UNIT = 14636.6
+
+
+def run_memory_envelope(n_units: int, *, spool_dir=None,
+                        cores: int = 10_016) -> dict:
     """One EoP run of *n_units* under tracemalloc; the envelope point.
 
     Returns peak resident bytes (the whole run: session, pattern, driver,
     trace), bytes per unit, wall seconds and the virtual TTC — which must
-    not depend on ``bulk``/``spool_dir`` (asserted by the tests below).
+    not depend on ``spool_dir`` (asserted by the tests below).
     """
     reset_id_counters()
     tracemalloc.start()
     t0 = time.perf_counter()
     handle = ResourceHandle(
         "ncsa.bluewaters", cores=cores, walltime=24 * 60, mode="sim",
-        bulk_lifecycle=bulk, spool_dir=spool_dir,
+        spool_dir=spool_dir,
     )
     handle.allocate()
     pattern = TwoStageEoP(ensemble_size=n_units // 2, pipeline_size=2)
@@ -134,7 +140,6 @@ def run_memory_envelope(n_units: int, *, bulk: bool = False,
     n_done = sum(u.state.value == "DONE" for u in pattern.units)
     return {
         "n_units": n_units,
-        "bulk": bulk,
         "spooled": spool_dir is not None,
         "peak_bytes": peak,
         "bytes_per_unit": round(peak / n_units, 1),
@@ -145,20 +150,16 @@ def run_memory_envelope(n_units: int, *, bulk: bool = False,
 
 
 def test_memory_envelope_bulk_spool_is_5x_smaller(benchmark, tmp_path):
-    """At 10^5 units, bulk+spool must cut peak bytes/unit >= 5x.
-
-    The resident run keeps the classic per-unit trace in memory — the
-    pre-columnar behaviour's closest living proxy; the envelope run
-    streams its trace and batches its transitions.  Virtual time must be
-    identical: the envelope is a representation change, not a semantic
-    one.
+    """At 10^5 units, peak bytes/unit must be >= 5x below the classic run
+    that held one trace event per unit per transition resident
+    (:data:`CLASSIC_RESIDENT_BYTES_PER_UNIT`), with the trace resident and
+    spooled alike.  Virtual time must be identical: the envelope is a
+    representation change, not a semantic one.
     """
 
     def run():
         resident = run_memory_envelope(100_000)
-        envelope = run_memory_envelope(
-            100_000, bulk=True, spool_dir=tmp_path
-        )
+        envelope = run_memory_envelope(100_000, spool_dir=tmp_path)
         return resident, envelope
 
     resident, envelope = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -167,19 +168,18 @@ def test_memory_envelope_bulk_spool_is_5x_smaller(benchmark, tmp_path):
     print("envelope:", envelope)
     assert resident["n_done"] == envelope["n_done"] == 100_000
     assert envelope["sim_ttc_s"] == resident["sim_ttc_s"]
-    assert resident["peak_bytes"] >= 5 * envelope["peak_bytes"], (
-        f"expected >=5x envelope reduction, got "
-        f"{resident['peak_bytes'] / envelope['peak_bytes']:.1f}x"
-    )
+    for record in (resident, envelope):
+        assert CLASSIC_RESIDENT_BYTES_PER_UNIT >= 5 * record["bytes_per_unit"], (
+            f"expected >=5x envelope reduction, got "
+            f"{CLASSIC_RESIDENT_BYTES_PER_UNIT / record['bytes_per_unit']:.1f}x"
+        )
 
 
 def test_units_1e6(benchmark, tmp_path):
     """The million-unit envelope: one EoP run, 10^6 units, bounded memory."""
 
     def run():
-        return run_memory_envelope(
-            1_000_000, bulk=True, spool_dir=tmp_path
-        )
+        return run_memory_envelope(1_000_000, spool_dir=tmp_path)
 
     record = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

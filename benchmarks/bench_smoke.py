@@ -18,34 +18,32 @@ the pilot state model, the batch queue and the pattern layer.
 
 ``--spool DIR`` additionally reruns the EoP case with the trace streamed
 to an NDJSON spool file in DIR (kept as a CI artifact) and gates that the
-spooled run's virtual outcome is identical, and that its per-unit spool
-holds at most ``MAX_EVENTS_PER_UNIT`` events per unit (a unit's lifecycle
+spooled run's virtual outcome is identical, and that its batch events
+name each unit at most ``MAX_EVENTS_PER_UNIT`` times (a unit's lifecycle
 is in the trace once; gauges and phase spans are derived on read).
 
 ``sched_pressure_faults`` reruns the contended mixed-width case under
 node faults with a retry policy that excludes failed nodes, so the
 scheduler's exclusion-list path is gated too.
 
-Every run gates that the per-unit ``pattern_eop`` case steps no more DES
-events than the same case with batch events (``bulk_lifecycle=True``):
-trace granularity is an emission policy only, and every lifecycle list
-moves as one batch in both, so a per-unit run that moved units one at a
-time would step several events per unit and fail here.
+Every run gates that the ``pattern_eop`` case steps exactly
+``PATTERN_EOP_DES_EVENTS`` DES events, the count both trace
+granularities stepped while a session could still write one event per
+unit: every lifecycle list moves as one batch, so a run that moved units
+one at a time would step several events per unit and fail here.
 
 ``pattern_eop_bulk_faults`` runs the EoP case on two nodes under node
-faults and a retry policy with the batched lifecycle
-(``bulk_lifecycle=True``), and gates that its virtual outcome equals the
-same faulted run with per-unit events, and that its unit store holds
-no more distinct description objects than the distinct kernel
-signatures the pattern submitted plus its task retries (units of one
-signature share one description).
+faults and a retry policy, and gates that its unit store holds no more
+distinct description objects than the distinct kernel signatures the
+pattern submitted plus its task retries (units of one signature share
+one description).  Its ``sim_ttc_s`` was pinned equal for both trace
+granularities.
 
 ``local_bag`` really runs a 200-task ``misc.sleep --duration=0`` bag on
-4 local cores, moved per unit and then batched, and fails unless both
-runs end all DONE with equal results.  It is a wall-clock run: its
-``wall_s`` (the per-unit run; ``bulk_wall_s`` the batched one) is the
-runtime's own overhead, and its ``sim_ttc_s`` is null, which ``--check``
-compares like any other value.
+4 local cores and fails unless every run ends all DONE with equal
+results.  It is a wall-clock run: its ``wall_s`` is the runtime's own
+overhead, and its ``sim_ttc_s`` is null, which ``--check`` compares
+like any other value.
 
 Usage::
 
@@ -64,8 +62,12 @@ from pathlib import Path
 
 from repro.utils.ids import reset_id_counters
 
-#: Trace events per unit the spooled per-unit EoP case may write.
+#: Times the spooled EoP case's batch events may name one unit.
 MAX_EVENTS_PER_UNIT = 10
+
+#: DES events of the ``pattern_eop`` case, as both trace granularities
+#: stepped them.
+PATTERN_EOP_DES_EVENTS = 13
 
 
 def bench_des_event_throughput() -> tuple[dict, float]:
@@ -255,18 +257,17 @@ def check_shared_descriptions(name: str, handle, pattern) -> None:
         )
 
 
-def bench_pattern_eop_faults(bulk: bool) -> tuple[dict, float]:
+def bench_pattern_eop_faults() -> tuple[dict, float]:
     """The EoP case on two nodes that fail and get repaired, with retries."""
     from repro.core.profiler import breakdown_from_profile
     from repro.pilot.retry import RetryPolicy
 
     config, handle, pattern = _run_pattern_eop(
-        size=48, cores=48, bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
+        size=48, cores=48, node_mtbf=60.0, node_repair_time=60.0,
         retry_policy=RetryPolicy(max_attempts=8),
     )
     check_shared_descriptions("pattern_eop_bulk_faults", handle, pattern)
-    config.update(bulk_lifecycle=bulk, node_mtbf=60.0, node_repair_time=60.0,
-                  max_attempts=8)
+    config.update(node_mtbf=60.0, node_repair_time=60.0, max_attempts=8)
     return config, breakdown_from_profile(handle.profile, pattern).ttc
 
 
@@ -329,20 +330,17 @@ def run_cases(repeats: int = REPEATS) -> list[dict]:
 
 
 def check_des_events() -> None:
-    """Fail unless the per-unit ``pattern_eop`` case steps at most the
-    DES events of the same case with batch events."""
-    steps = {}
-    for bulk in (False, True):
-        reset_id_counters()
-        _, handle, _ = _run_pattern_eop(bulk_lifecycle=bulk)
-        steps[bulk] = handle.session.sim.events_processed
-    if steps[False] > steps[True]:
+    """Fail unless the ``pattern_eop`` case steps exactly
+    :data:`PATTERN_EOP_DES_EVENTS` DES events."""
+    reset_id_counters()
+    _, handle, _ = _run_pattern_eop()
+    steps = handle.session.sim.events_processed
+    if steps != PATTERN_EOP_DES_EVENTS:
         raise AssertionError(
-            f"pattern_eop: the per-unit run steps {steps[False]} DES events, "
-            f"the batched run {steps[True]} (per-unit lists must move whole)"
+            f"pattern_eop: the run steps {steps} DES events, not "
+            f"{PATTERN_EOP_DES_EVENTS} (lists must move whole)"
         )
-    print(f"{'pattern_eop DES events':<28} per-unit {steps[False]}   "
-          f"batched {steps[True]}")
+    print(f"{'pattern_eop DES events':<28} {steps}")
 
 
 def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
@@ -361,32 +359,40 @@ def run_spooled_case(spool_dir: str, expected_ttc: float) -> dict:
             f"pattern_eop_spooled: sim_ttc_s {sim_ttc!r} != resident run "
             f"{expected_ttc!r} (spooling must not change outcomes)"
         )
-    from repro.telemetry.sink import read_events, unit_count
+    from repro.telemetry.sink import (
+        LIFECYCLE_EVENTS,
+        member_count,
+        read_events,
+        unit_count,
+    )
 
     spools = sorted(Path(spool_dir).glob("*.trace.jsonl"))
     events = read_events(spools[-1])
-    per_unit = len(events) / unit_count(events)
+    units = unit_count(events)
+    per_unit = sum(member_count(ev) for ev in events
+                   if ev.name in LIFECYCLE_EVENTS) / units
     if per_unit > MAX_EVENTS_PER_UNIT:
         raise AssertionError(
-            f"pattern_eop_spooled: {per_unit:.2f} trace events per unit > "
-            f"{MAX_EVENTS_PER_UNIT} (a unit fact is recorded more than once)"
+            f"pattern_eop_spooled: {per_unit:.2f} lifecycle events per unit "
+            f"> {MAX_EVENTS_PER_UNIT} (a unit fact is recorded more than once)"
         )
     record = {
         "bench": "pattern_eop_spooled",
         "config": config,
         "wall_s": round(wall, 4),
         "sim_ttc_s": sim_ttc,
-        "events_per_unit": round(per_unit, 2),
+        "events_per_unit": round(len(events) / units, 2),
+        "lifecycle_events_per_unit": round(per_unit, 2),
     }
     print(f"{'pattern_eop_spooled':<28} wall {wall:8.3f} s   "
           f"sim ttc {sim_ttc:12.3f} s   spool {spools[-1].name}   "
-          f"{per_unit:.2f} events/unit")
+          f"{len(events) / units:.2f} events/unit")
     return record
 
 
 def run_local_bag_case(repeats: int = REPEATS) -> dict:
-    """``local_bag``: a no-staging bag that really runs, per unit and
-    batched; both runs must end all DONE with equal results."""
+    """``local_bag``: a no-staging bag that really runs; every run must
+    end all DONE with equal results."""
     from repro.core.kernel_plugin import Kernel
     from repro.core.patterns import BagOfTasks
     from repro.core.resource_handle import ResourceHandle
@@ -398,64 +404,48 @@ def run_local_bag_case(repeats: int = REPEATS) -> dict:
             return kernel
 
     size, cores = 200, 4
-    walls: dict[bool, float] = {}
-    outcomes: dict[bool, list] = {}
-    for bulk in (False, True):
-        walls[bulk] = float("inf")
-        for _ in range(repeats):
-            reset_id_counters()
-            handle = ResourceHandle(
-                "local.localhost", cores=cores, walltime=10, mode="local",
-                bulk_lifecycle=bulk,
-            )
-            handle.allocate()
-            pattern = SleepBag(size=size)
-            try:
-                t0 = time.perf_counter()
-                handle.run(pattern)
-                walls[bulk] = min(walls[bulk], time.perf_counter() - t0)
-            finally:
-                handle.deallocate()
-            outcome = sorted(
-                (u.description.tags["instance"], u.state.value, u.result)
-                for u in pattern.units
-            )
-            if any(state != "DONE" for _, state, _ in outcome):
-                raise AssertionError("local_bag: a unit did not end DONE")
-            outcomes[bulk] = outcome
-    if outcomes[True] != outcomes[False]:
-        raise AssertionError(
-            "local_bag: the batched run's results differ from the per-unit "
-            "run's (batching must not change outcomes)"
+    wall = float("inf")
+    outcomes = []
+    for _ in range(repeats):
+        reset_id_counters()
+        handle = ResourceHandle(
+            "local.localhost", cores=cores, walltime=10, mode="local",
         )
-    print(f"{'local_bag':<28} wall {walls[False]:8.3f} s   "
-          f"batched {walls[True]:8.3f} s   (wall-clock run, no sim ttc)")
+        handle.allocate()
+        pattern = SleepBag(size=size)
+        try:
+            t0 = time.perf_counter()
+            handle.run(pattern)
+            wall = min(wall, time.perf_counter() - t0)
+        finally:
+            handle.deallocate()
+        outcome = sorted(
+            (u.description.tags["instance"], u.state.value, u.result)
+            for u in pattern.units
+        )
+        if any(state != "DONE" for _, state, _ in outcome):
+            raise AssertionError("local_bag: a unit did not end DONE")
+        outcomes.append(outcome)
+    if any(outcome != outcomes[0] for outcome in outcomes):
+        raise AssertionError("local_bag: the runs' results differ")
+    print(f"{'local_bag':<28} wall {wall:8.3f} s   "
+          f"(wall-clock run, no sim ttc)")
     return {
         "bench": "local_bag",
         "config": {"tasks": size, "cores": cores, "mode": "local"},
-        "wall_s": round(walls[False], 4),
-        "bulk_wall_s": round(walls[True], 4),
+        "wall_s": round(wall, 4),
         "sim_ttc_s": None,
     }
 
 
 def run_bulk_faults_case() -> dict:
-    """``pattern_eop_bulk_faults``: the faulted EoP case, batched.
-
-    Batching is a trace-granularity policy, not a second lifecycle: the
-    virtual outcome must equal the per-unit run of the same case.
-    """
-    reset_id_counters()
-    _, per_unit_ttc = bench_pattern_eop_faults(bulk=False)
+    """``pattern_eop_bulk_faults``: the faulted EoP case (``--check``
+    gates its virtual outcome, pinned equal for both trace
+    granularities)."""
     reset_id_counters()
     t0 = time.perf_counter()
-    config, sim_ttc = bench_pattern_eop_faults(bulk=True)
+    config, sim_ttc = bench_pattern_eop_faults()
     wall = time.perf_counter() - t0
-    if sim_ttc != per_unit_ttc:
-        raise AssertionError(
-            f"pattern_eop_bulk_faults: sim_ttc_s {sim_ttc!r} != per-unit run "
-            f"{per_unit_ttc!r} (batching must not change outcomes)"
-        )
     print(f"{'pattern_eop_bulk_faults':<28} wall {wall:8.3f} s   "
           f"sim ttc {sim_ttc:12.3f} s")
     return {

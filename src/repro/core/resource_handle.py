@@ -15,6 +15,7 @@ Example::
 
 from __future__ import annotations
 
+import warnings
 from typing import TYPE_CHECKING
 
 from repro.core.drivers.registry import get_driver_class
@@ -65,11 +66,13 @@ class ResourceHandle:
         node/pilot failures.
     agent_policy, slot_strategy:
         Agent scheduling knobs (see :class:`repro.pilot.agent.Agent`).
-    spool_dir, bulk_lifecycle:
-        Trace knobs: stream the trace to an NDJSON spool file, and pick
-        its granularity.  Every session moves unit lists whole; the flag
-        only picks one ``units_*`` trace event per list instead of one
-        ``unit_*`` event per unit (see :class:`repro.pilot.session.Session`).
+    spool_dir:
+        Stream the trace to an NDJSON spool file (see
+        :class:`repro.pilot.session.Session`).
+    bulk_lifecycle:
+        Ignored, with a :class:`DeprecationWarning`.  It used to pick the
+        trace granularity; every trace now writes one event per unit
+        list, naming its members.
     overheads:
         EnTK client-side cost model used under simulation.
     """
@@ -95,7 +98,7 @@ class ResourceHandle:
         slot_strategy: str = "scattered",
         sandbox=None,
         spool_dir=None,
-        bulk_lifecycle: bool = False,
+        bulk_lifecycle: bool | None = None,
         overheads: EnTKOverheadModel | None = None,
     ) -> None:
         self.resource = resource
@@ -117,7 +120,12 @@ class ResourceHandle:
         self.slot_strategy = slot_strategy
         self.sandbox = sandbox
         self.spool_dir = spool_dir
-        self.bulk_lifecycle = bulk_lifecycle
+        if bulk_lifecycle is not None:
+            warnings.warn(
+                "ResourceHandle(bulk_lifecycle=...) is ignored: every trace "
+                "writes one event per unit list",
+                DeprecationWarning, stacklevel=2,
+            )
         self.overheads = overheads or EnTKOverheadModel()
 
         self.session: Session | None = None
@@ -170,7 +178,6 @@ class ResourceHandle:
             max_pilot_resubmits=self.max_pilot_resubmits,
             retry_policy=self.retry_policy,
             spool_dir=self.spool_dir,
-            bulk_lifecycle=self.bulk_lifecycle,
         )
         prof = self.session.prof
         prof.event("entk_init_start", self.session.uid)

@@ -74,22 +74,6 @@ class Session:
         in the trace in both cases: ``session.metrics`` keeps running
         aggregates, and ``MetricsRegistry.from_events(session.prof)``
         reads the points.
-    bulk_lifecycle:
-        Trace granularity of the one unit lifecycle.
-        Every lifecycle stage takes a list of units and moves it whole
-        (when simulated, with one DES event per homogeneous group); this
-        flag only picks how the
-        :class:`~repro.pilot.unit_store.UnitStore` writes a list.  By
-        default it writes one per-unit ``unit_*`` event per unit, the
-        events every published figure is built from; when true, one
-        ``units_new``/``units_state``/``units_slots`` event per list.
-        Virtual time and the DES events stepped are the same either way,
-        fault injection included: launch groups take per-unit fault
-        draws and kills.  A local run ends with the same states and
-        results either way.  (``UnitStore.advance``,
-        ``SimExecutor.launch`` and ``SimStager.stage_in``/``stage_out``
-        are single-unit adapters kept for the repository benchmark's
-        call counters; the lifecycle itself never calls them.)
     """
 
     def __init__(
@@ -106,7 +90,6 @@ class Session:
         max_pilot_resubmits: int = 0,
         retry_policy: RetryPolicy | None = None,
         spool_dir: str | Path | None = None,
-        bulk_lifecycle: bool = False,
     ) -> None:
         if mode not in ("local", "sim"):
             raise ConfigurationError(f"unknown session mode {mode!r}")
@@ -155,7 +138,6 @@ class Session:
                 self.sandbox.mkdir(parents=True, exist_ok=True)
                 self._own_sandbox = False
 
-        self.bulk_lifecycle = bulk_lifecycle
         self.spool_path: Path | None = None
         sink = None
         if spool_dir is not None:

@@ -12,17 +12,18 @@ them.  :class:`~repro.pilot.unit.ComputeUnit` is a two-word view over
 one row, so the public unit API is unchanged.
 
 One write path serves every session.  Each lifecycle call takes a list
-of units (``add_bulk``/``advance_many``) and moves it whole, and the
-store alone decides how that list shows up in the trace — the *emission
-policy*, applied by :meth:`UnitStore.emit`: under
-``Session(bulk_lifecycle=True)`` a list is one ``units_*`` event
-carrying ``n`` and ``last``; otherwise it is expanded into one per-unit
-``unit_new``/``unit_state``/``unit_slots`` event per row, in list order.
-A field passed as :data:`WIDTH` is filled in by the store from its
-``cores`` column: the list's total on a batch event, the row's own
-width on a per-unit one.
+of units (``add_bulk``/``advance_many``) and moves it whole, and
+:meth:`UnitStore.emit` writes the list to the trace as one
+``units_new``/``units_state``/``units_slots`` event, however long the
+list.  The event names its members as run-length ranges of uid serials
+(``members``); a contiguous list is one range, encoded in O(1).  A
+field passed as :data:`WIDTH` is filled in by the store from its
+``cores`` column with the list's total, and the event's ``widths``
+holds each unit's own; ``pattern`` holds each unit's pattern tag.  So
+every per-unit fact is in the trace, and readers recover it with
+:func:`repro.telemetry.sink.expand` (see that module for the format).
 
-Each row is in the trace once per transition: :meth:`UnitStore.add_bulk`
+Each row is named in the trace once per transition: :meth:`UnitStore.add_bulk`
 emits the ``new`` event, and every state event names the state it left
 (``prev``) as well as the one it entered (``state``).  The
 ``units.<STATE>`` gauges are not recorded; ``MetricsRegistry.from_events``
@@ -61,7 +62,7 @@ from math import isnan, nan
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.pilot.states import UnitState, validate_unit_edge
-from repro.telemetry.sink import runs, serial_runs
+from repro.telemetry.sink import NEW, SLOTS, STATE, runs, serial_runs
 from repro.utils.ids import reserve_id_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,15 +75,12 @@ __all__ = ["WIDTH", "UnitDescription", "UnitStore", "UnitTimestamps"]
 _STATES: list[UnitState] = list(UnitState)
 _STATE_INDEX: dict[UnitState, int] = {s: i for i, s in enumerate(_STATES)}
 
-#: Lifecycle event kind -> (per-unit name, batch name); see :meth:`UnitStore.emit`.
-_EVENT_NAMES = {
-    kind: (f"unit_{kind}", f"units_{kind}") for kind in ("new", "state", "slots")
-}
+#: Lifecycle event kind -> its event name; see :meth:`UnitStore.emit`.
+_EVENT_NAMES = {"new": NEW, "state": STATE, "slots": SLOTS}
 
 #: An event field value that :meth:`UnitStore.emit` replaces with the
-#: cores of the event's units: their total on a batch event, the row's
-#: own on a per-unit one (``cores`` on state events, ``slots`` on slot
-#: events).
+#: total cores of the event's units (``cores`` on state events, ``slots``
+#: on slot events); the event's ``widths`` holds each unit's own.
 WIDTH: Any = object()
 
 _UID_WIDTH = 6
@@ -184,9 +182,6 @@ class UnitStore:
 
     def __init__(self, session: Any) -> None:
         self._session = session
-        #: The emission policy: one ``units_*`` event per lifecycle list
-        #: instead of one ``unit_*`` event per unit (see :meth:`emit`).
-        self.bulk = session.bulk_lifecycle
         # One coarse lock replaces the historical per-unit locks: the
         # only concurrent writers are local-mode executor threads, and
         # they contend for the profiler's single lock anyway.
@@ -291,40 +286,28 @@ class UnitStore:
             codes.append(code)
             values.append(tuple(row_tags.values()))
 
-    # -- emission policy ----------------------------------------------------
+    # -- trace emission -----------------------------------------------------
 
     def emit(self, kind: str, rows: Sequence[int], **fields: Any) -> None:
         """Record the lifecycle event of *kind* (``new``, ``state``,
-        ``slots``) for the units in *rows*: one batch event naming its
-        members (see :mod:`repro.telemetry.lifecycle`) in a bulk session,
-        else one per-unit event per row.  A field given as :data:`WIDTH`
-        carries the units' cores.  *rows* given as a ``range`` is one
-        contiguous run, whose members encode in O(1)."""
-        per_unit, batch = _EVENT_NAMES[kind]
-        prof = self._session.prof
-        if self.bulk:
-            widths = None
-            for key, value in fields.items():
-                if value is WIDTH:
-                    if widths is None:
-                        cores = self.cores_of(rows)
-                        total, widths = sum(cores), runs(cores)
-                    fields[key] = total
-            if widths is not None:
-                fields["widths"] = widths
-            prof.event(batch, self.uid(rows[0]), **fields, n=len(rows),
-                       members=self._members(rows))
-            return
-        widths = [key for key, value in fields.items() if value is WIDTH]
-        patterns = (
-            iter(self.tag_values(rows, "pattern", "")) if kind == "new" else None
+        ``slots``) for the units in *rows*: one ``units_<kind>`` event
+        that names them (see :mod:`repro.telemetry.sink`).  A field given
+        as :data:`WIDTH` carries the units' total cores, and ``widths``
+        each unit's own.  *rows* given as a ``range`` is one contiguous
+        run, whose members encode in O(1)."""
+        widths = None
+        for key, value in fields.items():
+            if value is WIDTH:
+                if widths is None:
+                    cores = self.cores_of(rows)
+                    total, widths = sum(cores), runs(cores)
+                fields[key] = total
+        if widths is not None:
+            fields["widths"] = widths
+        self._session.prof.event(
+            _EVENT_NAMES[kind], self.uid(rows[0]), **fields, n=len(rows),
+            members=self._members(rows),
         )
-        for i in rows:
-            for key in widths:
-                fields[key] = self._cores[i]
-            if patterns is not None:
-                fields["pattern"] = next(patterns)
-            prof.event(per_unit, self.uid(i), **fields)
 
     def _members(self, rows: Sequence[int]) -> list[list[int]]:
         """The uid serials of *rows* as run-length ``[first, count]``

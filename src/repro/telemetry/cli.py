@@ -3,9 +3,10 @@
 Operates on the files written by ``Profiler.write_jsonl`` (and the
 harness's ``--trace-out``).  Subcommands:
 
-``summarize PATH``       event/span/metric overview of one trace: events
-                         per unit, spans by name, each metric series
-                         marked ``recorded`` or ``derived``
+``summarize PATH``       event/span/metric overview of one trace:
+                         lifecycle events per unit, spans by name (every
+                         unit's phase spans among them), each metric
+                         series marked ``recorded`` or ``derived``
 ``export PATH -o OUT``   render Chrome trace-event JSON for Perfetto
 ``critical-path PATH``   the blocking-activity tiling of the TTC window
 
@@ -26,7 +27,13 @@ from pathlib import Path
 from repro.telemetry.analysis import critical_path
 from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.sink import ProfileEvent, read_events, unit_count
+from repro.telemetry.sink import (
+    LIFECYCLE_EVENTS,
+    ProfileEvent,
+    member_count,
+    read_events,
+    unit_count,
+)
 from repro.telemetry.span import SpanBuilder, component_of
 
 __all__ = ["add_trace_arguments", "run_trace"]
@@ -83,7 +90,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     print(f"trace    : {args.trace}")
     print(f"events   : {len(events)}")
     if units:
-        print(f"units    : {units} ({len(events) / units:.2f} events/unit)")
+        # Per unit: the lifecycle events that name it, each batch read
+        # once per member.
+        records = sum(member_count(ev) for ev in events
+                      if ev.name in LIFECYCLE_EVENTS)
+        print(f"units    : {units} ({records / units:.2f} lifecycle "
+              f"events/unit)")
     print(f"spans    : {len(tree)}")
     print(f"window   : [{tree.root.t_start:.3f}, {tree.root.t_end:.3f}] s "
           f"({tree.root.duration:.3f} s)")

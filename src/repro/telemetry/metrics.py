@@ -15,18 +15,18 @@ and every point read goes through :meth:`MetricsRegistry.from_events`,
 which rebuilds resident series from a trace or a spool file.
 
 ``from_events`` also derives gauges from the lifecycle events instead
-of reading recorded points, folded in time order (``n`` is 1 for
-per-unit events; no batch event is ever decoded per uid):
+of reading recorded points, folded in time order.  Each lifecycle batch
+event moves its ``n`` members and the total ``cores``/``slots`` it
+carries at once; no batch is decoded per member:
 
 * ``units.<STATE>`` (units currently in each lifecycle state): ``+n``
-  to ``units.NEW`` per ``unit_new``/``units_new`` event, and ``-n`` to
-  ``units.<prev>``, ``+n`` to ``units.<state>`` per
-  ``unit_state``/``units_state`` event.  Only when every state event
+  to ``units.NEW`` per ``units_new`` event, and ``-n`` to
+  ``units.<prev>``, ``+n`` to ``units.<state>`` per ``units_state``
+  event.  Only when every state event
   carries ``prev``, so a trace written before state events carried
   ``prev`` reads exactly as it was recorded.
 * ``agent.<pilot>.queue_depth``, ``cores_held`` and ``cores_busy``
-  from the events that carry ``pilot``: a ``unit_slots``/``units_slots``
-  event moves ``n`` units out of the queue and holds ``slots`` cores; a
+  from the events that carry ``pilot``: a ``units_slots`` event moves ``n`` units out of the queue and holds ``slots`` cores; a
   state event entering ``AGENT_SCHEDULING`` queues ``n`` units, one
   entering ``EXECUTING`` makes its ``cores`` busy, one leaving
   ``EXECUTING`` releases its ``cores`` (busy and held), and any other
@@ -228,9 +228,9 @@ class MetricsRegistry:
                     kind = str(attrs.get("kind", "gauge"))
                     series = recorded[uid] = MetricSeries(name=uid, kind=kind)
                 series._push(time, float(attrs.get("value", 0.0)))
-            elif name == NEW or name == "unit_new":
+            elif name == NEW:
                 moves.append((time, "units.NEW", member_count(event)))
-            elif name == STATE or name == "unit_state":
+            elif name == STATE:
                 n = member_count(event)
                 prev, state = attrs.get("prev"), attrs.get("state")
                 derivable = derivable and prev is not None
@@ -240,7 +240,7 @@ class MetricsRegistry:
                 if pilot is not None:
                     _agent_moves(agent_moves, time, f"agent.{pilot}.", n,
                                  prev, state, attrs.get("cores"))
-            elif name == SLOTS or name == "unit_slots":
+            elif name == SLOTS:
                 gauge = f"agent.{attrs.get('pilot')}."
                 agent_moves.append(
                     (time, gauge + "queue_depth", -member_count(event))

@@ -271,7 +271,7 @@ def unit_count(events: Iterable[Any]) -> int:
     """Units a trace registers: the members of its ``units_new`` events
     (events duck-typed on ``name``/``attrs``)."""
     return sum(
-        member_count(ev) for ev in events if ev.name in (NEW, "unit_new")
+        member_count(ev) for ev in events if ev.name == NEW
     )
 
 

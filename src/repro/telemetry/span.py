@@ -6,13 +6,15 @@ parent span and free-form attributes.  Two sources produce spans:
 
 * **derived** — :class:`SpanBuilder` reconstructs the span tree from the
   flat profiler trace: the paired ``entk_*`` client events, the pilot
-  lifecycle events, and each unit's ``unit_state`` sequence (every
+  lifecycle events, and each unit's state sequence, read from the
+  members of the ``units_state`` batch events that name it (every
   interval between consecutive state entries becomes one
   ``unit:<STATE>`` phase span).  The agent's phases are derived from
   the same sequence: ``agent.stage_in`` and ``agent.stage_out`` span
   the ``AGENT_STAGING_INPUT`` and ``AGENT_STAGING_OUTPUT`` states, and
-  ``exec.launch`` spans from the unit's ``unit_slots`` event to its next
-  state (``EXECUTING``, unless the unit is killed while launching);
+  ``exec.launch`` spans from the ``units_slots`` event that names the
+  unit to its next state (``EXECUTING``, unless the unit is killed while
+  launching), in whichever launch group the unit starts;
 * **explicit** — :class:`Tracer` emits ``span_open``/``span_close``
   event pairs from instrumented code (``with tracer.span(...)``), with
   causal parenthood tracked on a per-thread stack.  Only work that no
@@ -68,9 +70,6 @@ _STAGING_PHASES = {
 }
 _LAUNCH_SPAN_NAME = "exec.launch"
 _PHASE_SPAN_NAMES = frozenset({*_STAGING_PHASES.values(), _LAUNCH_SPAN_NAME})
-_LIFECYCLE_NAMES = (*LIFECYCLE_EVENTS, "unit_new", "unit_state", "unit_slots")
-_NEW_NAMES = (NEW, "unit_new")
-_SLOTS_NAMES = (SLOTS, "unit_slots")
 
 
 #: The attributes of every span that has none: one shared, read-only
@@ -456,12 +455,12 @@ class SpanBuilder:
         states: dict[str, list[tuple[float, str]]] = {}
         launching: dict[str, float] = {}
         launches: dict[str, list[tuple[float, float]]] = {}
-        for ev in trace.select(*_LIFECYCLE_NAMES):
+        for ev in trace.select(*LIFECYCLE_EVENTS):
             name = ev.name
-            if name in _NEW_NAMES:
+            if name == NEW:
                 for uid, pattern in zip(member_uids(ev), member_patterns(ev)):
                     created.setdefault(uid, (ev.time, str(pattern)))
-            elif name in _SLOTS_NAMES:
+            elif name == SLOTS:
                 for uid in member_uids(ev):
                     launching[uid] = ev.time
             else:

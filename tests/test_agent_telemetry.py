@@ -13,8 +13,8 @@ the phase spans from the state intervals.
 * **Reference differential.**  The former emitters are kept below as
   wrappers that record into a trace of their own.  On real runs (EoP,
   SAL and bag patterns, without faults and with node, pilot and task
-  faults, per-unit and batched, resident and spooled) the run's trace
-  read alone must give what the run's trace plus the reference
+  faults, resident and spooled, the trace read as written and as one
+  batch of one per unit) the run's trace read alone must give what the run's trace plus the reference
   recordings gives: the same span tree, with each recorded phase span
   matched by a derived one on (name, ref, start, end); the same
   critical path, breakdown and fault summary; and each metric's value
@@ -23,17 +23,17 @@ the phase spans from the state intervals.
   scheduling passes of a started agent, so they differ from the derived
   ones in exactly two places, both intended: after a cancel, until the
   next pass (``TestStaleQueueDepth``), and while an agent is not
-  started, e.g. while its pilot is down after a pilot fault.  A batched
-  trace names only a batch's first unit, so it derives no launch span
-  for a launch group that unit does not lead
-  (``test_launch_groups_of_one_pass``).
+  started, e.g. while its pilot is down after a pilot fault.  Batch
+  events name their members, so every unit's launch is derived, in
+  whichever launch group it starts (``test_launch_groups_of_one_pass``).
 * **Trace format.**  A trace from before this change (recorded gauges,
   explicit phase spans, no ``pilot``/``cores`` on state events) reads as
   recorded: the same series, span tree and Chrome bytes as before, in
   either event order.  The same trace in the new format derives the
   same series and the same phase spans.
-* **Trace size.**  A classic unit writes at most 10 events, no agent
-  metric point and no span other than the four explicit ones.
+* **Trace size.**  A classic unit is named by at most 10 lifecycle
+  records, with no agent metric point and no span other than the four
+  explicit ones, and a run writes fewer events than it has units.
 """
 
 from __future__ import annotations
@@ -61,14 +61,14 @@ from repro.telemetry import (
     chrome_trace,
     critical_path,
 )
-from repro.telemetry.sink import TraceIndex
+from repro.telemetry.sink import TraceIndex, unit_count
 from repro.utils.ids import reset_id_counters
 from tests.test_analysis_differential import _EXERCISED, CASES, FAULTS, PATTERNS
 from tests import test_determinism
 from tests.test_determinism import _sleep
 from tests.test_telemetry import revived
 from tests.test_unit_gauges import _trace
-from tests.trace_projections import digest, phase_spans
+from tests.trace_projections import digest, one_per_unit, per_unit, phase_spans
 
 #: The spans the agent no longer records, and the ones it never needed.
 PHASES = ("agent.stage_in", "exec.launch", "agent.stage_out")
@@ -267,6 +267,13 @@ PER_UNIT_PHASES = {
 }
 
 
+def _read(events, granularity: str) -> list:
+    """*events* as a test's *granularity* reads them: as written
+    (``batched``), or as one batch of one per unit (``per-unit``, the
+    trace a writer of one event per unit would have written)."""
+    return events if granularity == "batched" else one_per_unit(events)
+
+
 def _phase_key(span) -> tuple:
     return (span.name, span.ref, span.t_start, span.t_end)
 
@@ -332,19 +339,19 @@ class _MixedBag(BagOfTasks):
 @pytest.mark.parametrize("granularity", ["per-unit", "batched"])
 def test_launch_groups_of_one_pass(granularity, monkeypatch):
     """A pass that launches two durations starts two launch groups, and
-    every unit's launch is derived, in either granularity: the spans
-    pinned when the reference recorded one launch per unit."""
+    every unit's launch is derived, whether the trace is read as it is
+    (``batched``) or as one batch of one per unit (``per-unit``): the
+    spans pinned when the reference recorded one launch per unit."""
     reference = _RecordedAgentTelemetry(monkeypatch)
     reset_id_counters()
     handle = ResourceHandle("xsede.comet", cores=32, walltime=900,
-                            mode="sim", seed=1,
-                            bulk_lifecycle=granularity == "batched")
+                            mode="sim", seed=1)
     handle.allocate()
     try:
         handle.run(_MixedBag(size=40))
     finally:
         handle.deallocate()
-    events = list(handle.profile)
+    events = _read(list(handle.profile), granularity)
     derived = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events).build() if s.name in PHASES)
     recorded = Counter(_phase_key(s) for s in SpanBuilder().add_events(
@@ -372,22 +379,24 @@ def not_started(events) -> dict[str, list[tuple[float, float]]]:
 
 
 def check_against_reference(handle, pattern, reference,
-                            phases: str | None = None) -> list:
+                            phases: str | None = None,
+                            granularity: str = "batched") -> list:
     """Everything *handle*'s finished run implies, read from its trace
-    alone, equals what its trace plus *reference*'s recordings implies
-    (a per-unit run's phase spans: the pinned *phases*, see
-    :func:`assert_same_tree`).  Returns the points where the recorded
-    gauges were stale."""
-    events = list(handle.profile)
+    alone (as *granularity* reads it, see :func:`_read`), equals what
+    its trace plus *reference*'s recordings implies (the phase spans:
+    the pinned *phases*, see :func:`assert_same_tree`).  Returns the
+    points where the recorded gauges were stale."""
+    events = _read(list(handle.profile), granularity)
+    trace = TraceIndex(events)
     assert not any(ev.name == "metric" and ev.uid.startswith("agent.")
                    for ev in events)
     assert {ev.attrs["span"] for ev in events
             if ev.name == "span_open"} <= EXPLICIT
     recorded_trace = events + list(reference.prof)
 
-    assert (fault_recovery_summary(handle.profile).as_dict()
+    assert (fault_recovery_summary(trace).as_dict()
             == fault_recovery_summary(TraceIndex(recorded_trace)).as_dict())
-    assert (breakdown_from_profile(handle.profile, pattern).as_dict()
+    assert (breakdown_from_profile(trace, pattern).as_dict()
             == breakdown_from_profile(TraceIndex(recorded_trace),
                                       pattern).as_dict())
 
@@ -427,7 +436,7 @@ def test_derived_agent_telemetry_matches_recorded_reference(
     spool = {"spool_dir": tmp_path} if sink == "spool" else {}
     handle = ResourceHandle(
         "xsede.comet", cores=32, walltime=900, mode="sim", seed=seed,
-        bulk_lifecycle=granularity == "batched", **FAULTS[faults], **spool,
+        **FAULTS[faults], **spool,
     )
     handle.allocate()
     pattern = PATTERNS[pattern_name]()
@@ -439,14 +448,15 @@ def test_derived_agent_telemetry_matches_recorded_reference(
         summary = fault_recovery_summary(handle.profile)
         assert getattr(summary, _EXERCISED[faults]) > 0
     phases = PER_UNIT_PHASES[f"{pattern_name}-{faults}-{seed}"]
-    stale = check_against_reference(handle, pattern, reference, phases)
+    stale = check_against_reference(handle, pattern, reference, phases,
+                                    granularity)
     assert bool(stale) == (faults == "pilot")
 
 
 #: The runs ``tests/test_determinism.py`` pins the Chrome export of, as
 #: (pattern factory, handle keywords).
 GOLDEN_RUNS = {
-    **{name: (make, dict(kwargs, bulk_lifecycle=True))
+    **{name: (make, kwargs)
        for name, (make, kwargs, _)
        in test_determinism.TestGoldenTraceHashesBatched.CASES.items()},
     **test_determinism.GOLDEN_RUNS,
@@ -545,7 +555,6 @@ def test_node_failure_while_launching(granularity, monkeypatch):
     reference = _RecordedAgentTelemetry(monkeypatch)
     reset_id_counters()
     session = Session(mode="sim", platform="xsede.comet",
-                      bulk_lifecycle=granularity == "batched",
                       retry_policy=RetryPolicy(max_attempts=3))
     pilot = PilotManager(session).submit_pilots(ComputePilotDescription(
         resource="xsede.comet", cores=72, runtime=600, mode="sim",
@@ -572,7 +581,7 @@ def test_node_failure_while_launching(granularity, monkeypatch):
     assert derived.series(gauge + "queue_depth").value_at(now) == 0
     session.run_events()
     assert all(u.state is UnitState.DONE for u in units)
-    events = list(session.prof)
+    events = _read(list(session.prof), granularity)
     derived = MetricsRegistry.from_events(events)
     recorded = MetricsRegistry.from_events(events + list(reference.sampled))
     times = sorted({ev.time for ev in events})
@@ -631,7 +640,7 @@ def _agent_trace(old_format: bool) -> list[dict]:
 
     schedule(1.5)  # agent_start
     for ev in list(events):
-        if ev["name"] != "unit_state":
+        if ev["name"] != "units_state":
             continue
         time, uid, state = ev["time"], ev["uid"], ev["state"]
         if state == "AGENT_STAGING_INPUT":
@@ -643,7 +652,7 @@ def _agent_trace(old_format: bool) -> list[dict]:
             depth += 1
             schedule(time)
             slotted = _SLOTTED[uid]
-            events.append({"time": slotted, "name": "unit_slots", "uid": uid,
+            events.append({"time": slotted, "name": "units_slots", "uid": uid,
                            "slots": 1, "pilot": _PILOT})
             span(slotted, "exec.launch", uid)
             depth, held = depth - 1, held + 1
@@ -734,8 +743,10 @@ class _SleepBag(BagOfTasks):
 
 
 def _per_unit_events(events) -> Counter:
-    """Events per unit: the unit's own events plus the span pairs that
-    name it as their entity."""
+    """Events per unit: the lifecycle records that name the unit (each
+    batch event read once per member) plus the span pairs that name it
+    as their entity."""
+    events = per_unit(events)
     units = {ev.uid for ev in events if ev.name == "unit_new"}
     spans = {ev.uid: ev.attrs.get("ref") for ev in events
              if ev.name == "span_open"}
@@ -748,7 +759,7 @@ def _per_unit_events(events) -> Counter:
 
 
 def _assert_diet(events) -> None:
-    units = sum(1 for ev in events if ev.name == "unit_new")
+    units = unit_count(events)
     per_unit = _per_unit_events(events)
     assert units and len(per_unit) == units
     assert max(per_unit.values()) <= 10
@@ -765,8 +776,8 @@ class TestTraceDiet:
         events = trace(lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
                        seed=7)
         _assert_diet(events)
-        units = sum(1 for ev in events if ev.name == "unit_new")
-        assert len(events) / units <= 10
+        units = unit_count(events)
+        assert len(events) / units <= 1
         assert set(_per_unit_events(events).values()) == {8}
 
     def test_local_bag(self, local_handle):

@@ -13,7 +13,8 @@ behavior, as the executable specification, and both are run on real
 traces: EoP, SAL and bag-of-tasks patterns, fault-free and with node,
 pilot and task faults, with resident and spooled traces.  The reference
 builder also derives the agent's phase spans (stage-in, launch,
-stage-out) from the state intervals, as a full scan per unit.
+stage-out) from the state intervals, as a full scan per unit over the
+trace with every lifecycle batch expanded to one record per member.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.telemetry import SpanBuilder, critical_path
 from repro.telemetry.span import Span, SpanTree
 from repro.utils.ids import reset_id_counters
 from tests.test_determinism import _sleep
+from tests.trace_projections import per_unit
 
 
 # -- reference implementation (one profiler query per figure) ----------------
@@ -289,6 +291,7 @@ class _ReferenceSpanBuilder(SpanBuilder):
             ev.name == "span_open" and ev.attrs.get("span") in _REF_PHASES
             for ev in events
         )
+        events = per_unit(events)
         created: dict[str, tuple[float, str]] = {}
         states: dict[str, list[tuple[float, str]]] = {}
         for ev in events:
@@ -318,20 +321,13 @@ class _ReferenceSpanBuilder(SpanBuilder):
                                   ref=uid)
             if phases:
                 self._ref_phase_spans(events, spans, uid, container.uid,
-                                      "unit_state", "unit_slots", t_trace_end)
-        if phases:
-            leaders = sorted({ev.uid for ev in events
-                              if ev.name == "units_state"})
-            for uid in leaders:
-                self._ref_phase_spans(events, spans, uid, root.uid,
-                                      "units_state", "units_slots",
                                       t_trace_end)
 
     @staticmethod
-    def _ref_phase_spans(events, spans, uid, parent, state_name, slots_name,
-                         t_trace_end):
+    def _ref_phase_spans(events, spans, uid, parent, t_trace_end):
+        state_name = "unit_state"
         mine = [ev for ev in events
-                if ev.uid == uid and ev.name in (state_name, slots_name)]
+                if ev.uid == uid and ev.name in (state_name, "unit_slots")]
 
         def next_state(i):
             return next((ev for ev in mine[i + 1:] if ev.name == state_name),
@@ -345,8 +341,7 @@ class _ReferenceSpanBuilder(SpanBuilder):
                 name = _REF_STAGING.get(ev.attrs.get("state"))
                 if name is not None:
                     staging.append((name, ev.time, t_end))
-            elif (after is None or state_name == "unit_state"
-                  or after.attrs.get("state") == "EXECUTING"):
+            else:
                 launches.append(("exec.launch", ev.time, t_end))
         counts: dict[str, int] = {}
         for name, t0, t1 in staging + launches:

@@ -99,7 +99,7 @@ class TestConcurrentExecution:
         try:
             handle.run(composite)
             last_done = max(
-                event.time for event in handle.profile.events("unit_state")
+                event.time for event in handle.profile.events("units_state")
                 if event.attrs["state"] == "DONE"
             )
             (stop,) = handle.profile.events("entk_pattern_stop", composite.uid)

@@ -16,6 +16,7 @@ from repro.core.patterns import (
 )
 from repro.exceptions import PatternError
 from repro.pilot.states import UnitState
+from repro.telemetry.sink import member_patterns
 
 
 def sleep_kernel(duration=0.0) -> Kernel:
@@ -233,8 +234,8 @@ class TestPipelineDriver:
         assert {u.description.tags["pattern"] for u in pattern.units} == {
             pattern.uid
         }
-        assert {ev.attrs["pattern"]
-                for ev in handle.profile.events("unit_new")} == {pattern.uid}
+        assert {pattern_uid for ev in handle.profile.events("units_new")
+                for pattern_uid in member_patterns(ev)} == {pattern.uid}
 
 
 # ---------------------------------------------------------------------------

@@ -410,24 +410,22 @@ def test_cached_binds_match_plain_binds_over_a_run(
 
     monkeypatch.setattr(PatternDriver, "_bind", checked_bind)
     monkeypatch.setattr(PatternDriver, "submit", checked_submit)
-    for bulk in (False, True):  # per-unit, then batched
-        plain_of.clear(), signatures.clear(), bind_calls.clear()
-        handle = sim_handle_factory(bulk_lifecycle=bulk)
-        pattern = make_pattern()
-        handle.run(pattern)
-        platform = handle.platform
-        assert pattern.units
-        assert set(plain_of) == set(pattern.units)
-        for unit in pattern.units:
-            plain = plain_of[unit]
-            assert _view(unit.description, platform) == _view(plain, platform)
-        # One cached bind per distinct signature, beside the plain ones,
-        # and one shared description object per signature.
-        assert len(bind_calls) == len(plain_of) + len(signatures)
-        assert len(signatures) < len(pattern.units)
-        store = handle.session.unit_store
-        shared = {id(store.shared_description(u._i)) for u in pattern.units}
-        assert len(shared) == len(signatures)
+    handle = sim_handle_factory()
+    pattern = make_pattern()
+    handle.run(pattern)
+    platform = handle.platform
+    assert pattern.units
+    assert set(plain_of) == set(pattern.units)
+    for unit in pattern.units:
+        plain = plain_of[unit]
+        assert _view(unit.description, platform) == _view(plain, platform)
+    # One cached bind per distinct signature, beside the plain ones,
+    # and one shared description object per signature.
+    assert len(bind_calls) == len(plain_of) + len(signatures)
+    assert len(signatures) < len(pattern.units)
+    store = handle.session.unit_store
+    shared = {id(store.shared_description(u._i)) for u in pattern.units}
+    assert len(shared) == len(signatures)
 
 
 def test_bulk_eop_run_holds_one_description_and_plugin_per_kernel(
@@ -445,7 +443,7 @@ def test_bulk_eop_run_holds_one_description_and_plugin_per_kernel(
         def stage_2(self, instance):
             return _sleep_kernel(10)
 
-    handle = sim_handle_factory(bulk_lifecycle=True)
+    handle = sim_handle_factory()
     pattern = TwoKernels(ensemble_size=40, pipeline_size=2)
     handle.run(pattern)
     store = handle.session.unit_store

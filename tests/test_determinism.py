@@ -386,12 +386,11 @@ class TestGoldenTraceHashes:
 
 
 class TestGoldenTraceHashesBatched:
-    """Pinned digests of batched (``bulk_lifecycle=True``) runs with faults.
+    """Pinned digests of three more runs with faults, resident and spooled.
 
-    Batching is a trace-granularity policy over the one unit lifecycle,
-    so a batched trace is as deterministic as a per-unit one — node and
-    pilot kills, requeues and task faults included.  Each case is pinned resident and
-    spooled; the per-unit goldens above are unaffected by these.
+    These runs were pinned while batch events were a trace option
+    (``bulk_lifecycle=True``); every trace is batched now.  Node and
+    pilot kills, requeues and task faults replay exactly.
 
     Last re-pinned when batch events began naming their members: a
     batched trace now derives each unit's phase spans (every launch
@@ -432,7 +431,7 @@ class TestGoldenTraceHashesBatched:
         make, kwargs, fault_event = self.CASES[case]
         if spooled:
             kwargs = dict(kwargs, spool_dir=tmp_path)
-        events = trace(make, bulk_lifecycle=True, **kwargs)
+        events = trace(make, **kwargs)
         names = {ev.name for ev in events}
         assert fault_event in names and "units_state" in names
         assert TestGoldenTraceHashes._digest(events) == self.GOLDEN[case]

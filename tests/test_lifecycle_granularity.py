@@ -1,14 +1,23 @@
-"""Differential test: trace granularity must not change what a run does.
+"""Differential test: batching the trace must not change what a run does.
 
-There is one unit lifecycle, and every stage moves its whole list.
-``Session(bulk_lifecycle=True)`` only changes how the
-:class:`~repro.pilot.unit_store.UnitStore` writes a list to the trace
-(one ``units_*`` event instead of one ``unit_*`` event per unit).  So a
-per-unit run and a batched run of the same seeded workload must agree
-on everything the simulation decides: TTC, every unit's final state,
-attempt count and state timestamps, and how often the fault machinery
-fired — with node, pilot and task faults as much as without any — and
-they must step the same DES events.
+There is one unit lifecycle, and every stage moves its whole list.  The
+:class:`~repro.pilot.unit_store.UnitStore` writes each list as one
+``units_*`` event that names its members.  Until batch events named
+their members, a session could instead write one ``unit_*`` event per
+unit; on every case here (EoP, SAL and bag patterns, without faults and
+with node, pilot and task faults, three seeds) the batched trace's
+projections (:mod:`tests.trace_projections`) were checked equal to that
+per-unit trace's, and the per-unit run was pinned:
+
+* :data:`PER_UNIT_RUNS` holds the digest of what each per-unit run
+  decided (TTC, every unit's final state, attempt count and state
+  timestamps, how often the fault machinery fired) and of its trace's
+  projections.  Today's run must give the same digest.
+* :data:`DES_EVENTS` holds the DES events each case stepped in both
+  granularities, equal then because both moved lists whole.
+
+The trace read as one batch of one per member (the trace a per-unit
+writer would write, in the one format) must project the same too.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from repro.pilot.retry import RetryPolicy
 from repro.pilot.unit import ComputeUnit
 from repro.utils.ids import reset_id_counters
 from tests.test_determinism import _sleep
-from tests.trace_projections import digest, digests, project
+from tests.trace_projections import digest, digests, one_per_unit, project
 
 _RETRY = RetryPolicy(
     max_attempts=10, backoff_base=2.0, backoff_factor=2.0,
@@ -97,7 +106,7 @@ CASES = list(product(PATTERNS, FAULTS, SEEDS))
 
 #: Per case (``pattern-faults-seed``): the :func:`_digest` of the
 #: per-unit run, taken while sessions could still write one event per
-#: unit.
+#: unit (and equal to the batched run's then).
 PER_UNIT_RUNS = {
     "eop-none-1": "7f4ceb12b6d3c6c7",
     "eop-none-2": "87dbedb03a2fe91e",
@@ -137,8 +146,8 @@ PER_UNIT_RUNS = {
     "bag-task-3": "24a06c57784c849b",
 }
 
-#: Per ``pattern-faults`` case at the first seed: the DES events the run
-#: steps.
+#: Per ``pattern-faults`` case at the first seed: the DES events both
+#: granularities stepped.
 DES_EVENTS = {
     "eop-none": 13,
     "eop-node": 627,
@@ -155,11 +164,11 @@ DES_EVENTS = {
 }
 
 
-def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
+def _outcome(pattern_name: str, faults: str, seed: int):
     reset_id_counters()
     handle = ResourceHandle(
         "xsede.comet", cores=48, walltime=900, mode="sim", seed=seed,
-        bulk_lifecycle=bulk, **FAULTS[faults],
+        **FAULTS[faults],
     )
     pattern = PATTERNS[pattern_name]()
     handle.allocate()
@@ -179,8 +188,8 @@ def _outcome(pattern_name: str, faults: str, seed: int, bulk: bool):
     names = [ev.name for ev in events]
     counts = {name: names.count(name) for name in _COUNTED}
     return SimpleNamespace(
-        ttc=ttc, units=units, counts=counts, names=names,
-        des_events=handle.session.sim.events_processed,
+        ttc=ttc, units=units, counts=counts, names=names, events=events,
+        pattern=pattern, des_events=handle.session.sim.events_processed,
         projection=project(events, pattern),
     )
 
@@ -193,27 +202,19 @@ def _digest(run) -> str:
 
 @pytest.mark.parametrize("pattern_name,faults,seed", CASES)
 def test_batched_run_matches_per_unit_run(pattern_name, faults, seed):
-    run = _outcome(pattern_name, faults, seed, False)
-    batched = _outcome(pattern_name, faults, seed, True)
-    assert "unit_state" in run.names and "unit_state" not in batched.names
-    assert "units_state" in batched.names and "units_state" not in run.names
+    run = _outcome(pattern_name, faults, seed)
+    assert "units_state" in run.names
     if faults in _EXERCISED:
         assert run.counts[_EXERCISED[faults]] > 0
-    assert batched.ttc == run.ttc
-    assert batched.units.keys() == run.units.keys()
-    for uid, outcome in run.units.items():
-        assert batched.units[uid] == outcome, uid
-    assert batched.counts == run.counts
+    assert _digest(run) == PER_UNIT_RUNS[f"{pattern_name}-{faults}-{seed}"]
+    split = project(one_per_unit(run.events), run.pattern)
     for name, value in run.projection.items():
-        assert batched.projection[name] == value, name
-    assert _digest(batched) == PER_UNIT_RUNS[f"{pattern_name}-{faults}-{seed}"]
+        assert split[name] == value, name
 
 
 @pytest.mark.parametrize("pattern_name,faults", list(product(PATTERNS, FAULTS)))
 def test_granularity_steps_the_same_des_events(pattern_name, faults):
-    """Trace granularity is an emission policy only: a per-unit run moves
-    its lists as whole batches, so it steps exactly the DES events of the
-    batched run, not one set per unit."""
-    per_unit = _outcome(pattern_name, faults, SEEDS[0], False).des_events
-    batched = _outcome(pattern_name, faults, SEEDS[0], True).des_events
-    assert per_unit == batched == DES_EVENTS[f"{pattern_name}-{faults}"]
+    """Lists move whole, so a run steps the DES events pinned when both
+    trace granularities stepped them, not one set per unit."""
+    run = _outcome(pattern_name, faults, SEEDS[0])
+    assert run.des_events == DES_EVENTS[f"{pattern_name}-{faults}"]

@@ -345,8 +345,9 @@ class TestSimRuntime:
         pmgr.cancel_pilots()
         session.close()
 
-    @pytest.mark.parametrize("bulk", [False, True])
-    def test_too_wide_task_registers_none_of_its_batch(self, bulk):
+    @pytest.mark.parametrize("spooled", [False, True])
+    def test_too_wide_task_registers_none_of_its_batch(self, spooled,
+                                                       tmp_path):
         from repro.core.kernel_plugin import Kernel
         from repro.core.patterns import BagOfTasks
         from repro.core.resource_handle import ResourceHandle
@@ -361,7 +362,8 @@ class TestSimRuntime:
                 return kernel
 
         handle = ResourceHandle("xsede.comet", cores=24, walltime=60,
-                                mode="sim", bulk_lifecycle=bulk)
+                                mode="sim",
+                                spool_dir=tmp_path if spooled else None)
         handle.allocate()
         try:
             with pytest.raises(SchedulingError, match="64-core"):

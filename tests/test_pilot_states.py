@@ -160,6 +160,6 @@ class TestComputeUnitEntity:
     def test_profiler_records_state_events(self):
         session, unit = self.make_unit()
         unit.advance(UnitState.UMGR_SCHEDULING)
-        events = session.prof.events("unit_state", unit.uid)
+        events = session.prof.events("units_state", unit.uid)
         assert [e.attrs["state"] for e in events] == ["UMGR_SCHEDULING"]
         session.close()

@@ -47,28 +47,28 @@ def synthetic_trace() -> list[dict]:
         {"time": 2.2, "name": "entk_stage_create_stop", "uid": "p1", "n": 2},
         {"time": 2.2, "name": "entk_pattern_overhead", "uid": "p1",
          "seconds": 0.8, "n": 2},
-        {"time": 2.2, "name": "unit_new", "uid": "u1", "pattern": "p1"},
-        {"time": 2.25, "name": "unit_new", "uid": "u2", "pattern": "p1"},
-        {"time": 2.3, "name": "unit_state", "uid": "u1",
+        {"time": 2.2, "name": "units_new", "uid": "u1", "pattern": "p1"},
+        {"time": 2.25, "name": "units_new", "uid": "u2", "pattern": "p1"},
+        {"time": 2.3, "name": "units_state", "uid": "u1",
          "state": "UMGR_SCHEDULING"},
-        {"time": 2.35, "name": "unit_state", "uid": "u2",
+        {"time": 2.35, "name": "units_state", "uid": "u2",
          "state": "UMGR_SCHEDULING"},
-        {"time": 4.0, "name": "unit_state", "uid": "u1",
+        {"time": 4.0, "name": "units_state", "uid": "u1",
          "state": "AGENT_STAGING_INPUT"},
-        {"time": 4.1, "name": "unit_state", "uid": "u2",
+        {"time": 4.1, "name": "units_state", "uid": "u2",
          "state": "AGENT_STAGING_INPUT"},
-        {"time": 5.0, "name": "unit_state", "uid": "u1",
+        {"time": 5.0, "name": "units_state", "uid": "u1",
          "state": "AGENT_SCHEDULING"},
-        {"time": 5.1, "name": "unit_state", "uid": "u2",
+        {"time": 5.1, "name": "units_state", "uid": "u2",
          "state": "AGENT_SCHEDULING"},
-        {"time": 6.0, "name": "unit_state", "uid": "u1", "state": "EXECUTING"},
-        {"time": 6.1, "name": "unit_state", "uid": "u2", "state": "EXECUTING"},
-        {"time": 46.0, "name": "unit_state", "uid": "u1",
+        {"time": 6.0, "name": "units_state", "uid": "u1", "state": "EXECUTING"},
+        {"time": 6.1, "name": "units_state", "uid": "u2", "state": "EXECUTING"},
+        {"time": 46.0, "name": "units_state", "uid": "u1",
          "state": "AGENT_STAGING_OUTPUT"},
-        {"time": 46.5, "name": "unit_state", "uid": "u2",
+        {"time": 46.5, "name": "units_state", "uid": "u2",
          "state": "AGENT_STAGING_OUTPUT"},
-        {"time": 47.0, "name": "unit_state", "uid": "u1", "state": "DONE"},
-        {"time": 47.5, "name": "unit_state", "uid": "u2", "state": "DONE"},
+        {"time": 47.0, "name": "units_state", "uid": "u1", "state": "DONE"},
+        {"time": 47.5, "name": "units_state", "uid": "u2", "state": "DONE"},
         {"time": 48.0, "name": "entk_pattern_stop", "uid": "p1"},
         {"time": 50.0, "name": "agent_stop", "uid": "pilot.1"},
         {"time": 50.0, "name": "entk_cancel_start", "uid": "sess"},
@@ -348,10 +348,10 @@ class TestCriticalPath:
             # Charge overlapping execution: execution wins the overlap.
             {"time": 2.0, "name": "entk_pattern_overhead", "uid": "p",
              "seconds": 4.0},
-            {"time": 0.0, "name": "unit_new", "uid": "u", "pattern": "p"},
-            {"time": 3.0, "name": "unit_state", "uid": "u",
+            {"time": 0.0, "name": "units_new", "uid": "u", "pattern": "p"},
+            {"time": 3.0, "name": "units_state", "uid": "u",
              "state": "EXECUTING"},
-            {"time": 9.0, "name": "unit_state", "uid": "u", "state": "DONE"},
+            {"time": 9.0, "name": "units_state", "uid": "u", "state": "DONE"},
             {"time": 11.0, "name": "entk_pattern_stop", "uid": "p"},
             {"time": 11.0, "name": "session_close", "uid": "s"},
         ]

@@ -29,6 +29,7 @@ from repro.telemetry import (
     reconcile_with_breakdown,
     write_chrome_trace,
 )
+from repro.telemetry.sink import LIFECYCLE_EVENTS, member_count, unit_count
 from repro.utils.ids import reset_id_counters
 
 
@@ -234,11 +235,13 @@ class TestTraceCliOnRealDump:
 
         _, profile = eop_run
         events = list(profile)
-        units = sum(ev.name == "unit_new" for ev in events)
+        units = unit_count(events)
+        records = sum(member_count(ev) for ev in events
+                      if ev.name in LIFECYCLE_EVENTS)
         assert main(["trace", "summarize", str(dump)]) == 0
         out = capsys.readouterr().out
-        assert (f"units    : {units} ({len(events) / units:.2f} events/unit)"
-                in out.splitlines())
+        assert (f"units    : {units} ({records / units:.2f} lifecycle "
+                f"events/unit)" in out.splitlines())
         sources = out[out.index("metric series (source):"):
                       out.index("\nmetrics (")].splitlines()[1:]
         sources = dict(line.split() for line in sources if line)

@@ -10,12 +10,12 @@ into the gauges.  Two checks here:
   ``add_bulk`` and the ``units.<prev> -= n`` / ``units.<state> += n``
   pair after every state event, into a registry of its own.  On real
   runs (EoP, SAL and bag patterns, without faults and with node, pilot
-  and task faults, per-unit and batched) the derived series must equal
-  the recorded ones point for point, and each gauge must end at the
-  number of units the store holds in that state.  The wrapper records
-  once per moved list, so a per-unit run, which moves whole lists but
-  writes one event per unit, is checked at the end of every distinct
-  event time against values pinned when it moved one unit at a time.
+  and task faults) the derived series must equal the recorded ones
+  point for point, and each gauge must end at the number of units the
+  store holds in that state.  Read as it is (``batched``) and as one
+  batch of one per unit (``per-unit``, the trace a per-unit writer
+  wrote), the trace must give, at the end of every distinct event time,
+  the values pinned when per-unit sessions moved one unit at a time.
 * **Trace format.**  A trace written before state events carried
   ``prev`` (recorded ``units.*`` points) reads exactly as it did: the
   same series, the same Chrome counters and the same ``repro trace
@@ -39,7 +39,7 @@ from repro.telemetry import MetricsRegistry, chrome_trace, write_chrome_trace
 from repro.utils.ids import reset_id_counters
 from tests.test_lifecycle_granularity import _EXERCISED, FAULTS, PATTERNS
 from tests.test_telemetry import revived, synthetic_trace
-from tests.trace_projections import digest
+from tests.trace_projections import digest, one_per_unit
 
 
 # -- reference: the store's former gauge emitter ------------------------------
@@ -137,7 +137,7 @@ def test_derived_gauges_match_recorded_reference(
     reset_id_counters()
     handle = ResourceHandle(
         "xsede.comet", cores=48, walltime=900, mode="sim", seed=1,
-        bulk_lifecycle=granularity == "batched", **FAULTS[faults],
+        **FAULTS[faults],
     )
     handle.allocate()
     try:
@@ -155,12 +155,14 @@ def test_derived_gauges_match_recorded_reference(
     derived = MetricsRegistry.from_events(events)
     recorded = MetricsRegistry.from_events(reference.prof)
     assert _unit_series(recorded)
+    assert _unit_series(derived) == _unit_series(recorded)
     if granularity == "per-unit":
-        times = sorted({ev.time for ev in events})
-        assert (digest(_unit_values(derived, times))
-                == PER_UNIT_VALUES[f"{pattern_name}-{faults}"])
-    else:
-        assert _unit_series(derived) == _unit_series(recorded)
+        # Read as one batch of one per unit, the trace derives the values
+        # a per-unit trace did.
+        derived = MetricsRegistry.from_events(one_per_unit(events))
+    times = sorted({ev.time for ev in events})
+    assert (digest(_unit_values(derived, times))
+            == PER_UNIT_VALUES[f"{pattern_name}-{faults}"])
 
     store = handle.session.unit_store
     for state in UnitState:
@@ -203,14 +205,14 @@ def _trace(old_format: bool) -> list[dict]:
                        "value": float(counts[name]), "kind": "gauge"})
 
     for event in synthetic_trace():
-        if event["name"] == "unit_state" and not old_format:
+        if event["name"] == "units_state" and not old_format:
             event = dict(event, prev=state[event["uid"]])
         events.append(event)
-        if event["name"] == "unit_new":
+        if event["name"] == "units_new":
             state[event["uid"]] = "NEW"
             if old_format:
                 point(event["time"], "NEW", 1)
-        elif event["name"] == "unit_state":
+        elif event["name"] == "units_state":
             if old_format:
                 point(event["time"], state[event["uid"]], -1)
                 point(event["time"], event["state"], 1)
@@ -272,18 +274,18 @@ class TestTraceFormat:
 
     def test_one_state_event_without_prev_disables_derivation(self):
         events = _trace(old_format=False)
-        first = next(ev for ev in events if ev["name"] == "unit_state")
+        first = next(ev for ev in events if ev["name"] == "units_state")
         del first["prev"]
         assert MetricsRegistry.from_events(revived(events)).names() == ["depth"]
 
     def test_batch_events_move_n_units(self):
         events = [
-            {"time": 1.0, "name": "units_new", "uid": "u1", "n": 3,
-             "last": "u3"},
-            {"time": 2.0, "name": "units_state", "uid": "u1", "n": 2,
-             "last": "u2", "state": "UMGR_SCHEDULING", "prev": "NEW"},
-            {"time": 3.0, "name": "unit_state", "uid": "u3",
-             "state": "CANCELED", "prev": "NEW"},
+            {"time": 1.0, "name": "units_new", "uid": "unit.000001", "n": 3,
+             "members": [[1, 3]]},
+            {"time": 2.0, "name": "units_state", "uid": "unit.000001", "n": 2,
+             "members": [[1, 2]], "state": "UMGR_SCHEDULING", "prev": "NEW"},
+            {"time": 3.0, "name": "units_state", "uid": "unit.000003",
+             "n": 1, "members": [[3, 1]], "state": "CANCELED", "prev": "NEW"},
         ]
         registry = MetricsRegistry.from_events(revived(events))
         assert registry.series("units.NEW").points == [

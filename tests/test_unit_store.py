@@ -7,9 +7,9 @@ Three layers under test:
 * :mod:`repro.telemetry.sink` — the spillable event sinks the profiler
   writes through, and metrics that keep running aggregates live while
   their points live only in the trace;
-* ``Session(bulk_lifecycle=True)`` — batched submission and state
-  transitions, which must leave virtual time untouched relative to the
-  classic per-unit path.
+* the one trace format — every lifecycle list is one batch event that
+  names its members; virtual time must equal what the per-unit trace
+  format's runs gave (pinned below from when both formats existed).
 """
 
 import json
@@ -38,19 +38,13 @@ from repro.telemetry.sink import (
     revive,
 )
 from repro.utils.ids import reset_id_counters
+from tests.trace_projections import per_unit
 
 
 @pytest.fixture
 def session():
     reset_id_counters()
     with Session(mode="sim", platform="xsede.comet") as s:
-        yield s
-
-
-@pytest.fixture
-def bulk_session():
-    reset_id_counters()
-    with Session(mode="sim", platform="xsede.comet", bulk_lifecycle=True) as s:
         yield s
 
 
@@ -200,8 +194,7 @@ class TestUnitStore:
             ("shared", ["unit.000001"]), ("extra", "unit.000001"), "notify",
         ]
 
-    def test_advance_many_emits_one_batch_event_per_group(self, bulk_session):
-        session = bulk_session
+    def test_advance_many_emits_one_batch_event_per_group(self, session):
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(5)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -221,8 +214,7 @@ class TestUnitStore:
         gauges = MetricsRegistry.from_events(session.prof)
         assert gauges.series("units.UMGR_SCHEDULING").last == 5
 
-    def test_advance_many_groups_by_current_state(self, bulk_session):
-        session = bulk_session
+    def test_advance_many_groups_by_current_state(self, session):
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(4)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -239,9 +231,10 @@ class TestUnitStore:
         assert all(u.state is UnitState.CANCELED for u in units)
 
     def test_per_unit_session_expands_a_list_per_row(self, session):
-        """A per-unit session moves the list whole but writes one event
-        per row, each with that row's own width and pattern tag; a bulk
-        session writes one event with the list's total width."""
+        """A list moves whole and is one event per transition, and
+        :func:`expand` reads each one back as one record per row, with
+        that row's own width and pattern tag: what one event per unit
+        carried."""
         store = session.unit_store
         rows = store.add_bulk(
             [_desc(1), _desc(4), _desc(2)],
@@ -251,50 +244,53 @@ class TestUnitStore:
         store.advance_many(units, UnitState.UMGR_SCHEDULING,
                            pilot="pilot.0000", cores=WIDTH)
         store.emit("slots", list(rows), slots=WIDTH, pilot="pilot.0000")
-        events = session.prof.events()
-        assert not any(ev.name.startswith("units_") for ev in events)
+        events = [ev for ev in session.prof.events()
+                  if ev.name.startswith("unit")]
+        assert [ev.name for ev in events] == [
+            "units_new", "units_state", "units_slots",
+        ]
+        new, state, slots = events
+        assert new.attrs["pattern"] == [["p.a", 1], ["p.b", 1], ["p.a", 1]]
         uids = ["unit.000000", "unit.000001", "unit.000002"]
-        new = [ev for ev in events if ev.name == "unit_new"]
-        assert [(ev.uid, ev.attrs["pattern"]) for ev in new] == list(
-            zip(uids, ["p.a", "p.b", "p.a"])
-        )
-        state = [ev for ev in events if ev.name == "unit_state"]
-        assert [(ev.uid, ev.attrs) for ev in state] == [
+        assert expand(new) == [
+            (uid, {"pattern": pattern})
+            for uid, pattern in zip(uids, ["p.a", "p.b", "p.a"])
+        ]
+        assert expand(state) == [
             (uid, {"state": "UMGR_SCHEDULING", "prev": "NEW",
                    "pilot": "pilot.0000", "cores": cores})
             for uid, cores in zip(uids, [1, 4, 2])
         ]
-        slots = [ev for ev in events if ev.name == "unit_slots"]
-        assert [(ev.uid, ev.attrs) for ev in slots] == [
+        assert expand(slots) == [
             (uid, {"slots": cores, "pilot": "pilot.0000"})
             for uid, cores in zip(uids, [1, 4, 2])
         ]
 
-    def test_bulk_session_puts_the_list_width_on_its_event(self, bulk_session):
-        store = bulk_session.unit_store
+    def test_session_puts_the_list_width_on_its_event(self, session):
+        store = session.unit_store
         rows = store.add_bulk([_desc(1), _desc(4), _desc(2)])
         units = [ComputeUnit._of(store, i) for i in rows]
         store.advance_many(units, UnitState.UMGR_SCHEDULING,
                            pilot="pilot.0000", cores=WIDTH)
         store.emit("slots", list(rows), slots=WIDTH, pilot="pilot.0000")
-        (state,) = bulk_session.prof.events("units_state")
+        (state,) = session.prof.events("units_state")
         assert state.attrs["cores"] == 7 and state.attrs["n"] == 3
         assert state.attrs["widths"] == [[1, 1], [4, 1], [2, 1]]
-        (slots,) = bulk_session.prof.events("units_slots")
+        (slots,) = session.prof.events("units_slots")
         assert slots.attrs["slots"] == 7
         assert [attrs["slots"] for _, attrs in expand(slots)] == [1, 4, 2]
 
-    def test_batch_events_name_scattered_members_as_ranges(self, bulk_session):
+    def test_batch_events_name_scattered_members_as_ranges(self, session):
         """Rows that faults scatter take one range per run, in list
         order; a contiguous list is one range and one scalar width."""
-        store = bulk_session.unit_store
+        store = session.unit_store
         rows = store.add_bulk([_desc(2) for _ in range(6)])
         units = [ComputeUnit._of(store, i) for i in rows]
         store.advance_many(units, UnitState.UMGR_SCHEDULING,
                            pilot="pilot.0000", cores=WIDTH)
         picked = [units[i] for i in (4, 0, 1, 2, 5)]
         store.advance_many(picked, UnitState.CANCELED)
-        first, second = bulk_session.prof.events("units_state")
+        first, second = session.prof.events("units_state")
         assert first.attrs["members"] == [[0, 6]]
         assert first.attrs["widths"] == 2 and first.attrs["cores"] == 12
         assert second.attrs["members"] == [[4, 1], [0, 3], [5, 1]]
@@ -317,10 +313,10 @@ class TestSinks:
         assert isinstance(session.prof.sink, MemorySink)
 
     def test_profile_event_row_round_trip(self):
-        ev = ProfileEvent(1.5, "unit_state", "unit.000001",
+        ev = ProfileEvent(1.5, "units_state", "unit.000001",
                           {"state": "EXECUTING", "n": 3})
         row = ev.row()
-        assert row == {"time": 1.5, "name": "unit_state",
+        assert row == {"time": 1.5, "name": "units_state",
                        "uid": "unit.000001", "state": "EXECUTING", "n": 3}
         assert revive(dict(row)) == ev
 
@@ -420,6 +416,11 @@ class TwoStage(EnsembleOfPipelines):
         return _sleep(20)
 
 
+#: Virtual TTC of :func:`_run` by pipeline count, as the per-unit trace
+#: format's runs gave it.
+CLASSIC_TTC = {48: 123.57711577453571, 100: 224.32422051090327}
+
+
 def _run(n=48, **handle_kwargs):
     reset_id_counters()
     handle = ResourceHandle(
@@ -436,8 +437,9 @@ def _run(n=48, **handle_kwargs):
 
 
 class TestBulkLifecycle:
-    @pytest.mark.parametrize("bulk", [False, True])
-    def test_add_callback_sees_every_state_of_a_run(self, monkeypatch, bulk):
+    @pytest.mark.parametrize("spooled", [False, True])
+    def test_add_callback_sees_every_state_of_a_run(self, monkeypatch,
+                                                    spooled, tmp_path):
         seen: dict[str, list[UnitState]] = {}
         shared: list[tuple[str, UnitState]] = []
         attach = UnitStore.set_group_callbacks
@@ -457,7 +459,7 @@ class TestBulkLifecycle:
                 )
 
         monkeypatch.setattr(UnitStore, "set_group_callbacks", attach_and_watch)
-        _, pattern, _ = _run(n=8, bulk_lifecycle=bulk)
+        _, pattern, _ = _run(n=8, spool_dir=tmp_path if spooled else None)
         assert len(seen) == len(pattern.units) == 16
         assert all(states == [
             UnitState.UMGR_SCHEDULING, UnitState.AGENT_STAGING_INPUT,
@@ -469,27 +471,22 @@ class TestBulkLifecycle:
         )
 
     def test_bulk_run_matches_classic_virtual_time(self):
-        _, classic_pattern, classic_ttc = _run()
-        handle, pattern, ttc = _run(bulk_lifecycle=True)
-        assert ttc == classic_ttc
-        assert len(pattern.units) == len(classic_pattern.units)
+        handle, pattern, ttc = _run()
+        assert ttc == CLASSIC_TTC[48]
+        assert len(pattern.units) == 96
         assert all(u.state is UnitState.DONE for u in pattern.units)
 
     def test_bulk_run_emits_batch_events(self):
-        handle, _, _ = _run(bulk_lifecycle=True)
-        names = [ev.name for ev in handle.profile]
-        assert "units_new" in names
-        assert "units_state" in names
-        assert "units_slots" in names
-        assert "unit_new" not in names
-        assert "unit_state" not in names
+        handle, _, _ = _run()
+        names = {ev.name for ev in handle.profile}
+        assert {"units_new", "units_state", "units_slots"} <= names
+        assert not {"unit_new", "unit_state", "unit_slots"} & names
 
     def test_bulk_trace_is_much_smaller(self):
-        classic_handle, _, _ = _run()
-        bulk_handle, _, _ = _run(bulk_lifecycle=True)
-        assert len(list(bulk_handle.profile)) * 5 < len(
-            list(classic_handle.profile)
-        )
+        """Five times fewer events than one per unit per transition."""
+        handle, _, _ = _run()
+        events = list(handle.profile)
+        assert len(events) * 5 < len(per_unit(events))
 
     def test_bulk_matches_classic_when_wave_mixes_stages(self):
         """Regression: a scheduling pass that launches stage-1 leftovers
@@ -499,17 +496,15 @@ class TestBulkLifecycle:
         scheduled the last group's completion — one group finished
         twice (an illegal DONE -> AGENT_STAGING_OUTPUT edge) and the
         other never finished.  100 pipelines on 32 cores hits a mixed
-        wave; bulk must match classic exactly."""
-        _, classic_pattern, classic_ttc = _run(n=100)
-        handle, pattern, ttc = _run(n=100, bulk_lifecycle=True)
-        assert ttc == classic_ttc
+        wave; the run must match the classic one exactly."""
+        handle, pattern, ttc = _run(n=100)
+        assert ttc == CLASSIC_TTC[100]
         assert all(u.state is UnitState.DONE for u in pattern.units)
-        assert len(pattern.units) == len(classic_pattern.units) == 200
+        assert len(pattern.units) == 200
 
     def test_bulk_with_spool_matches_too(self, tmp_path):
-        _, _, classic_ttc = _run()
-        handle, pattern, ttc = _run(bulk_lifecycle=True, spool_dir=tmp_path)
-        assert ttc == classic_ttc
+        handle, pattern, ttc = _run(spool_dir=tmp_path)
+        assert ttc == CLASSIC_TTC[48]
         assert all(u.state is UnitState.DONE for u in pattern.units)
         assert handle.session.spool_path.exists()
 
@@ -519,21 +514,27 @@ class TestBulkLifecycle:
     ], ids=["bag64", "staged_eop16x2"])
     def test_local_batched_run_matches_per_unit_run(self, tmp_path,
                                                     make_pattern):
-        # Wall times differ between the runs; outcomes must not.
-        per_unit = _local_outcome(make_pattern(), tmp_path / "per_unit")
-        batched = _local_outcome(make_pattern(), tmp_path / "batched",
-                                 bulk_lifecycle=True)
-        assert batched == per_unit
-        assert all(state is UnitState.DONE for _, state, *_ in per_unit)
+        """A local run's batch events, read back one record per unit,
+        name every state each unit entered (checked in
+        :func:`_local_outcome`), and a spooled run ends the same (wall
+        times differ between the runs; outcomes must not)."""
+        resident = _local_outcome(make_pattern(), tmp_path / "resident")
+        spooled = _local_outcome(make_pattern(), tmp_path / "spooled",
+                                 spool_dir=tmp_path / "spool")
+        assert spooled == resident
+        assert all(state is UnitState.DONE for _, state, *_ in resident)
 
     @pytest.mark.parametrize("bulk", [False, True], ids=["per-unit", "batched"])
     def test_local_staging_failure_fails_only_its_unit(self, tmp_path, bulk):
         """A unit whose input is missing fails alone: the rest of the
-        list it was submitted with still runs."""
-        handle = ResourceHandle(
-            "local.localhost", cores=4, walltime=10, mode="local",
-            sandbox=tmp_path, bulk_lifecycle=bulk,
-        )
+        list it was submitted with still runs.  The handle's former
+        granularity keyword is ignored, with a warning, in either
+        setting."""
+        with pytest.warns(DeprecationWarning, match="bulk_lifecycle"):
+            handle = ResourceHandle(
+                "local.localhost", cores=4, walltime=10, mode="local",
+                sandbox=tmp_path, bulk_lifecycle=bulk,
+            )
         handle.allocate()
         pattern = MissingInputBag(size=4)
         try:
@@ -601,8 +602,14 @@ def _local_outcome(pattern, sandbox, **handle_kwargs):
             )
             for unit in pattern.units
         )
-        batch_events = handle.profile.events("units_state")
+        named: dict[str, set] = {}
+        for record in per_unit(handle.profile):
+            if record.name == "unit_new":
+                named.setdefault(record.uid, set()).add("NEW")
+            elif record.name == "unit_state":
+                named.setdefault(record.uid, set()).add(record.attrs["state"])
+        assert named == {unit.uid: set(unit.timestamps)
+                         for unit in pattern.units}
     finally:
         handle.deallocate()
-    assert bool(batch_events) == handle.bulk_lifecycle
     return outcome

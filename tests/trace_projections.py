@@ -43,6 +43,25 @@ def per_unit(events) -> list:
     return out
 
 
+def one_per_unit(events) -> list:
+    """*events* with every lifecycle batch event split into one batch of
+    one per member, each carrying the member's own fields: the trace a
+    writer of one event per unit would have written, in the one format."""
+    out = []
+    for ev in events:
+        if ev.name not in LIFECYCLE_EVENTS:
+            out.append(ev)
+            continue
+        for uid, attrs in expand(ev):
+            serial = int(uid.rpartition(".")[2])
+            one = dict(attrs, n=1, members=[[serial, 1]])
+            for key in ("cores", "slots"):
+                if key in attrs:
+                    one["widths"] = attrs[key]
+            out.append(ProfileEvent(ev.time, ev.name, uid, one))
+    return out
+
+
 def _event_key(ev) -> tuple:
     return (ev.time, ev.name, sorted(ev.attrs.items()))
 
