@@ -310,27 +310,33 @@ class TestGoldenTraceHashes:
     purpose (a genuine semantic change to scheduling or tracing), it
     must say so and re-pin.
 
-    Last re-pinned when per-unit sessions started moving every unit
-    list as one batch: a list's per-unit events became contiguous, so
-    only the order of events within a timestamp changed.
-    :class:`TestGoldenProjections` pins, from before that change, what
-    must not move (every unit's events and times, the event multiset,
-    spans, critical path, breakdown, fault summary and metric values),
-    and ``tests/test_agent_telemetry.py`` checks that each pinned run
-    implies what the agent's former emitters recorded.
+    Last re-pinned when the per-unit trace format was removed: each
+    unit list is now one batch event that names its members, so a
+    derived gauge moves once per list instead of once per unit, and the
+    export's counter tracks hold fewer points.  Every span, instant and
+    metadata event of each export is unchanged, and so is each counter's
+    last value at every timestamp (checked against the previous code's
+    exports before re-pinning).  :class:`TestGoldenProjections` pins, from
+    before that change, what must not move (every unit's lifecycle
+    records and times, the event multiset, spans, critical path,
+    breakdown, fault summary and metric values), and
+    ``tests/test_agent_telemetry.py`` checks that each pinned run implies
+    what the agent's former emitters recorded.  The ``eop_faults_seed7``
+    digest equals the batched ``eop_bulk_node_faults_seed7`` one below:
+    they are the same run.
     """
 
     GOLDEN = {
         "eop_plain_seed7":
-            "8d9d1cea369fcc23fe40530ac4dda565f32fc2e23cf8819ba655047b70308fb1",
+            "3e638af213c2aab8cb452fac1d0a5e4c01a8b26dd6cacd50527a868f4e31f148",
         "eop_faults_seed7":
-            "80c01cb723df0a98f8a70439b58bed78ef5ca383017d8e403f2a4c6dadcfd163",
+            "d91c71a5664422cd962c15af2c11ea796cfe2537bdeb008be631bf03cce930ff",
         "ee_faults_seed3":
-            "4169713fe6fd7289869890de967469f43b2096fea0bc7657031d4851b349ba59",
+            "bfbdfd3cd4a4e9cbfba4db75b8f6152505994d593dc4b6eaccfa1dedeaf79028",
         "bag_task_node_faults_seed11":
-            "630340440018e518c4fef0ad6457eb8eeb3b8eaa449d1ca6d68e20cc250b92c3",
+            "dc2c4bca9cca3b1be2792ebe47f99aea205e33c16954b89095e11e41df0665fd",
         "wide_bag_exclusion_seed1":
-            "383abced552760799386a82b47a58fa34c2248ff174e720919a7c369f91ae8a0",
+            "2c9faef87582d2b29a19d60957e54f467eb0642f2ca3162cd7faae8026a7ec66",
     }
 
     @staticmethod
