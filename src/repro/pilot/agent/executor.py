@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -43,20 +42,28 @@ log = get_logger("pilot.agent.executor")
 DoneCallback = Callable[[list["ComputeUnit"], BaseException | None], None]
 
 
-@dataclass
 class TaskContext:
     """Everything a really-executing payload may use.
 
     ``cores`` plays the role of the MPI world size: payloads that scale
     split their work into ``cores`` shards (see the MD kernels).  ``args``
-    gives parsed ``--key=value`` kernel arguments.
+    gives parsed ``--key=value`` kernel arguments.  ``sandbox`` is the
+    unit's sandbox directory, created on first access (see
+    :meth:`~repro.pilot.agent.staging.LocalStager.register_units`).
     """
 
-    description: "ComputeUnitDescription | UnitDescription"
-    sandbox: Path | None
-    cores: int
-    uid: str
-    args: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("description", "_sandbox", "cores", "uid", "args")
+
+    def __init__(
+        self, description: "ComputeUnitDescription | UnitDescription",
+        sandbox: Path | None, cores: int, uid: str,
+        args: dict[str, str] | None = None,
+    ) -> None:
+        self.description = description
+        self._sandbox = sandbox
+        self.cores = cores
+        self.uid = uid
+        self.args = {} if args is None else args
 
     @classmethod
     def for_unit(cls, unit: "ComputeUnit") -> "TaskContext":
@@ -75,6 +82,14 @@ class TaskContext:
             args=parsed,
         )
 
+    @property
+    def sandbox(self) -> Path | None:
+        """The unit's sandbox directory, made if it does not exist yet."""
+        sandbox = self._sandbox
+        if sandbox is not None:
+            sandbox.mkdir(parents=True, exist_ok=True)
+        return sandbox
+
     def arg(self, name: str, default: str | None = None) -> str:
         value = self.args.get(name, default)
         if value is None:
@@ -83,9 +98,10 @@ class TaskContext:
 
     def path(self, name: str) -> Path:
         """Resolve the file argument *name* inside the unit sandbox."""
-        if self.sandbox is None:
+        sandbox = self.sandbox
+        if sandbox is None:
             raise RuntimeError("task has no sandbox (simulated mode?)")
-        return self.sandbox / self.arg(name)
+        return sandbox / self.arg(name)
 
 
 class LocalExecutor:

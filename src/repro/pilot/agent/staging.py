@@ -1,6 +1,7 @@
 """Data staging between sandboxes.
 
-Each unit runs in its own *sandbox* directory under the pilot sandbox.
+Each unit runs in its own *sandbox* directory under the pilot sandbox,
+created locally on first use (see :meth:`LocalStager.register_units`).
 Staging directives move data in before execution and out after it.  Paths
 may use placeholders:
 
@@ -64,15 +65,20 @@ class LocalStager:
         self.unit_sandboxes: dict[str, Path] = {}
 
     def register_units(self, units: list["ComputeUnit"]) -> None:
+        """Remember each unit's sandbox path.  No directory is made here:
+        a unit's sandbox is created on first use, when data is staged
+        into it or its payload reads ``TaskContext.sandbox``, so a bag
+        of units that never touch files makes no directory at all."""
+        sandboxes = self.unit_sandboxes
         for unit in units:
-            self.register_unit(unit)
+            sandbox = sandboxes[unit.uid] = self.pilot_sandbox / unit.uid
+            unit.sandbox = str(sandbox)
 
     def register_unit(self, unit: "ComputeUnit") -> Path:
-        """Create (and remember) the unit's sandbox directory."""
-        sandbox = self.pilot_sandbox / unit.uid
+        """Register one unit and create its sandbox directory now."""
+        self.register_units([unit])
+        sandbox = self.unit_sandboxes[unit.uid]
         sandbox.mkdir(parents=True, exist_ok=True)
-        self.unit_sandboxes[unit.uid] = sandbox
-        unit.sandbox = str(sandbox)
         return sandbox
 
     def _resolve(self, path: str, default_base: Path) -> Path:
@@ -108,6 +114,8 @@ class LocalStager:
             if inbound:
                 directives = description.input_staging
                 src_base, dst_base = self.pilot_sandbox, sandbox
+                if directives:
+                    sandbox.mkdir(parents=True, exist_ok=True)
             else:
                 directives = description.output_staging
                 src_base, dst_base = sandbox, self.pilot_sandbox

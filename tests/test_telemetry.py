@@ -22,7 +22,8 @@ from repro.telemetry import (
     critical_path,
     write_chrome_trace,
 )
-from repro.telemetry.sink import ProfileEvent, revive
+from repro.pilot.retry import RetryPolicy
+from repro.telemetry.sink import ProfileEvent, member_uids, revive
 from repro.utils.ids import reset_id_counters
 
 
@@ -255,6 +256,64 @@ class TestSpanTreeQueries:
         ])).build()
         assert tree.spans["span.000001"].parent == "span.000001"
         assert [s.uid for s in tree.leaves()] == ["span.000001"]
+
+
+class _TwoDurationBag(BagOfTasks):
+    """Alternating 100 s and 50 s sleeps: a scheduling pass that places
+    both durations starts them in two launch groups."""
+
+    def task(self, instance):
+        kernel = Kernel(name="misc.sleep")
+        kernel.arguments = [f"--duration={100 if instance % 2 else 50}"]
+        return kernel
+
+
+def _groups_per_pass(events) -> list[int]:
+    """Per ``units_slots`` event (one scheduling pass's placements): how
+    many distinct ``EXECUTING`` events start its members."""
+    pending: dict[str, int] = {}
+    starts: dict[int, set[int]] = {}
+    for i, ev in enumerate(events):
+        if ev.name == "units_slots":
+            starts[i] = set()
+            pending.update(dict.fromkeys(member_uids(ev), i))
+        elif ev.name == "units_state":
+            for uid in member_uids(ev):
+                slots = pending.pop(uid, None)
+                if slots is not None and ev.attrs["state"] == "EXECUTING":
+                    starts[slots].add(i)
+    return [len(groups) for groups in starts.values()]
+
+
+class TestLaunchSpans:
+    """Every placement of every unit has its ``exec.launch`` span, in
+    whichever launch group of its scheduling pass the unit starts, with
+    and without node faults killing units while they launch."""
+
+    @pytest.mark.parametrize("faults", [
+        {},
+        dict(node_mtbf=150.0, node_repair_time=120.0,
+             retry_policy=RetryPolicy(max_attempts=8,
+                                      exclude_failed_nodes=False)),
+    ], ids=["plain", "node-faults"])
+    def test_every_placed_unit_has_its_launch_span(self, sim_handle_factory,
+                                                   faults):
+        reset_id_counters()
+        handle = sim_handle_factory(cores=32, walltime=900, seed=1, **faults)
+        handle.run(_TwoDurationBag(size=40))
+        events = list(handle.profile)
+        assert max(_groups_per_pass(events)) >= 2
+        if faults:
+            assert any(ev.name == "unit_node_kill" for ev in events)
+        placed = Counter(uid for ev in events if ev.name == "units_slots"
+                         for uid in member_uids(ev))
+        tree = SpanBuilder().add_events(events).build()
+        launches = Counter(s.ref for s in tree if s.name == "exec.launch")
+        assert len(placed) == 40
+        assert launches == placed
+        for span in tree:
+            if span.name == "exec.launch":
+                assert span.parent == f"unit:{span.ref}"
 
 
 class TestTracer:

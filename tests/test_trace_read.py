@@ -20,7 +20,14 @@ from repro.pilot.profiler import Profiler
 from repro.pilot.retry import RetryPolicy
 from repro.telemetry import MetricsRegistry, SpanBuilder
 from repro.telemetry import sink as sink_module
-from repro.telemetry.sink import EventSink, ProfileEvent, SpoolSink, read_events
+from repro.telemetry.sink import (
+    EventSink,
+    ProfileEvent,
+    SpoolSink,
+    member_uids,
+    read_events,
+    revive,
+)
 from repro.utils.ids import reset_id_counters
 from tests.test_determinism import _sleep
 from tests.test_telemetry import synthetic_trace
@@ -157,6 +164,48 @@ class TestTraceCliTornSpool:
         assert f"events   : {len(synthetic_trace())}" in captured.out
         assert "torn last line dropped" in captured.err
         assert f"recovered {len(synthetic_trace())} complete" in captured.err
+
+    def test_spool_torn_inside_a_batch_event(self, tmp_path, capsys):
+        """A run's spool cut mid-way through the ``units_state`` line that
+        starts a launch group: the legal prefix reads back with one
+        warning, and the span tree and ``summarize`` close the launches
+        of that line's units at the end of the trace."""
+        from repro.__main__ import main
+        from tests.test_determinism import TwoStageEoP
+
+        reset_id_counters()
+        handle = ResourceHandle("xsede.comet", cores=16, walltime=600,
+                                mode="sim", spool_dir=tmp_path / "spool")
+        handle.allocate()
+        try:
+            handle.run(TwoStageEoP(ensemble_size=16, pipeline_size=2))
+        finally:
+            handle.deallocate()
+        spool = handle.session.spool_path
+        lines = _lines(spool)
+        cut = next(i for i, line in enumerate(lines)
+                   if json.loads(line)["name"] == "units_state"
+                   and json.loads(line)["state"] == "EXECUTING")
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:cut]) + lines[cut][:len(lines[cut]) // 2])
+        with pytest.warns(RuntimeWarning, match=f"recovered {cut} complete"):
+            events = read_events(torn)
+        assert events == read_events(spool)[:cut]
+
+        launching = member_uids(revive(json.loads(lines[cut])))
+        t_end = events[-1].time
+        tree = SpanBuilder().add_events(events).build()
+        launches = {s.ref: s for s in tree if s.name == "exec.launch"}
+        assert launching and set(launching) <= set(launches)
+        assert all(launches[uid].t_end == t_end for uid in launching)
+
+        assert main(["trace", "summarize", str(torn)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "torn last line dropped" in captured.err
+        (line,) = [line for line in captured.out.splitlines()
+                   if line.split()[:1] == ["exec.launch"]]
+        assert int(line.split()[1]) == len(launches)
 
     def test_bad_line_mid_file_is_a_usage_error(self, tmp_path, capsys):
         from repro.__main__ import main

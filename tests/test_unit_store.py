@@ -549,6 +549,40 @@ class TestBulkLifecycle:
         assert isinstance(failed.exception, StagingError)
 
 
+class TestLazySandboxes:
+    """A local unit's sandbox is made on first use: staged data or its
+    payload's ``TaskContext.sandbox``, never at registration."""
+
+    def _run_local(self, pattern, tmp_path):
+        handle = ResourceHandle("local.localhost", cores=4, walltime=10,
+                                mode="local", sandbox=tmp_path)
+        handle.allocate()
+        try:
+            handle.run(pattern)
+        finally:
+            handle.deallocate()
+        return [u for u in pattern.units]
+
+    def test_sleep_bag_makes_no_unit_directory(self, tmp_path):
+        units = self._run_local(SleepBag(size=16), tmp_path)
+        assert all(u.state is UnitState.DONE for u in units)
+        assert all(u.sandbox for u in units)
+        assert not any(Path(u.sandbox).exists() for u in units)
+        assert not list(tmp_path.rglob("unit.*"))
+
+    def test_mkfile_ccount_chain_still_runs(self, tmp_path):
+        units = self._run_local(CharCount(ensemble_size=4, pipeline_size=2),
+                                tmp_path)
+        assert all(u.state is UnitState.DONE for u in units)
+        for unit in units:
+            sandbox = Path(unit.sandbox)
+            if unit.description.tags["stage"] == 1:
+                assert (sandbox / "data.txt").is_file()
+            else:  # linked in through $STAGE_1, i.e. $UNIT_<uid>
+                assert (sandbox / "data.txt").is_symlink()
+                assert int((sandbox / "count.txt").read_text()) > 0
+
+
 class SleepBag(BagOfTasks):
     def task(self, instance):
         return _sleep(0)
@@ -597,7 +631,7 @@ def _local_outcome(pattern, sandbox, **handle_kwargs):
                 unit.state,
                 unit.result,
                 {path.name: path.read_text()
-                 for path in Path(unit.sandbox).iterdir()},
+                 for path in Path(unit.sandbox).glob("*")},
                 set(unit.timestamps),
             )
             for unit in pattern.units
