@@ -59,6 +59,7 @@ import threading
 from array import array
 from itertools import chain, repeat
 from math import isnan, nan
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.pilot.states import UnitState, validate_unit_edge
@@ -314,8 +315,13 @@ class UnitStore:
         ranges.  Serials grow with rows, so a contiguous run of rows
         whose end serials are as far apart as its ends is one range."""
         serial = self._serial
-        if isinstance(rows, range):
-            first, n = serial[rows[0]], len(rows)
+        lo, n = rows[0], len(rows)
+        if n == 1:
+            return [[serial[lo], 1]]
+        if rows[-1] - lo == n - 1 and (
+            isinstance(rows, range) or rows == list(range(lo, lo + n))
+        ):
+            first = serial[lo]
             if serial[rows[-1]] - first == n - 1:
                 return [[first, n]]
         return serial_runs(map(serial.__getitem__, rows))
@@ -362,8 +368,8 @@ class UnitStore:
             # One key layout (the common case): one position for all rows.
             keys = self._tag_key_tuples[code]
             if key in keys:
-                position = keys.index(key)
-                return [values[i][position] for i in rows]
+                get = itemgetter(keys.index(key))
+                return list(map(get, map(values.__getitem__, rows)))
         key_tuples = self._tag_key_tuples
         out = []
         for i in rows:
@@ -568,7 +574,7 @@ class UnitStore:
                 )
                 now = session.now()
                 lo, n = rows[0], len(rows)
-                if rows[-1] == lo + n - 1 and rows == list(range(lo, lo + n)):
+                if n > 1 and rows[-1] == lo + n - 1 and rows == list(range(lo, lo + n)):
                     # One contiguous run of rows: stamp it by slice, and
                     # let emit() name its members as one range.
                     rows = range(lo, lo + n)
