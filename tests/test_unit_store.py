@@ -266,7 +266,7 @@ class TestUnitStore:
             for uid, cores in zip(uids, [1, 4, 2])
         ]
 
-    def test_session_puts_the_list_width_on_its_event(self, session):
+    def test_bulk_session_puts_the_list_width_on_its_event(self, session):
         store = session.unit_store
         rows = store.add_bulk([_desc(1), _desc(4), _desc(2)])
         units = [ComputeUnit._of(store, i) for i in rows]
