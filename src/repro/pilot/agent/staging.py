@@ -66,9 +66,10 @@ class LocalStager:
 
     def register_units(self, units: list["ComputeUnit"]) -> None:
         """Remember each unit's sandbox path.  No directory is made here:
-        a unit's sandbox is created on first use, when data is staged
-        into it or its payload reads ``TaskContext.sandbox``, so a bag
-        of units that never touch files makes no directory at all."""
+        a unit's sandbox is created on first use, when a staging
+        directive writes into it (:meth:`_apply` makes a target's parent)
+        or its payload reads ``TaskContext.sandbox``, so a bag of units
+        that never touch files makes no directory at all."""
         sandboxes = self.unit_sandboxes
         for unit in units:
             sandbox = sandboxes[unit.uid] = self.pilot_sandbox / unit.uid
@@ -114,8 +115,6 @@ class LocalStager:
             if inbound:
                 directives = description.input_staging
                 src_base, dst_base = self.pilot_sandbox, sandbox
-                if directives:
-                    sandbox.mkdir(parents=True, exist_ok=True)
             else:
                 directives = description.output_staging
                 src_base, dst_base = sandbox, self.pilot_sandbox

@@ -23,9 +23,10 @@ holds each unit's own; ``pattern`` holds each unit's pattern tag.  So
 every per-unit fact is in the trace, and readers recover it with
 :func:`repro.telemetry.sink.expand` (see that module for the format).
 
-Each row is named in the trace once per transition: :meth:`UnitStore.add_bulk`
-emits the ``new`` event, and every state event names the state it left
-(``prev``) as well as the one it entered (``state``).  The
+Each row is named in the trace once per transition:
+:meth:`UnitStore.add_bulk` emits the ``new`` event, and every state
+event names the state it left (``prev``) as well as the one it entered
+(``state``).  The
 ``units.<STATE>`` gauges are not recorded; ``MetricsRegistry.from_events``
 derives them from these events.
 

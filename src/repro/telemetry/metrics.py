@@ -22,16 +22,17 @@ carries at once; no batch is decoded per member:
 * ``units.<STATE>`` (units currently in each lifecycle state): ``+n``
   to ``units.NEW`` per ``units_new`` event, and ``-n`` to
   ``units.<prev>``, ``+n`` to ``units.<state>`` per ``units_state``
-  event.  Only when every state event
-  carries ``prev``, so a trace written before state events carried
-  ``prev`` reads exactly as it was recorded.
+  event.  Only when every state event carries ``prev``, so a trace
+  written before state events carried ``prev`` reads exactly as it was
+  recorded.
 * ``agent.<pilot>.queue_depth``, ``cores_held`` and ``cores_busy``
-  from the events that carry ``pilot``: a ``units_slots`` event moves ``n`` units out of the queue and holds ``slots`` cores; a
-  state event entering ``AGENT_SCHEDULING`` queues ``n`` units, one
-  entering ``EXECUTING`` makes its ``cores`` busy, one leaving
-  ``EXECUTING`` releases its ``cores`` (busy and held), and any other
-  one leaving ``AGENT_SCHEDULING`` releases its ``cores`` if it
-  carries them (a unit killed while launching), else leaves the queue.
+  from the events that carry ``pilot``: a ``units_slots`` event moves
+  ``n`` units out of the queue and holds ``slots`` cores; a state event
+  entering ``AGENT_SCHEDULING`` queues ``n`` units, one entering
+  ``EXECUTING`` makes its ``cores`` busy, one leaving ``EXECUTING``
+  releases its ``cores`` (busy and held), and any other one leaving
+  ``AGENT_SCHEDULING`` releases its ``cores`` if it carries them (a
+  unit killed while launching), else leaves the queue.
 
 A gauge is derived only when the trace has no recorded points of that
 name, so a trace from before the agent stopped recording its gauges

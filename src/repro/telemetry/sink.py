@@ -256,8 +256,6 @@ def expand(ev: Any) -> list[tuple[str, dict[str, Any]]]:
                 per_member[key] = _values(attrs["widths"], n)
     if isinstance(common.get("pattern"), list):
         per_member["pattern"] = _values(common["pattern"], n)
-    if not per_member:
-        return [(uid, dict(common)) for uid in uids]
     out = []
     for uid in uids:
         own = dict(common)
@@ -270,9 +268,7 @@ def expand(ev: Any) -> list[tuple[str, dict[str, Any]]]:
 def unit_count(events: Iterable[Any]) -> int:
     """Units a trace registers: the members of its ``units_new`` events
     (events duck-typed on ``name``/``attrs``)."""
-    return sum(
-        member_count(ev) for ev in events if ev.name == NEW
-    )
+    return sum(member_count(ev) for ev in events if ev.name == NEW)
 
 
 class TraceQueries:
