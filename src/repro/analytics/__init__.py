@@ -14,11 +14,6 @@ from repro.analytics.metrics import (
     utilization,
 )
 from repro.analytics.tables import format_table, Series
-from repro.analytics.validation import (
-    check_core_accounting,
-    check_state_timestamps_monotonic,
-    peak_concurrent_cores,
-)
 
 __all__ = [
     "FaultRecoverySummary",
@@ -32,7 +27,4 @@ __all__ = [
     "utilization",
     "format_table",
     "Series",
-    "peak_concurrent_cores",
-    "check_core_accounting",
-    "check_state_timestamps_monotonic",
 ]

@@ -123,14 +123,6 @@ class BatchScheduler:
         self._try_schedule()
 
     @property
-    def queued_jobs(self) -> list[BatchJob]:
-        return list(self._queue)
-
-    @property
-    def running_jobs(self) -> list[BatchJob]:
-        return list(self._running.values())
-
-    @property
     def history(self) -> list[BatchJob]:
         """All jobs that reached a final state, in completion order."""
         return list(self._history)

@@ -299,23 +299,6 @@ class PatternDriver(abc.ABC):
 
     # -- fault tolerance ---------------------------------------------------------------
 
-    @property
-    def retry_policy(self):
-        """Effective task-retry policy of the driven pattern.
-
-        ``pattern.retry_policy`` wins; a bare ``max_task_retries`` counter
-        is adapted to an immediate (zero-backoff) policy; neither set means
-        no retries (``None``).
-        """
-        from repro.pilot.retry import RetryPolicy
-
-        policy = getattr(self.pattern, "retry_policy", None)
-        if policy is not None:
-            return policy
-        return RetryPolicy.from_legacy_retries(
-            getattr(self.pattern, "max_task_retries", 0)
-        )
-
     def _try_retry(self, unit: "ComputeUnit") -> bool:
         """Resubmit a failed unit if the pattern's retry budget allows.
 
@@ -326,7 +309,7 @@ class PatternDriver(abc.ABC):
         The policy's exponential backoff is charged as extra delivery delay
         on the virtual clock.
         """
-        policy = self.retry_policy
+        policy = self.pattern.retry_policy
         if policy is None:
             return False
         tags = unit.description.tags

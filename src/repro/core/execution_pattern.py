@@ -32,16 +32,13 @@ class ExecutionPattern:
 
     pattern_name: str = "base"
 
-    #: Fault tolerance: how many times a failed task is resubmitted before
-    #: its failure is surfaced to the pattern (paper §I lists fault-tolerant
-    #: execution of large ensembles among the requirements scripting fails).
-    #: Retained for backward compatibility; superseded by ``retry_policy``.
-    max_task_retries: int = 0
-
-    #: Full retry parametrization (:class:`repro.pilot.retry.RetryPolicy`):
-    #: attempt budget plus exponential backoff between resubmissions.  When
-    #: set it takes precedence over ``max_task_retries``; when ``None`` the
-    #: driver adapts ``max_task_retries`` to an immediate-retry policy.
+    #: Fault tolerance (paper §I lists fault-tolerant execution of large
+    #: ensembles among the requirements scripting fails): the
+    #: :class:`repro.pilot.retry.RetryPolicy` under which a failed task is
+    #: resubmitted before its failure is surfaced to the pattern, as an
+    #: attempt budget plus backoff between resubmissions.  ``None`` never
+    #: retries; ``RetryPolicy(max_attempts=N + 1, backoff_base=0.0)``
+    #: retries up to N times, immediately.
     retry_policy = None
 
     def __init__(self) -> None:

@@ -10,7 +10,7 @@ first two mechanisms that operate at stage boundaries:
   completed analysis tasks and returns an :class:`AdaptDecision` that can
   **stop the loop early** (convergence) or **change the ensemble sizes** of
   the following iteration;
-* together with :attr:`~repro.core.execution_pattern.ExecutionPattern.max_task_retries`
+* together with :attr:`~repro.core.execution_pattern.ExecutionPattern.retry_policy`
   this covers kill-replace of failed members.
 
 Example::

@@ -207,7 +207,3 @@ class Simulator:
                 self.clock.advance_to(until)
         finally:
             self._running = False
-
-    def run_until_idle(self) -> None:
-        """Drain every pending event (alias of :meth:`run` with no bound)."""
-        self.run()

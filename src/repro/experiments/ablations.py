@@ -22,6 +22,7 @@ from repro.core.patterns.bag_of_tasks import BagOfTasks
 from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import run_on_sim
 from repro.experiments.workloads import CharCountPipeline, SleepBag
+from repro.pilot.retry import RetryPolicy
 from repro.saga.adaptors.sim import SimContext
 
 __all__ = [
@@ -224,7 +225,8 @@ def fault_resilience(
     for rate in fault_rates:
 
         class _Bag(SleepBag):
-            max_task_retries = retries
+            retry_policy = RetryPolicy(max_attempts=retries + 1,
+                                       backoff_base=0.0)
 
         pattern = _Bag(ntasks, task_duration)
         _, handle, breakdown = run_on_sim(

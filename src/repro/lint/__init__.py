@@ -13,18 +13,15 @@ Public surface:
   — run the pipeline over files or an in-memory snippet;
 * :class:`~repro.lint.registry.Rule` + :func:`~repro.lint.registry.register_rule`
   — extend with new rules;
-* :class:`~repro.lint.baseline.Baseline` — grandfathered-finding store;
 * :class:`~repro.lint.config.LintConfig` — ``[tool.repro.lint]`` settings.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintResult, lint_paths, lint_source
 from repro.lint.model import Finding
 from repro.lint.registry import Rule, register_rule, rule_catalogue
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",

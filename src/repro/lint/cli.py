@@ -1,6 +1,6 @@
 """``python -m repro lint`` — the CLI front end of the analysis pass.
 
-Exit codes: 0 clean (all findings fixed, baselined or suppressed), 1 new
+Exit codes: 0 clean (every finding fixed or ``noqa``-suppressed), 1
 findings, 2 usage or configuration error.
 """
 
@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.engine import lint_paths
 from repro.lint.registry import rule_catalogue
@@ -36,21 +35,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         metavar="RULE",
         help="rule id or family prefix to enable (repeatable; overrides config)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of grandfathered findings (overrides config)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any configured baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write all current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--no-config",
@@ -85,11 +69,6 @@ def run_lint(args: argparse.Namespace) -> int:
             return 2
     if args.select:
         config.select = args.select
-    if args.baseline:
-        config.baseline = args.baseline
-        config.root = Path.cwd() if args.no_config else config.root
-    if args.no_baseline:
-        config.baseline = None
 
     paths = [Path(p) for p in (args.paths or config.paths)]
     missing = [str(p) for p in paths if not p.exists()]
@@ -97,37 +76,7 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    baseline_path = config.baseline_path()
-    if args.write_baseline:
-        if baseline_path is None:
-            print(
-                "repro lint: --write-baseline needs a baseline path "
-                "(--baseline or [tool.repro.lint] baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        result = lint_paths(paths, config, baseline=None)
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baseline = None
-    if baseline_path is not None:
-        if not baseline_path.is_file():
-            print(
-                f"repro lint: baseline file not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-
-    result = lint_paths(paths, config, baseline=baseline)
+    result = lint_paths(paths, config)
     if args.format == "json":
         print(render_json(result))
     else:

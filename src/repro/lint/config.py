@@ -6,7 +6,6 @@ Recognised keys::
     paths    = ["src/repro"]           # default scan roots
     select   = ["DET", "DC", "SM", "EVT"]  # rule ids or family prefixes
     exclude  = ["src/repro.egg-info"]  # path prefixes to skip
-    baseline = "lint-baseline.json"    # grandfathered findings (optional)
 
 Python 3.11+ parses with :mod:`tomllib`; on 3.10 (no tomllib, and the CI
 image does not ship ``tomli``) a minimal single-section fallback parser
@@ -29,15 +28,8 @@ class LintConfig:
     paths: list[str] = field(default_factory=lambda: ["src"])
     select: list[str] | None = None
     exclude: list[str] = field(default_factory=list)
-    baseline: str | None = None
-    #: Directory paths/baseline are relative to (pyproject's directory).
+    #: Directory paths are relative to (pyproject's directory).
     root: Path = field(default_factory=Path.cwd)
-
-    def baseline_path(self) -> Path | None:
-        if self.baseline is None:
-            return None
-        path = Path(self.baseline)
-        return path if path.is_absolute() else self.root / path
 
 
 def find_pyproject(start: Path) -> Path | None:
@@ -63,10 +55,6 @@ def load_config(pyproject: Path | None) -> LintConfig:
         config.select = _string_list(section["select"], "select")
     if "exclude" in section:
         config.exclude = _string_list(section["exclude"], "exclude")
-    if "baseline" in section:
-        if not isinstance(section["baseline"], str):
-            raise ValueError("[tool.repro.lint] baseline must be a string")
-        config.baseline = section["baseline"]
     return config
 
 

@@ -1,14 +1,14 @@
 """The lint engine: file discovery, per-file rule pipeline, suppression.
 
 Execution order is deterministic — files sorted by relative path, findings
-sorted by (file, line, col, rule) — so output, baseline matching and CI
-behaviour are stable across machines.
+sorted by (file, line, col, rule) — so output and CI behaviour are stable
+across machines.
 
 Inline suppression: a finding is dropped when its physical line carries
 ``# repro: noqa`` (all rules) or ``# repro: noqa[SM002]`` /
-``# repro: noqa[DET001, DET004]`` (listed rules only).  Suppressions are
-meant to carry a justification in a neighbouring comment; the baseline file
-(:mod:`repro.lint.baseline`) exists for bulk-grandfathering instead.
+``# repro: noqa[DET001, DET004]`` (listed rules only).  A suppression
+carries its reason in a neighbouring comment; there is no other way to
+accept a finding.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, apply_baseline
 from repro.lint.config import LintConfig
 from repro.lint.context import FileContext, build_context
 from repro.lint.model import Finding
@@ -35,18 +34,12 @@ class LintResult:
     """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
-    stale_baseline: dict[str, int] = field(default_factory=dict)
     suppressed: int = 0
     files_scanned: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    #: Every finding before baseline filtering (for --write-baseline).
-    def all_findings(self) -> list[Finding]:
-        return sorted(self.findings + self.grandfathered)
 
 
 def iter_python_files(
@@ -124,12 +117,8 @@ def lint_source(
     return sorted(findings)
 
 
-def lint_paths(
-    paths: list[Path],
-    config: LintConfig,
-    baseline: Baseline | None = None,
-) -> LintResult:
-    """Run every selected rule over *paths*; apply noqa and baseline."""
+def lint_paths(paths: list[Path], config: LintConfig) -> LintResult:
+    """Run every selected rule over *paths*; apply noqa suppression."""
     result = LintResult()
     rules = instantiate_rules(config.select)
     raw: list[Finding] = []
@@ -164,11 +153,5 @@ def lint_paths(
             else:
                 raw.append(finding)
 
-    raw.sort()
-    if baseline is None:
-        result.findings = raw
-    else:
-        result.findings, result.grandfathered, result.stale_baseline = apply_baseline(
-            raw, baseline
-        )
+    result.findings = sorted(raw)
     return result

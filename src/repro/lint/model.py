@@ -1,9 +1,6 @@
 """Data model of the static-analysis pass.
 
-A :class:`Finding` is one diagnostic anchored to a file and line.  Its
-:attr:`~Finding.baseline_key` deliberately excludes the line number so that
-grandfathered findings stay matched when unrelated edits shift code around;
-the baseline stores *counts* per key instead (see :mod:`repro.lint.baseline`).
+A :class:`Finding` is one diagnostic anchored to a file and line.
 """
 
 from __future__ import annotations
@@ -24,11 +21,6 @@ class Finding:
     message: str
     #: Hint appended to the text report, e.g. the sanctioned replacement API.
     hint: str = field(default="", compare=False)
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.file}::{self.rule_id}::{self.message}"
 
     def to_dict(self) -> dict:
         out = {

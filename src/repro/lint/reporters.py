@@ -12,18 +12,9 @@ __all__ = ["render_text", "render_json"]
 
 def render_text(result: LintResult, *, verbose: bool = False) -> str:
     lines = [finding.render() for finding in result.findings]
-    if result.stale_baseline:
-        lines.append("")
-        lines.append(
-            f"note: {sum(result.stale_baseline.values())} stale baseline "
-            "allowance(s) — the underlying findings are gone; regenerate "
-            "with --write-baseline:"
-        )
-        lines.extend(f"  {key} (x{count})" for key, count in
-                     sorted(result.stale_baseline.items()))
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_scanned} file(s)"
-        f" ({len(result.grandfathered)} baselined, {result.suppressed} noqa-suppressed)"
+        f" ({result.suppressed} noqa-suppressed)"
     )
     if lines:
         lines.append("")
@@ -43,9 +34,7 @@ def render_json(result: LintResult) -> str:
         "files_scanned": result.files_scanned,
         "summary": {
             "new": len(result.findings),
-            "baselined": len(result.grandfathered),
             "noqa_suppressed": result.suppressed,
-            "stale_baseline": sum(result.stale_baseline.values()),
         },
         "findings": [f.to_dict() for f in result.findings],
     }

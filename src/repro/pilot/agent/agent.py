@@ -717,8 +717,3 @@ class Agent:
     def waiting_units(self) -> int:
         with self._lock:
             return len(self._waiting)
-
-    @property
-    def executing_units(self) -> int:
-        with self._lock:
-            return len(self._executing)

@@ -2,7 +2,7 @@
 
 The paper's §I motivates EnTK partly by "running large ensembles in a
 fault-tolerant way"; together with pattern-level retries
-(:attr:`~repro.core.execution_pattern.ExecutionPattern.max_task_retries`)
+(:attr:`~repro.core.execution_pattern.ExecutionPattern.retry_policy`)
 this model lets the reproduction quantify that claim: each launched unit
 fails, with probability ``rate``, partway through its modelled runtime
 (mimicking a node crash or a killed process).

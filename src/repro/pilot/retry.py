@@ -8,7 +8,7 @@ One :class:`RetryPolicy` object serves two layers of the stack:
   them before;
 * the **pattern** layer — pattern drivers resubmit units whose *task*
   failed (:class:`~repro.pilot.faults.TaskFault`, payload exceptions),
-  replacing the bare ``max_task_retries`` counter of earlier versions.
+  set as the pattern's ``retry_policy``.
 
 Backoff against the scheduler follows the production shape (Balsam, most
 batch-facing daemons): the *n*-th retry waits
@@ -99,14 +99,3 @@ class RetryPolicy:
         if base <= 0.0 or self.jitter <= 0.0 or rng is None:
             return base
         return min(self.backoff_cap, base * float(rng.uniform(1.0, 1.0 + self.jitter)))
-
-    @classmethod
-    def from_legacy_retries(cls, retries: int) -> "RetryPolicy | None":
-        """Adapt a bare ``max_task_retries`` counter to a policy.
-
-        Legacy retries were immediate, so the adapted policy has zero
-        backoff — byte-identical behaviour for old callers.
-        """
-        if retries <= 0:
-            return None
-        return cls(max_attempts=retries + 1, backoff_base=0.0, jitter=0.0)

@@ -49,10 +49,8 @@ def reserve_id_block(namespace: str, n: int) -> int:
     if n < 1:
         raise ValueError("block size must be positive")
     with _lock:
-        counter = _counters.setdefault(namespace, itertools.count())
-        first = next(counter)
-        for _ in range(n - 1):
-            next(counter)
+        first = next(_counters.setdefault(namespace, itertools.count()))
+        _counters[namespace] = itertools.count(first + n)
     return first
 
 

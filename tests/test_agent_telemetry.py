@@ -261,9 +261,8 @@ PER_UNIT_PHASES = {
     "node_failure_while_launching": "1c1873789a2ae611",
     # Taken from the per-unit trace of each run when batch events began
     # naming their members, and equal to its batched trace's.
-    "bag_bulk_pilot_faults_seed0": "7d0fd2bc49e6cf4f",
-    "bag_bulk_task_faults_seed11": "6d157c26926a57e3",
-    "eop_bulk_node_faults_seed7": "74ba2a6b4ef11ed0",
+    "bag_pilot_faults_seed0": "7d0fd2bc49e6cf4f",
+    "bag_task_faults_seed11": "6d157c26926a57e3",
 }
 
 
@@ -455,12 +454,8 @@ def test_derived_agent_telemetry_matches_recorded_reference(
 
 #: The runs ``tests/test_determinism.py`` pins the Chrome export of, as
 #: (pattern factory, handle keywords).
-GOLDEN_RUNS = {
-    **{name: (make, kwargs)
-       for name, (make, kwargs, _)
-       in test_determinism.TestGoldenTraceHashesBatched.CASES.items()},
-    **test_determinism.GOLDEN_RUNS,
-}
+GOLDEN_RUNS = {**test_determinism.GOLDEN_RUNS,
+               **test_determinism.HASH_ONLY_RUNS}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))

@@ -173,6 +173,7 @@ class TestPipelineDriver:
         import threading
 
         from repro.core.resource_handle import ResourceHandle
+        from repro.pilot.retry import RetryPolicy
 
         class MissingInput(EnsembleOfPipelines):
             def stage_1(self, instance):
@@ -189,7 +190,7 @@ class TestPipelineDriver:
         )
         handle.allocate()
         pattern = MissingInput(ensemble_size=2, pipeline_size=2)
-        pattern.max_task_retries = 2
+        pattern.retry_policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
         errors = []
 
         def run():

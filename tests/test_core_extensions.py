@@ -20,6 +20,7 @@ from repro.core.strategy import (
 )
 from repro.cluster.platforms import get_platform
 from repro.exceptions import ConfigurationError, PatternError
+from repro.pilot.retry import RetryPolicy
 from repro.pilot.states import UnitState
 
 _FLAKY_COUNTERS = itertools.count()
@@ -52,7 +53,8 @@ class FlakyBag(BagOfTasks):
     def __init__(self, size, failures, retries):
         super().__init__(size=size)
         self.failures = failures
-        self.max_task_retries = retries
+        self.retry_policy = RetryPolicy(max_attempts=retries + 1,
+                                        backoff_base=0.0)
         self.key_prefix = f"bag{next(_FLAKY_COUNTERS)}"
 
     def task(self, instance):

@@ -222,6 +222,16 @@ GOLDEN_RUNS = {
                                  dict(seed=1, **EXCLUSION_KWARGS)),
 }
 
+#: Two more runs :class:`TestGoldenTraceHashes` pins the Chrome export of,
+#: with no pinned projections: task faults alone, and pilot deaths.
+HASH_ONLY_RUNS = {
+    "bag_task_faults_seed11": (lambda: FaultedBag(size=64),
+                               dict(seed=11, fault_rate=0.2)),
+    "bag_pilot_faults_seed0": (lambda: FaultedBag(size=64),
+                               dict(seed=0, pilot_mtbf=150.0,
+                                    max_pilot_resubmits=10, **FAULT_KWARGS)),
+}
+
 
 class TestGoldenProjections:
     """Pinned order-insensitive projections of the per-unit golden runs.
@@ -321,9 +331,11 @@ class TestGoldenTraceHashes:
     records and times, the event multiset, spans, critical path,
     breakdown, fault summary and metric values), and
     ``tests/test_agent_telemetry.py`` checks that each pinned run implies
-    what the agent's former emitters recorded.  The ``eop_faults_seed7``
-    digest equals the batched ``eop_bulk_node_faults_seed7`` one below:
-    they are the same run.
+    what the agent's former emitters recorded.
+
+    The :data:`HASH_ONLY_RUNS` were pinned while batch events were a
+    trace option, and last re-pinned when batch events began naming their
+    members, so their exports gained each unit's phase spans.
     """
 
     GOLDEN = {
@@ -337,7 +349,19 @@ class TestGoldenTraceHashes:
             "dc2c4bca9cca3b1be2792ebe47f99aea205e33c16954b89095e11e41df0665fd",
         "wide_bag_exclusion_seed1":
             "2c9faef87582d2b29a19d60957e54f467eb0642f2ca3162cd7faae8026a7ec66",
+        "bag_task_faults_seed11":
+            "7919e5aaa016971257ef0c1fb8e25d224c407fe38e62f6e6b0b33cfcaa573da8",
+        "bag_pilot_faults_seed0":
+            "b32f61f3f69486a6e6849693d38a9f8e8c66fa143cc3d764879712c0b60e899a",
     }
+
+    #: Whether each run streams its trace to a spool file.
+    spooled = False
+
+    def _trace(self, make, tmp_path, **kwargs):
+        if self.spooled:
+            kwargs["spool_dir"] = tmp_path
+        return trace(make, **kwargs)
 
     @staticmethod
     def _digest(events):
@@ -351,96 +375,59 @@ class TestGoldenTraceHashes:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def test_eop_plain_seed7(self):
-        events = trace(
-            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2), seed=7
+    @staticmethod
+    def _assert_names(events, *names):
+        assert set(names) <= {ev.name for ev in events}
+
+    def test_eop_plain_seed7(self, tmp_path):
+        events = self._trace(
+            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2), tmp_path,
+            seed=7,
         )
         assert self._digest(events) == self.GOLDEN["eop_plain_seed7"]
 
-    def test_eop_faults_seed7(self):
-        events = trace(
-            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
+    def test_eop_faults_seed7(self, tmp_path):
+        events = self._trace(
+            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2), tmp_path,
             seed=7, **FAULT_KWARGS,
         )
+        self._assert_names(events, "unit_node_kill", "units_state")
         assert self._digest(events) == self.GOLDEN["eop_faults_seed7"]
 
-    def test_ee_faults_seed3(self):
-        events = trace(
-            lambda: SleepEE(ensemble_size=32, iterations=2),
+    def test_ee_faults_seed3(self, tmp_path):
+        events = self._trace(
+            lambda: SleepEE(ensemble_size=32, iterations=2), tmp_path,
             seed=3, **FAULT_KWARGS,
         )
         assert self._digest(events) == self.GOLDEN["ee_faults_seed3"]
 
-    def test_bag_task_node_faults_seed11(self):
-        events = trace(
-            lambda: FaultedBag(size=64),
+    def test_bag_task_node_faults_seed11(self, tmp_path):
+        events = self._trace(
+            lambda: FaultedBag(size=64), tmp_path,
             seed=11, fault_rate=0.2, **FAULT_KWARGS,
         )
         assert self._digest(events) == self.GOLDEN[
             "bag_task_node_faults_seed11"
         ]
 
-    @staticmethod
-    def _assert_exclusion_path(events):
-        names = [ev.name for ev in events]
-        assert "unit_node_kill" in names and "unit_requeue" in names
-
-    def test_wide_bag_exclusion_seed1(self):
-        events = trace(lambda: WideBag(size=64), seed=1, **EXCLUSION_KWARGS)
-        self._assert_exclusion_path(events)
+    def test_wide_bag_exclusion_seed1(self, tmp_path):
+        events = self._trace(
+            lambda: WideBag(size=64), tmp_path, seed=1, **EXCLUSION_KWARGS,
+        )
+        self._assert_names(events, "unit_node_kill", "unit_requeue")
         assert self._digest(events) == self.GOLDEN["wide_bag_exclusion_seed1"]
 
+    def test_bag_task_faults_seed11(self, tmp_path):
+        make, kwargs = HASH_ONLY_RUNS["bag_task_faults_seed11"]
+        events = self._trace(make, tmp_path, **kwargs)
+        self._assert_names(events, "task_fault", "units_state")
+        assert self._digest(events) == self.GOLDEN["bag_task_faults_seed11"]
 
-class TestGoldenTraceHashesBatched:
-    """Pinned digests of three more runs with faults, resident and spooled.
-
-    These runs were pinned while batch events were a trace option
-    (``bulk_lifecycle=True``); every trace is batched now.  Node and
-    pilot kills, requeues and task faults replay exactly.
-
-    Last re-pinned when batch events began naming their members: a
-    batched trace now derives each unit's phase spans (every launch
-    included), as the per-unit trace of the same run does
-    (``tests/test_lifecycle_granularity.py`` checks their projections
-    equal), so its Chrome export gained those spans.
-    """
-
-    GOLDEN = {
-        "eop_bulk_node_faults_seed7":
-            "d91c71a5664422cd962c15af2c11ea796cfe2537bdeb008be631bf03cce930ff",
-        "bag_bulk_task_faults_seed11":
-            "7919e5aaa016971257ef0c1fb8e25d224c407fe38e62f6e6b0b33cfcaa573da8",
-        "bag_bulk_pilot_faults_seed0":
-            "b32f61f3f69486a6e6849693d38a9f8e8c66fa143cc3d764879712c0b60e899a",
-    }
-
-    CASES = {
-        "eop_bulk_node_faults_seed7": (
-            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
-            dict(seed=7, **FAULT_KWARGS), "unit_node_kill",
-        ),
-        "bag_bulk_task_faults_seed11": (
-            lambda: FaultedBag(size=64), dict(seed=11, fault_rate=0.2),
-            "task_fault",
-        ),
-        "bag_bulk_pilot_faults_seed0": (
-            lambda: FaultedBag(size=64),
-            dict(seed=0, pilot_mtbf=150.0, max_pilot_resubmits=10,
-                 **FAULT_KWARGS),
-            "unit_pilot_kill",
-        ),
-    }
-
-    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_batched_trace_matches_golden(self, case, spooled, tmp_path):
-        make, kwargs, fault_event = self.CASES[case]
-        if spooled:
-            kwargs = dict(kwargs, spool_dir=tmp_path)
-        events = trace(make, **kwargs)
-        names = {ev.name for ev in events}
-        assert fault_event in names and "units_state" in names
-        assert TestGoldenTraceHashes._digest(events) == self.GOLDEN[case]
+    def test_bag_pilot_faults_seed0(self, tmp_path):
+        make, kwargs = HASH_ONLY_RUNS["bag_pilot_faults_seed0"]
+        events = self._trace(make, tmp_path, **kwargs)
+        self._assert_names(events, "unit_pilot_kill", "units_state")
+        assert self._digest(events) == self.GOLDEN["bag_pilot_faults_seed0"]
 
 
 class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
@@ -448,10 +435,13 @@ class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
 
     Spooling must be a pure representation change: the NDJSON round-trip
     (``repr`` floats, revived :class:`ProfileEvent` rows) may not perturb
-    a single byte of the Chrome export.  Each test hashes the trace twice
-    — once from the live profiler view and once re-read from the spool
-    file on disk — against the unchanged golden pins.
+    a single byte of the Chrome export.  Every inherited test runs
+    spooled; one more hashes the trace twice — once from the live
+    profiler view and once re-read from the spool file on disk — against
+    the unchanged golden pins.
     """
+
+    spooled = True
 
     def test_spooled_trace_matches_golden_twice(self, tmp_path):
         reset_id_counters()
@@ -477,41 +467,3 @@ class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
             revived = [revive(_json.loads(line)) for line in stream]
         assert revived == live
         assert self._digest(revived) == self.GOLDEN["eop_faults_seed7"]
-
-    def test_eop_plain_seed7(self, tmp_path):
-        events = trace(
-            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
-            seed=7, spool_dir=tmp_path,
-        )
-        assert self._digest(events) == self.GOLDEN["eop_plain_seed7"]
-
-    def test_eop_faults_seed7(self, tmp_path):
-        events = trace(
-            lambda: TwoStageEoP(ensemble_size=48, pipeline_size=2),
-            seed=7, spool_dir=tmp_path, **FAULT_KWARGS,
-        )
-        assert self._digest(events) == self.GOLDEN["eop_faults_seed7"]
-
-    def test_ee_faults_seed3(self, tmp_path):
-        events = trace(
-            lambda: SleepEE(ensemble_size=32, iterations=2),
-            seed=3, spool_dir=tmp_path, **FAULT_KWARGS,
-        )
-        assert self._digest(events) == self.GOLDEN["ee_faults_seed3"]
-
-    def test_bag_task_node_faults_seed11(self, tmp_path):
-        events = trace(
-            lambda: FaultedBag(size=64),
-            seed=11, fault_rate=0.2, spool_dir=tmp_path, **FAULT_KWARGS,
-        )
-        assert self._digest(events) == self.GOLDEN[
-            "bag_task_node_faults_seed11"
-        ]
-
-    def test_wide_bag_exclusion_seed1(self, tmp_path):
-        events = trace(
-            lambda: WideBag(size=64), seed=1, spool_dir=tmp_path,
-            **EXCLUSION_KWARGS,
-        )
-        self._assert_exclusion_path(events)
-        assert self._digest(events) == self.GOLDEN["wide_bag_exclusion_seed1"]

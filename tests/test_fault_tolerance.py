@@ -91,13 +91,6 @@ class TestRetryPolicy:
                 value = policy.jittered_delay(attempt, rng)
                 assert base <= value <= base * 1.25
 
-    def test_from_legacy_retries(self):
-        assert RetryPolicy.from_legacy_retries(0) is None
-        assert RetryPolicy.from_legacy_retries(-1) is None
-        policy = RetryPolicy.from_legacy_retries(3)
-        assert policy.max_attempts == 4
-        assert policy.delay(2) == 0.0
-
 
 class TestNodeFaultModel:
     def test_enabled_flag(self):
@@ -430,19 +423,11 @@ class TestFaultAnalytics:
 
 
 class TestPatternPolicyIntegration:
-    def test_pattern_retry_policy_wins_over_legacy(self):
-        pattern = SleepBag(8, duration=10)
-        pattern.max_task_retries = 0
-        pattern.retry_policy = RetryPolicy(max_attempts=5)
-        from repro.core.drivers.base import PatternDriver
-
-        handle = run_sim(pattern, cores=16)
-        assert all(u.state is UnitState.DONE for u in pattern.units)
-
-    def test_driver_adapts_legacy_retries(self):
-        """max_task_retries still absorbs task faults through the adapter."""
+    def test_zero_backoff_policy_retries_immediately(self):
+        """A policy with no backoff absorbs task faults with immediate
+        resubmissions."""
         pattern = SleepBag(32, duration=100)
-        pattern.max_task_retries = 10
+        pattern.retry_policy = RetryPolicy(max_attempts=11, backoff_base=0.0)
         handle = run_sim(pattern, cores=32, fault_rate=0.3, seed=3)
         done = [u for u in pattern.units if u.state is UnitState.DONE]
         assert len(done) == 32

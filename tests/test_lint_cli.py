@@ -76,7 +76,7 @@ def test_json_report_shape(tmp_path, capsys):
     bad = _write(tmp_path / "bad.py", "import time\nx = time.time()\n")
     assert main(["lint", str(bad), "--no-config", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["new"] == 1
+    assert payload["summary"] == {"new": 1, "noqa_suppressed": 0}
     finding = payload["findings"][0]
     assert finding["rule_id"] == "DET001"
     assert finding["line"] == 2
@@ -98,34 +98,15 @@ def test_select_limits_rules(tmp_path, capsys):
     assert main(["lint", str(bad), "--no-config", "--select", "SM"]) == 0
 
 
-def test_baseline_write_then_clean(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path / "bad.py", "import time\nx = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main(
-        ["lint", "bad.py", "--no-config", "--baseline", "baseline.json",
-         "--write-baseline"]
-    ) == 0
-    assert baseline.is_file()
-    assert main(
-        ["lint", "bad.py", "--no-config", "--baseline", "baseline.json"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # Ignoring the baseline resurfaces the finding.
-    assert main(["lint", "bad.py", "--no-config", "--no-baseline"]) == 1
-
-
-def test_stale_baseline_is_reported_not_fatal(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path / "ok.py", "x = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "findings": {"ok.py::DET001::wall-clock call time.time()": 1},
-    }))
-    assert main(["lint", "ok.py", "--no-config", "--baseline", "baseline.json"]) == 0
-    assert "stale baseline" in capsys.readouterr().out
+def test_noqa_is_the_only_way_to_accept_a_finding(tmp_path, capsys):
+    bad = _write(tmp_path / "bad.py", "import time\nx = time.time()\n")
+    assert main(["lint", str(bad), "--no-config"]) == 1
+    _write(bad, "import time\nx = time.time()  # repro: noqa[DET001]\n")
+    assert main(["lint", str(bad), "--no-config"]) == 0
+    assert "(1 noqa-suppressed)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", str(bad), "--no-config", "--write-baseline"])
+    assert excinfo.value.code == 2
 
 
 # -- errors -------------------------------------------------------------------
@@ -136,33 +117,19 @@ def test_missing_path_is_usage_error(capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_missing_baseline_file_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path / "ok.py", "x = 1\n")
-    assert main(["lint", "ok.py", "--no-config", "--baseline", "gone.json"]) == 2
-    assert "baseline file not found" in capsys.readouterr().err
-
-
-def test_write_baseline_without_path_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path / "ok.py", "x = 1\n")
-    assert main(["lint", "ok.py", "--no-config", "--write-baseline"]) == 2
-
-
 # -- config integration -------------------------------------------------------
 
 
-def test_config_paths_and_baseline_are_used(tmp_path, capsys, monkeypatch):
+def test_config_paths_are_used(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     src = tmp_path / "src"
     src.mkdir()
     _write(src / "mod.py", "import time\nx = time.time()\n")
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro.lint]\npaths = ["src"]\nbaseline = "allow.json"\n'
+        '[tool.repro.lint]\npaths = ["src"]\n'
     )
-    assert main(["lint", "--write-baseline"]) == 0
-    assert (tmp_path / "allow.json").is_file()
-    assert main(["lint"]) == 0
+    assert main(["lint"]) == 1
+    assert "src/mod.py:2:" in capsys.readouterr().out
 
 
 def test_help_lists_every_subcommand(capsys):

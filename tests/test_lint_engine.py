@@ -1,14 +1,12 @@
-"""Engine-level tests: discovery, baseline mechanics, config parsing."""
+"""Engine-level tests: discovery and config parsing."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
 
-from repro.lint import Baseline, Finding, LintConfig, lint_paths, rule_catalogue
-from repro.lint.baseline import apply_baseline
+from repro.lint import LintConfig, lint_paths, rule_catalogue
 from repro.lint.config import _fallback_parse, find_pyproject, load_config
 from repro.lint.engine import iter_python_files
 
@@ -48,79 +46,6 @@ def test_unparsable_file_becomes_lint001_finding(tmp_path):
     assert result.files_scanned == 0
 
 
-# -- baseline -----------------------------------------------------------------
-
-
-def _finding(line=3, message="wall-clock call time.time()"):
-    return Finding("pkg/mod.py", line, 0, "DET001", message)
-
-
-def test_apply_baseline_splits_new_from_grandfathered():
-    findings = [_finding(line=3), _finding(line=9)]
-    baseline = Baseline({_finding().baseline_key: 1})
-    new, old, stale = apply_baseline(findings, baseline)
-    assert [f.line for f in old] == [3]
-    assert [f.line for f in new] == [9]
-    assert stale == {}
-
-
-def test_apply_baseline_reports_stale_allowances():
-    baseline = Baseline({_finding().baseline_key: 2})
-    new, old, stale = apply_baseline([], baseline)
-    assert new == [] and old == []
-    assert stale == {_finding().baseline_key: 2}
-
-
-def test_baseline_round_trip(tmp_path):
-    baseline = Baseline.from_findings([_finding(), _finding(line=9)])
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.counts == {_finding().baseline_key: 2}
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": {}}))
-    with pytest.raises(ValueError, match="version"):
-        Baseline.load(path)
-
-
-def test_lint_paths_with_baseline_grandfathers_counts(tmp_path):
-    mod = _write(
-        tmp_path / "mod.py",
-        """
-        import time
-        def a():
-            return time.time()
-        def b():
-            return time.time()
-        """,
-    )
-    config = LintConfig(root=tmp_path)
-    first = lint_paths([mod], config)
-    assert len(first.findings) == 2
-    baseline = Baseline.from_findings(first.findings)
-    # Unchanged tree: everything grandfathered.
-    again = lint_paths([mod], config, baseline=baseline)
-    assert again.ok and len(again.grandfathered) == 2
-    # A *third* instance of the same hazard is new.
-    _write(
-        tmp_path / "mod.py",
-        """
-        import time
-        def a():
-            return time.time()
-        def b():
-            return time.time()
-        def c():
-            return time.time()
-        """,
-    )
-    grown = lint_paths([mod], config, baseline=baseline)
-    assert len(grown.findings) == 1 and len(grown.grandfathered) == 2
-
-
 # -- config -------------------------------------------------------------------
 
 _SECTION = """
@@ -131,7 +56,6 @@ name = "whatever"
 paths = ["src/pkg"]
 select = ["DET", "SM002"]
 exclude = ["src/pkg/vendored"]
-baseline = "lint-baseline.json"
 """
 
 
@@ -142,15 +66,14 @@ def test_load_config_reads_section(tmp_path):
     assert config.paths == ["src/pkg"]
     assert config.select == ["DET", "SM002"]
     assert config.exclude == ["src/pkg/vendored"]
-    assert config.baseline == "lint-baseline.json"
-    assert config.baseline_path() == tmp_path / "lint-baseline.json"
+    assert config.root == tmp_path
 
 
 def test_load_config_defaults_when_section_absent(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text("[project]\nname = 'x'\n")
     config = load_config(pyproject)
-    assert config.select is None and config.baseline is None
+    assert config.select is None and config.exclude == []
 
 
 def test_load_config_rejects_bad_types(tmp_path):
@@ -167,17 +90,16 @@ def test_fallback_parser_matches_tomllib_subset():
         "paths": ["src/pkg"],
         "select": ["DET", "SM002"],
         "exclude": ["src/pkg/vendored"],
-        "baseline": "lint-baseline.json",
     }
 
 
 def test_fallback_parser_ignores_other_sections_and_comments():
     parsed = _fallback_parse(
         "[tool.other]\npaths = [\"nope\"]\n"
-        "[tool.repro.lint]\n# a comment\nbaseline = \"b.json\"  # trailing\n"
-        "[tool.more]\nbaseline = \"nope\"\n"
+        "[tool.repro.lint]\n# a comment\nselect = \"DET\"  # trailing\n"
+        "[tool.more]\nselect = \"nope\"\n"
     )
-    assert parsed == {"baseline": "b.json"}
+    assert parsed == {"select": "DET"}
 
 
 def test_find_pyproject_walks_upward(tmp_path):

@@ -11,6 +11,7 @@ from repro.exceptions import ConfigurationError, PatternError
 from repro.pilot.agent.executor import SimExecutor
 from repro.pilot.description import ComputeUnitDescription
 from repro.pilot.faults import FaultModel, TaskFault
+from repro.pilot.retry import RetryPolicy
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
@@ -21,7 +22,8 @@ from repro.utils.ids import reset_id_counters
 class SleepBag(BagOfTasks):
     def __init__(self, size, retries=0):
         super().__init__(size=size)
-        self.max_task_retries = retries
+        self.retry_policy = RetryPolicy(max_attempts=retries + 1,
+                                        backoff_base=0.0)
 
     def task(self, instance):
         kernel = Kernel(name="misc.sleep")

@@ -70,21 +70,6 @@ class TestRetryPolicyProperties:
                     break
             assert attempts <= policy.max_attempts, (case, policy, attempts)
 
-    def test_legacy_adapter_round_trip(self):
-        rng = np.random.default_rng(105)
-        for _ in range(100):
-            retries = int(rng.integers(-3, 20))
-            policy = RetryPolicy.from_legacy_retries(retries)
-            if retries <= 0:
-                assert policy is None
-            else:
-                assert policy.retries == retries
-                # Legacy semantics carried no delay.
-                assert all(
-                    policy.delay(n) == 0.0
-                    for n in range(1, policy.max_attempts + 1)
-                )
-
 
 class TestEstimateTTCProperties:
     def test_makespan_at_least_wave_bound(self):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.utils.ids import generate_id, reset_id_counters
+from repro.utils.ids import generate_id, reserve_id_block, reset_id_counters
 
 
 def test_ids_are_sequential_per_namespace():
@@ -31,6 +31,28 @@ def test_counter_grows_past_padding():
         last = generate_id("overflow")
     assert last == "overflow.9999"
     assert generate_id("overflow") == "overflow.10000"
+
+
+def test_blocks_interleaved_with_single_ids_match_one_id_each():
+    """A block of n serials is exactly what n generate_id calls would
+    have taken, so later ids continue the same sequence."""
+    reset_id_counters("block")
+    reset_id_counters("single")
+    serials = []
+    for n in (3, 1, 5, 2):
+        first = reserve_id_block("block", n)
+        serials.extend(range(first, first + n))
+        serials.append(int(generate_id("block").rpartition(".")[2]))
+    expected = [int(generate_id("single").rpartition(".")[2])
+                for _ in serials]
+    assert serials == expected == list(range(15))
+
+
+def test_reserve_id_block_rejects_empty_blocks():
+    with pytest.raises(ValueError):
+        reserve_id_block("block-empty", 0)
+    with pytest.raises(ValueError):
+        reserve_id_block("", 1)
 
 
 def test_empty_namespace_rejected():
