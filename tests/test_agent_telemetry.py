@@ -263,6 +263,7 @@ PER_UNIT_PHASES = {
     # naming their members, and equal to its batched trace's.
     "bag_pilot_faults_seed0": "7d0fd2bc49e6cf4f",
     "bag_task_faults_seed11": "6d157c26926a57e3",
+    "eop_bulk_node_faults_seed7": "74ba2a6b4ef11ed0",
 }
 
 
@@ -455,7 +456,8 @@ def test_derived_agent_telemetry_matches_recorded_reference(
 #: The runs ``tests/test_determinism.py`` pins the Chrome export of, as
 #: (pattern factory, handle keywords).
 GOLDEN_RUNS = {**test_determinism.GOLDEN_RUNS,
-               **test_determinism.HASH_ONLY_RUNS}
+               **test_determinism.HASH_ONLY_RUNS,
+               **test_determinism.BATCHED_RUNS}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))

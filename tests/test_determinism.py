@@ -430,6 +430,33 @@ class TestGoldenTraceHashes:
         assert self._digest(events) == self.GOLDEN["bag_pilot_faults_seed0"]
 
 
+#: The ``eop_faults_seed7`` run under the name it was pinned by while batch
+#: events were a trace option (``eop_bulk_node_faults_seed7``).
+BATCHED_RUNS = {"eop_bulk_node_faults_seed7": GOLDEN_RUNS["eop_faults_seed7"]}
+
+
+class TestGoldenTraceHashesBatched:
+    """The :data:`BATCHED_RUNS`, resident and spooled, against the digest
+    they were pinned to as batched runs.
+
+    With one trace format left this is the ``eop_faults_seed7`` run, and
+    its pin equals that run's.
+    """
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    @pytest.mark.parametrize("case", sorted(BATCHED_RUNS))
+    def test_batched_trace_matches_golden(self, case, spooled, tmp_path):
+        make, kwargs = BATCHED_RUNS[case]
+        if spooled:
+            kwargs = dict(kwargs, spool_dir=tmp_path)
+        events = trace(make, **kwargs)
+        TestGoldenTraceHashes._assert_names(events, "unit_node_kill",
+                                            "units_state")
+        assert TestGoldenTraceHashes._digest(events) == (
+            TestGoldenTraceHashes.GOLDEN["eop_faults_seed7"]
+        )
+
+
 class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
     """The same pinned digests with the trace streamed to a spool file.
 
