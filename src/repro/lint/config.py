@@ -7,6 +7,10 @@ Recognised keys::
     select   = ["DET", "DC", "SM", "EVT"]  # rule ids or family prefixes
     exclude  = ["src/repro.egg-info"]  # path prefixes to skip
 
+Any other key in the section is an error (``ValueError``, which
+``repro lint`` reports as a usage error), so a misspelt key cannot
+silently leave every rule selected.
+
 Python 3.11+ parses with :mod:`tomllib`; on 3.10 (no tomllib, and the CI
 image does not ship ``tomli``) a minimal single-section fallback parser
 handles exactly the subset above — quoted strings and flat string arrays.
@@ -21,6 +25,7 @@ from pathlib import Path
 __all__ = ["LintConfig", "load_config", "find_pyproject"]
 
 _SECTION = ("tool", "repro", "lint")
+_KEYS = ("paths", "select", "exclude")
 
 
 @dataclass
@@ -49,6 +54,12 @@ def load_config(pyproject: Path | None) -> LintConfig:
     config = LintConfig(root=pyproject.parent)
     if not section:
         return config
+    unknown = sorted(set(section) - set(_KEYS))
+    if unknown:
+        raise ValueError(
+            f"[tool.repro.lint] unknown key(s): {', '.join(unknown)} "
+            f"(known: {', '.join(_KEYS)})"
+        )
     if "paths" in section:
         config.paths = _string_list(section["paths"], "paths")
     if "select" in section:

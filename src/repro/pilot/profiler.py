@@ -12,8 +12,8 @@ Where appended events *live* is delegated to an
 everything-resident list, while a
 :class:`~repro.telemetry.sink.SpoolSink` streams events to an NDJSON
 spool file and keeps none of them in memory — the million-unit scale
-envelope.  ``ProfileEvent`` is defined next to the sinks and
-re-exported here under its historical import path.
+envelope.  The events are ``ProfileEvent`` objects, defined next to the
+sinks in :mod:`repro.telemetry.sink`.
 
 Every query (``events``, ``first``, ``last``, ``span``) reads the whole
 sink, which on a spool means parsing the file again.  An analysis that
@@ -35,7 +35,7 @@ from repro.telemetry.sink import (
     encode_row,
 )
 
-__all__ = ["ProfileEvent", "Profiler"]
+__all__ = ["Profiler"]
 
 
 class Profiler(TraceQueries):

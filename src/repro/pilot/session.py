@@ -71,9 +71,9 @@ class Session:
         ``<spool_dir>/<session_uid>.trace.jsonl`` instead of keeping the
         whole trace resident (see :mod:`repro.telemetry.sink`).  Trace
         *content* is bit-identical either way.  Metric points live only
-        in the trace in both cases: ``session.metrics`` keeps running
-        aggregates, and ``MetricsRegistry.from_events(session.prof)``
-        reads the points.
+        in the trace in both cases: ``session.metrics`` writes them and
+        keeps nothing, and ``MetricsRegistry.from_events(session.prof)``
+        reads them back.
     """
 
     def __init__(
@@ -149,7 +149,7 @@ class Session:
         # time and stay bit-deterministic under a seed.  Imported as
         # submodules: repro.telemetry must not import the pilot layer.
         self.tracer = Tracer(self.prof)
-        self.metrics = MetricsRegistry(self._clock.now, emit=self.prof.event)
+        self.metrics = MetricsRegistry(emit=self.prof.event)
         self.unit_store = UnitStore(self)
         self.prof.event("session_start", self.uid, mode=mode, platform=platform)
         self.store.insert("sessions", self.uid, {"mode": mode, "platform": platform})

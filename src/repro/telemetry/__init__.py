@@ -8,9 +8,10 @@ The pilot layer records a flat, append-only list of profile events
   tree (session → pattern → unit lifecycle → agent phases) reconstructed
   from the flat trace by :class:`SpanBuilder`, plus a :class:`Tracer`
   context manager for explicit instrumentation.
-* :mod:`repro.telemetry.metrics` — counters/gauges/samples recorded on
-  the session clock (:class:`MetricsRegistry`), queryable by analytics
-  and experiments.
+* :mod:`repro.telemetry.metrics` — metric points written into the trace
+  on the session clock (:class:`MetricsRegistry`, which keeps nothing),
+  and the series read back from a trace, the derived ``units.*`` and
+  ``agent.*`` gauges among them.
 * :mod:`repro.telemetry.analysis` — critical-path extraction over the
   span tree and reconciliation against the paper's
   :class:`~repro.core.profiler.OverheadBreakdown`.

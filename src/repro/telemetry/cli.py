@@ -11,9 +11,10 @@ harness's ``--trace-out``).  Subcommands:
 ``critical-path PATH``   the blocking-activity tiling of the TTC window
 
 Exit codes follow ``repro lint``: 0 success, 2 usage error (missing or
-malformed trace file).  A reader that closes the pipe early (``| head``)
-ends the command quietly with status 0.  A trace whose last line was cut off mid-write
-still loads: the torn line is dropped with a note on stderr.
+malformed trace file, or a state event without ``prev``).  A reader
+that closes the pipe early (``| head``) ends the command quietly with
+status 0.  A trace whose last line was cut off mid-write still loads:
+the torn line is dropped with a note on stderr.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def _load(path_str: str) -> list[ProfileEvent]:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     events = _load(args.trace)
     tree = SpanBuilder().add_events(events).build()
+    # Read first, so that a trace it rejects prints nothing.
+    registry = MetricsRegistry.from_events(events)
 
     units = unit_count(events)
     print(f"trace    : {args.trace}")
@@ -111,7 +114,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         print(f"  {name:<28} {counts[name]:>6}  {seconds[name]:>12.3f}  "
               f"{component_of(sample)}")
 
-    registry = MetricsRegistry.from_events(events)
     names = registry.names()
     if names:
         print("\nmetric series (source):")

@@ -1,30 +1,23 @@
-"""Metrics time series on the session clock.
+"""Metric points in the trace, and the series read back from it.
 
-A :class:`MetricsRegistry` records counters (monotonic increments),
-gauges (set to a value) and samples (observations of a distribution),
-each timestamped by the injected clock — the virtual clock under
-simulation, so metric timelines are bit-identical across same-seed
-runs.
+The session's :class:`MetricsRegistry` is write-only: :meth:`~
+MetricsRegistry.sample` appends one ``metric`` event to the flat trace
+(``uid`` = metric name, ``value`` = point value, ``kind``) through the
+``emit`` callable the session wires in (``Profiler.event``), stamped by
+the session clock, and keeps nothing.  Points, and the aggregates over
+them, are read only with :meth:`MetricsRegistry.from_events`, which
+builds a registry of series from a trace or a spool file.
 
-When constructed with an ``emit`` callable (the session wires in
-``Profiler.event``), every recorded point is appended to the flat
-trace as a ``metric`` event (``uid`` = metric name, ``value`` = point
-value).  The trace is the only place points live: a live registry
-keeps O(1) running aggregates per series (count, min, max, sum, last),
-and every point read goes through :meth:`MetricsRegistry.from_events`,
-which rebuilds resident series from a trace or a spool file.
-
-``from_events`` also derives gauges from the lifecycle events instead
-of reading recorded points, folded in time order.  Each lifecycle batch
-event moves its ``n`` members and the total ``cores``/``slots`` it
-carries at once; no batch is decoded per member:
+``from_events`` also derives gauges from the lifecycle events, folded
+in time order.  Each lifecycle batch event moves its ``n`` members and
+the total ``cores``/``slots`` it carries at once; no batch is decoded
+per member:
 
 * ``units.<STATE>`` (units currently in each lifecycle state): ``+n``
   to ``units.NEW`` per ``units_new`` event, and ``-n`` to
   ``units.<prev>``, ``+n`` to ``units.<state>`` per ``units_state``
-  event.  Only when every state event carries ``prev``, so a trace
-  written before state events carried ``prev`` reads exactly as it was
-  recorded.
+  event.  A state event without ``prev`` is rejected with
+  ``ValueError``.
 * ``agent.<pilot>.queue_depth``, ``cores_held`` and ``cores_busy``
   from the events that carry ``pilot``: a ``units_slots`` event moves
   ``n`` units out of the queue and holds ``slots`` cores; a state event
@@ -34,16 +27,13 @@ carries at once; no batch is decoded per member:
   ``AGENT_SCHEDULING`` releases its ``cores`` if it carries them (a
   unit killed while launching), else leaves the queue.
 
-A gauge is derived only when the trace has no recorded points of that
-name, so a trace from before the agent stopped recording its gauges
-reads as recorded.
+A derived gauge replaces any recorded series of the same name.
 
 No pilot-layer imports here (the session imports us).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable
@@ -55,54 +45,36 @@ __all__ = ["MetricSeries", "MetricsRegistry"]
 
 @dataclass(slots=True)
 class MetricSeries:
-    """One named time series: running aggregates plus, when resident
-    (rebuilt by :meth:`MetricsRegistry.from_events`), the (time, value)
-    points in record order."""
+    """One named time series: its (time, value) points in trace order."""
 
     name: str
     kind: str  # "counter" | "gauge" | "sample"
     points: list[tuple[float, float]] = field(default_factory=list)
-    #: Whether :attr:`points` is populated; aggregates are always kept.
-    resident: bool = True
     #: Whether :meth:`MetricsRegistry.from_events` derived the series
     #: from lifecycle events instead of reading recorded points.
     derived: bool = False
-    count: int = 0
-    vmin: float = 0.0
-    vmax: float = 0.0
-    total: float = 0.0
-    _last: float = 0.0
-
-    def _push(self, time: float, value: float) -> None:
-        if self.count == 0:
-            self.vmin = self.vmax = value
-        else:
-            if value < self.vmin:
-                self.vmin = value
-            if value > self.vmax:
-                self.vmax = value
-        self.count += 1
-        self.total += value
-        self._last = value
-        if self.resident:
-            self.points.append((time, value))
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.points)
 
     @property
     def last(self) -> float:
-        return self._last
+        return self.points[-1][1] if self.points else 0.0
+
+    @property
+    def vmin(self) -> float:
+        return min(self.values(), default=0.0)
+
+    @property
+    def vmax(self) -> float:
+        return max(self.values(), default=0.0)
 
     def values(self) -> list[float]:
-        """Recorded values in order (resident series only)."""
-        self._require_points()
+        """The point values in order."""
         return [value for _, value in self.points]
 
     def value_at(self, time: float) -> float:
-        """The most recent value at or before *time* (0.0 before any);
-        resident series only."""
-        self._require_points()
+        """The most recent value at or before *time* (0.0 before any)."""
         current = 0.0
         for t, value in self.points:
             if t > time:
@@ -111,80 +83,42 @@ class MetricSeries:
         return current
 
     def stats(self) -> dict[str, float]:
-        """min/max/mean/count over recorded values (empty series → zeros).
-
-        Computed from the running aggregates, so it works identically
-        on live and rebuilt series.
-        """
-        if not self.count:
+        """min/max/mean/count over the values (empty series → zeros)."""
+        values = self.values()
+        if not values:
             return {"count": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+        total = 0.0
+        for value in values:  # not sum(): it compensates on Python 3.12+
+            total += value
         return {
-            "count": float(self.count),
-            "min": self.vmin,
-            "max": self.vmax,
-            "mean": self.total / self.count,
+            "count": float(len(values)),
+            "min": min(values),
+            "max": max(values),
+            "mean": total / len(values),
         }
-
-    def _require_points(self) -> None:
-        if not self.resident and self.count:
-            raise RuntimeError(
-                f"metric series {self.name!r} keeps running aggregates "
-                "only; read its points from the trace with "
-                "MetricsRegistry.from_events"
-            )
 
 
 class MetricsRegistry:
-    """Counters, gauges and samples stamped by the session clock.
+    """Writes metric points into the trace; reads series back from one.
 
-    ``clock`` is a zero-argument callable returning the current time
-    (``Session`` passes its clock's ``now``); ``emit``, when given, is
-    called as ``emit("metric", name, value=...)`` for every point so the
-    series ride inside the profiler trace.  Recorded series keep running
-    aggregates only (see :class:`MetricSeries`).
+    ``emit`` is called as ``emit("metric", name, value=..., kind=...)``
+    for every point (``Session`` passes its profiler's ``event``).  A
+    registry keeps no series of its own: only one built by
+    :meth:`from_events` holds any, and it records nothing.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        emit: Callable[..., Any] | None = None,
-    ) -> None:
-        self._clock = clock
+    def __init__(self, emit: Callable[..., Any] | None = None) -> None:
         self._emit = emit
         self._series: dict[str, MetricSeries] = {}
-        # Local-mode units advance from executor worker threads; the
-        # read-modify-write in count()/adjust() needs the same guard
-        # the profiler's append has.
-        self._lock = threading.Lock()
 
-    def _record(self, name: str, kind: str, value: float, delta: bool) -> None:
-        with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = MetricSeries(name=name, kind=kind, resident=False)
-                self._series[name] = series
-            if delta and series.count:
-                value += series.last
-            value = float(value)
-            series._push(self._clock(), value)
-        if self._emit is not None:
-            self._emit("metric", name, value=value, kind=kind)
-
-    def count(self, name: str, delta: float = 1.0) -> None:
-        """Increment counter *name* by *delta*; records the new total."""
-        self._record(name, "counter", delta, delta=True)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge *name* to *value*."""
-        self._record(name, "gauge", value, delta=False)
-
-    def adjust(self, name: str, delta: float) -> None:
-        """Adjust gauge *name* by *delta* from its last value."""
-        self._record(name, "gauge", delta, delta=True)
+    def _record(self, name: str, kind: str, value: float) -> None:
+        if self._emit is None:
+            raise TypeError("a registry read from a trace records nothing")
+        self._emit("metric", name, value=float(value), kind=kind)
 
     def sample(self, name: str, value: float) -> None:
         """Record one observation of distribution *name*."""
-        self._record(name, "sample", value, delta=False)
+        self._record(name, "sample", value)
 
     # -- queries -----------------------------------------------------------
 
@@ -198,62 +132,56 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._series
 
-    # -- reconstruction from a trace --------------------------------------
+    # -- reading a trace ----------------------------------------------------
 
     @classmethod
     def from_events(
         cls, events: Iterable[ProfileEvent]
     ) -> "MetricsRegistry":
-        """Rebuild a registry with resident points from a trace.
+        """The series of a trace.
 
         Takes :class:`~repro.telemetry.sink.ProfileEvent`s: a profiler's
         own, or a JSONL dump (a spool file included) loaded with
         :func:`~repro.telemetry.sink.read_events`.  Recorded ``metric``
         events become series in trace order; the ``units.<STATE>`` and
         ``agent.<pilot>.*`` gauges are derived from lifecycle events
-        (see the module docstring).  The returned
-        registry's clock is frozen (recording into it stamps time 0.0);
-        it is meant for querying only.
+        (see the module docstring).  Raises ``ValueError`` on a
+        ``units_state`` event without ``prev``.
         """
-        registry = cls(lambda: 0.0)
-        recorded = registry._series
+        registry = cls()
+        series_of = registry._series
         moves: list[tuple[float, str, int]] = []  # (time, gauge, delta)
-        agent_moves: list[tuple[float, str, int]] = []
-        derivable = True
         for event in events:
             name, uid, attrs = event.name, event.uid, event.attrs
             time = event.time
             if name == "metric":
-                series = recorded.get(uid)
+                series = series_of.get(uid)
                 if series is None:
                     kind = str(attrs.get("kind", "gauge"))
-                    series = recorded[uid] = MetricSeries(name=uid, kind=kind)
-                series._push(time, float(attrs.get("value", 0.0)))
+                    series = series_of[uid] = MetricSeries(name=uid, kind=kind)
+                series.points.append((time, float(attrs.get("value", 0.0))))
             elif name == NEW:
                 moves.append((time, "units.NEW", member_count(event)))
             elif name == STATE:
                 n = member_count(event)
                 prev, state = attrs.get("prev"), attrs.get("state")
-                derivable = derivable and prev is not None
+                if prev is None:
+                    raise ValueError(
+                        f"units_state event of {uid} at t={time} has no "
+                        "'prev': not a trace this runtime writes"
+                    )
                 moves.append((time, f"units.{prev}", -n))
                 moves.append((time, f"units.{state}", n))
                 pilot = attrs.get("pilot")
                 if pilot is not None:
-                    _agent_moves(agent_moves, time, f"agent.{pilot}.", n,
+                    _agent_moves(moves, time, f"agent.{pilot}.", n,
                                  prev, state, attrs.get("cores"))
             elif name == SLOTS:
                 gauge = f"agent.{attrs.get('pilot')}."
-                agent_moves.append(
-                    (time, gauge + "queue_depth", -member_count(event))
-                )
-                agent_moves.append(
-                    (time, gauge + "cores_held", int(attrs.get("slots", 0)))
-                )
-        derived = _fold(agent_moves)
-        if derivable:
-            derived.update(_fold(moves))
-        for name, series in derived.items():
-            recorded.setdefault(name, series)
+                moves.append((time, gauge + "queue_depth", -member_count(event)))
+                moves.append((time, gauge + "cores_held",
+                              int(attrs.get("slots", 0))))
+        series_of.update(_fold(moves))
         return registry
 
 
@@ -286,5 +214,5 @@ def _fold(moves: list[tuple[float, str, int]]) -> dict[str, MetricSeries]:
         if series is None:
             series = gauges[name] = MetricSeries(name=name, kind="gauge",
                                                  derived=True)
-        series._push(time, series.last + delta)
+        series.points.append((time, series.last + delta))
     return gauges

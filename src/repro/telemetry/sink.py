@@ -51,9 +51,8 @@ exactly the attrs a one-unit event would carry, so the readers derive
 every unit's phase spans and gauges from batches.  A batch event with no
 ``members`` names its ``uid`` alone.
 
-``ProfileEvent`` itself is defined here (and re-exported by
-:mod:`repro.pilot.profiler` under its historical import path) so this
-module does not import the pilot layer — the session imports telemetry.
+``ProfileEvent`` itself is defined here, its one home, so this module
+does not import the pilot layer — the session imports telemetry.
 :class:`TraceIndex` sits next to it: one pass over a trace that answers
 the profiler's query API, so an analysis reads a spool once instead of
 once per query.

@@ -21,9 +21,8 @@ parent span and free-form attributes.  Two sources produce spans:
   lifecycle event brackets is traced this way: ``driver.submit``,
   ``umgr.submit``, ``pmgr.submit`` and the local ``exec.payload``.
 
-A trace written while the agent still recorded its phase spans (any
-explicit span named like a derived phase) is read as recorded: no phase
-span is derived from it.
+The agent's phase spans are always derived; an explicit span of the same
+name would stand beside them, not replace them.
 
 The builder takes :class:`~repro.telemetry.sink.ProfileEvent` objects
 in any order (it sorts by timestamp, stably): a profiler's own, or a
@@ -69,7 +68,6 @@ _STAGING_PHASES = {
     "AGENT_STAGING_OUTPUT": "agent.stage_out",
 }
 _LAUNCH_SPAN_NAME = "exec.launch"
-_PHASE_SPAN_NAMES = frozenset({*_STAGING_PHASES.values(), _LAUNCH_SPAN_NAME})
 
 
 #: The attributes of every span that has none: one shared, read-only
@@ -417,10 +415,6 @@ class SpanBuilder:
         t_trace_end: float,
     ) -> None:
         created, states, launches = self._lifecycles(trace, t_trace_end)
-        phases = not any(
-            ev.attrs.get("span") in _PHASE_SPAN_NAMES
-            for ev in trace.events("span_open")
-        )
         for uid in sorted(set(created) | set(states)):
             t_created, pattern_uid = created.get(uid, (None, ""))
             seq = states.get(uid, [])
@@ -437,9 +431,8 @@ class SpanBuilder:
                 spans[key] = Span(key, f"unit:{state}", t_phase,
                                   seq[i + 1][0], parent=container.uid,
                                   ref=uid)
-            if phases:
-                self._phase_spans(spans, container.uid, uid, seq,
-                                  launches.get(uid, ()), t_trace_end)
+            self._phase_spans(spans, container.uid, uid, seq,
+                              launches.get(uid, ()), t_trace_end)
 
     @staticmethod
     def _lifecycles(

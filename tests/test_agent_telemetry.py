@@ -14,23 +14,20 @@ the phase spans from the state intervals.
   wrappers that record into a trace of their own.  On real runs (EoP,
   SAL and bag patterns, without faults and with node, pilot and task
   faults, resident and spooled, the trace read as written and as one
-  batch of one per unit) the run's trace read alone must give what the run's trace plus the reference
-  recordings gives: the same span tree, with each recorded phase span
-  matched by a derived one on (name, ref, start, end); the same
-  critical path, breakdown and fault summary; and each metric's value
-  at every event time, against the gauges sampled wherever the agent's
-  queue or slots change.  The recorded gauges were sampled only by
+  batch of one per unit) the run's trace must give what the reference
+  recorded, each read on its own: the recorded phase spans, each matched
+  by a derived one on (name, ref, start, end), and each agent gauge's
+  value at every event time, against the gauges sampled wherever the
+  agent's queue or slots change.  The recorded gauges were sampled only by
   scheduling passes of a started agent, so they differ from the derived
   ones in exactly two places, both intended: after a cancel, until the
   next pass (``TestStaleQueueDepth``), and while an agent is not
   started, e.g. while its pilot is down after a pilot fault.  Batch
   events name their members, so every unit's launch is derived, in
   whichever launch group it starts (``test_launch_groups_of_one_pass``).
-* **Trace format.**  A trace from before this change (recorded gauges,
-  explicit phase spans, no ``pilot``/``cores`` on state events) reads as
-  recorded: the same series, span tree and Chrome bytes as before, in
-  either event order.  The same trace in the new format derives the
-  same series and the same phase spans.
+* **Trace format.**  A hand-written trace in the format the agent
+  writes derives the gauges and phase spans the agent recorded for it
+  before they were derived, in either event order.
 * **Trace size.**  A classic unit is named by at most 10 lifecycle
   records, with no agent metric point and no span other than the four
   explicit ones, and a run writes fewer events than it has units.
@@ -47,7 +44,6 @@ import pytest
 
 from repro.analytics.faults import fault_recovery_summary
 from repro.core.patterns import BagOfTasks
-from repro.core.profiler import breakdown_from_profile
 from repro.core.resource_handle import ResourceHandle
 from repro.pilot.agent.agent import Agent
 from repro.pilot.agent.executor import SimExecutor
@@ -55,13 +51,8 @@ from repro.pilot.agent.staging import SimStager
 from repro.pilot.profiler import Profiler
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
-from repro.telemetry import (
-    MetricsRegistry,
-    SpanBuilder,
-    chrome_trace,
-    critical_path,
-)
-from repro.telemetry.sink import TraceIndex, unit_count
+from repro.telemetry import MetricsRegistry, SpanBuilder, chrome_trace
+from repro.telemetry.sink import unit_count
 from repro.utils.ids import reset_id_counters
 from tests.test_analysis_differential import _EXERCISED, CASES, FAULTS, PATTERNS
 from tests import test_determinism
@@ -95,7 +86,8 @@ class _RecordedAgentTelemetry:
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.prof: Profiler | None = None
         self.sampled: Profiler | None = None
-        self._registries: tuple[MetricsRegistry, MetricsRegistry] = ()
+        #: Running ``cores_busy`` totals, by gauge name.
+        self._busy_cores: dict[str, int] = {}
         self._ids = itertools.count()
         #: Open stage-in/out spans by group leader uid, launch spans by group.
         self._staging: dict[tuple[str, str], str] = {}
@@ -110,19 +102,24 @@ class _RecordedAgentTelemetry:
     def _end(self, uid: str) -> None:
         self.prof.event("span_close", uid)
 
+    @staticmethod
+    def _point(prof: Profiler, name: str, value: int) -> None:
+        prof.event("metric", name, value=float(value), kind="gauge")
+
     def _busy(self, units, sign: int) -> None:
-        for metrics in self._registries:
-            metrics.adjust(
-                f"agent.{units[0].pilot_uid}.cores_busy",
-                sign * sum(u.description.cores for u in units),
-            )
+        name = f"agent.{units[0].pilot_uid}.cores_busy"
+        total = self._busy_cores[name] = self._busy_cores.get(name, 0) + (
+            sign * sum(u.description.cores for u in units)
+        )
+        for prof in (self.prof, self.sampled):
+            self._point(prof, name, total)
 
     def _gauges(self, agent, *, recorded: bool) -> None:
         name = f"agent.{agent.pilot.uid}."
-        targets = self._registries if recorded else self._registries[1:]
-        for metrics in targets:
-            metrics.gauge(name + "queue_depth", len(agent._waiting))
-            metrics.gauge(name + "cores_held", agent.slots.used_cores)
+        targets = (self.prof, self.sampled) if recorded else (self.sampled,)
+        for prof in targets:
+            self._point(prof, name + "queue_depth", len(agent._waiting))
+            self._point(prof, name + "cores_held", agent.slots.used_cores)
 
     def _wrap(self, monkeypatch: pytest.MonkeyPatch) -> None:
         rec = self
@@ -140,10 +137,6 @@ class _RecordedAgentTelemetry:
             if rec.prof is None:
                 rec.prof = Profiler(session.now)
                 rec.sampled = Profiler(session.now)
-                rec._registries = tuple(
-                    MetricsRegistry(session.now, emit=prof.event)
-                    for prof in (rec.prof, rec.sampled)
-                )
 
         def submit_units(agent, units):
             span = rec._begin("agent.submit", agent.pilot.uid)
@@ -283,23 +276,23 @@ def _shape(span) -> tuple:
             span.attrs)
 
 
-def assert_same_tree(derived, recorded, phases: str | None = None) -> None:
-    """*derived* (from the run's trace) and *recorded* (from the trace
-    plus the reference recordings) are one tree: every span but the
-    phase and pass spans is the same span, and the recorded phase spans
-    are the derived ones.  With *phases*, the derived phase spans are
+def recorded_tree(reference: _RecordedAgentTelemetry):
+    """The spans *reference* recorded, read on their own."""
+    return SpanBuilder().add_events(reference.prof).build()
+
+
+def assert_recorded_phases(derived, recorded, phases: str | None = None) -> None:
+    """The phase spans of *derived* (the run's tree) are the ones
+    *recorded* (the reference's tree) holds, and neither the run nor its
+    tree has a pass span.  With *phases*, the derived phase spans are
     checked against that pinned digest (see :data:`PER_UNIT_PHASES`)
     instead."""
-    recorded_phases = Counter(
-        _phase_key(s) for s in recorded if s.name in PHASES
-    )
-    derived_phases = Counter(
-        _phase_key(s) for s in derived if s.name in PHASES
-    )
     if phases is not None:
         assert digest(phase_spans(derived, PHASES)) == phases
     else:
-        assert derived_phases == recorded_phases
+        assert (Counter(_phase_key(s) for s in derived if s.name in PHASES)
+                == Counter(_phase_key(s) for s in recorded
+                           if s.name in PHASES))
     assert all(not s.uid.startswith("span.") for s in derived
                if s.name in PHASES)
     passes = [s for s in recorded if s.name in PASSES]
@@ -307,21 +300,13 @@ def assert_same_tree(derived, recorded, phases: str | None = None) -> None:
     assert not derived.find(name="agent.schedule")
     assert not derived.find(name="agent.submit")
 
-    kept = {
-        uid: _shape(s) for uid, s in recorded.spans.items()
-        if s.name not in PHASES and s.name not in PASSES
-    }
-    assert {
-        uid: _shape(s) for uid, s in derived.spans.items()
-        if s.name not in PHASES
-    } == kept
-
 
 def metric_differences(derived: MetricsRegistry, recorded: MetricsRegistry,
                        times) -> list[tuple[float, str, float, float]]:
-    """(time, metric, derived, recorded) wherever the two registries
-    disagree at one of *times*."""
-    names = set(derived.names()) | set(recorded.names())
+    """(time, metric, derived, recorded) wherever the two registries'
+    agent gauges disagree at one of *times*."""
+    names = {name for name in (*derived.names(), *recorded.names())
+             if name.startswith("agent.")}
     out = []
     for name in sorted(names):
         a, b = derived.series(name), recorded.series(name)
@@ -354,8 +339,8 @@ def test_launch_groups_of_one_pass(granularity, monkeypatch):
     events = _read(list(handle.profile), granularity)
     derived = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events).build() if s.name in PHASES)
-    recorded = Counter(_phase_key(s) for s in SpanBuilder().add_events(
-        events + list(reference.prof)).build() if s.name in PHASES)
+    recorded = Counter(_phase_key(s) for s in recorded_tree(reference)
+                       if s.name in PHASES)
     assert digest(sorted(derived.items())) == PER_UNIT_PHASES["launch_groups"]
     assert len(recorded) < len(derived)
 
@@ -378,40 +363,26 @@ def not_started(events) -> dict[str, list[tuple[float, float]]]:
     return windows
 
 
-def check_against_reference(handle, pattern, reference,
-                            phases: str | None = None,
+def check_against_reference(handle, reference, phases: str | None = None,
                             granularity: str = "batched") -> list:
-    """Everything *handle*'s finished run implies, read from its trace
-    alone (as *granularity* reads it, see :func:`_read`), equals what
-    its trace plus *reference*'s recordings implies (the phase spans:
-    the pinned *phases*, see :func:`assert_same_tree`).  Returns the
-    points where the recorded gauges were stale."""
+    """The agent's phase spans and gauges that *handle*'s finished run
+    implies, read from its trace alone (as *granularity* reads it, see
+    :func:`_read`), equal what *reference* recorded, read on its own (the
+    phase spans: the pinned *phases*, see :func:`assert_recorded_phases`).
+    Returns the points where the recorded gauges were stale."""
     events = _read(list(handle.profile), granularity)
-    trace = TraceIndex(events)
     assert not any(ev.name == "metric" and ev.uid.startswith("agent.")
                    for ev in events)
     assert {ev.attrs["span"] for ev in events
             if ev.name == "span_open"} <= EXPLICIT
-    recorded_trace = events + list(reference.prof)
-
-    assert (fault_recovery_summary(trace).as_dict()
-            == fault_recovery_summary(TraceIndex(recorded_trace)).as_dict())
-    assert (breakdown_from_profile(trace, pattern).as_dict()
-            == breakdown_from_profile(TraceIndex(recorded_trace),
-                                      pattern).as_dict())
 
     derived_tree = SpanBuilder().add_events(events).build()
-    recorded_tree = SpanBuilder().add_events(recorded_trace).build()
-    assert_same_tree(derived_tree, recorded_tree, phases=phases)
-    path = critical_path(derived_tree, pattern.uid)
-    ref_path = critical_path(recorded_tree, pattern.uid)
-    assert ([(s.t_start, s.t_end, s.component) for s in path.segments]
-            == [(s.t_start, s.t_end, s.component) for s in ref_path.segments])
-    assert path.total == ref_path.total
+    assert_recorded_phases(derived_tree, recorded_tree(reference),
+                           phases=phases)
 
     derived = MetricsRegistry.from_events(events)
-    recorded = MetricsRegistry.from_events(recorded_trace)
-    sampled = MetricsRegistry.from_events(events + list(reference.sampled))
+    recorded = MetricsRegistry.from_events(reference.prof)
+    sampled = MetricsRegistry.from_events(reference.sampled)
     assert any(n.startswith("agent.") for n in recorded.names())
     times = sorted({ev.time for ev in events})
     assert metric_differences(derived, sampled, times) == []
@@ -448,8 +419,7 @@ def test_derived_agent_telemetry_matches_recorded_reference(
         summary = fault_recovery_summary(handle.profile)
         assert getattr(summary, _EXERCISED[faults]) > 0
     phases = PER_UNIT_PHASES[f"{pattern_name}-{faults}-{seed}"]
-    stale = check_against_reference(handle, pattern, reference, phases,
-                                    granularity)
+    stale = check_against_reference(handle, reference, phases, granularity)
     assert bool(stale) == (faults == "pilot")
 
 
@@ -476,8 +446,7 @@ def test_golden_runs_imply_what_they_recorded(case, monkeypatch):
         handle.run(pattern)
     finally:
         handle.deallocate()
-    stale = check_against_reference(handle, pattern, reference,
-                                    PER_UNIT_PHASES[case])
+    stale = check_against_reference(handle, reference, PER_UNIT_PHASES[case])
     assert bool(stale) == ("pilot_mtbf" in kwargs)
 
 
@@ -518,9 +487,7 @@ class TestStaleQueueDepth:
         now = session.now()
         assert pilot.agent.waiting_units == 14
         name = f"agent.{pilot.uid}.queue_depth"
-        recorded = MetricsRegistry.from_events(
-            list(session.prof) + list(reference.prof)
-        )
+        recorded = MetricsRegistry.from_events(reference.prof)
         assert recorded.series(name).value_at(now) == 24
         derived = MetricsRegistry.from_events(session.prof)
         assert derived.series(name).value_at(now) == 14
@@ -580,13 +547,13 @@ def test_node_failure_while_launching(granularity, monkeypatch):
     assert all(u.state is UnitState.DONE for u in units)
     events = _read(list(session.prof), granularity)
     derived = MetricsRegistry.from_events(events)
-    recorded = MetricsRegistry.from_events(events + list(reference.sampled))
+    recorded = MetricsRegistry.from_events(reference.sampled)
     times = sorted({ev.time for ev in events})
     assert metric_differences(derived, recorded, times) == []
     derived_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
         events).build() if s.name in PHASES)
-    recorded_phases = Counter(_phase_key(s) for s in SpanBuilder().add_events(
-        events + list(reference.prof)).build() if s.name in PHASES)
+    recorded_phases = Counter(_phase_key(s) for s in recorded_tree(reference)
+                              if s.name in PHASES)
     assert (digest(sorted(derived_phases.items()))
             == PER_UNIT_PHASES["node_failure_while_launching"])
     assert recorded_phases
@@ -599,35 +566,32 @@ _PILOT = "pilot.1"
 _SLOTTED = {"u1": 5.05, "u2": 5.15}
 
 
-def _agent_trace(old_format: bool) -> list[dict]:
-    """:func:`tests.test_telemetry.synthetic_trace` (state events with
-    ``prev``, its one explicit span dropped) as the agent writes it now,
-    or, with *old_format*, as it wrote it before: no ``pilot``/``cores``
-    on state events, and recorded agent gauges, phase spans and
-    scheduling-pass spans.  Its two one-core units are placed by their
-    own passes, at :data:`_SLOTTED`."""
-    events = [dict(ev) for ev in _trace(old_format=False)
+def _agent_trace() -> tuple[list[dict], list[dict]]:
+    """:func:`tests.test_unit_gauges._trace` (its one explicit span
+    dropped) as the agent writes it, and what the agent recorded for it
+    before its gauges and phase spans were derived: agent gauge points,
+    phase spans and scheduling-pass spans.  Its two one-core units are
+    placed by their own passes, at :data:`_SLOTTED`."""
+    events = [dict(ev) for ev in _trace()
               if not ev["name"].startswith("span_")]
+    recording: list[dict] = []
     ids = itertools.count()
     opened: dict[tuple[str, str], str] = {}
     depth = held = busy = 0
 
     def gauge(time: float, name: str, value: int) -> None:
-        if old_format:
-            events.append({"time": time, "name": "metric", "kind": "gauge",
-                           "uid": f"agent.{_PILOT}.{name}",
-                           "value": float(value)})
+        recording.append({"time": time, "name": "metric", "kind": "gauge",
+                          "uid": f"agent.{_PILOT}.{name}",
+                          "value": float(value)})
 
     def span(time: float, name: str, ref: str, close: bool = False) -> None:
-        if not old_format:
-            return
         if close:
-            events.append({"time": time, "name": "span_close",
-                           "uid": opened.pop((name, ref))})
+            recording.append({"time": time, "name": "span_close",
+                              "uid": opened.pop((name, ref))})
             return
         uid = opened[(name, ref)] = f"span.{next(ids):06d}"
-        events.append({"time": time, "name": "span_open", "uid": uid,
-                       "span": name, "ref": ref, "parent": ""})
+        recording.append({"time": time, "name": "span_open", "uid": uid,
+                          "span": name, "ref": ref, "parent": ""})
 
     def schedule(time: float) -> None:
         span(time, "agent.schedule", _PILOT)
@@ -665,12 +629,13 @@ def _agent_trace(old_format: bool) -> list[dict]:
             schedule(time)
         elif state == "DONE":
             span(time, "agent.stage_out", uid, close=True)
-        if not old_format and "EXECUTING" in (state, ev["prev"]):
+        if "EXECUTING" in (state, ev["prev"]):
             ev.update(pilot=_PILOT, cores=1)
-        elif not old_format and state == "AGENT_SCHEDULING":
+        elif state == "AGENT_SCHEDULING":
             ev["pilot"] = _PILOT
     events.sort(key=lambda ev: ev["time"])
-    return events
+    recording.sort(key=lambda ev: ev["time"])
+    return events, recording
 
 
 def _digest(events) -> str:
@@ -680,54 +645,23 @@ def _digest(events) -> str:
 
 
 class TestTraceFormat:
-    #: ``sha256`` of the Chrome export of ``_agent_trace(old_format=True)``
-    #: in trace order and reversed, both taken before the agent stopped
-    #: recording its gauges and phase spans.  The two differ because a
-    #: zero-length span pair read backwards closes before it opens.
-    OLD_FORMAT_EXPORT = {
-        "forward":
-            "87568124a8240f1782c43434b173390131654233f91d57cabb340ae857043ddb",
-        "reversed":
-            "4985217cc158f6396945db71009f0f077f142ef7bdd5612a22911924d655cb77",
-    }
-
-    def test_old_format_reads_as_before(self):
-        events = _agent_trace(old_format=True)
-        assert _digest(events) == self.OLD_FORMAT_EXPORT["forward"]
-        assert _digest(events[::-1]) == self.OLD_FORMAT_EXPORT["reversed"]
-
-        registry = MetricsRegistry.from_events(revived(events))
-        recorded: dict[str, list] = {}
-        for ev in events:
-            if ev["name"] == "metric":
-                recorded.setdefault(ev["uid"], []).append(
-                    (ev["time"], ev["value"])
-                )
-        assert {n: registry.series(n).points for n in registry.names()
-                if not n.startswith("units.")} == recorded
-
-        tree = SpanBuilder().add_events(revived(events)).build()
-        phases = [s for s in tree if s.name in PHASES]
-        assert len(phases) == 6
-        assert all(s.uid.startswith("span.") for s in phases)
-
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     def test_new_format_derives_the_recorded_series_and_spans(self, order):
-        old = _agent_trace(old_format=True)
-        new = _agent_trace(old_format=False)
+        new, recording = _agent_trace()
         if order == "reversed":
             new = new[::-1]
         assert not any(ev["name"] == "span_open" for ev in new)
         assert [ev["uid"] for ev in new if ev["name"] == "metric"] == ["depth"]
         derived = MetricsRegistry.from_events(revived(new))
-        recorded = MetricsRegistry.from_events(revived(old))
-        assert sorted(derived.names()) == sorted(recorded.names())
-        times = sorted({ev["time"] for ev in old})
+        recorded = MetricsRegistry.from_events(revived(recording))
+        assert [n for n in derived.names()
+                if n.startswith("agent.")] == recorded.names()
+        times = sorted({ev["time"] for ev in new + recording})
         assert metric_differences(derived, recorded, times) == []
 
         derived_tree = SpanBuilder().add_events(revived(new)).build()
-        recorded_tree = SpanBuilder().add_events(revived(old)).build()
-        assert_same_tree(derived_tree, recorded_tree)
+        recorded_tree = SpanBuilder().add_events(revived(recording)).build()
+        assert_recorded_phases(derived_tree, recorded_tree)
         assert _digest(new) == _digest(new[::-1])
 
 

@@ -132,6 +132,18 @@ def test_config_paths_are_used(tmp_path, capsys, monkeypatch):
     assert "src/mod.py:2:" in capsys.readouterr().out
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mod.py", "import time\nx = time.time()\n")
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro.lint]\nselct = ["SM"]\n'
+    )
+    assert main(["lint", "mod.py"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key(s): selct" in captured.err
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

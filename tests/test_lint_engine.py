@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import textwrap
 
 import pytest
@@ -81,6 +82,25 @@ def test_load_config_rejects_bad_types(tmp_path):
     pyproject.write_text("[tool.repro.lint]\nselect = 'DET'\n")
     with pytest.raises(ValueError, match="select"):
         load_config(pyproject)
+
+
+@pytest.mark.parametrize("parser", ["tomllib", "fallback"])
+@pytest.mark.parametrize("line", ['selct = ["SM"]', 'baseline = "x.json"'])
+def test_load_config_rejects_unknown_keys(tmp_path, monkeypatch, parser,
+                                          line):
+    """A misspelt or leftover key is an error naming it and the known
+    keys, whichever parser reads the section."""
+    if parser == "fallback":
+        monkeypatch.setitem(sys.modules, "tomllib", None)  # import fails
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(f"[tool.repro.lint]\n{line}\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError) as excinfo:
+        load_config(pyproject)
+    assert str(excinfo.value) == (
+        f"[tool.repro.lint] unknown key(s): {key} "
+        "(known: paths, select, exclude)"
+    )
 
 
 def test_fallback_parser_matches_tomllib_subset():

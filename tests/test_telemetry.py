@@ -34,7 +34,8 @@ def revived(rows) -> list[ProfileEvent]:
 
 
 def synthetic_trace() -> list[dict]:
-    """A hand-written EoP-shaped trace: one pattern, one pilot, two units."""
+    """A hand-written EoP-shaped trace: one pattern, one pilot, two units,
+    in the format the runtime writes (state events carry ``prev``)."""
     events = [
         {"time": 0.0, "name": "session_start", "uid": "sess", "mode": "sim"},
         {"time": 0.1, "name": "entk_init_start", "uid": "sess"},
@@ -51,25 +52,29 @@ def synthetic_trace() -> list[dict]:
         {"time": 2.2, "name": "units_new", "uid": "u1", "pattern": "p1"},
         {"time": 2.25, "name": "units_new", "uid": "u2", "pattern": "p1"},
         {"time": 2.3, "name": "units_state", "uid": "u1",
-         "state": "UMGR_SCHEDULING"},
+         "state": "UMGR_SCHEDULING", "prev": "NEW"},
         {"time": 2.35, "name": "units_state", "uid": "u2",
-         "state": "UMGR_SCHEDULING"},
+         "state": "UMGR_SCHEDULING", "prev": "NEW"},
         {"time": 4.0, "name": "units_state", "uid": "u1",
-         "state": "AGENT_STAGING_INPUT"},
+         "state": "AGENT_STAGING_INPUT", "prev": "UMGR_SCHEDULING"},
         {"time": 4.1, "name": "units_state", "uid": "u2",
-         "state": "AGENT_STAGING_INPUT"},
+         "state": "AGENT_STAGING_INPUT", "prev": "UMGR_SCHEDULING"},
         {"time": 5.0, "name": "units_state", "uid": "u1",
-         "state": "AGENT_SCHEDULING"},
+         "state": "AGENT_SCHEDULING", "prev": "AGENT_STAGING_INPUT"},
         {"time": 5.1, "name": "units_state", "uid": "u2",
-         "state": "AGENT_SCHEDULING"},
-        {"time": 6.0, "name": "units_state", "uid": "u1", "state": "EXECUTING"},
-        {"time": 6.1, "name": "units_state", "uid": "u2", "state": "EXECUTING"},
+         "state": "AGENT_SCHEDULING", "prev": "AGENT_STAGING_INPUT"},
+        {"time": 6.0, "name": "units_state", "uid": "u1",
+         "state": "EXECUTING", "prev": "AGENT_SCHEDULING"},
+        {"time": 6.1, "name": "units_state", "uid": "u2",
+         "state": "EXECUTING", "prev": "AGENT_SCHEDULING"},
         {"time": 46.0, "name": "units_state", "uid": "u1",
-         "state": "AGENT_STAGING_OUTPUT"},
+         "state": "AGENT_STAGING_OUTPUT", "prev": "EXECUTING"},
         {"time": 46.5, "name": "units_state", "uid": "u2",
-         "state": "AGENT_STAGING_OUTPUT"},
-        {"time": 47.0, "name": "units_state", "uid": "u1", "state": "DONE"},
-        {"time": 47.5, "name": "units_state", "uid": "u2", "state": "DONE"},
+         "state": "AGENT_STAGING_OUTPUT", "prev": "EXECUTING"},
+        {"time": 47.0, "name": "units_state", "uid": "u1",
+         "state": "DONE", "prev": "AGENT_STAGING_OUTPUT"},
+        {"time": 47.5, "name": "units_state", "uid": "u2",
+         "state": "DONE", "prev": "AGENT_STAGING_OUTPUT"},
         {"time": 48.0, "name": "entk_pattern_stop", "uid": "p1"},
         {"time": 50.0, "name": "agent_stop", "uid": "pilot.1"},
         {"time": 50.0, "name": "entk_cancel_start", "uid": "sess"},
@@ -77,7 +82,7 @@ def synthetic_trace() -> list[dict]:
         {"time": 52.0, "name": "session_close", "uid": "sess"},
         # One explicit span attached to a unit by ref.
         {"time": 5.0, "name": "span_open", "uid": "span.000000",
-         "span": "agent.stage_in", "ref": "u1", "parent": ""},
+         "span": "user.section", "ref": "u1", "parent": ""},
         {"time": 5.9, "name": "span_close", "uid": "span.000000"},
     ]
     return events
@@ -118,7 +123,7 @@ class TestSpanBuilder:
         assert startup.parent == pilot.uid
 
         explicit = tree.spans["span.000000"]
-        assert explicit.name == "agent.stage_in"
+        assert explicit.name == "user.section"
         assert explicit.parent == "unit:u1"
         assert (explicit.t_start, explicit.t_end) == (5.0, 5.9)
 
@@ -346,38 +351,47 @@ class TestTracer:
 
 class TestMetrics:
     def test_counter_gauge_sample(self):
+        """Every kind of recorded point reads back from the trace; the
+        live registry writes samples and keeps nothing."""
         clock = {"t": 0.0}
         prof = Profiler(lambda: clock["t"])
-        live = MetricsRegistry(lambda: clock["t"], emit=prof.event)
+        live = MetricsRegistry(emit=prof.event)
         for record in (
-            lambda: live.count("submitted"),
-            lambda: live.count("submitted", 2),
-            lambda: live.gauge("depth", 5),
-            lambda: live.adjust("depth", -2),
+            lambda: prof.event("metric", "submitted", value=1.0,
+                               kind="counter"),
+            lambda: prof.event("metric", "submitted", value=3.0,
+                               kind="counter"),
+            lambda: prof.event("metric", "depth", value=5.0, kind="gauge"),
+            lambda: prof.event("metric", "depth", value=3.0, kind="gauge"),
             lambda: live.sample("wait", 7.5),
         ):
             record()
             clock["t"] += 1.0
         registry = MetricsRegistry.from_events(list(prof))
 
-        for reg in (live, registry):
-            assert reg.names() == ["depth", "submitted", "wait"]
-            assert reg.series("submitted").last == 3.0
-            assert reg.series("depth").last == 3.0
-            assert reg.series("wait").stats()["mean"] == 7.5
-            assert "nope" not in reg
+        assert live.names() == []
+        assert registry.names() == ["depth", "submitted", "wait"]
+        assert registry.series("submitted").last == 3.0
+        assert registry.series("submitted").kind == "counter"
+        assert registry.series("depth").last == 3.0
+        assert registry.series("wait").stats()["mean"] == 7.5
+        assert registry.series("wait").kind == "sample"
+        assert "nope" not in registry
         assert registry.series("depth").value_at(2.0) == 5.0
         assert registry.series("nope").points == []
 
     def test_emit_and_rebuild_roundtrip(self):
         prof = Profiler(lambda: 42.0)
-        registry = MetricsRegistry(lambda: 42.0, emit=prof.event)
-        registry.gauge("depth", 3)
-        registry.count("done")
+        MetricsRegistry(emit=prof.event).sample("wait", 3)
+        (event,) = prof.events()
+        assert (event.name, event.uid) == ("metric", "wait")
+        assert list(event.attrs.items()) == [("value", 3.0), ("kind", "sample")]
         rebuilt = MetricsRegistry.from_events(list(prof))
-        assert rebuilt.names() == ["depth", "done"]
-        assert rebuilt.series("depth").points == [(42.0, 3.0)]
-        assert rebuilt.series("done").kind == "counter"
+        assert rebuilt.names() == ["wait"]
+        assert rebuilt.series("wait").points == [(42.0, 3.0)]
+        assert rebuilt.series("wait").kind == "sample"
+        with pytest.raises(TypeError):
+            rebuilt.sample("wait", 1.0)
 
 
 class TestCriticalPath:
@@ -409,8 +423,9 @@ class TestCriticalPath:
              "seconds": 4.0},
             {"time": 0.0, "name": "units_new", "uid": "u", "pattern": "p"},
             {"time": 3.0, "name": "units_state", "uid": "u",
-             "state": "EXECUTING"},
-            {"time": 9.0, "name": "units_state", "uid": "u", "state": "DONE"},
+             "state": "EXECUTING", "prev": "NEW"},
+            {"time": 9.0, "name": "units_state", "uid": "u",
+             "state": "DONE", "prev": "EXECUTING"},
             {"time": 11.0, "name": "entk_pattern_stop", "uid": "p"},
             {"time": 11.0, "name": "session_close", "uid": "s"},
         ]
@@ -426,7 +441,15 @@ class TestChromeExport:
         doc = chrome_trace(revived(synthetic_trace()))
         assert set(doc) == {"displayTimeUnit", "traceEvents"}
         phases = {ev["ph"] for ev in doc["traceEvents"]}
-        assert phases == {"M", "X"}
+        assert phases == {"M", "X", "C"}
+        # The only counters are the gauges derived from the state events.
+        assert {ev["name"] for ev in doc["traceEvents"]
+                if ev["ph"] == "C"} == {
+            f"units.{state}" for state in (
+                "NEW", "UMGR_SCHEDULING", "AGENT_STAGING_INPUT",
+                "AGENT_SCHEDULING", "EXECUTING", "AGENT_STAGING_OUTPUT",
+                "DONE")
+        }
         spans = [ev for ev in doc["traceEvents"] if ev["ph"] == "X"]
         executing = min(
             (ev for ev in spans if ev["name"] == "unit:EXECUTING"),
@@ -450,9 +473,10 @@ class TestChromeExport:
             {"time": 20.0, "name": "node_fail", "uid": "pilot.1", "node": 0},
         ]
         doc = chrome_trace(revived(events))
-        counters = [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
-        assert counters[0]["name"] == "depth"
-        assert counters[0]["args"]["value"] == 4.0
+        (depth,) = [ev for ev in doc["traceEvents"]
+                    if ev["ph"] == "C" and ev["name"] == "depth"]
+        assert depth["args"]["value"] == 4.0
+        assert depth["ts"] == pytest.approx(10.0e6)
         instants = [ev for ev in doc["traceEvents"] if ev["ph"] == "i"]
         assert instants[0]["name"] == "node_fail pilot.1"
 

@@ -165,7 +165,7 @@ class TestMetricsOnRealRuns:
         (pilot,) = pilots
         for gauge in ("queue_depth", "cores_held", "cores_busy"):
             series = registry.series(f"agent.{pilot}.{gauge}")
-            assert series.count and series.last == 0.0, gauge
+            assert len(series) and series.last == 0.0, gauge
         assert registry.series(f"agent.{pilot}.cores_busy").vmax == 16.0
         assert not any(ev.name == "metric" and ev.uid.startswith("agent.")
                        for ev in profile)

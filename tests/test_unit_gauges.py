@@ -16,11 +16,10 @@ into the gauges.  Two checks here:
   batch of one per unit (``per-unit``, the trace a per-unit writer
   wrote), the trace must give, at the end of every distinct event time,
   the values pinned when per-unit sessions moved one unit at a time.
-* **Trace format.**  A trace written before state events carried
-  ``prev`` (recorded ``units.*`` points) reads exactly as it did: the
-  same series, the same Chrome counters and the same ``repro trace
-  summarize`` output.  The same trace in the new format derives the same
-  series and exports the same bytes, in either event order.
+* **Trace format.**  The hand-written trace derives the series the
+  store recorded for it (the same points, the same ``repro trace
+  summarize`` output), exports the same bytes in either event order,
+  and a state event without ``prev`` is rejected.
 """
 
 from __future__ import annotations
@@ -46,11 +45,12 @@ from tests.trace_projections import digest, one_per_unit
 
 
 class _RecordedGauges:
-    """Records the store's former ``adjust`` calls into its own trace."""
+    """Records the store's former gauge moves into a trace of its own:
+    one ``metric`` point per move, holding the gauge's running total."""
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.prof: Profiler | None = None
-        self._registry: MetricsRegistry | None = None
+        self._totals: dict[str, int] = {}
         #: Per active ``_advance`` call: row -> state before the call.
         self._before: list[dict[int, UnitState]] = []
         add_bulk, advance, emit = (
@@ -60,7 +60,7 @@ class _RecordedGauges:
         def wrapped_add_bulk(store, descriptions, *tags):
             rows = add_bulk(store, descriptions, *tags)
             if len(rows):
-                self._metrics(store).adjust("units.NEW", len(rows))
+                self._adjust(store, "units.NEW", len(rows))
             return rows
 
         def wrapped_advance(store, units, target, *fields):
@@ -74,20 +74,18 @@ class _RecordedGauges:
             emit(store, kind, rows, **fields)
             if kind == "state":
                 previous = self._before[-1][rows[0]]
-                metrics = self._metrics(store)
-                metrics.adjust(f"units.{previous.value}", -len(rows))
-                metrics.adjust(f"units.{fields['state']}", len(rows))
+                self._adjust(store, f"units.{previous.value}", -len(rows))
+                self._adjust(store, f"units.{fields['state']}", len(rows))
 
         monkeypatch.setattr(UnitStore, "add_bulk", wrapped_add_bulk)
         monkeypatch.setattr(UnitStore, "_advance", wrapped_advance)
         monkeypatch.setattr(UnitStore, "emit", wrapped_emit)
 
-    def _metrics(self, store: UnitStore) -> MetricsRegistry:
-        if self._registry is None:
-            now = store._session.now
-            self.prof = Profiler(now)
-            self._registry = MetricsRegistry(now, emit=self.prof.event)
-        return self._registry
+    def _adjust(self, store: UnitStore, name: str, delta: int) -> None:
+        if self.prof is None:
+            self.prof = Profiler(store._session.now)
+        total = self._totals[name] = self._totals.get(name, 0) + delta
+        self.prof.event("metric", name, value=float(total), kind="gauge")
 
 
 def _unit_series(registry: MetricsRegistry) -> dict[str, list]:
@@ -172,13 +170,11 @@ def test_derived_gauges_match_recorded_reference(
 
 # -- trace format ------------------------------------------------------------
 
-#: ``sha256`` of ``write_chrome_trace`` on ``_trace(old_format=True)``,
-#: and the metrics section ``repro trace summarize`` printed for it,
-#: both taken before state events carried ``prev``.
-_OLD_FORMAT_EXPORT = (
-    "06ab0618beba7e3dce85553814ebb9f3820cdee2cbd3b94d3044c801078a45c5"
-)
-_OLD_FORMAT_METRICS = """\
+#: ``sha256`` of ``write_chrome_trace`` on :func:`_trace`.
+_EXPORT = "06ab0618beba7e3dce85553814ebb9f3820cdee2cbd3b94d3044c801078a45c5"
+#: The metrics section ``repro trace summarize`` printed for the trace
+#: when the store still recorded its ``units.*`` points (:func:`_recording`).
+_METRICS = """\
 metrics (points, min, max, mean of recorded values):
   depth                                 1       4.000      4.000      4.000
   units.AGENT_SCHEDULING                4       0.000      2.000      1.000
@@ -190,14 +186,22 @@ metrics (points, min, max, mean of recorded values):
   units.UMGR_SCHEDULING                 4       0.000      2.000      1.000
 """
 
+#: The one gauge point the hand-written trace records.
+_DEPTH = {"time": 10.0, "name": "metric", "uid": "depth", "value": 4.0,
+          "kind": "gauge"}
 
-def _trace(old_format: bool) -> list[dict]:
-    """:func:`synthetic_trace` plus a ``depth`` gauge point, either with
-    recorded ``units.*`` points after each lifecycle event (the old
-    format) or with ``prev`` on every state event (the new one)."""
+
+def _trace() -> list[dict]:
+    """:func:`synthetic_trace` plus a ``depth`` gauge point."""
+    return [*synthetic_trace(), dict(_DEPTH)]
+
+
+def _recording() -> list[dict]:
+    """The ``metric`` points a writer that recorded the ``units.*``
+    gauges wrote for :func:`_trace`: after each lifecycle event, each
+    gauge it moved at its running total, and the ``depth`` point."""
     events: list[dict] = []
     counts: dict[str, int] = {}
-    state: dict[str, str] = {}
 
     def point(time: float, name: str, delta: int) -> None:
         counts[name] = counts.get(name, 0) + delta
@@ -205,29 +209,21 @@ def _trace(old_format: bool) -> list[dict]:
                        "value": float(counts[name]), "kind": "gauge"})
 
     for event in synthetic_trace():
-        if event["name"] == "units_state" and not old_format:
-            event = dict(event, prev=state[event["uid"]])
-        events.append(event)
         if event["name"] == "units_new":
-            state[event["uid"]] = "NEW"
-            if old_format:
-                point(event["time"], "NEW", 1)
+            point(event["time"], "NEW", 1)
         elif event["name"] == "units_state":
-            if old_format:
-                point(event["time"], state[event["uid"]], -1)
-                point(event["time"], event["state"], 1)
-            state[event["uid"]] = event["state"]
-    events.append({"time": 10.0, "name": "metric", "uid": "depth",
-                   "value": 4.0, "kind": "gauge"})
+            point(event["time"], event["prev"], -1)
+            point(event["time"], event["state"], 1)
+    events.append(dict(_DEPTH))
     return events
 
 
-def _summary_metrics(path, capsys) -> str:
+def _summary(path, capsys) -> tuple[int, str, str]:
     from repro.__main__ import main
 
-    assert main(["trace", "summarize", str(path)]) == 0
-    out = capsys.readouterr().out
-    return out[out.index("metrics ("):]
+    status = main(["trace", "summarize", str(path)])
+    out, err = capsys.readouterr()
+    return status, out, err
 
 
 def _write_jsonl(path, events) -> None:
@@ -237,46 +233,42 @@ def _write_jsonl(path, events) -> None:
 
 
 class TestTraceFormat:
-    def test_old_format_reads_as_recorded(self, tmp_path, capsys):
-        events = _trace(old_format=True)
-        registry = MetricsRegistry.from_events(revived(events))
-        recorded: dict[str, list] = {}
-        for ev in events:
-            if ev["name"] == "metric":
-                recorded.setdefault(ev["uid"], []).append(
-                    (ev["time"], ev["value"])
-                )
-        assert {n: registry.series(n).points for n in registry.names()} == recorded
-
-        export = tmp_path / "old.json"
-        write_chrome_trace(revived(events), export)
-        assert hashlib.sha256(export.read_bytes()).hexdigest() == _OLD_FORMAT_EXPORT
-
-        trace = tmp_path / "old.jsonl"
-        _write_jsonl(trace, events)
-        assert _summary_metrics(trace, capsys) == _OLD_FORMAT_METRICS
-
     def test_new_format_derives_the_same_series(self, tmp_path, capsys):
-        old = MetricsRegistry.from_events(revived(_trace(old_format=True)))
-        new = MetricsRegistry.from_events(revived(_trace(old_format=False)))
-        assert new.names() == old.names()
-        for name in old.names():
-            assert new.series(name).points == old.series(name).points, name
-            assert new.series(name).stats() == old.series(name).stats(), name
+        recorded = MetricsRegistry.from_events(revived(_recording()))
+        derived = MetricsRegistry.from_events(revived(_trace()))
+        assert derived.names() == recorded.names()
+        for name in recorded.names():
+            series, reference = derived.series(name), recorded.series(name)
+            assert series.points == reference.points, name
+            assert series.stats() == reference.stats(), name
+            assert series.derived == (name != "depth"), name
 
         export = tmp_path / "new.json"
-        write_chrome_trace(revived(_trace(old_format=False)), export)
-        assert hashlib.sha256(export.read_bytes()).hexdigest() == _OLD_FORMAT_EXPORT
+        write_chrome_trace(revived(_trace()), export)
+        assert hashlib.sha256(export.read_bytes()).hexdigest() == _EXPORT
 
         trace = tmp_path / "new.jsonl"
-        _write_jsonl(trace, _trace(old_format=False))
-        assert _summary_metrics(trace, capsys) == _OLD_FORMAT_METRICS
+        _write_jsonl(trace, _trace())
+        status, out, _ = _summary(trace, capsys)
+        assert status == 0
+        assert out[out.index("metrics ("):] == _METRICS
 
-    def test_one_state_event_without_prev_disables_derivation(self):
-        events = _trace(old_format=False)
+    def test_state_event_without_prev_is_rejected(self, tmp_path, capsys):
+        """A reader follows one rule set: a state event that does not
+        name the state it left is an error, in process and on the CLI
+        (exit 2, the message on stderr, nothing on stdout)."""
+        events = _trace()
         first = next(ev for ev in events if ev["name"] == "units_state")
         del first["prev"]
-        assert MetricsRegistry.from_events(revived(events)).names() == ["depth"]
+        with pytest.raises(ValueError, match=r"u1 at t=2\.3 has no 'prev'"):
+            MetricsRegistry.from_events(revived(events))
+
+        trace = tmp_path / "no-prev.jsonl"
+        _write_jsonl(trace, events)
+        status, out, err = _summary(trace, capsys)
+        assert (status, out) == (2, "")
+        assert err == ("repro trace: units_state event of u1 at t=2.3 has "
+                       "no 'prev': not a trace this runtime writes\n")
 
     def test_batch_events_move_n_units(self):
         events = [
@@ -294,9 +286,9 @@ class TestTraceFormat:
         assert registry.series("units.UMGR_SCHEDULING").points == [(2.0, 2.0)]
         assert registry.series("units.CANCELED").points == [(3.0, 1.0)]
 
-    @pytest.mark.parametrize("old_format", [True, False], ids=["old", "new"])
-    def test_reversed_input_exports_byte_identically(self, old_format):
-        events = revived(_trace(old_format))
+    @pytest.mark.parametrize("trace", [_trace], ids=["new"])
+    def test_reversed_input_exports_byte_identically(self, trace):
+        events = revived(trace())
         forward = json.dumps(chrome_trace(events), sort_keys=True)
         backward = json.dumps(chrome_trace(events[::-1]), sort_keys=True)
         assert forward == backward

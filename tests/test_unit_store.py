@@ -314,10 +314,12 @@ class TestSinks:
 
     def test_profile_event_row_round_trip(self):
         ev = ProfileEvent(1.5, "units_state", "unit.000001",
-                          {"state": "EXECUTING", "n": 3})
+                          {"state": "EXECUTING", "prev": "AGENT_SCHEDULING",
+                           "n": 3})
         row = ev.row()
         assert row == {"time": 1.5, "name": "units_state",
-                       "uid": "unit.000001", "state": "EXECUTING", "n": 3}
+                       "uid": "unit.000001", "state": "EXECUTING",
+                       "prev": "AGENT_SCHEDULING", "n": 3}
         assert revive(dict(row)) == ev
 
     def test_spool_sink_writes_ndjson_and_revives(self, tmp_path):
@@ -366,37 +368,25 @@ class TestSinks:
 
 
 class TestBoundedMetrics:
-    """A live registry keeps running aggregates; its points are read
-    back from the trace with ``MetricsRegistry.from_events``."""
-
-    def _registries(self):
-        clock = {"t": 0.0}
-        prof = Profiler(lambda: clock["t"])
-        live = MetricsRegistry(lambda: clock["t"], emit=prof.event)
-        for value in (3.0, 1.0, 4.0, 1.0, 5.0):
-            clock["t"] += 1.0
-            live.sample("latency", value)
-        live.adjust("gauge", 2)
-        live.adjust("gauge", -1)
-        return live, MetricsRegistry.from_events(prof)
+    """A live registry keeps nothing; its points, and the aggregates
+    over them, are read back from the trace with
+    ``MetricsRegistry.from_events``."""
 
     def test_stats_identical_with_and_without_points(self):
-        bounded, resident = self._registries()
-        assert (resident.series("latency").stats()
-                == bounded.series("latency").stats())
-        assert bounded.series("latency").last == 5.0
-        assert bounded.series("gauge").last == 1
-        assert len(bounded.series("latency")) == 5
-        assert resident.series("latency").values() == [3.0, 1.0, 4.0, 1.0, 5.0]
-        assert resident.series("gauge").values() == [2.0, 1.0]
-
-    def test_bounded_series_refuses_point_reads(self):
-        bounded, _ = self._registries()
-        with pytest.raises(RuntimeError, match="latency"):
-            bounded.series("latency").values()
-        with pytest.raises(RuntimeError, match="latency"):
-            bounded.series("latency").value_at(1.0)
-        assert bounded.series("latency").points == []
+        clock = {"t": 0.0}
+        prof = Profiler(lambda: clock["t"])
+        live = MetricsRegistry(emit=prof.event)
+        values = [3.0, 1.0, 4.0, 1.0, 5.0]
+        for value in values:
+            clock["t"] += 1.0
+            live.sample("latency", value)
+        assert live.names() == [] and "latency" not in live
+        series = MetricsRegistry.from_events(prof).series("latency")
+        assert series.values() == values
+        assert series.stats() == {"count": 5.0, "min": 1.0, "max": 5.0,
+                                  "mean": sum(values) / len(values)}
+        assert (series.last, series.vmin, series.vmax) == (5.0, 1.0, 5.0)
+        assert len(series) == 5
 
 
 # -- bulk lifecycle ----------------------------------------------------------
