@@ -171,7 +171,7 @@ def test_derived_gauges_match_recorded_reference(
 # -- trace format ------------------------------------------------------------
 
 #: ``sha256`` of ``write_chrome_trace`` on :func:`_trace`.
-_EXPORT = "06ab0618beba7e3dce85553814ebb9f3820cdee2cbd3b94d3044c801078a45c5"
+_EXPORT = "dd91fc549fad3d75b34115b658a0a295d619c893c2e1b808e308242a5e9373bb"
 #: The metrics section ``repro trace summarize`` printed for the trace
 #: when the store still recorded its ``units.*`` points (:func:`_recording`).
 _METRICS = """\
