@@ -432,8 +432,8 @@ GOLDEN_RUNS = {**test_determinism.GOLDEN_RUNS,
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
 def test_golden_runs_imply_what_they_recorded(case, monkeypatch):
-    """Each re-pinned golden run, read alone, implies what its run plus
-    the former recordings implies."""
+    """Each re-pinned golden run's trace implies the agent telemetry the
+    former emitters record for it, each read on its own."""
     make, kwargs = GOLDEN_RUNS[case]
     reference = _RecordedAgentTelemetry(monkeypatch)
     reset_id_counters()
