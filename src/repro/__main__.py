@@ -20,7 +20,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 
@@ -58,7 +57,7 @@ _SMALL_FIGURE_KWARGS = {
 
 def cmd_figure(args) -> int:
     from repro import experiments
-    from repro.experiments import harness
+    from repro.experiments.harness import run_figure
 
     name = args.figure
     if name not in _SMALL_FIGURE_KWARGS:
@@ -66,26 +65,11 @@ def cmd_figure(args) -> int:
               f"{sorted(_SMALL_FIGURE_KWARGS)}", file=sys.stderr)
         return 2
     module = getattr(experiments, name)
-    kwargs = dict(_SMALL_FIGURE_KWARGS[name]) if args.small else {}
-    accepts = inspect.signature(module.run).parameters
-    for option, flag, value in (("parallel", "--parallel", args.parallel),
-                                ("cache_dir", "--cache", args.cache)):
-        if not value:
-            continue
-        if option in accepts:
-            kwargs[option] = value
-        else:
-            print(f"note: {name} does not support {flag}; ignoring it",
-                  file=sys.stderr)
-    if args.trace_out:
-        harness.set_trace_out(args.trace_out)
-    if args.spool:
-        harness.set_spool_dir(args.spool)
-    try:
-        result = module.run(**kwargs)
-    finally:
-        harness.set_trace_out(None)
-        harness.set_spool_dir(None)
+    kwargs = _SMALL_FIGURE_KWARGS[name] if args.small else {}
+    result = run_figure(
+        module.points(**kwargs), module.report, parallel=args.parallel,
+        cache_dir=args.cache, spool_dir=args.spool, trace_out=args.trace_out,
+    )
     result.print_report()
     return 0 if result.all_claims_hold else 1
 
@@ -162,14 +146,15 @@ def main(argv: list[str] | None = None) -> int:
     figure.add_argument("--small", action="store_true",
                         help="reduced parameters for a quick run")
     figure.add_argument("--trace-out", metavar="DIR", default=None,
-                        help="dump a Chrome trace per run into DIR")
+                        help="dump a Chrome trace per sweep point into "
+                             "DIR/<point key>/")
     figure.add_argument("--spool", metavar="DIR", default=None,
-                        help="stream run traces to NDJSON spool files in "
-                             "DIR instead of keeping them in memory "
-                             "(bounded-memory runs; identical content)")
+                        help="stream each sweep point's trace to an NDJSON "
+                             "spool file in DIR/<point key>/ instead of "
+                             "keeping it in memory (identical content)")
     figure.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="run sweep points across N worker processes "
-                             "(figures built on the sweep runner)")
+                        help="run the figure's sweep points across N "
+                             "worker processes")
     figure.add_argument("--cache", metavar="DIR", default=None,
                         help="reuse finished sweep points from this run "
                              "cache directory")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
@@ -59,8 +59,6 @@ class PlatformSpec:
     #: Scheduler queue policy limits.
     max_walltime: float = 48 * 3600.0
     description: str = ""
-    #: Free-form extra knobs (kept for forward compatibility).
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.nodes <= 0:

@@ -320,12 +320,7 @@ class PatternDriver(abc.ABC):
             if not policy.should_retry(used + 1):
                 return False
             self._retries[root] = used + 1
-        delay = 0.0
-        if self.session.is_simulated:
-            rng = None
-            if policy.jitter > 0:
-                rng = self.session.sim_context.streams.get("retry_backoff")
-            delay = policy.jittered_delay(used + 1, rng)
+        delay = self.session.retry_delay(policy, used + 1)
         self.session.prof.event(
             "entk_task_retry", unit.uid, attempt=used + 1, root=root,
             delay=delay,

@@ -1,9 +1,11 @@
 """Experiment runners reproducing every figure of the paper's §IV.
 
-Each ``figN`` module exposes ``run(...) -> ExperimentResult`` plus a
-``main()`` that prints the figure's rows; the matching benchmark in
-``benchmarks/`` wraps ``run`` and asserts the paper's qualitative claims
-(who wins, what stays constant, what scales).
+Each ``figN`` module states its sweep as ``points(...)`` and its result
+as ``report(points, records)``; :func:`repro.experiments.harness.run_figure`
+runs any figure (``python -m repro figure figN`` on the shell), and
+``figN.run(...) -> ExperimentResult`` is the serial call.  The matching
+benchmark in ``benchmarks/`` wraps ``run`` and asserts the paper's
+qualitative claims (who wins, what stays constant, what scales).
 """
 
 from repro.experiments.base import ExperimentResult

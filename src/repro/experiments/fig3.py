@@ -14,30 +14,44 @@ from __future__ import annotations
 
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import run_on_sim
-from repro.experiments.workloads import (
-    CharCountEE,
-    CharCountPipeline,
-    CharCountSAL,
-)
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "TASK_COUNTS", "RESOURCE"]
+__all__ = ["run", "points", "report", "TASK_COUNTS", "RESOURCE"]
 
 TASK_COUNTS = (24, 48, 96, 192)
 RESOURCE = "xsede.comet"
 
+#: Pattern name -> its char-count workload class and that class's size
+#: argument.
 _PATTERNS = {
-    "pipeline": CharCountPipeline,
-    "sal": CharCountSAL,
-    "ee": CharCountEE,
+    "pipeline": ("CharCountPipeline", "ensemble_size"),
+    "sal": ("CharCountSAL", "instances"),
+    "ee": ("CharCountEE", "ensemble_size"),
 }
 
 
-def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> ExperimentResult:
+def points(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> list[dict]:
+    return [
+        {
+            "workload": workload,
+            "args": {size: n},
+            "resource": resource,
+            "cores": n,
+            "walltime_minutes": 24 * 60.0,
+            "seed": seed,
+        }
+        for n in task_counts
+        for workload, size in _PATTERNS.values()
+    ]
+
+
+def report(points, records) -> ExperimentResult:
+    task_counts = tuple(dict.fromkeys(point["cores"] for point in points))
+    resource = points[0]["resource"]
     result = ExperimentResult(
         figure="fig3",
         description="char-count app under pipeline/SAL/EE patterns, "
-        f"tasks=cores in {tuple(task_counts)} on {resource}",
+        f"tasks=cores in {task_counts} on {resource}",
     )
     exec_series = {
         name: result.add_series(
@@ -58,27 +72,25 @@ def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> Experiment
         for name in _PATTERNS
     }
 
-    for n in task_counts:
-        for name, pattern_cls in _PATTERNS.items():
-            pattern = pattern_cls(n)
-            _, _, breakdown = run_on_sim(
-                pattern, resource=resource, cores=n, seed=seed
-            )
-            exec_series[name].append(n, breakdown.execution_time)
-            pattern_series[name].append(n, breakdown.pattern_overhead)
-            if name == "pipeline":
-                core_series.append(n, breakdown.core_overhead)
-            result.rows.append(
-                {
-                    "pattern": name,
-                    "tasks": n,
-                    "cores": n,
-                    "exec_s": breakdown.execution_time,
-                    "core_overhead_s": breakdown.core_overhead,
-                    "pattern_overhead_s": breakdown.pattern_overhead,
-                    "ttc_s": breakdown.ttc,
-                }
-            )
+    names = {workload: name for name, (workload, _) in _PATTERNS.items()}
+    for point, record in zip(points, records):
+        name, n = names[point["workload"]], point["cores"]
+        breakdown = record["breakdown"]
+        exec_series[name].append(n, breakdown["execution_time"])
+        pattern_series[name].append(n, breakdown["pattern_overhead"])
+        if name == "pipeline":
+            core_series.append(n, breakdown["core_overhead"])
+        result.rows.append(
+            {
+                "pattern": name,
+                "tasks": n,
+                "cores": n,
+                "exec_s": breakdown["execution_time"],
+                "core_overhead_s": breakdown["core_overhead"],
+                "pattern_overhead_s": breakdown["pattern_overhead"],
+                "ttc_s": breakdown["ttc"],
+            }
+        )
 
     # -- the paper's claims ------------------------------------------------------
     for name, series in exec_series.items():
@@ -100,11 +112,6 @@ def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> Experiment
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

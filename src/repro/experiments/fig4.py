@@ -12,20 +12,49 @@ from __future__ import annotations
 from repro.analytics.tables import Series
 from repro.experiments import fig3
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import run_on_sim
-from repro.experiments.workloads import CharCountSAL, GromacsLSDMapSAL
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "TASK_COUNTS", "RESOURCE"]
+__all__ = ["run", "points", "report", "TASK_COUNTS", "RESOURCE"]
 
 TASK_COUNTS = (24, 48, 96, 192)
 RESOURCE = "xsede.comet"
 
+#: Each task count runs the MD workload, then its char-count reference.
+_WORKLOADS = ("GromacsLSDMapSAL", "CharCountSAL")
 
-def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> ExperimentResult:
+
+def points(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> list[dict]:
+    return [
+        {
+            "workload": workload,
+            "args": {"instances": n},
+            "resource": resource,
+            "cores": n,
+            "walltime_minutes": 24 * 60.0,
+            "seed": seed,
+        }
+        for n in task_counts
+        for workload in _WORKLOADS
+    ]
+
+
+def _row(workload: str, n: int, breakdown: dict) -> dict:
+    return {
+        "workload": workload,
+        "tasks": n,
+        "exec_s": breakdown["execution_time"],
+        "core_overhead_s": breakdown["core_overhead"],
+        "pattern_overhead_s": breakdown["pattern_overhead"],
+        "ttc_s": breakdown["ttc"],
+    }
+
+
+def report(points, records) -> ExperimentResult:
+    task_counts = tuple(dict.fromkeys(point["cores"] for point in points))
     result = ExperimentResult(
         figure="fig4",
         description="Gromacs-LSDMap via SAL, tasks=cores in "
-        f"{tuple(task_counts)} on {resource}: overheads vs. Fig. 3",
+        f"{task_counts} on {points[0]['resource']}: overheads vs. Fig. 3",
     )
     core_series = result.add_series(
         Series(name="core_overhead", x_label="tasks", y_label="core_s",
@@ -41,37 +70,16 @@ def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> Experiment
     md_per_unit: list[float] = []
     reference_per_unit: list[float] = []
 
-    for n in task_counts:
-        pattern = GromacsLSDMapSAL(instances=n)
-        _, _, breakdown = run_on_sim(pattern, resource=resource, cores=n, seed=seed)
-        core_series.append(n, breakdown.core_overhead)
-        pattern_series.append(n, breakdown.pattern_overhead)
-        md_per_unit.append(breakdown.pattern_overhead / breakdown.ntasks)
-        result.rows.append(
-            {
-                "workload": "gromacs-lsdmap",
-                "tasks": n,
-                "exec_s": breakdown.execution_time,
-                "core_overhead_s": breakdown.core_overhead,
-                "pattern_overhead_s": breakdown.pattern_overhead,
-                "ttc_s": breakdown.ttc,
-            }
-        )
-        reference = CharCountSAL(n)
-        _, _, ref_breakdown = run_on_sim(reference, resource=resource, cores=n, seed=seed)
+    for n, md, reference in zip(task_counts, records[::2], records[1::2]):
+        md, reference = md["breakdown"], reference["breakdown"]
+        core_series.append(n, md["core_overhead"])
+        pattern_series.append(n, md["pattern_overhead"])
+        md_per_unit.append(md["pattern_overhead"] / md["ntasks"])
+        result.rows.append(_row("gromacs-lsdmap", n, md))
         reference_per_unit.append(
-            ref_breakdown.pattern_overhead / ref_breakdown.ntasks
+            reference["pattern_overhead"] / reference["ntasks"]
         )
-        result.rows.append(
-            {
-                "workload": "charcount-reference",
-                "tasks": n,
-                "exec_s": ref_breakdown.execution_time,
-                "core_overhead_s": ref_breakdown.core_overhead,
-                "pattern_overhead_s": ref_breakdown.pattern_overhead,
-                "ttc_s": ref_breakdown.ttc,
-            }
-        )
+        result.rows.append(_row("charcount-reference", n, reference))
 
     result.claim("EnTK core overhead is constant", core_series.is_constant(0.05))
     result.claim(
@@ -93,11 +101,6 @@ def run(task_counts=TASK_COUNTS, resource=RESOURCE, seed: int = 0) -> Experiment
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

@@ -12,61 +12,45 @@ core count swept 20..2560.  The paper observes:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import kernel_phase_times, run_on_sim
-from repro.experiments.parallel import RunCache, run_sweep
-from repro.experiments.workloads import AmberTemperatureREMD
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "CORE_COUNTS", "REPLICAS", "RESOURCE"]
+__all__ = ["run", "points", "report", "CORE_COUNTS", "REPLICAS", "RESOURCE"]
 
 REPLICAS = 2560
 CORE_COUNTS = (20, 40, 80, 160, 320, 640, 1280, 2560)
 RESOURCE = "xsede.supermic"
 
 
-def _point(point: dict) -> dict:
-    """One sweep point: run the REMD workload at ``point["cores"]``.
-
-    Module-level and a pure function of *point*, as
-    :func:`repro.experiments.parallel.run_sweep` requires.
-    """
-    pattern = AmberTemperatureREMD(
-        replicas=point["replicas"],
-        iterations=point["iterations"],
-        duration_ps=point["duration_ps"],
-    )
-    run_on_sim(
-        pattern,
-        resource=point["resource"],
-        cores=point["cores"],
-        walltime_minutes=47 * 60.0,
-        seed=point["seed"],
-    )
-    phases = kernel_phase_times(pattern)
-    return {
-        "replicas": point["replicas"],
-        "cores": point["cores"],
-        "sim_s": phases.get("md.amber", 0.0),
-        "exchange_s": phases.get("exchange.temperature", 0.0),
-    }
-
-
-def run(
+def points(
     replicas: int = REPLICAS,
     core_counts=CORE_COUNTS,
     resource: str = RESOURCE,
     duration_ps: float = 6.0,
     seed: int = 0,
-    parallel: int = 0,
-    cache_dir: str | Path | None = None,
-) -> ExperimentResult:
+) -> list[dict]:
+    return [
+        {
+            "workload": "AmberTemperatureREMD",
+            "args": {"replicas": replicas, "iterations": 1,
+                     "duration_ps": duration_ps},
+            "resource": resource,
+            "cores": cores,
+            "walltime_minutes": 47 * 60.0,
+            "seed": seed,
+        }
+        for cores in core_counts
+    ]
+
+
+def report(points, records) -> ExperimentResult:
+    replicas = points[0]["args"]["replicas"]
     result = ExperimentResult(
         figure="fig5",
         description=f"EE strong scaling: {replicas} replicas, cores in "
-        f"{tuple(core_counts)} on {resource}",
+        f"{tuple(point['cores'] for point in points)} on "
+        f"{points[0]['resource']}",
     )
     sim_series = result.add_series(
         Series(name="simulation", x_label="cores", y_label="sim_s",
@@ -77,21 +61,14 @@ def run(
                expectation="constant (depends on replica count only)")
     )
 
-    points = [
-        {
-            "figure": "fig5",
-            "pattern": "AmberTemperatureREMD",
-            "resource": resource,
-            "cores": cores,
+    for point, record in zip(points, records):
+        phases = record["phases"]
+        row = {
             "replicas": replicas,
-            "iterations": 1,
-            "duration_ps": duration_ps,
-            "seed": seed,
+            "cores": point["cores"],
+            "sim_s": phases.get("md.amber", 0.0),
+            "exchange_s": phases.get("exchange.temperature", 0.0),
         }
-        for cores in core_counts
-    ]
-    cache = RunCache(cache_dir) if cache_dir is not None else None
-    for row in run_sweep(_point, points, parallel=parallel, cache=cache):
         sim_series.append(row["cores"], row["sim_s"])
         exchange_series.append(row["cores"], row["exchange_s"])
         result.rows.append(row)
@@ -107,11 +84,6 @@ def run(
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

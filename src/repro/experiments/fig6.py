@@ -12,25 +12,40 @@ from __future__ import annotations
 
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import kernel_phase_times, run_on_sim
-from repro.experiments.workloads import AmberTemperatureREMD
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "REPLICA_COUNTS", "RESOURCE"]
+__all__ = ["run", "points", "report", "REPLICA_COUNTS", "RESOURCE"]
 
 REPLICA_COUNTS = (20, 40, 80, 160, 320, 640, 1280, 2560)
 RESOURCE = "xsede.supermic"
 
 
-def run(
+def points(
     replica_counts=REPLICA_COUNTS,
     resource: str = RESOURCE,
     duration_ps: float = 6.0,
     seed: int = 0,
-) -> ExperimentResult:
+) -> list[dict]:
+    return [
+        {
+            "workload": "AmberTemperatureREMD",
+            "args": {"replicas": replicas, "iterations": 1,
+                     "duration_ps": duration_ps},
+            "resource": resource,
+            "cores": replicas,
+            "walltime_minutes": 12 * 60.0,
+            "seed": seed,
+        }
+        for replicas in replica_counts
+    ]
+
+
+def report(points, records) -> ExperimentResult:
     result = ExperimentResult(
         figure="fig6",
         description=f"EE weak scaling: replicas = cores in "
-        f"{tuple(replica_counts)} on {resource}",
+        f"{tuple(point['cores'] for point in points)} on "
+        f"{points[0]['resource']}",
     )
     sim_series = result.add_series(
         Series(name="simulation", x_label="replicas", y_label="sim_s",
@@ -41,20 +56,10 @@ def run(
                expectation="grows with the replica count")
     )
 
-    for replicas in replica_counts:
-        pattern = AmberTemperatureREMD(
-            replicas=replicas, iterations=1, duration_ps=duration_ps
-        )
-        _, _, _breakdown = run_on_sim(
-            pattern,
-            resource=resource,
-            cores=replicas,
-            walltime_minutes=12 * 60.0,
-            seed=seed,
-        )
-        phases = kernel_phase_times(pattern)
-        sim_time = phases.get("md.amber", 0.0)
-        exchange_time = phases.get("exchange.temperature", 0.0)
+    for point, record in zip(points, records):
+        replicas = point["cores"]
+        sim_time = record["phases"].get("md.amber", 0.0)
+        exchange_time = record["phases"].get("exchange.temperature", 0.0)
         sim_series.append(replicas, sim_time)
         exchange_series.append(replicas, exchange_time)
         result.rows.append(
@@ -77,11 +82,6 @@ def run(
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

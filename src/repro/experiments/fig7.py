@@ -11,61 +11,45 @@ SAL iteration.  The paper observes:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import kernel_phase_times, run_on_sim
-from repro.experiments.parallel import RunCache, run_sweep
-from repro.experiments.workloads import AmberCoCoSAL
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "CORE_COUNTS", "SIMULATIONS", "RESOURCE"]
+__all__ = ["run", "points", "report", "CORE_COUNTS", "SIMULATIONS", "RESOURCE"]
 
 SIMULATIONS = 1024
 CORE_COUNTS = (64, 128, 256, 512, 1024)
 RESOURCE = "xsede.stampede"
 
 
-def _point(point: dict) -> dict:
-    """One sweep point: run the SAL workload at ``point["cores"]``.
-
-    Module-level and a pure function of *point*, as
-    :func:`repro.experiments.parallel.run_sweep` requires.
-    """
-    pattern = AmberCoCoSAL(
-        instances=point["simulations"],
-        iterations=point["iterations"],
-        duration_ps=point["duration_ps"],
-    )
-    run_on_sim(
-        pattern,
-        resource=point["resource"],
-        cores=point["cores"],
-        walltime_minutes=12 * 60.0,
-        seed=point["seed"],
-    )
-    phases = kernel_phase_times(pattern)
-    return {
-        "simulations": point["simulations"],
-        "cores": point["cores"],
-        "sim_s": phases.get("md.amber", 0.0),
-        "analysis_s": phases.get("analysis.coco", 0.0),
-    }
-
-
-def run(
+def points(
     simulations: int = SIMULATIONS,
     core_counts=CORE_COUNTS,
     resource: str = RESOURCE,
     duration_ps: float = 0.6,
     seed: int = 0,
-    parallel: int = 0,
-    cache_dir: str | Path | None = None,
-) -> ExperimentResult:
+) -> list[dict]:
+    return [
+        {
+            "workload": "AmberCoCoSAL",
+            "args": {"instances": simulations, "iterations": 1,
+                     "duration_ps": duration_ps},
+            "resource": resource,
+            "cores": cores,
+            "walltime_minutes": 12 * 60.0,
+            "seed": seed,
+        }
+        for cores in core_counts
+    ]
+
+
+def report(points, records) -> ExperimentResult:
+    simulations = points[0]["args"]["instances"]
     result = ExperimentResult(
         figure="fig7",
         description=f"SAL strong scaling: {simulations} Amber-CoCo sims, "
-        f"cores in {tuple(core_counts)} on {resource}",
+        f"cores in {tuple(point['cores'] for point in points)} on "
+        f"{points[0]['resource']}",
     )
     sim_series = result.add_series(
         Series(name="simulation", x_label="cores", y_label="sim_s",
@@ -76,21 +60,14 @@ def run(
                expectation="constant (serial, depends on sim count)")
     )
 
-    points = [
-        {
-            "figure": "fig7",
-            "pattern": "AmberCoCoSAL",
-            "resource": resource,
-            "cores": cores,
+    for point, record in zip(points, records):
+        phases = record["phases"]
+        row = {
             "simulations": simulations,
-            "iterations": 1,
-            "duration_ps": duration_ps,
-            "seed": seed,
+            "cores": point["cores"],
+            "sim_s": phases.get("md.amber", 0.0),
+            "analysis_s": phases.get("analysis.coco", 0.0),
         }
-        for cores in core_counts
-    ]
-    cache = RunCache(cache_dir) if cache_dir is not None else None
-    for row in run_sweep(_point, points, parallel=parallel, cache=cache):
         sim_series.append(row["cores"], row["sim_s"])
         analysis_series.append(row["cores"], row["analysis_s"])
         result.rows.append(row)
@@ -106,11 +83,6 @@ def run(
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

@@ -15,25 +15,40 @@ from __future__ import annotations
 
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import kernel_phase_times, run_on_sim
-from repro.experiments.workloads import AmberCoCoSAL
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "SIM_COUNTS", "RESOURCE"]
+__all__ = ["run", "points", "report", "SIM_COUNTS", "RESOURCE"]
 
 SIM_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
 RESOURCE = "xsede.stampede"
 
 
-def run(
+def points(
     sim_counts=SIM_COUNTS,
     resource: str = RESOURCE,
     duration_ps: float = 0.6,
     seed: int = 0,
-) -> ExperimentResult:
+) -> list[dict]:
+    return [
+        {
+            "workload": "AmberCoCoSAL",
+            "args": {"instances": sims, "iterations": 1,
+                     "duration_ps": duration_ps},
+            "resource": resource,
+            "cores": sims,
+            "walltime_minutes": 12 * 60.0,
+            "seed": seed,
+        }
+        for sims in sim_counts
+    ]
+
+
+def report(points, records) -> ExperimentResult:
     result = ExperimentResult(
         figure="fig8",
-        description=f"SAL weak scaling: sims = cores in {tuple(sim_counts)} "
-        f"on {resource}",
+        description="SAL weak scaling: sims = cores in "
+        f"{tuple(point['cores'] for point in points)} "
+        f"on {points[0]['resource']}",
     )
     sim_series = result.add_series(
         Series(name="simulation", x_label="simulations", y_label="sim_s",
@@ -44,20 +59,10 @@ def run(
                expectation="grows with the simulation count")
     )
 
-    for sims in sim_counts:
-        pattern = AmberCoCoSAL(
-            instances=sims, iterations=1, duration_ps=duration_ps
-        )
-        _, _, _breakdown = run_on_sim(
-            pattern,
-            resource=resource,
-            cores=sims,
-            walltime_minutes=12 * 60.0,
-            seed=seed,
-        )
-        phases = kernel_phase_times(pattern)
-        sim_time = phases.get("md.amber", 0.0)
-        analysis_time = phases.get("analysis.coco", 0.0)
+    for point, record in zip(points, records):
+        sims = point["cores"]
+        sim_time = record["phases"].get("md.amber", 0.0)
+        analysis_time = record["phases"].get("analysis.coco", 0.0)
         sim_series.append(sims, sim_time)
         analysis_series.append(sims, analysis_time)
         result.rows.append(
@@ -80,11 +85,6 @@ def run(
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

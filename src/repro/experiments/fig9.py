@@ -12,56 +12,60 @@ from __future__ import annotations
 
 from repro.analytics.tables import Series
 from repro.experiments.base import ExperimentResult
-from repro.experiments.harness import kernel_phase_times, run_on_sim
-from repro.experiments.workloads import AmberCoCoSAL
+from repro.experiments.harness import run_figure
 
-__all__ = ["run", "main", "CORES_PER_SIM", "SIMULATIONS", "RESOURCE"]
+__all__ = ["run", "points", "report", "CORES_PER_SIM", "SIMULATIONS", "RESOURCE"]
 
 SIMULATIONS = 64
 CORES_PER_SIM = (1, 16, 32, 64)
 RESOURCE = "xsede.stampede"
 
 
-def run(
+def points(
     simulations: int = SIMULATIONS,
     cores_per_sim=CORES_PER_SIM,
     resource: str = RESOURCE,
     duration_ps: float = 6.0,
     seed: int = 0,
-) -> ExperimentResult:
+) -> list[dict]:
+    return [
+        {
+            "workload": "AmberCoCoSAL",
+            "args": {"instances": simulations, "iterations": 1,
+                     "duration_ps": duration_ps, "cores_per_simulation": k},
+            "resource": resource,
+            "cores": simulations * k,
+            "walltime_minutes": 12 * 60.0,
+            "seed": seed,
+        }
+        for k in cores_per_sim
+    ]
+
+
+def report(points, records) -> ExperimentResult:
+    args = points[0]["args"]
+    simulations = args["instances"]
+    widths = tuple(point["args"]["cores_per_simulation"] for point in points)
     result = ExperimentResult(
         figure="fig9",
-        description=f"MPI capability: {simulations} sims of {duration_ps} ps, "
-        f"cores/sim in {tuple(cores_per_sim)} on {resource}",
+        description=f"MPI capability: {simulations} sims of "
+        f"{args['duration_ps']} ps, cores/sim in {widths} on "
+        f"{points[0]['resource']}",
     )
     sim_series = result.add_series(
         Series(name="simulation", x_label="cores_per_sim", y_label="sim_s",
                expectation="drops linearly with cores per simulation")
     )
 
-    for k in cores_per_sim:
-        pattern = AmberCoCoSAL(
-            instances=simulations,
-            iterations=1,
-            duration_ps=duration_ps,
-            cores_per_simulation=k,
-        )
-        total_cores = simulations * k
-        _, _, _breakdown = run_on_sim(
-            pattern,
-            resource=resource,
-            cores=total_cores,
-            walltime_minutes=12 * 60.0,
-            seed=seed,
-        )
-        phases = kernel_phase_times(pattern)
-        sim_time = phases.get("md.amber", 0.0)
+    for point, record in zip(points, records):
+        k = point["args"]["cores_per_simulation"]
+        sim_time = record["phases"].get("md.amber", 0.0)
         sim_series.append(k, sim_time)
         result.rows.append(
             {
                 "simulations": simulations,
                 "cores_per_sim": k,
-                "total_cores": total_cores,
+                "total_cores": point["cores"],
                 "sim_s": sim_time,
             }
         )
@@ -72,16 +76,11 @@ def run(
     )
     result.claim(
         "every MPI width executed successfully at O(1000) total cores",
-        len(sim_series) == len(tuple(cores_per_sim)),
+        len(sim_series) == len(widths),
     )
     return result
 
 
-def main() -> ExperimentResult:  # pragma: no cover - CLI convenience
-    result = run()
-    result.print_report()
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run(**params) -> ExperimentResult:
+    """The figure, run serially (*params* as :func:`points` takes them)."""
+    return run_figure(points(**params), report)

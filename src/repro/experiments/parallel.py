@@ -65,7 +65,9 @@ class RunCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def key(self, point: Point) -> str:
+    @staticmethod
+    def key(point: Point) -> str:
+        """The SHA-256 of *point*'s canonical JSON."""
         return hashlib.sha256(_canonical(point).encode()).hexdigest()
 
     def path(self, point: Point) -> Path:

@@ -170,6 +170,20 @@ class Session:
             raise ConfigurationError("local sessions have no simulator")
         return self.sim_context.sim
 
+    def retry_delay(self, policy: RetryPolicy, attempt: int) -> float:
+        """The virtual backoff before retry *attempt* under *policy*.
+
+        Zero in local mode.  In sim, the ``retry_backoff`` stream is
+        drawn from only when the policy jitters, so a policy without
+        jitter perturbs no random stream.
+        """
+        if not self.is_simulated:
+            return 0.0
+        rng = None
+        if policy.jitter > 0:
+            rng = self.sim_context.streams.get("retry_backoff")
+        return policy.jittered_delay(attempt, rng)
+
     def run_events(self) -> None:
         """Drain the simulator (no-op for local sessions)."""
         if self.sim_context is not None:

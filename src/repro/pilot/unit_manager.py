@@ -176,12 +176,7 @@ class UnitManager:
         self.session.unit_store.advance_many(
             [unit], UnitState.UMGR_SCHEDULING, **fields
         )
-        delay = 0.0
-        if self.session.is_simulated:
-            rng = None
-            if policy.jitter > 0:
-                rng = self.session.sim_context.streams.get("retry_backoff")
-            delay = policy.jittered_delay(unit.attempts, rng)
+        delay = self.session.retry_delay(policy, unit.attempts)
         self.session.prof.event(
             "unit_requeue", unit.uid,
             attempt=unit.attempts, delay=delay, reason=type(exc).__name__,

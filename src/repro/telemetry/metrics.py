@@ -38,7 +38,14 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from repro.telemetry.sink import NEW, SLOTS, STATE, ProfileEvent, member_count
+from repro.telemetry.sink import (
+    NEW,
+    SLOTS,
+    STATE,
+    ProfileEvent,
+    member_count,
+    state_prev,
+)
 
 __all__ = ["MetricSeries", "MetricsRegistry"]
 
@@ -164,12 +171,7 @@ class MetricsRegistry:
                 moves.append((time, "units.NEW", member_count(event)))
             elif name == STATE:
                 n = member_count(event)
-                prev, state = attrs.get("prev"), attrs.get("state")
-                if prev is None:
-                    raise ValueError(
-                        f"units_state event of {uid} at t={time} has no "
-                        "'prev': not a trace this runtime writes"
-                    )
+                prev, state = state_prev(event), attrs.get("state")
                 moves.append((time, f"units.{prev}", -n))
                 moves.append((time, f"units.{state}", n))
                 pilot = attrs.get("pilot")

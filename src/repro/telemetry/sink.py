@@ -235,6 +235,21 @@ def member_uids(ev: Any) -> list[str]:
     ]
 
 
+def state_prev(ev: Any) -> Any:
+    """The state the members of ``units_state`` event *ev* left.
+
+    Every reader rejects a state event without ``prev`` with this
+    ``ValueError``: it is not a trace this runtime writes.
+    """
+    prev = ev.attrs.get("prev")
+    if prev is None:
+        raise ValueError(
+            f"units_state event of {ev.uid} at t={ev.time} has no "
+            "'prev': not a trace this runtime writes"
+        )
+    return prev
+
+
 def member_patterns(ev: Any) -> Iterator[Any]:
     """Each member's ``pattern`` field of batch event *ev*, in list order."""
     return _values(ev.attrs.get("pattern", ""), member_count(ev))

@@ -50,6 +50,7 @@ from repro.telemetry.sink import (
     TraceIndex,
     member_patterns,
     member_uids,
+    state_prev,
 )
 from repro.utils.ids import generate_id
 
@@ -253,7 +254,8 @@ class SpanBuilder:
     """Reconstructs the causal span tree from the flat event trace.
 
     Feed :class:`ProfileEvent`s with :meth:`add_events` (any iterable,
-    any order), then call :meth:`build`.
+    any order), then call :meth:`build`, which raises ``ValueError`` on
+    a ``units_state`` event without ``prev``.
     """
 
     def __init__(self) -> None:
@@ -457,6 +459,7 @@ class SpanBuilder:
                 for uid in member_uids(ev):
                     launching[uid] = ev.time
             else:
+                state_prev(ev)
                 entry = (ev.time, str(ev.attrs.get("state", "")))
                 for uid in member_uids(ev):
                     seq = states.get(uid)

@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -25,6 +30,35 @@ def test_figure_small_run(capsys):
     assert "fig9" in out
     assert "[OK " in out
     assert "FAIL" not in out
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_parallel_figure_writes_the_serial_runs_files(tmp_path):
+    """Each sweep point writes one spool and one Chrome trace, with the
+    same names and bytes whether the points run serially or in two
+    worker processes (a shell run, as a user starts it)."""
+    root = Path(__file__).resolve().parent.parent
+    files = {}
+    for parallel in ("0", "2"):
+        spool, traces = tmp_path / f"spool{parallel}", tmp_path / f"trace{parallel}"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "figure", "fig5", "--small",
+             "--parallel", parallel, "--spool", str(spool),
+             "--trace-out", str(traces)],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        files[parallel] = (_files(spool), _files(traces))
+    spools, traces = files["0"]
+    assert len(spools) == len(traces) == 4  # one per core count
+    assert all(name.endswith(".trace.jsonl") for name in spools)
+    assert all(name.endswith(".trace.json") for name in traces)
+    assert files["2"] == files["0"]
 
 
 def test_figure_unknown_name(capsys):

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
+from repro import experiments
+from repro.__main__ import _SMALL_FIGURE_KWARGS
+from repro.experiments.harness import run_figure
 from repro.experiments.parallel import RunCache, run_sweep
+
+#: The paper figures, each run at the CLI's ``--small`` sizes.
+FIGURES = sorted(_SMALL_FIGURE_KWARGS)
 
 #: Evaluation counter for cache tests (serial, in-process evaluations only).
 _CALLS: list[dict] = []
@@ -222,32 +228,41 @@ class TestFaultedSweeps:
 
 
 class TestFigureSweeps:
-    """S4: ``--parallel`` sweeps match serial sweeps record-for-record."""
+    """S4: every figure's ``--parallel`` sweep matches its serial sweep
+    record-for-record, and a warm run cache matches a cold one."""
 
-    CORES = (4, 8, 16)
+    @staticmethod
+    def _run(figure, **options):
+        module = getattr(experiments, figure)
+        return run_figure(module.points(**_SMALL_FIGURE_KWARGS[figure]),
+                          module.report, **options)
 
-    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
-    def test_parallel_figure_matches_serial(self, figure):
-        from repro.experiments import fig5, fig7
+    @staticmethod
+    def _files(directory) -> dict[str, bytes]:
+        return {str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted(directory.rglob("*")) if path.is_file()}
 
-        module = {"fig5": fig5, "fig7": fig7}[figure]
-        small = (
-            {"replicas": 16} if figure == "fig5" else {"simulations": 16}
-        )
-        serial = module.run(core_counts=self.CORES, **small)
-        parallel = module.run(core_counts=self.CORES, parallel=4, **small)
-        assert parallel.rows == serial.rows
-        assert parallel.claims == serial.claims
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_parallel_figure_matches_serial(self, figure, tmp_path):
+        """Rows, claims, and each point's spool file and Chrome trace
+        (names and bytes) are the same serially and in two workers."""
+        runs = {}
+        for parallel in (0, 2):
+            spool, traces = tmp_path / f"spool{parallel}", tmp_path / f"trace{parallel}"
+            result = self._run(figure, parallel=parallel, spool_dir=spool,
+                               trace_out=traces)
+            runs[parallel] = (result.rows, result.claims,
+                              self._files(spool), self._files(traces))
+        rows, claims, spools, traces = runs[0]
+        assert len(spools) == len(traces) == len(rows)
+        assert runs[2] == runs[0]
 
     def test_figure_cache_reuses_points(self, tmp_path):
-        from repro.experiments import fig5
-
-        cold = fig5.run(
-            replicas=16, core_counts=self.CORES, cache_dir=tmp_path
-        )
-        assert len(list(tmp_path.glob("*.json"))) == len(self.CORES)
-        warm = fig5.run(
-            replicas=16, core_counts=self.CORES, cache_dir=tmp_path
-        )
-        assert warm.rows == cold.rows
-        assert warm.claims == cold.claims
+        for figure in FIGURES:
+            cache_dir = tmp_path / figure
+            cold = self._run(figure, cache_dir=cache_dir)
+            # One row per point in every figure, so one cache file each.
+            assert len(list(cache_dir.glob("*.json"))) == len(cold.rows)
+            warm = self._run(figure, cache_dir=cache_dir)
+            assert warm.rows == cold.rows, figure
+            assert warm.claims == cold.claims, figure

@@ -195,18 +195,6 @@ class TestHarnessTraceOut:
         doc = json.loads(dumps[0].read_text())
         assert doc["traceEvents"]
 
-    def test_module_level_hook(self, tmp_path):
-        from repro.experiments import harness
-
-        reset_id_counters()
-        pattern = TwoStageEoP(ensemble_size=4, pipeline_size=2)
-        harness.set_trace_out(tmp_path)
-        try:
-            harness.run_on_sim(pattern, "xsede.comet", cores=4, seed=0)
-        finally:
-            harness.set_trace_out(None)
-        assert list(Path(tmp_path).glob("*.trace.json"))
-
 
 class TestTraceCliOnRealDump:
     @pytest.fixture()

@@ -34,7 +34,12 @@ from repro.core.resource_handle import ResourceHandle
 from repro.pilot.profiler import Profiler
 from repro.pilot.states import UnitState
 from repro.pilot.unit_store import UnitStore
-from repro.telemetry import MetricsRegistry, chrome_trace, write_chrome_trace
+from repro.telemetry import (
+    MetricsRegistry,
+    SpanBuilder,
+    chrome_trace,
+    write_chrome_trace,
+)
 from repro.utils.ids import reset_id_counters
 from tests.test_lifecycle_granularity import _EXERCISED, FAULTS, PATTERNS
 from tests.test_telemetry import revived, synthetic_trace
@@ -255,20 +260,33 @@ class TestTraceFormat:
 
     def test_state_event_without_prev_is_rejected(self, tmp_path, capsys):
         """A reader follows one rule set: a state event that does not
-        name the state it left is an error, in process and on the CLI
-        (exit 2, the message on stderr, nothing on stdout)."""
+        name the state it left is an error, in process and on every
+        trace subcommand (exit 2, the message on stderr, nothing on
+        stdout)."""
+        from repro.__main__ import main
+
         events = _trace()
         first = next(ev for ev in events if ev["name"] == "units_state")
         del first["prev"]
-        with pytest.raises(ValueError, match=r"u1 at t=2\.3 has no 'prev'"):
+        message = r"u1 at t=2\.3 has no 'prev'"
+        with pytest.raises(ValueError, match=message):
             MetricsRegistry.from_events(revived(events))
+        with pytest.raises(ValueError, match=message):
+            SpanBuilder().add_events(revived(events)).build()
 
         trace = tmp_path / "no-prev.jsonl"
         _write_jsonl(trace, events)
-        status, out, err = _summary(trace, capsys)
-        assert (status, out) == (2, "")
-        assert err == ("repro trace: units_state event of u1 at t=2.3 has "
-                       "no 'prev': not a trace this runtime writes\n")
+        exported = tmp_path / "no-prev.json"
+        for command in (["summarize", str(trace)],
+                        ["critical-path", str(trace)],
+                        ["export", str(trace), "-o", str(exported)]):
+            status = main(["trace", *command])
+            out, err = capsys.readouterr()
+            assert (status, out) == (2, ""), command
+            assert err == ("repro trace: units_state event of u1 at t=2.3 "
+                           "has no 'prev': not a trace this runtime "
+                           "writes\n"), command
+        assert not exported.exists()
 
     def test_batch_events_move_n_units(self):
         events = [
