@@ -24,13 +24,15 @@ __all__ = ["PatternDriver", "SubmitRequest"]
 log = get_logger("core.driver")
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmitRequest:
     """One kernel to submit, with its pattern context.
 
     ``placeholders`` maps staging tokens (without the leading ``$``) to the
     uid of the unit whose sandbox they refer to; ``tags`` is free-form
     metadata recorded on the unit (pattern entity, stage, iteration, ...).
+    :meth:`PatternDriver.submit` adds the ``pattern`` key to ``tags``
+    when the kernel carries no tags of its own.
     """
 
     kernel: "Kernel"
@@ -176,21 +178,28 @@ class PatternDriver(abc.ABC):
             descriptions, tags = [], []
             pattern = self.pattern.uid
             for request in requests:
+                # Read the slots, not the properties, so that resolving
+                # creates no empty staging list (see Kernel).
                 kernel = request.kernel
-                if kernel.link_input_data:
+                if kernel._link_input_data:
                     kernel.link_input_data = [
                         self._resolve(entry, request.placeholders)
-                        for entry in kernel.link_input_data
+                        for entry in kernel._link_input_data
                     ]
-                if kernel.copy_input_data:
+                if kernel._copy_input_data:
                     kernel.copy_input_data = [
                         self._resolve(entry, request.placeholders)
-                        for entry in kernel.copy_input_data
+                        for entry in kernel._copy_input_data
                     ]
                 description = self._bind(kernel)
                 descriptions.append(description)
-                tags.append({**description.tags, **request.tags,
-                             "pattern": pattern})
+                if description.tags:
+                    unit_tags = {**description.tags, **request.tags,
+                                 "pattern": pattern}
+                else:
+                    unit_tags = request.tags
+                    unit_tags["pattern"] = pattern
+                tags.append(unit_tags)
             prof.event("entk_stage_create_stop", self.pattern.uid, n=len(requests))
 
             # Under simulation, EnTK's client-side cost (task creation +

@@ -99,17 +99,16 @@ class EnsembleOfPipelinesDriver(PatternDriver):
 
     def start(self) -> None:
         pattern = self.pattern
-        self._live = set(range(1, pattern.ensemble_size + 1))
-        requests = []
-        for instance in sorted(self._live):
-            kernel = pattern.get_stage(1, instance)
-            requests.append(
-                SubmitRequest(
-                    kernel=kernel,
-                    tags={"stage": 1, "instance": instance},
-                    placeholders=_NO_PLACEHOLDERS,
-                )
+        instances = range(1, pattern.ensemble_size + 1)
+        self._live = set(instances)
+        requests = [
+            SubmitRequest(
+                kernel=pattern.get_stage(1, instance),
+                tags={"stage": 1, "instance": instance},
+                placeholders=_NO_PLACEHOLDERS,
             )
+            for instance in instances
+        ]
         units = self.submit(requests)
         if pattern.pipeline_size > 1:
             self._record_sandboxes(units)

@@ -10,13 +10,9 @@ runtime.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.core.kernel_plugin import Kernel
 from repro.exceptions import PatternError
 from repro.utils.ids import generate_id
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.kernel_plugin import Kernel
 
 __all__ = ["ExecutionPattern"]
 
@@ -56,18 +52,26 @@ class ExecutionPattern:
             raise PatternError(
                 f"pattern {self.uid} was already executed; create a new instance"
             )
+        if hasattr(self, "max_task_retries"):
+            raise PatternError(
+                f"{type(self).__name__} sets max_task_retries, which no longer "
+                "retries anything; for N retries set retry_policy = "
+                "RetryPolicy(max_attempts=N + 1, backoff_base=0.0) "
+                "(repro.pilot.retry.RetryPolicy)"
+            )
 
     # -- helpers for subclasses ----------------------------------------------------
 
     @staticmethod
-    def _require_kernel(obj, where: str) -> "Kernel":
-        from repro.core.kernel_plugin import Kernel
-
-        if not isinstance(obj, Kernel):
-            raise PatternError(
-                f"{where} must return a Kernel, got {type(obj).__name__}"
-            )
-        return obj
+    def _require_kernel(obj, where: str, *args) -> Kernel:
+        """*obj*, if it is a :class:`Kernel`; else a :class:`PatternError`
+        naming the hook ``where.format(*args)`` that returned it (the name
+        is formatted only then: this runs once per task)."""
+        if isinstance(obj, Kernel):
+            return obj
+        raise PatternError(
+            f"{where.format(*args)} must return a Kernel, got {type(obj).__name__}"
+        )
 
     @staticmethod
     def _check_positive(value: int, what: str) -> int:

@@ -42,6 +42,23 @@ class MachineConfig:
     speed_factor: float = 1.0
 
 
+def _created_on_access(slot: str, factory: type, doc: str) -> property:
+    """A :class:`Kernel` container field kept in *slot*: ``None`` until
+    the field is first read or assigned, then the container itself."""
+
+    def get(self):
+        value = getattr(self, slot)
+        if value is None:
+            value = factory()
+            setattr(self, slot, value)
+        return value
+
+    def set(self, value) -> None:
+        setattr(self, slot, value)
+
+    return property(get, set, doc=doc)
+
+
 class Kernel:
     """A user's handle on one computational task.
 
@@ -57,22 +74,45 @@ class Kernel:
         execution plugin resolves (see
         :mod:`repro.core.execution_plugin`).  Each entry is either
         ``"path"`` or ``"path > newname"``.
+
+    A pattern makes one kernel per task, so a kernel costs only what
+    its user sets: its fields live in slots, and each container field
+    (the lists above, ``environment`` and ``tags``) is created on first
+    read or assignment.  ``__dict__`` is kept, so subclasses and users
+    may still set attributes of their own.
     """
+
+    __slots__ = (
+        "name", "_plugin", "cores", "uses_mpi", "data_size",
+        "_arguments", "_link_input_data", "_copy_input_data",
+        "_copy_output_data", "_environment", "_tags", "__dict__",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._plugin: KernelPlugin = get_plugin_instance(name)
-        self.arguments: list[str] = []
         self.cores: int = 1
         self.uses_mpi: bool = False
-        self.link_input_data: list[str] = []
-        self.copy_input_data: list[str] = []
-        self.copy_output_data: list[str] = []
-        self.environment: dict[str, str] = {}
         #: Modelled bytes per staged file (simulated mode).
         self.data_size: int = 1024
-        #: Free-form metadata propagated to the compute unit.
-        self.tags: dict[str, Any] = {}
+        self._arguments: list[str] | None = None
+        self._link_input_data: list[str] | None = None
+        self._copy_input_data: list[str] | None = None
+        self._copy_output_data: list[str] | None = None
+        self._environment: dict[str, str] | None = None
+        self._tags: dict[str, Any] | None = None
+
+    arguments = _created_on_access("_arguments", list, "Argument strings.")
+    link_input_data = _created_on_access(
+        "_link_input_data", list, "Inputs linked into the sandbox.")
+    copy_input_data = _created_on_access(
+        "_copy_input_data", list, "Inputs copied into the sandbox.")
+    copy_output_data = _created_on_access(
+        "_copy_output_data", list, "Outputs copied out of the sandbox.")
+    environment = _created_on_access(
+        "_environment", dict, "Environment over the machine config's.")
+    tags = _created_on_access(
+        "_tags", dict, "Free-form metadata propagated to the compute unit.")
 
     # -- binding -----------------------------------------------------------------
 
@@ -99,22 +139,25 @@ class Kernel:
         input_staging = [
             StagingDirective(source=src, target=dst, action="link",
                              nbytes=self.data_size)
-            for src, dst in map(self._parse_directive, self.link_input_data)
+            for src, dst in map(self._parse_directive,
+                                self._link_input_data or ())
         ] + [
             StagingDirective(source=src, target=dst, action="copy",
                              nbytes=self.data_size)
-            for src, dst in map(self._parse_directive, self.copy_input_data)
+            for src, dst in map(self._parse_directive,
+                                self._copy_input_data or ())
         ]
         output_staging = [
             StagingDirective(source=src, target=dst, action="copy",
                              nbytes=self.data_size)
-            for src, dst in map(self._parse_directive, self.copy_output_data)
+            for src, dst in map(self._parse_directive,
+                                self._copy_output_data or ())
         ]
 
         description = ComputeUnitDescription(
             executable=config.executable or self.name,
-            arguments=list(self.arguments),
-            environment={**config.environment, **self.environment},
+            arguments=list(self._arguments or ()),
+            environment={**config.environment, **(self._environment or {})},
             cores=self.cores,
             mpi=self.uses_mpi or self.cores > 1,
             name=self.name,
@@ -124,7 +167,7 @@ class Kernel:
             ),
             input_staging=input_staging,
             output_staging=output_staging,
-            tags=dict(self.tags),
+            tags=dict(self._tags or ()),
         )
         description.validate()
         return description
@@ -139,18 +182,27 @@ class Kernel:
         lists are read as they are, so call this after placeholder
         resolution.  A subclass whose ``bind`` reads more attributes must
         add them here.  The key is unhashable when a value is (e.g. a
-        list-valued tag); callers then bind without a cache.
+        list-valued tag); callers then bind without a cache.  A container
+        that was never created reads as ``()``, the key of an empty one.
         """
+        arguments, link, copy_in, copy_out, environment, tags = (
+            self._arguments, self._link_input_data, self._copy_input_data,
+            self._copy_output_data, self._environment, self._tags,
+        )
         return (
-            type(self), self.name, type(self._plugin), tuple(self.arguments),
-            self.cores, self.uses_mpi, tuple(self.link_input_data),
-            tuple(self.copy_input_data), tuple(self.copy_output_data),
-            tuple(self.environment.items()), self.data_size,
-            tuple(self.tags.items()),
+            type(self), self.name, type(self._plugin),
+            () if arguments is None else tuple(arguments),
+            self.cores, self.uses_mpi,
+            () if link is None else tuple(link),
+            () if copy_in is None else tuple(copy_in),
+            () if copy_out is None else tuple(copy_out),
+            () if environment is None else tuple(environment.items()),
+            self.data_size,
+            () if tags is None else tuple(tags.items()),
         )
 
     def _iter_args(self):
-        for arg in self.arguments:
+        for arg in self._arguments or ():
             if arg.startswith("--") and "=" in arg:
                 key, _, value = arg[2:].partition("=")
                 yield key, value
@@ -160,7 +212,8 @@ class Kernel:
         return dict(self._iter_args()).get(name, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel {self.name} cores={self.cores} args={self.arguments}>"
+        return (f"<Kernel {self.name} cores={self.cores} "
+                f"args={self._arguments or []}>")
 
 
 class _DurationModel:

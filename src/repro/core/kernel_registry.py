@@ -81,8 +81,11 @@ def get_plugin_instance(name: str) -> "KernelPlugin":
     Plugins are stateless by contract (``docs/kernels.md``), so every
     kernel of one plugin class holds the same instance; its bound
     ``execute`` is the payload of every description bound from it.
+    Every ``Kernel`` calls this, so a registered name costs one lookup.
     """
-    plugin_cls = get_kernel_plugin(name)
+    plugin_cls = _REGISTRY.get(name)
+    if plugin_cls is None:
+        plugin_cls = get_kernel_plugin(name)
     instance = _INSTANCES.get(plugin_cls)
     if instance is None:
         instance = _INSTANCES[plugin_cls] = plugin_cls()

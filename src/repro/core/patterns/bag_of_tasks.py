@@ -38,11 +38,7 @@ class BagOfTasks(EnsembleOfPipelines):
         return self.task(instance)
 
     def validate(self) -> None:
-        # Deliberately skip the stage_<k> existence check of the parent:
-        # BagOfTasks routes everything through task().
-        if self.executed:
-            raise PatternError(
-                f"pattern {self.uid} was already executed; create a new instance"
-            )
+        # The parent checks no stage_<k>: stage() is overridden here.
+        super().validate()
         if type(self).task is BagOfTasks.task:
             raise PatternError(f"{type(self).__name__} must define task(instance)")

@@ -105,13 +105,13 @@ class EnsembleExchange(ExecutionPattern):
     def get_simulation(self, iteration: int, instance: int) -> "Kernel":
         kernel = self.simulation_stage(iteration, instance)
         return self._require_kernel(
-            kernel, f"simulation_stage({iteration}, {instance})"
+            kernel, "simulation_stage({}, {})", iteration, instance
         )
 
     def get_exchange(self, iteration: int, instances: Sequence[int]) -> "Kernel":
         kernel = self.exchange_stage(iteration, tuple(instances))
         return self._require_kernel(
-            kernel, f"exchange_stage({iteration}, {tuple(instances)})"
+            kernel, "exchange_stage({}, {})", iteration, tuple(instances)
         )
 
     def validate(self) -> None:

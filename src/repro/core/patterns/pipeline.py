@@ -27,13 +27,12 @@ Data placeholders available in staging directives:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Callable
+from functools import partial
 
 from repro.core.execution_pattern import ExecutionPattern
+from repro.core.kernel_plugin import Kernel
 from repro.exceptions import PatternError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.kernel_plugin import Kernel
 
 __all__ = ["EnsembleOfPipelines"]
 
@@ -55,48 +54,62 @@ class EnsembleOfPipelines(ExecutionPattern):
         super().__init__()
         self.ensemble_size = self._check_positive(ensemble_size, "ensemble_size")
         self.pipeline_size = self._check_positive(pipeline_size, "pipeline_size")
+        #: stage number -> the callable that makes that stage's kernel
+        #: for an instance, looked up once (see :meth:`get_stage`).
+        self._stage_kernels: dict[int, Callable[[int], Kernel]] = {}
 
     # -- user hooks ---------------------------------------------------------------
 
-    def stage(self, stage_number: int, instance: int) -> "Kernel":
+    def stage(self, stage_number: int, instance: int) -> Kernel:
         """Return the kernel of stage *stage_number* for pipeline *instance*.
 
         The default dispatches to ``stage_<k>`` methods; override for fully
         programmatic stage definitions.
         """
+        return self._stage_method(stage_number)(instance)
+
+    def _stage_method(self, stage_number: int) -> Callable[[int], Kernel]:
+        """The ``stage_<k>`` method of *stage_number*, or the one error a
+        missing method raises wherever it is found missing."""
         method = getattr(self, f"stage_{stage_number}", None)
         if method is None:
             raise PatternError(
-                f"{type(self).__name__} defines no stage_{stage_number}() "
-                f"and does not override stage()"
+                f"{type(self).__name__} must define stage_{stage_number}() "
+                f"or override stage() (pipeline_size={self.pipeline_size})"
             )
-        return method(instance)
+        return method
 
     # -- used by the driver ----------------------------------------------------------
 
-    def get_stage(self, stage_number: int, instance: int) -> "Kernel":
-        if not 1 <= stage_number <= self.pipeline_size:
-            raise PatternError(
-                f"stage {stage_number} out of range 1..{self.pipeline_size}"
-            )
+    def get_stage(self, stage_number: int, instance: int) -> Kernel:
+        """The kernel of stage *stage_number* for pipeline *instance*.
+
+        The driver calls this once per task, so the stage's hook is
+        looked up once per stage number: an overridden :meth:`stage`,
+        else the ``stage_<k>`` method.
+        """
         if not 1 <= instance <= self.ensemble_size:
             raise PatternError(
                 f"instance {instance} out of range 1..{self.ensemble_size}"
             )
-        kernel = self.stage(stage_number, instance)
+        make = self._stage_kernels.get(stage_number)
+        if make is None:
+            if not 1 <= stage_number <= self.pipeline_size:
+                raise PatternError(
+                    f"stage {stage_number} out of range 1..{self.pipeline_size}"
+                )
+            if type(self).stage is EnsembleOfPipelines.stage:
+                make = self._stage_method(stage_number)
+            else:
+                make = partial(self.stage, stage_number)
+            self._stage_kernels[stage_number] = make
         return self._require_kernel(
-            kernel, f"stage_{stage_number}(instance={instance})"
+            make(instance), "stage_{}(instance={})", stage_number, instance
         )
 
     def validate(self) -> None:
         super().validate()
         # Fail fast on missing stage methods before anything is submitted.
-        for stage_number in range(1, self.pipeline_size + 1):
-            if (
-                getattr(self, f"stage_{stage_number}", None) is None
-                and type(self).stage is EnsembleOfPipelines.stage
-            ):
-                raise PatternError(
-                    f"{type(self).__name__} must define stage_{stage_number}() "
-                    f"(pipeline_size={self.pipeline_size})"
-                )
+        if type(self).stage is EnsembleOfPipelines.stage:
+            for stage_number in range(1, self.pipeline_size + 1):
+                self._stage_method(stage_number)

@@ -86,13 +86,13 @@ class SimulationAnalysisLoop(ExecutionPattern):
     def get_simulation(self, iteration: int, instance: int) -> "Kernel":
         kernel = self.simulation_stage(iteration, instance)
         return self._require_kernel(
-            kernel, f"simulation_stage({iteration}, {instance})"
+            kernel, "simulation_stage({}, {})", iteration, instance
         )
 
     def get_analysis(self, iteration: int, instance: int) -> "Kernel":
         kernel = self.analysis_stage(iteration, instance)
         return self._require_kernel(
-            kernel, f"analysis_stage({iteration}, {instance})"
+            kernel, "analysis_stage({}, {})", iteration, instance
         )
 
     def validate(self) -> None:

@@ -456,3 +456,145 @@ def test_bulk_eop_run_holds_one_description_and_plugin_per_kernel(
         assert description.duration_model.plugin is plugin
     gc.collect()
     assert sum(type(o) is type(plugin) for o in gc.get_objects()) == 1
+
+
+# -- container fields created on first access --------------------------------
+
+
+def _every_field(kernel):
+    """Every field a kernel carries, its plugin by class."""
+    return (
+        type(kernel), kernel.name, type(kernel._plugin), kernel.arguments,
+        kernel.cores, kernel.uses_mpi, kernel.link_input_data,
+        kernel.copy_input_data, kernel.copy_output_data, kernel.environment,
+        kernel.data_size, kernel.tags, dict(kernel.__dict__),
+    )
+
+
+class _NotedKernel(Kernel):
+    def __init__(self, name, note="none"):
+        super().__init__(name)
+        self.note = note
+
+
+class TestKernelContainers:
+    def test_in_place_edits_of_untouched_containers_reach_bind(self):
+        kernel = Kernel(name="misc.ccount")
+        kernel.arguments.append("--inputfile=in.txt")
+        kernel.arguments.extend(["--outputfile=out.txt"])
+        kernel.link_input_data.append("$SHARED/data.txt > in.txt")
+        kernel.copy_input_data.append("plain.txt")
+        kernel.copy_output_data.append("out.txt > results/out.txt")
+        kernel.environment.update({"A": "1"})
+        kernel.tags["stage"] = 3
+        description = kernel.bind("local.localhost",
+                                  get_platform("local.localhost"))
+        assert description.arguments == ["--inputfile=in.txt",
+                                         "--outputfile=out.txt"]
+        assert [(s.action, s.source, s.target)
+                for s in description.input_staging] == [
+            ("link", "$SHARED/data.txt", "in.txt"),
+            ("copy", "plain.txt", "plain.txt"),
+        ]
+        assert [(s.source, s.target) for s in description.output_staging] == [
+            ("out.txt", "results/out.txt"),
+        ]
+        assert description.environment["A"] == "1"
+        assert description.tags == {"stage": 3}
+
+    def test_a_read_container_is_kept(self):
+        kernel = Kernel(name="misc.sleep")
+        assert kernel.arguments is kernel.arguments
+        assert kernel.tags is kernel.tags
+        replacement = ["--duration=1"]
+        kernel.arguments = replacement
+        assert kernel.arguments is replacement
+
+    def test_empty_and_untouched_containers_share_one_binding(
+        self, driver, bind_calls
+    ):
+        from repro.core.drivers.base import SubmitRequest
+
+        untouched = Kernel(name="test.cached")
+        untouched.arguments = ["--seconds=1"]
+        emptied = Kernel(name="test.cached")
+        emptied.arguments = ["--seconds=1"]
+        emptied.link_input_data = []
+        emptied.copy_input_data = []
+        emptied.environment = {}
+        emptied.tags = {}
+        read = Kernel(name="test.cached")
+        read.arguments = ["--seconds=1"]
+        assert read.copy_output_data == [] and read.environment == {}
+        assert untouched.signature() == emptied.signature() == read.signature()
+        units = driver.submit([
+            SubmitRequest(kernel, tags={"instance": i})
+            for i, kernel in enumerate((untouched, emptied, read))
+        ])
+        assert len(bind_calls) == 1
+        store = driver.session.unit_store
+        assert len({id(store.shared_description(u._i)) for u in units}) == 1
+        assert [store.tags(u._i) for u in units] == [
+            {"instance": i, "pattern": driver.pattern.uid} for i in range(3)
+        ]
+
+    def test_resolving_placeholders_creates_no_staging_list(self, driver):
+        from repro.core.drivers.base import SubmitRequest
+
+        kernel = Kernel(name="test.cached")
+        kernel.arguments = ["--seconds=1"]
+        driver.submit([SubmitRequest(kernel)])
+        assert kernel._link_input_data is None
+        assert kernel._copy_input_data is None
+
+    def test_a_subclass_and_a_user_can_set_other_attributes(self):
+        kernel = _NotedKernel(name="misc.sleep", note="hot")
+        kernel.extra = [1, 2]
+        assert (kernel.note, kernel.extra) == ("hot", [1, 2])
+        plain = Kernel(name="misc.sleep")
+        plain.owner = "me"
+        assert plain.owner == "me"
+
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_copy_and_pickle_keep_every_field(self, touched):
+        import copy
+        import pickle
+
+        kernel = _NotedKernel(name="misc.ccount", note="kept")
+        kernel.cores = 4
+        kernel.uses_mpi = True
+        kernel.data_size = 64
+        if touched:
+            kernel.arguments = ["--inputfile=a", "--outputfile=b"]
+            kernel.link_input_data = ["x > a"]
+            kernel.copy_input_data = ["y"]
+            kernel.copy_output_data = ["b"]
+            kernel.environment = {"E": "1"}
+            kernel.tags = {"t": 1}
+        signature = kernel.signature()
+        for clone in (copy.copy(kernel), pickle.loads(pickle.dumps(kernel))):
+            assert clone is not kernel
+            assert clone.signature() == signature
+            assert _every_field(clone) == _every_field(kernel)
+
+    def test_a_kernel_leaves_two_tracked_objects(self):
+        """Built the way ``perfbench/apps.py`` builds a sleep, a kernel
+        leaves itself and its argument list for the collector, and no
+        empty container."""
+        import gc
+
+        def sleep(seconds, cores=1):
+            kernel = Kernel(name="misc.sleep")
+            kernel.arguments = [f"--duration={seconds}"]
+            kernel.cores = cores
+            kernel.uses_mpi = cores > 1
+            return kernel
+
+        sleep(1)  # load the plugin and its instance first
+        gc.collect()
+        before = len(gc.get_objects())
+        kernels = [sleep(i % 7, 1 + i % 3) for i in range(1000)]
+        gc.collect()
+        tracked = len(gc.get_objects()) - before - 1  # minus the list
+        assert len(kernels) == 1000
+        assert tracked <= 2 * 1000, tracked / 1000

@@ -87,6 +87,119 @@ class TestEnsembleOfPipelines:
             App(ensemble_size=True, pipeline_size=1)
 
 
+
+class TestStageDispatch:
+    """The driver looks each stage's hook up once; what a user defines
+    decides which hook that is, as before."""
+
+    def test_overridden_stage_drives_the_run(self, sim_handle_factory):
+        calls = []
+
+        class App(EnsembleOfPipelines):
+            def stage(self, stage_number, instance):
+                calls.append((stage_number, instance))
+                return sleep_kernel()
+
+            def stage_1(self, instance):  # never called: stage() wins
+                raise AssertionError("stage() is overridden")
+
+        app = App(ensemble_size=3, pipeline_size=2)
+        sim_handle_factory().run(app)
+        assert sorted(calls) == [(s, i) for s in (1, 2) for i in (1, 2, 3)]
+        assert len(app.units) == 6 and not app.failed_units
+
+    def test_stage_methods_drive_the_run(self, sim_handle_factory):
+        class App(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+            def stage_2(self, instance):
+                kernel = sleep_kernel()
+                kernel.tags["second"] = instance
+                return kernel
+
+        app = App(ensemble_size=2, pipeline_size=2)
+        handle = sim_handle_factory()
+        handle.run(app)
+        store = handle.session.unit_store
+        rows = [unit._i for unit in app.units]
+        assert sorted(store.tag_values(rows, "stage")) == [1, 1, 2, 2]
+        assert sorted(v for v in store.tag_values(rows, "second") if v) == [1, 2]
+
+    def test_missing_stage_method_raises_one_error_everywhere(self):
+        class App(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+        app = App(ensemble_size=2, pipeline_size=2)
+        with pytest.raises(PatternError, match="stage_2") as at_validate:
+            app.validate()
+        with pytest.raises(PatternError, match="stage_2") as at_get_stage:
+            app.get_stage(2, 1)
+        with pytest.raises(PatternError, match="stage_2") as at_stage:
+            app.stage(2, 1)
+        assert (str(at_validate.value) == str(at_get_stage.value)
+                == str(at_stage.value))
+        assert isinstance(app.get_stage(1, 2), Kernel)
+
+    def test_missing_stage_method_fails_the_run_before_submitting(
+        self, sim_handle_factory
+    ):
+        class App(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+        app = App(ensemble_size=2, pipeline_size=3)
+        with pytest.raises(PatternError, match="stage_2"):
+            sim_handle_factory().run(app)
+        assert app.units == []
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_non_kernel_return_names_the_hook(self, override):
+        class Methods(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+            def stage_2(self, instance):
+                return None
+
+        class Generic(EnsembleOfPipelines):
+            def stage(self, stage_number, instance):
+                return sleep_kernel() if stage_number == 1 else "kernel"
+
+        app = (Generic if override else Methods)(ensemble_size=3,
+                                                 pipeline_size=2)
+        assert isinstance(app.get_stage(1, 3), Kernel)
+        for _ in range(2):  # the looked-up hook is checked on every call
+            with pytest.raises(
+                PatternError,
+                match=r"stage_2\(instance=3\) must return a Kernel, got",
+            ):
+                app.get_stage(2, 3)
+
+    def test_non_kernel_return_fails_the_run(self, sim_handle_factory):
+        class App(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+            def stage_2(self, instance):
+                return 42
+
+        with pytest.raises(PatternError, match="must return a Kernel"):
+            sim_handle_factory().run(App(ensemble_size=2, pipeline_size=2))
+
+    def test_out_of_range_is_checked_after_a_lookup(self):
+        class App(EnsembleOfPipelines):
+            def stage_1(self, instance):
+                return sleep_kernel()
+
+        app = App(ensemble_size=2, pipeline_size=1)
+        app.get_stage(1, 1)
+        with pytest.raises(PatternError, match="instance 3 out of range"):
+            app.get_stage(1, 3)
+        with pytest.raises(PatternError, match="stage 2 out of range"):
+            app.get_stage(2, 1)
+
 class TestBagOfTasks:
     def test_task_hook_required(self):
         bag = BagOfTasks(size=3)

@@ -446,3 +446,51 @@ class TestPatternPolicyIntegration:
         assert len(done) == 32
         retries = handle.profile.events("entk_task_retry")
         assert retries and all(ev.attrs["delay"] > 0 for ev in retries)
+
+
+class TestRetiredTaskRetries:
+    """``max_task_retries`` no longer retries anything, so a pattern that
+    still sets it is refused before a task runs, with the replacement."""
+
+    HINT = "retry_policy = RetryPolicy(max_attempts=N + 1, backoff_base=0.0)"
+
+    def test_class_attribute_is_refused(self):
+        class OldBag(SleepBag):
+            max_task_retries = 2
+
+        with pytest.raises(PatternError, match="max_task_retries") as info:
+            OldBag(4).validate()
+        assert self.HINT in str(info.value)
+
+    def test_instance_attribute_is_refused(self):
+        pattern = SleepBag(4)
+        pattern.max_task_retries = 0
+        with pytest.raises(PatternError, match="max_task_retries") as info:
+            pattern.validate()
+        assert self.HINT in str(info.value)
+
+    def test_every_pattern_kind_refuses_it(self):
+        from repro.core.patterns import EnsembleOfPipelines
+
+        class Pipelines(EnsembleOfPipelines):
+            max_task_retries = 1
+
+            def stage_1(self, instance):
+                return Kernel(name="misc.sleep")
+
+        with pytest.raises(PatternError, match="max_task_retries"):
+            Pipelines(ensemble_size=2).validate()
+
+    def test_run_fails_before_any_task_is_submitted(self):
+        pattern = SleepBag(4)
+        pattern.max_task_retries = 3
+        with pytest.raises(PatternError, match="max_task_retries"):
+            run_sim(pattern, cores=16)
+        assert pattern.units == []
+        assert not pattern.executed
+
+    def test_a_retry_policy_alone_is_accepted(self):
+        pattern = SleepBag(4, duration=10, policy=RetryPolicy(
+            max_attempts=3, backoff_base=0.0))
+        pattern.validate()
+        assert not hasattr(pattern, "max_task_retries")
